@@ -1,35 +1,27 @@
-//! Experiment harness: regenerates every table in EXPERIMENTS.md, and the
-//! `BENCH_PR1.json` perf-trajectory report.
+//! Experiment harness: regenerates every table in EXPERIMENTS.md, runs
+//! the bench registry, and drives the multi-process netplane.
 //!
 //! ```sh
 //! cargo run --release -p d2color-bench --bin harness -- all
 //! cargo run --release -p d2color-bench --bin harness -- exp1
-//! cargo run --release -p d2color-bench --bin harness -- bench-pr1 [out.json]
-//! cargo run --release -p d2color-bench --bin harness -- bench-pr2 [out.json]
-//! cargo run --release -p d2color-bench --bin harness -- bench-pr3 [out.json]
-//! cargo run --release -p d2color-bench --bin harness -- bench-pr4 [out.json]
-//! cargo run --release -p d2color-bench --bin harness -- bench-pr5 [out.json]
-//! cargo run --release -p d2color-bench --bin harness -- bench-pr6 [out.json]
-//! cargo run --release -p d2color-bench --bin harness -- bench-pr7 [out.json]
-//! cargo run --release -p d2color-bench --bin harness -- bench-pr8 [out.json]
-//! cargo run --release -p d2color-bench --bin harness -- bench-pr9 [out.json]
-//! cargo run --release -p d2color-bench --bin harness -- bench-pr10 [out.json]
+//! cargo run --release -p d2color-bench --bin harness -- bench <glob> [--check|--write BENCH.json] [--out fresh.json]
 //! cargo run --release -p d2color-bench --bin harness -- net-run <k> <algo> <family> <n> <degree> <gseed> <rseed> [--sched <active|always>] [--drops <ppm> <seed>] [--chaos <seed>]
-//! cargo run --release -p d2color-bench --bin harness -- net-shard <coordinator> <algo> <family> <n> <degree> <gseed> <rseed> [--chaos <seed>] [--rejoin <shard> <ports-csv>]
-//! cargo run --release -p d2color-bench --bin harness -- chaos-smoke
-//! cargo run --release -p d2color-bench --bin harness -- scale-smoke
-//! cargo run --release -p d2color-bench --bin harness -- scale-coloring-1e6
-//! cargo run --release -p d2color-bench --bin harness -- scale-rand-1e6
+//! cargo run --release -p d2color-bench --bin harness -- net-shard <coordinator> <algo> <family> <n> <degree> <gseed> <rseed> [--sched ..] [--drops ..] [--chaos <seed>] [--rejoin <shard> <ports-csv>]
 //! ```
 //!
-//! `bench-pr4` records allocations/round only when built with
-//! `--features count-allocs` (otherwise the column is the −1 sentinel,
-//! which the CI gate rejects for the recorded report).
+//! The binary runs on the allocation-counting allocator, so the
+//! registry's allocations/round measurements are always available.
 
+use benchkit::alloc::CountingAllocator;
+use benchkit::registry::{self, Ctx, Exact};
 use benchkit::{delta_sweep, loglog_slope, measure, measure_with, n_sweep, print_table, Algo, Row};
 use congest::SimConfig;
+use d2color::netharness::{self, ShardCommand};
 use d2core::det::splitting::{self, SplitMode};
 use d2core::Params;
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn params() -> Params {
     Params::practical()
@@ -317,731 +309,67 @@ fn exp12() {
     }
 }
 
-/// Runs the BENCH_PR1 matrix and writes the JSON report (default path:
-/// `BENCH_PR1.json` in the current directory — the repo root in CI).
-fn bench_pr1() {
-    let out_path = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| "BENCH_PR1.json".into());
-    let cells = benchkit::pr1::run_matrix(4);
-    for c in &cells {
-        println!(
-            "{:<18} {:<20} {:<12} wall {:>9.2} ms  rounds {:>6}  msgs/round {:>9.0}  valid {}",
-            c.graph, c.algo, c.runtime, c.wall_ms, c.rounds, c.messages_per_round, c.valid
-        );
-        assert!(c.valid, "benchmark cell produced an invalid coloring");
-    }
-    let doc = benchkit::pr1::to_json(&cells);
-    std::fs::write(&out_path, doc).expect("write BENCH_PR1.json");
-    println!("\nwrote {} cells to {out_path}", cells.len());
-}
+const NET_SHARD_USAGE: &str = "usage: harness net-shard <coordinator> <algo> <family> <n> \
+    <degree> <gseed> <rseed> [--sched <active|always>] [--drops <ppm> <seed>] [--chaos <seed>] \
+    [--rejoin <shard> <ports-csv>]";
 
-/// Runs the BENCH_PR2 matrix (adaptive runtime + per-phase breakdown) and
-/// writes the JSON report (default path: `BENCH_PR2.json`).
-fn bench_pr2() {
-    let out_path = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| "BENCH_PR2.json".into());
-    let cells = benchkit::pr2::run_matrix(4);
-    for c in &cells {
-        println!(
-            "{:<18} {:<20} {:<12} wall {:>9.2} ms  rounds {:>6}  msgs/s {:>11.0}  valid {}",
-            c.graph, c.algo, c.runtime, c.wall_ms, c.rounds, c.messages_per_sec, c.valid
-        );
-        assert!(c.valid, "benchmark cell produced an invalid coloring");
-    }
-    let doc = benchkit::pr2::to_json(&cells);
-    std::fs::write(&out_path, doc).expect("write BENCH_PR2.json");
-    println!("\nwrote {} cells to {out_path}", cells.len());
-}
+const NET_RUN_USAGE: &str = "usage: harness net-run <k> <algo> <family> <n> <degree> <gseed> \
+    <rseed> [--sched <active|always>] [--drops <ppm> <seed>] [--chaos <seed>]
+  k >= 1 processes (>= 2 with --chaos); algo: det-small | rand-improved; family: gnp | regular
+  e.g.: harness net-run 4 rand-improved gnp 200 6 13 42 --chaos 29
+  e.g.: harness net-run 4 det-small gnp 200 5 11 42 --sched active --drops 25000 7 --chaos 29";
 
-/// Runs the BENCH_PR3 scaling matrix (n up to 10⁶) and writes the JSON
-/// report (default path: `BENCH_PR3.json`).
-fn bench_pr3() {
-    let out_path = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| "BENCH_PR3.json".into());
-    let cells = benchkit::pr3::run_matrix(4);
-    for c in &cells {
-        println!(
-            "{:<26} {:<10} {:<12} build {:>9.1} ms  wall {:>10.1} ms  rounds {:>5}  msgs/s {:>12.0}  rss {:>7.1} MiB  valid {}",
-            c.graph, c.mode, c.runtime, c.build_ms, c.wall_ms, c.rounds, c.messages_per_sec,
-            c.peak_rss_mb, c.valid
-        );
-        assert!(c.valid, "benchmark cell failed validation: {c:?}");
-    }
-    let doc = benchkit::pr3::to_json(&cells);
-    std::fs::write(&out_path, doc).expect("write BENCH_PR3.json");
-    println!("\nwrote {} cells to {out_path}", cells.len());
-}
-
-/// Runs the BENCH_PR4 matrix (zero-allocation message plane + first 10⁶
-/// coloring tier) and writes the JSON report (default path:
-/// `BENCH_PR4.json`).
-fn bench_pr4() {
-    let out_path = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| "BENCH_PR4.json".into());
-    if !benchkit::alloc::counting_enabled() {
-        eprintln!(
-            "note: built without --features count-allocs; allocs_per_round will be -1 (sentinel)"
-        );
-    }
-    let cells = benchkit::pr4::run_matrix();
-    for c in &cells {
-        println!(
-            "{:<28} {:<20} wall {:>10.1} ms  rounds {:>6}  msgs/s {:>12.0}  allocs/round {:>9.1}  rss {:>7.1} MiB  valid {}",
-            c.graph, c.algo, c.wall_ms, c.rounds, c.messages_per_sec, c.allocs_per_round,
-            c.peak_rss_mb, c.valid
-        );
-        assert!(
-            c.valid,
-            "benchmark cell produced an invalid coloring: {c:?}"
-        );
-    }
-    let doc = benchkit::pr4::to_json(&cells);
-    std::fs::write(&out_path, doc).expect("write BENCH_PR4.json");
-    println!("\nwrote {} cells to {out_path}", cells.len());
-}
-
-/// CI scale-smoke sub-step: the first n = 10⁶ coloring — det-small,
-/// sequential, `random_regular` d = 8 — verified end to end. The CI job
-/// wraps this in a wall-clock `timeout`; completing inside it is the
-/// acceptance signal.
-fn scale_coloring_1e6() {
-    let c = benchkit::pr4::run_scale_cell();
-    print_scale_cell(
-        &c.graph,
-        c.build_ms,
-        c.wall_ms,
-        c.rounds,
-        c.messages,
-        c.palette,
-        c.peak_rss_mb,
-        c.valid,
-    );
-    assert!(c.valid, "n = 1e6 coloring failed verification");
-    assert!(c.n >= 1_000_000, "cell is not at the 1e6 tier");
-    println!("scale-coloring-1e6 OK");
-}
-
-#[allow(clippy::too_many_arguments)]
-fn print_scale_cell(
-    graph: &str,
-    build_ms: f64,
-    wall_ms: f64,
-    rounds: u64,
-    messages: u64,
-    palette: usize,
-    rss: f64,
-    valid: bool,
-) {
-    println!(
-        "{graph}: built {build_ms:.0} ms, colored {wall_ms:.0} ms, rounds = {rounds}, \
-         messages = {messages}, palette = {palette}, peak rss {rss:.1} MiB, valid = {valid}"
-    );
-}
-
-/// Runs the BENCH_PR5 matrix (streaming similarity fold: per-cell peak
-/// RSS on the stressed n = 10⁵ rand cell + the first n = 10⁶ randomized
-/// coloring) and writes the JSON report (default path:
-/// `BENCH_PR5.json`).
-fn bench_pr5() {
-    let out_path = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| "BENCH_PR5.json".into());
-    let cells = benchkit::pr5::run_matrix();
-    for c in &cells {
-        println!(
-            "{:<42} {:<20} wall {:>10.1} ms  rounds {:>6}  msgs/s {:>12.0}  rss {:>8.1} MiB{}  valid {}",
-            c.graph,
-            c.algo,
-            c.wall_ms,
-            c.rounds,
-            c.messages_per_sec,
-            c.peak_rss_mb,
-            if c.rss_cumulative { " (cumulative)" } else { "" },
-            c.valid
-        );
-        assert!(
-            c.valid,
-            "benchmark cell produced an invalid coloring: {c:?}"
-        );
-    }
-    let doc = benchkit::pr5::to_json(&cells);
-    std::fs::write(&out_path, doc).expect("write BENCH_PR5.json");
-    println!("\nwrote {} cells to {out_path}", cells.len());
-}
-
-/// Runs the BENCH_PR6 matrix (churn → 2-hop local repair economics +
-/// fault-plane determinism cells) and writes the JSON report (default
-/// path: `BENCH_PR6.json`). The acceptance criteria are asserted here so
-/// a violating report can never be recorded.
-fn bench_pr6() {
-    let out_path = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| "BENCH_PR6.json".into());
-    let r = benchkit::pr6::run_matrix();
-    let b = &r.baseline;
-    println!(
-        "fresh {:<28} wall {:>10.1} ms  rounds {:>6}  messages {:>12}  rss {:>8.1} MiB{}  valid {}",
-        b.graph,
-        b.wall_ms,
-        b.rounds,
-        b.messages,
-        b.peak_rss_mb,
-        if b.rss_cumulative {
-            " (cumulative)"
-        } else {
-            ""
-        },
-        b.valid
-    );
-    assert!(b.valid, "fresh baseline produced an invalid coloring");
-    for c in &r.repair {
-        println!(
-            "batch {:>2}: events {:>4} (+{} -{})  touched {:>5}  damaged {:>5}  \
-             repair rounds {:>4}  messages {:>9}  drift {}  wall {:>8.1} ms  valid {}",
-            c.batch,
-            c.events,
-            c.inserted,
-            c.deleted,
-            c.touched,
-            c.damaged,
-            c.rounds,
-            c.messages,
-            c.palette_drift,
-            c.wall_ms,
-            c.valid
-        );
-        assert!(c.valid, "repair batch {} left conflicts", c.batch);
-    }
-    println!(
-        "churn: {} events ({:.3}% of m), repair messages {} / fresh {} = ratio {:.6}",
-        r.churn_events,
-        r.churn_fraction * 100.0,
-        r.total_repair_messages,
-        b.messages,
-        r.messages_ratio
-    );
-    assert!(r.final_valid, "final coloring failed verification");
-    assert!(
-        r.total_repair_messages * benchkit::pr6::REPAIR_MESSAGE_FACTOR <= b.messages,
-        "repair spent {} messages, over 1/{} of the fresh run's {}",
-        r.total_repair_messages,
-        benchkit::pr6::REPAIR_MESSAGE_FACTOR,
-        b.messages
-    );
-    for c in &r.chaos {
-        println!(
-            "chaos {:<22} {:<20} drop {:>6} ppm  rounds {:>5}  messages {:>9}  \
-             dropped {:>7}  identical {}",
-            c.graph,
-            c.algo,
-            c.drop_ppm,
-            c.rounds,
-            c.messages,
-            c.faults_dropped,
-            c.engines_identical
-        );
-        assert!(
-            c.engines_identical,
-            "{}/{} at {} ppm: engines diverged under faults",
-            c.graph, c.algo, c.drop_ppm
-        );
-    }
-    let doc = benchkit::pr6::to_json(&r);
-    std::fs::write(&out_path, doc).expect("write BENCH_PR6.json");
-    println!(
-        "\nwrote {} repair + {} chaos cells to {out_path}",
-        r.repair.len(),
-        r.chaos.len()
-    );
-}
-
-/// Runs the BENCH_PR7 matrix (active-set frontier economics: the
-/// straggler det-small n = 10⁵ cell under active vs always-step
-/// scheduling, plus the stressed rand n = 10⁶ cell) and writes the JSON
-/// report (default path: `BENCH_PR7.json`). The acceptance criteria are
-/// asserted here so a violating report can never be recorded.
-fn bench_pr7() {
-    let out_path = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| "BENCH_PR7.json".into());
-    let r = benchkit::pr7::run_matrix();
-    let s = &r.straggler;
-    println!(
-        "straggler {:<26} wall {:>9.1} ms (ref {:>9.1} ms)  rounds {:>5}  \
-         stepped {:>11} (ref {:>11}, ratio {:>6.1}x, {:>8.1}/round)  \
-         identical {}  valid {}",
-        s.graph,
-        s.wall_ms,
-        s.wall_ms_reference,
-        s.rounds,
-        s.stepped_nodes,
-        s.stepped_nodes_reference,
-        s.steps_ratio,
-        s.stepped_per_round,
-        s.reference_identical,
-        s.valid
-    );
-    assert!(s.valid, "straggler cell produced an invalid coloring");
-    assert!(
-        s.reference_identical,
-        "active-set and always-step schedules diverged on the straggler cell"
-    );
-    assert!(
-        s.steps_ratio >= benchkit::pr7::STEP_REDUCTION_FACTOR,
-        "frontier stepped only {:.1}x fewer nodes, need >= {}x",
-        s.steps_ratio,
-        benchkit::pr7::STEP_REDUCTION_FACTOR
-    );
-    assert!(
-        s.stepped_per_round <= benchkit::pr7::STEPPED_ROUND_FRACTION * s.n as f64,
-        "steady-state frontier {:.1}/round exceeds {}% of n = {}",
-        s.stepped_per_round,
-        benchkit::pr7::STEPPED_ROUND_FRACTION * 100.0,
-        s.n
-    );
-    let c = &r.scale;
-    println!(
-        "scale     {:<42} wall {:>9.1} ms  rounds {:>5}  stepped {:>11} \
-         ({:>9.1}/round)  valid {}",
-        c.graph, c.wall_ms, c.rounds, c.stepped_nodes, c.stepped_per_round, c.valid
-    );
-    assert!(c.valid, "scale cell produced an invalid coloring");
-    let doc = benchkit::pr7::to_json(&r);
-    std::fs::write(&out_path, doc).expect("write BENCH_PR7.json");
-    println!("\nwrote straggler + scale cells to {out_path}");
-}
-
-/// Runs the BENCH_PR8 netplane equivalence matrix (both pipelines,
-/// both graph families, 2 and 4 OS processes over localhost TCP) and
-/// writes the JSON report (default path: `BENCH_PR8.json`). Shards are
-/// this binary re-exec'd through the `net-shard` subcommand.
-fn bench_pr8() {
-    let out_path = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| "BENCH_PR8.json".into());
-    let cmd = d2color::netharness::ShardCommand::current_exe("net-shard");
-    let cells = benchkit::pr8::run_matrix(&cmd);
-    for c in &cells {
-        println!(
-            "{:<34} x{} procs  seq {:>8.1} ms  net {:>8.1} ms  rounds {:>5}  \
-             messages {:>9}  identical {}  valid {}",
-            c.graph,
-            c.processes,
-            c.wall_ms_sequential,
-            c.wall_ms_net,
-            c.rounds,
-            c.messages,
-            c.identical,
-            c.valid
-        );
-        assert!(
-            c.identical,
-            "{}: sharded run diverged from sequential",
-            c.graph
-        );
-        assert!(c.valid, "{}: sharded coloring failed validation", c.graph);
-    }
-    let doc = benchkit::pr8::to_json(&cells);
-    std::fs::write(&out_path, doc).expect("write BENCH_PR8.json");
-    println!("\nwrote {} cells to {out_path}", cells.len());
-}
-
-/// Runs the BENCH_PR9 chaos-recovery matrix (4-process control + a
-/// supervised run that loses one shard mid-phase per workload) and
-/// writes the JSON report (default path: `BENCH_PR9.json`).
-fn bench_pr9() {
-    let out_path = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| "BENCH_PR9.json".into());
-    let cmd = d2color::netharness::ShardCommand::current_exe("net-shard");
-    let cells = benchkit::pr9::run_matrix(&cmd);
-    for c in &cells {
-        println!(
-            "{:<34} x{} procs  chaos {:<5}  net {:>8.1} ms  rounds {:>5}  \
-             messages {:>9}  killed {}  respawned {:<5}  identical {}  valid {}",
-            c.graph,
-            c.processes,
-            c.chaos,
-            c.wall_ms_net,
-            c.rounds,
-            c.messages,
-            c.killed_shard,
-            c.respawned,
-            c.identical,
-            c.valid
-        );
-        assert!(
-            c.identical,
-            "{} (chaos={}): run diverged from sequential",
-            c.graph, c.chaos
-        );
-        assert!(c.valid, "{}: coloring failed validation", c.graph);
-        assert_eq!(
-            c.chaos, c.respawned,
-            "{}: chaos cells must observe a kill and respawn (and controls must not)",
-            c.graph
-        );
-    }
-    let doc = benchkit::pr9::to_json(&cells);
-    std::fs::write(&out_path, doc).expect("write BENCH_PR9.json");
-    println!("\nwrote {} cells to {out_path}", cells.len());
-}
-
-/// Runs the BENCH_PR10 frontier-economics matrix (PR 9 control
-/// workloads under always-step + the det-small straggler under both
-/// schedules, all across 4 processes) and writes the JSON report
-/// (default path: `BENCH_PR10.json`).
-fn bench_pr10() {
-    let out_path = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| "BENCH_PR10.json".into());
-    let cmd = d2color::netharness::ShardCommand::current_exe("net-shard");
-    let cells = benchkit::pr10::run_matrix(&cmd);
-    for c in &cells {
-        println!(
-            "{:<34} x{} procs  {:<11}  net {:>8.1} ms  rounds {:>5}  \
-             messages {:>9}  stepped {:>8}  identical {}  valid {}",
-            c.graph,
-            c.processes,
-            c.scheduling,
-            c.wall_ms_net,
-            c.rounds,
-            c.messages,
-            c.stepped_nodes,
-            c.identical,
-            c.valid
-        );
-        assert!(
-            c.identical,
-            "{} ({}): sharded run diverged from sequential",
-            c.graph, c.scheduling
-        );
-        assert!(c.valid, "{}: sharded coloring failed validation", c.graph);
-    }
-    let straggler = benchkit::pr10::straggler_spec().label();
-    let stepped = |sched: &str| {
-        cells
-            .iter()
-            .find(|c| c.graph == straggler && c.scheduling == sched)
-            .map(|c| c.stepped_nodes)
-            .expect("straggler cell present")
-    };
-    let (always, active) = (stepped("always-step"), stepped("active-set"));
-    println!(
-        "\nstraggler frontier: {active} stepped under active-set vs {always} \
-         always-step ({:.1}x reduction, bound {}x)",
-        always as f64 / active.max(1) as f64,
-        benchkit::pr10::STEP_REDUCTION
-    );
-    assert!(
-        active * benchkit::pr10::STEP_REDUCTION <= always,
-        "active-set stepped {active} nodes, needs <= always-step {always} / {}",
-        benchkit::pr10::STEP_REDUCTION
-    );
-    let doc = benchkit::pr10::to_json(&cells);
-    std::fs::write(&out_path, doc).expect("write BENCH_PR10.json");
-    println!("wrote {} cells to {out_path}", cells.len());
-}
-
-/// One netplane shard process (spawned by `net-run` / `bench-pr8` /
-/// `bench-pr9` / `bench-pr10`): `harness net-shard <coordinator> <algo>
-/// <family> <n> <degree> <gseed> <rseed> [--sched <active|always>]
-/// [--drops <ppm> <seed>] [--chaos <seed>] [--rejoin <shard>
-/// <ports-csv>]`.
-fn net_shard() {
-    let args: Vec<String> = std::env::args().skip(2).collect();
-    let Some((addr, spec, opts)) = d2color::netharness::parse_shard_argv(&args) else {
-        eprintln!(
-            "usage: harness net-shard <coordinator> <algo> <family> <n> <degree> <gseed> <rseed> \
-             [--sched <active|always>] [--drops <ppm> <seed>] [--chaos <seed>] \
-             [--rejoin <shard> <ports-csv>]"
-        );
+/// One netplane shard process (spawned by `net-run` and the `net/` bench
+/// cells).
+fn net_shard(args: &[String]) {
+    let Some((addr, spec, opts)) = netharness::parse_shard_argv(args) else {
+        eprintln!("{NET_SHARD_USAGE}");
         std::process::exit(2);
     };
-    d2color::netharness::shard_main(addr, &spec, &opts).expect("shard transport failure");
+    netharness::shard_main(addr, &spec, &opts).expect("shard transport failure");
 }
 
-/// One interactive distributed run:
-/// `harness net-run <k> <algo> <family> <n> <degree> <gseed> <rseed>
-/// [--sched <active|always>] [--drops <ppm> <seed>] [--chaos <seed>]`.
-/// Runs the spec sequentially and across `k` processes — both sides
-/// under the same engine profile — prints both, and exits nonzero on
-/// any divergence. With `--chaos` the mesh runs supervised under the
-/// seeded kill schedule: one shard dies mid-phase, is respawned with
-/// rejoin, and the stitched result must still match the sequential
-/// reference bit-for-bit.
-fn net_run() {
-    let mut args: Vec<String> = std::env::args().skip(2).collect();
-    let chaos_seed = match args.iter().position(|a| a == "--chaos") {
-        Some(i) => {
-            let seed = args
-                .get(i + 1)
-                .and_then(|s| s.parse::<u64>().ok())
-                .expect("--chaos <seed>");
-            args.drain(i..i + 2);
-            Some(seed)
-        }
-        None => None,
+/// One interactive distributed run, recorded like a `net/` bench cell:
+/// the spec runs sequentially and across `k` processes under the same
+/// engine profile, and the run fails unless every flag of the record
+/// holds (identical to the sequential engine; valid unless a drop plane
+/// may leave conflicts; respawned under `--chaos`) and a drop plane
+/// actually fired.
+fn net_run(args: &[String]) {
+    let Some((k, spec, opts)) = netharness::parse_run_argv(args) else {
+        eprintln!("{NET_RUN_USAGE}");
+        std::process::exit(2);
     };
-    let mut profile = d2color::netharness::RunProfile::default();
-    if let Some(i) = args.iter().position(|a| a == "--sched") {
-        profile.scheduling = args
-            .get(i + 1)
-            .and_then(|s| d2color::netharness::RunProfile::parse_sched(s))
-            .expect("--sched <active|always>");
-        args.drain(i..i + 2);
-    }
-    if let Some(i) = args.iter().position(|a| a == "--drops") {
-        let ppm = args
-            .get(i + 1)
-            .and_then(|s| s.parse::<u32>().ok())
-            .expect("--drops <ppm> <seed>");
-        let seed = args
-            .get(i + 2)
-            .and_then(|s| s.parse::<u64>().ok())
-            .expect("--drops <ppm> <seed>");
-        profile.drops = Some((ppm, seed));
-        args.drain(i..i + 3);
-    }
-    let (k, spec) = match args.split_first() {
-        Some((k, rest)) => (
-            k.parse::<u32>().expect("process count"),
-            d2color::netharness::NetSpec::parse_args(rest).expect("run spec"),
-        ),
-        None => {
-            eprintln!(
-                "usage: harness net-run <k> <algo> <family> <n> <degree> <gseed> <rseed> \
-                 [--sched <active|always>] [--drops <ppm> <seed>] [--chaos <seed>]\n\
-                 e.g.:  harness net-run 4 rand-improved gnp 200 6 13 42 --chaos 29\n\
-                 e.g.:  harness net-run 4 det-small gnp 200 5 11 42 \
-                 --sched active --drops 25000 7 --chaos 29"
-            );
-            std::process::exit(2);
-        }
-    };
-    let seq = d2color::netharness::run_sequential(&spec, &profile);
-    let cmd = d2color::netharness::ShardCommand::current_exe("net-shard");
-    let net = match chaos_seed {
-        Some(seed) => {
-            let (net, report) = d2color::netharness::run_supervised(&spec, k, &cmd, seed, &profile);
-            println!(
-                "chaos seed {seed}: killed shard {} at sync {} — respawned {}",
-                report.killed_shard, report.kill_sync, report.respawned
-            );
-            assert!(
-                report.respawned,
-                "chaos schedule never fired; no recovery was exercised"
-            );
-            net
-        }
-        None => d2color::netharness::run_distributed(&spec, k, &cmd, &profile),
-    };
-    let g = spec.build_graph();
-    let valid = graphs::verify::is_valid_d2_coloring(&g, &net.colors);
-    let identical = net.colors == seq.colors && net.metrics == seq.metrics;
+    let cmd = ShardCommand::current_exe("net-shard");
+    let r = registry::mesh_record(spec, k, opts.profile, opts.chaos_seed, &cmd);
+    let fields: Vec<String> = r.exact.iter().map(|(f, v)| format!("{f}={v}")).collect();
     println!(
-        "{} across {k} processes: rounds {} messages {} bits {} — identical {identical}, valid {valid}",
+        "{} across {k} processes: {}",
         spec.label(),
-        net.metrics.rounds,
-        net.metrics.messages,
-        net.metrics.total_bits
+        fields.join(" ")
     );
-    assert!(
-        identical,
-        "sharded run diverged from the sequential reference"
-    );
-    // An adversarial drop plane may legitimately leave conflicts (the
-    // contract there is differential: every engine must lose the same
-    // messages); clean runs must verify.
-    match profile.drops {
-        Some(_) => assert!(
-            net.metrics.faults_dropped > 0,
-            "drop plane was configured but never fired"
-        ),
-        None => assert!(valid, "sharded coloring failed validation"),
+    let flags_hold = r.exact.values().all(|v| *v != Exact::Bool(false));
+    let drops_fired = r.num("faults_dropped").map_or(true, |d| d > 0.0);
+    if !(flags_hold && drops_fired) {
+        eprintln!("net-run FAILED: a flag is false or the drop plane never fired");
+        std::process::exit(1);
     }
-}
-
-/// CI chaos-smoke: the fault-seed differential matrix alone — both full
-/// pipelines under three seeded drop rates, sequential vs parallel —
-/// exits nonzero if any cell's engines diverge or no fault ever fires.
-fn chaos_smoke() {
-    let cells = benchkit::pr6::run_chaos_matrix();
-    for c in &cells {
-        println!(
-            "{:<22} {:<20} drop {:>6} ppm  rounds {:>5}  messages {:>9}  \
-             dropped {:>7}  identical {}",
-            c.graph,
-            c.algo,
-            c.drop_ppm,
-            c.rounds,
-            c.messages,
-            c.faults_dropped,
-            c.engines_identical
-        );
-        assert!(
-            c.engines_identical,
-            "{}/{} at {} ppm: engines diverged under faults",
-            c.graph, c.algo, c.drop_ppm
-        );
-        assert!(
-            c.faults_dropped > 0,
-            "{}/{} at {} ppm: the fault plane never fired",
-            c.graph,
-            c.algo,
-            c.drop_ppm
-        );
-    }
-    println!("chaos-smoke OK ({} cells)", cells.len());
-}
-
-/// CI scale-smoke sub-step: the first n = 10⁶ **randomized** coloring —
-/// rand-improved, stressed warmup, `random_regular` d = 8, sequential —
-/// verified end to end under the job's wall-clock `timeout`.
-fn scale_rand_1e6() {
-    let c = benchkit::pr5::run_scale_cell();
-    print_scale_cell(
-        &c.graph,
-        c.build_ms,
-        c.wall_ms,
-        c.rounds,
-        c.messages,
-        c.palette,
-        c.peak_rss_mb,
-        c.valid,
-    );
-    assert!(c.valid, "n = 1e6 randomized coloring failed verification");
-    assert!(c.n >= 1_000_000, "cell is not at the 1e6 tier");
-    assert!(
-        c.algo.starts_with("rand-improved"),
-        "cell must run the randomized pipeline"
-    );
-    println!("scale-rand-1e6 OK");
-}
-
-/// CI scale-smoke: proves the O(n+m) generator path at n = 10⁶ (hard
-/// 10-second in-process budget on the build) and drives one n = 10⁵
-/// coloring end to end. Exits nonzero on any violation; the CI job adds
-/// an outer wall-clock `timeout` as the total budget.
-fn scale_smoke() {
-    let n = 1_000_000usize;
-    let t0 = std::time::Instant::now();
-    let g = graphs::gen::gnp_capped(n, 20.0 / n as f64, 32, 71);
-    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-    // Degree-only profile: the full d2 profile is O(Σ deg²) memory and
-    // has no business running at n = 10⁶.
-    let prof = graphs::stats::degree_profile(&g);
-    println!(
-        "gnp_capped(1e6, 20/n, 32): n = {}, m = {}, delta = {}, mean degree {:.2}, \
-         built in {build_ms:.0} ms (peak rss {:.1} MiB)",
-        prof.n,
-        prof.m,
-        prof.delta,
-        prof.degree.mean,
-        benchkit::pr3::peak_rss_mb()
-    );
-    assert!(prof.delta <= 32, "degree cap violated");
-    assert!(prof.m > 8_000_000, "suspiciously few edges: {}", prof.m);
-    assert!(
-        (15.0..=20.0).contains(&prof.degree.mean),
-        "mean degree {:.2} off the ~20/cap-truncated expectation",
-        prof.degree.mean
-    );
-    assert!(
-        build_ms < 10_000.0,
-        "10^6-node build took {build_ms:.0} ms, budget is 10 s"
-    );
-
-    let n = 100_000usize;
-    let t0 = std::time::Instant::now();
-    let g = graphs::gen::gnp_capped(n, 12.0 / n as f64, 16, 72);
-    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let cfg = congest::SimConfig::at_scale(72, g.n());
-    let t1 = std::time::Instant::now();
-    let out = Algo::DetSmall
-        .run(&g, &params(), &cfg)
-        .expect("n = 1e5 coloring failed");
-    let wall_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let valid = graphs::verify::is_valid_d2_coloring(&g, &out.colors);
-    println!(
-        "det-small on gnp_capped(1e5): built {build_ms:.0} ms, colored {wall_ms:.0} ms, \
-         rounds = {}, palette = {}, valid = {valid}",
-        out.rounds(),
-        out.palette_bound()
-    );
-    assert!(valid, "n = 1e5 coloring failed verification");
-    println!("scale-smoke OK");
 }
 
 fn main() {
-    let arg = std::env::args().nth(1).unwrap_or_else(|| "all".into());
-    if arg == "bench-pr1" {
-        bench_pr1();
-        return;
-    }
-    if arg == "bench-pr2" {
-        bench_pr2();
-        return;
-    }
-    if arg == "bench-pr3" {
-        bench_pr3();
-        return;
-    }
-    if arg == "bench-pr4" {
-        bench_pr4();
-        return;
-    }
-    if arg == "scale-smoke" {
-        scale_smoke();
-        return;
-    }
-    if arg == "scale-coloring-1e6" {
-        scale_coloring_1e6();
-        return;
-    }
-    if arg == "bench-pr5" {
-        bench_pr5();
-        return;
-    }
-    if arg == "scale-rand-1e6" {
-        scale_rand_1e6();
-        return;
-    }
-    if arg == "bench-pr6" {
-        bench_pr6();
-        return;
-    }
-    if arg == "bench-pr7" {
-        bench_pr7();
-        return;
-    }
-    if arg == "bench-pr8" {
-        bench_pr8();
-        return;
-    }
-    if arg == "bench-pr9" {
-        bench_pr9();
-        return;
-    }
-    if arg == "bench-pr10" {
-        bench_pr10();
-        return;
-    }
-    if arg == "net-shard" {
-        net_shard();
-        return;
-    }
-    if arg == "net-run" {
-        net_run();
-        return;
-    }
-    if arg == "chaos-smoke" {
-        chaos_smoke();
-        return;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (arg, rest) = match args.split_first() {
+        Some((arg, rest)) => (arg.as_str(), rest),
+        None => ("all", &[][..]),
+    };
+    match arg {
+        "bench" => {
+            let mut ctx = Ctx::new(ShardCommand::current_exe("net-shard"));
+            std::process::exit(registry::cli(rest, &mut ctx));
+        }
+        "net-run" => return net_run(rest),
+        "net-shard" => return net_shard(rest),
+        _ => {}
     }
     let exps: Vec<(&str, fn())> = vec![
         ("exp1", exp1),
@@ -1056,7 +384,7 @@ fn main() {
         ("exp11", exp11),
         ("exp12", exp12),
     ];
-    match arg.as_str() {
+    match arg {
         "all" => {
             for (name, f) in &exps {
                 println!("\n==================== {name} ====================");
@@ -1067,7 +395,8 @@ fn main() {
             Some((_, f)) => f(),
             None => {
                 eprintln!(
-                    "unknown experiment {name}; available: all, exp1..exp8, exp10..exp12, bench-pr1, bench-pr2, bench-pr3, bench-pr4, bench-pr5, bench-pr6, bench-pr7, bench-pr8, bench-pr9, bench-pr10, net-run, net-shard, chaos-smoke, scale-smoke, scale-coloring-1e6, scale-rand-1e6"
+                    "unknown experiment {name}; available: all, exp1..exp8, exp10..exp12, \
+                     bench, net-run, net-shard"
                 );
                 std::process::exit(2);
             }

@@ -1,10 +1,10 @@
-//! A tiny JSON document builder.
+//! A tiny JSON document builder and reader.
 //!
 //! The build environment cannot fetch `serde`/`serde_json`, and the
-//! harness only needs to *emit* one flat report file, so this module
-//! provides exactly that: a [`Json`] value tree with correct string
-//! escaping and deterministic field order, pretty-printed with two-space
-//! indentation.
+//! harness only reads and writes its own flat recording file, so this
+//! module provides exactly that: a [`Json`] value tree with correct
+//! string escaping and deterministic field order, pretty-printed with
+//! two-space indentation, and [`Json::parse`] for reading it back.
 
 use std::fmt::Write as _;
 
@@ -42,6 +42,34 @@ impl Json {
     #[must_use]
     pub fn int(x: u64) -> Json {
         Json::Num(x as f64)
+    }
+
+    /// The value under `key` of an object (`None` for other variants).
+    #[must_use]
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Parses a complete JSON document.
+    ///
+    /// # Errors
+    ///
+    /// Returns the byte offset and a description of the first syntax
+    /// error.
+    pub fn parse(text: &str) -> Result<Json, String> {
+        let mut p = Parser {
+            s: text.as_bytes(),
+            i: 0,
+        };
+        let v = p.value()?;
+        p.ws();
+        match p.s.get(p.i) {
+            None => Ok(v),
+            Some(_) => Err(p.err("trailing characters")),
+        }
     }
 
     /// Serializes with two-space indentation.
@@ -129,6 +157,143 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Recursive-descent reader over the raw bytes of a document.
+struct Parser<'a> {
+    s: &'a [u8],
+    i: usize,
+}
+
+impl Parser<'_> {
+    fn err(&self, what: &str) -> String {
+        format!("json: {what} at byte {}", self.i)
+    }
+
+    fn ws(&mut self) {
+        while self.s.get(self.i).is_some_and(u8::is_ascii_whitespace) {
+            self.i += 1;
+        }
+    }
+
+    fn eat(&mut self, c: u8) -> bool {
+        self.ws();
+        let hit = self.s.get(self.i) == Some(&c);
+        self.i += usize::from(hit);
+        hit
+    }
+
+    fn expect(&mut self, c: u8) -> Result<(), String> {
+        if self.eat(c) {
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected {:?}", c as char)))
+        }
+    }
+
+    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
+        if self.s[self.i..].starts_with(word.as_bytes()) {
+            self.i += word.len();
+            Ok(v)
+        } else {
+            Err(self.err("bad literal"))
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        self.ws();
+        match self.s.get(self.i) {
+            Some(b'{') => {
+                self.i += 1;
+                let mut pairs = Vec::new();
+                if !self.eat(b'}') {
+                    loop {
+                        self.ws();
+                        let k = self.string()?;
+                        self.expect(b':')?;
+                        pairs.push((k, self.value()?));
+                        if self.eat(b'}') {
+                            break;
+                        }
+                        self.expect(b',')?;
+                    }
+                }
+                Ok(Json::Obj(pairs))
+            }
+            Some(b'[') => {
+                self.i += 1;
+                let mut items = Vec::new();
+                if !self.eat(b']') {
+                    loop {
+                        items.push(self.value()?);
+                        if self.eat(b']') {
+                            break;
+                        }
+                        self.expect(b',')?;
+                    }
+                }
+                Ok(Json::Arr(items))
+            }
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(_) => {
+                let start = self.i;
+                while self
+                    .s
+                    .get(self.i)
+                    .is_some_and(|c| c.is_ascii_digit() || b"+-.eE".contains(c))
+                {
+                    self.i += 1;
+                }
+                std::str::from_utf8(&self.s[start..self.i])
+                    .ok()
+                    .and_then(|t| t.parse::<f64>().ok())
+                    .map(Json::Num)
+                    .ok_or_else(|| self.err("bad number"))
+            }
+            None => Err(self.err("unexpected end")),
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        if self.s.get(self.i) != Some(&b'"') {
+            return Err(self.err("expected a string"));
+        }
+        self.i += 1;
+        let mut out = Vec::new();
+        loop {
+            let c = *self.s.get(self.i).ok_or_else(|| self.err("open string"))?;
+            self.i += 1;
+            match c {
+                b'"' => return String::from_utf8(out).map_err(|_| self.err("bad utf-8")),
+                b'\\' => {
+                    let e = *self.s.get(self.i).ok_or_else(|| self.err("open escape"))?;
+                    self.i += 1;
+                    let ch = match e {
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
+                        b'b' => '\u{8}',
+                        b'f' => '\u{c}',
+                        b'u' => {
+                            let hex = self.s.get(self.i..self.i + 4);
+                            self.i += 4;
+                            hex.and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .and_then(char::from_u32)
+                                .ok_or_else(|| self.err("bad \\u escape"))?
+                        }
+                        other => other as char,
+                    };
+                    let mut buf = [0u8; 4];
+                    out.extend_from_slice(ch.encode_utf8(&mut buf).as_bytes());
+                }
+                c => out.push(c),
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,5 +325,36 @@ mod tests {
     fn empty_containers() {
         assert_eq!(Json::Arr(vec![]).pretty(), "[]\n");
         assert_eq!(Json::Obj(vec![]).pretty(), "{}\n");
+    }
+
+    #[test]
+    fn parse_reads_back_what_pretty_writes() {
+        let doc = Json::obj(vec![
+            ("id", Json::str("a/b \"c\"\n\u{1}é")),
+            ("ok", Json::Bool(false)),
+            ("n", Json::int(560_508_980)),
+            ("x", Json::Num(-0.125e-3)),
+            ("xs", Json::Arr(vec![Json::Null, Json::Obj(vec![])])),
+        ]);
+        let back = Json::parse(&doc.pretty()).expect("parse");
+        assert_eq!(back, doc);
+        assert_eq!(back.get("n"), Some(&Json::int(560_508_980)));
+        assert_eq!(back.get("missing"), None);
+    }
+
+    #[test]
+    fn parse_rejects_malformed_documents() {
+        for bad in [
+            "",
+            "{",
+            "{\"a\" 1}",
+            "[1,]",
+            "tru",
+            "\"open",
+            "1 2",
+            "{\"a\":1,}",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} parsed");
+        }
     }
 }

@@ -1,5 +1,6 @@
 //! Shared experiment plumbing for the harness binary and the Criterion
-//! benches: algorithm dispatch, workload sweeps, and table printing.
+//! benches: algorithm dispatch, workload sweeps, table printing, and the
+//! bench [`registry`] behind `harness bench`.
 
 use congest::{SimConfig, SimError};
 use d2core::det::splitting::SplitMode;
@@ -8,16 +9,7 @@ use graphs::{D2View, Graph};
 
 pub mod alloc;
 pub mod json;
-pub mod pr1;
-pub mod pr10;
-pub mod pr2;
-pub mod pr3;
-pub mod pr4;
-pub mod pr5;
-pub mod pr6;
-pub mod pr7;
-pub mod pr8;
-pub mod pr9;
+pub mod registry;
 
 /// The algorithms under measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -81,10 +81,11 @@ impl Scheduling {
 /// while the `n = 2000` cells (work ≥ ~18 000 units) carry enough
 /// per-round work to amortize one barrier per round on multicore hosts.
 /// The threshold sits between the two clusters. To re-derive it: run
-/// `cargo run --release -p d2color-bench --bin harness -- bench-pr2` on a
-/// multicore host and put the cut anywhere between the largest
-/// parallel-losing cell's work estimate and the smallest parallel-winning
-/// cell's work estimate.
+/// `cargo run --release -p d2color-bench --bin harness -- bench 'small/*'`
+/// on a multicore host and put the cut anywhere between the largest
+/// parallel-losing graph's work estimate (`n + 2m`) and the smallest
+/// parallel-winning one's, comparing each graph's `seq` and `par4` wall
+/// times.
 pub const AUTO_WORK_THRESHOLD: u64 = 12_000;
 
 /// The per-round work estimate steering [`RuntimeMode::Auto`]: one unit per
@@ -129,8 +130,8 @@ impl RuntimeMode {
 }
 
 /// Coarse workload-scale buckets, used to preset simulator knobs for the
-/// benchmark trajectory (`BENCH_PR3`'s `n ∈ {10⁴, 10⁵, 10⁶}` matrix and
-/// the CI scale-smoke job).
+/// benchmark trajectory (the bench registry's `scale/` cells at
+/// `n ∈ {10⁴, 10⁵, 10⁶}`).
 ///
 /// The buckets matter because two defaults that are right for unit-test
 /// graphs are wrong at a million nodes: the livelock cutoff

@@ -11,10 +11,10 @@
 //! (neighborhood lists, color batches, palette reports) carry short
 //! bounded-size batches whose length is dictated by the `O(log n)`-bit
 //! bandwidth budget, so they fit in a fixed inline array and never touch
-//! the allocator. The invariant is enforced by the `count-allocs`
-//! benchmark feature (allocations/round is a gated column of
-//! `BENCH_PR4.json`) and by the `steady_state_rounds_do_not_allocate`
-//! test in `crates/congest/tests/alloc_free.rs`.
+//! the allocator. The invariant is enforced by the bench registry's
+//! `allocs/round` predicates (the `harness` binary runs on a counting
+//! allocator) and by the `steady_state_rounds_do_not_allocate` test in
+//! `crates/congest/tests/alloc_free.rs`.
 //!
 //! # Choosing the inline cap
 //!

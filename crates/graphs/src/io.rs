@@ -57,7 +57,7 @@ impl From<crate::GraphError> for ParseError {
 /// Returns [`ParseError`] on malformed lines or structural problems.
 pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Graph, ParseError> {
     let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-    let mut max_node: u64 = 0;
+    let mut max_node: NodeId = 0;
     for (i, line) in reader.lines().enumerate() {
         let line = line?;
         let line = line.split('#').next().unwrap_or("").trim();
@@ -76,14 +76,22 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Graph, ParseError> {
             }
         };
         let parse = |s: &str, line: usize| {
-            s.parse::<u64>().map_err(|_| ParseError::Malformed {
+            let id = s.parse::<u64>().map_err(|_| ParseError::Malformed {
                 line,
                 reason: format!("bad node id {s:?}"),
-            })
+            })?;
+            // Ids run below NodeId::MAX so the node count fits too.
+            NodeId::try_from(id)
+                .ok()
+                .filter(|&id| id < NodeId::MAX)
+                .ok_or_else(|| ParseError::Malformed {
+                    line,
+                    reason: format!("node id {id} is out of range (max {})", NodeId::MAX - 1),
+                })
         };
         let (u, v) = (parse(a, i + 1)?, parse(b, i + 1)?);
         max_node = max_node.max(u).max(v);
-        edges.push((u as NodeId, v as NodeId));
+        edges.push((u, v));
     }
     let n = if edges.is_empty() {
         0
@@ -112,13 +120,19 @@ pub fn read_dimacs<R: BufRead>(reader: R) -> Result<Graph, ParseError> {
             None | Some("c") => {}
             Some("p") => {
                 let _fmt = it.next();
-                let n: usize = it.next().and_then(|s| s.parse().ok()).ok_or_else(|| {
+                let n: u64 = it.next().and_then(|s| s.parse().ok()).ok_or_else(|| {
                     ParseError::Malformed {
                         line: i + 1,
                         reason: "p-line missing node count".into(),
                     }
                 })?;
-                builder = Some(GraphBuilder::new(n));
+                if n > u64::from(NodeId::MAX) {
+                    return Err(ParseError::Malformed {
+                        line: i + 1,
+                        reason: format!("node count {n} is out of range (max {})", NodeId::MAX),
+                    });
+                }
+                builder = Some(GraphBuilder::new(n as usize));
             }
             Some("e") => {
                 let b = builder.as_mut().ok_or_else(|| ParseError::Malformed {
@@ -211,6 +225,33 @@ mod tests {
         assert!(err.to_string().contains("two endpoints"));
         let err = read_edge_list(std::io::Cursor::new("3 3\n")).unwrap_err();
         assert!(matches!(err, ParseError::Graph(_)));
+    }
+
+    #[test]
+    fn edge_list_rejects_ids_outside_the_node_id_range() {
+        for (text, line) in [
+            ("0 4294967296\n", 1),
+            ("0 1\n0 18446744073709551615\n", 2),
+            ("4294967295 1\n", 1),
+        ] {
+            match read_edge_list(std::io::Cursor::new(text)) {
+                Err(ParseError::Malformed { line: l, reason }) => {
+                    assert_eq!(l, line, "{text:?}");
+                    assert!(reason.contains("out of range"), "{reason}");
+                }
+                other => panic!("{text:?}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn dimacs_rejects_node_counts_outside_the_node_id_range() {
+        let err =
+            read_dimacs(std::io::Cursor::new("c big\np edge 5000000000 1\ne 1 2\n")).unwrap_err();
+        assert!(
+            matches!(&err, ParseError::Malformed { line: 2, reason } if reason.contains("out of range")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -176,9 +176,10 @@ impl NetSpec {
     }
 
     /// The simulation config for the default [`RunProfile`]:
-    /// [`Scheduling::AlwaysStep`], no fault plane. Recorded benches
-    /// (`BENCH_PR8` / `BENCH_PR9`) were captured under this profile, so
-    /// it stays the argv default forever.
+    /// [`Scheduling::AlwaysStep`], no fault plane. The recorded `net/`
+    /// cells of the bench registry without `-active` in their id (see
+    /// `BENCH.json`) run under this profile, so it stays the argv
+    /// default.
     #[must_use]
     pub fn config(&self) -> SimConfig {
         self.config_with(&RunProfile::default())
@@ -337,21 +338,12 @@ impl ShardOptions {
     }
 }
 
-/// Parses a full shard-process argument list:
-/// `<addr> <algo> <family> <n> <degree> <graph_seed> <run_seed>
-/// [--sched <active|always>] [--drops <ppm> <seed>] [--chaos <seed>]
-/// [--rejoin <shard> <ports-csv>]`.
-/// Shared by the `net_shard` binary and the harness `net-shard`
-/// subcommand so the two argv dialects cannot drift.
-#[must_use]
-pub fn parse_shard_argv(args: &[String]) -> Option<(SocketAddr, NetSpec, ShardOptions)> {
-    if args.len() < 7 {
-        return None;
-    }
-    let addr: SocketAddr = args[0].parse().ok()?;
-    let spec = NetSpec::parse_args(&args[1..7])?;
+/// Parses the option flags that follow a spec, in any order:
+/// `[--sched <active|always>] [--drops <ppm> <seed>] [--chaos <seed>]
+/// [--rejoin <shard> <ports-csv>]`. `None` on an unknown flag or a
+/// missing or malformed value.
+fn parse_options(mut rest: &[String]) -> Option<ShardOptions> {
     let mut opts = ShardOptions::default();
-    let mut rest = &args[7..];
     while let Some(flag) = rest.first() {
         match flag.as_str() {
             "--sched" => {
@@ -381,7 +373,35 @@ pub fn parse_shard_argv(args: &[String]) -> Option<(SocketAddr, NetSpec, ShardOp
             _ => return None,
         }
     }
-    Some((addr, spec, opts))
+    Some(opts)
+}
+
+/// Parses a full shard-process argument list:
+/// `<addr> <algo> <family> <n> <degree> <graph_seed> <run_seed>
+/// [--sched <active|always>] [--drops <ppm> <seed>] [--chaos <seed>]
+/// [--rejoin <shard> <ports-csv>]`, options in any order.
+/// Shared by the `net_shard` binary and the harness `net-shard`
+/// subcommand so the two argv dialects cannot drift.
+#[must_use]
+pub fn parse_shard_argv(args: &[String]) -> Option<(SocketAddr, NetSpec, ShardOptions)> {
+    let addr: SocketAddr = args.first()?.parse().ok()?;
+    let spec = NetSpec::parse_args(args.get(1..7)?)?;
+    Some((addr, spec, parse_options(&args[7..])?))
+}
+
+/// Parses `harness net-run` arguments: `<processes> <algo> <family> <n>
+/// <degree> <graph_seed> <run_seed> [--sched ..] [--drops ..] [--chaos
+/// <seed>]`. `None` on a malformed spec or option, on zero processes,
+/// on `--chaos` with fewer than the two processes a kill-and-respawn
+/// needs, and on `--rejoin`, which only a supervisor passes to a
+/// shard.
+#[must_use]
+pub fn parse_run_argv(args: &[String]) -> Option<(u32, NetSpec, ShardOptions)> {
+    let k: u32 = args.first()?.parse().ok().filter(|&k| k >= 1)?;
+    let spec = NetSpec::parse_args(args.get(1..7)?)?;
+    let opts = parse_options(&args[7..])?;
+    let chaos_ok = opts.chaos_seed.is_none() || k >= 2;
+    (opts.rejoin.is_none() && chaos_ok).then_some((k, spec, opts))
 }
 
 /// Runs the spec's pipeline in-process under a profile (used by both
@@ -888,6 +908,49 @@ mod tests {
         assert!(parse_shard_argv(&full_argv(&["--rejoin", "2", "70x1"])).is_none());
         assert!(parse_shard_argv(&full_argv(&["--frobnicate"])).is_none());
         assert!(parse_shard_argv(&full_argv(&[])[..4]).is_none());
+    }
+
+    fn run_argv(line: &str) -> Option<(u32, NetSpec, ShardOptions)> {
+        parse_run_argv(
+            &line
+                .split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    #[test]
+    fn run_argv_accepts_every_profile_knob() {
+        let (k, spec, opts) =
+            run_argv("4 det-small gnp 150 5 2 9 --sched active --drops 25000 7 --chaos 29")
+                .unwrap();
+        assert_eq!((k, spec.n, spec.run_seed), (4, 150, 9));
+        assert_eq!(opts.profile, RunProfile::active_set().with_drops(25_000, 7));
+        assert_eq!(opts.chaos_seed, Some(29));
+        let (k, _, opts) = run_argv("1 rand-improved regular 160 6 14 42").unwrap();
+        assert_eq!((k, opts), (1, ShardOptions::default()));
+    }
+
+    #[test]
+    fn run_argv_rejects_malformed_input() {
+        for bad in [
+            "",
+            "0 det-small gnp 150 5 2 9",
+            "four det-small gnp 150 5 2 9",
+            "-1 det-small gnp 150 5 2 9",
+            "2 det-small gnp 150 5 2",
+            "2 det-small torus 150 5 2 9",
+            "2 det-small gnp 150 5 2 9 --chaos",
+            "2 det-small gnp 150 5 2 9 --chaos x",
+            "1 det-small gnp 150 5 2 9 --chaos 29",
+            "2 det-small gnp 150 5 2 9 --sched bogus",
+            "2 det-small gnp 150 5 2 9 --sched",
+            "2 det-small gnp 150 5 2 9 --drops 25000",
+            "2 det-small gnp 150 5 2 9 --rejoin 1 7001,7002",
+            "2 det-small gnp 150 5 2 9 --frobnicate",
+        ] {
+            assert!(run_argv(bad).is_none(), "{bad:?} parsed");
+        }
     }
 
     #[test]
