@@ -393,6 +393,14 @@ pub fn cli(args: &[String], ctx: &mut Ctx) -> i32 {
     };
     let mut fresh = Recording::new();
     let mut failures = Vec::new();
+    // Create the report before the first cell runs: a path that cannot be
+    // written is a usage error, not a report silently lost at the end.
+    if let Some(path) = out {
+        if let Err(e) = std::fs::write(path, render_recording(&reg, &fresh)) {
+            eprintln!("cannot write {path}: {e}");
+            return 2;
+        }
+    }
     let started = Instant::now();
     for (i, cell) in selected.iter().enumerate() {
         let t0 = Instant::now();
@@ -415,7 +423,7 @@ pub fn cli(args: &[String], ctx: &mut Ctx) -> i32 {
         }
         if let Some(path) = out {
             if let Err(e) = std::fs::write(path, render_recording(&reg, &fresh)) {
-                eprintln!("cannot write {path}: {e}");
+                failures.push(format!("cannot write {path}: {e}"));
             }
         }
     }
@@ -572,6 +580,34 @@ mod tests {
             "{:?}",
             failures(&fresh, "*")
         );
+    }
+
+    fn bench(args: &[&str]) -> i32 {
+        let args: Vec<String> = args.iter().map(|&a| a.into()).collect();
+        cli(
+            &args,
+            &mut Ctx::new(d2color::netharness::ShardCommand::current_exe("net-shard")),
+        )
+    }
+
+    #[test]
+    fn an_unwritable_report_is_a_usage_error() {
+        // Nothing can be created below a regular file.
+        let out = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/fresh.json");
+        let cell = "small/det-small/gnp-n2000-cap8/drops-50000ppm";
+        assert_eq!(bench(&[cell, "--out", out]), 2);
+    }
+
+    #[test]
+    fn the_report_holds_every_cell_that_ran() {
+        let out = std::env::temp_dir().join(format!("bench-out-{}.json", std::process::id()));
+        let cell = "small/det-small/torus-20x20/seq";
+        let code = bench(&[cell, "--out", out.to_str().expect("utf-8 path")]);
+        let text = std::fs::read_to_string(&out).expect("report written");
+        std::fs::remove_file(&out).expect("remove report");
+        assert_eq!(code, 0);
+        let report = parse_recording(&text).expect("parse report");
+        assert_eq!(report.keys().collect::<Vec<_>>(), [cell]);
     }
 
     #[test]

@@ -124,8 +124,12 @@ pub trait Protocol: Sync {
     ///
     /// Message arrivals *always* wake the destination for the arrival
     /// round, whatever this returns; `Wake::At(r)` additionally schedules a
-    /// spontaneous wake at round `r`. Nodes crashed by the fault plane are
-    /// skipped while down and woken at their recovery round.
+    /// spontaneous wake at round `r`. Returning the same `Wake::At(r)` on
+    /// every wake until `r` is free: re-parking to the pending target
+    /// queues nothing, so a node parked to a fixed round costs the engines
+    /// one queue entry however often arrivals wake it. Nodes crashed by
+    /// the fault plane are skipped while down and woken at their recovery
+    /// round.
     ///
     /// The default, [`Wake::Next`], reproduces the classic every-round
     /// schedule exactly.

@@ -300,10 +300,17 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
 
     // Frontier machinery over local indices (untouched when `!active`):
     // `frontier` holds this round's wakes, `next_frontier` the next
-    // round's, `stamp` deduplicates insertions, `heap` carries `Wake::At`
-    // requests with `heap_round[i]` = the latest requested target (stale
-    // entries are skipped on pop), and the crash/recovery event lists
-    // feed the plane's edges into the running count and the wake queue.
+    // round's, `stamp` deduplicates insertions, and the crash/recovery
+    // event lists feed the plane's edges into the running count and the
+    // wake queue. `heap_round[i]` is node i's pending `Wake::At` target
+    // (`u64::MAX` for none), and every pending target has an entry in
+    // `heap`. A node that re-parks to its pending target pushes nothing,
+    // so a node parking to the same round on every wake holds one entry,
+    // however often arrivals wake it. Only `Next`, `Message`, or a target
+    // ≤ the next round cancel the pending target. A popped entry wakes
+    // its node only if its target is still pending, and that wake clears
+    // it: a cancelled or replaced entry wakes nobody, and one re-requested
+    // after a cancel wakes the node once.
     let mut frontier: Vec<u32> = Vec::new();
     let mut next_frontier: Vec<u32> = Vec::new();
     let mut stamp: Vec<u64> = Vec::new();
@@ -427,16 +434,19 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
                 progressed = true;
             }
             if active {
-                heap_round[i] = u64::MAX; // cancel any stale At request
                 match protocol.next_wake(&states[i], &ctxs[i], status) {
+                    // Re-parking to the pending target keeps its entry.
                     Wake::At(t) if t > round + 1 => {
-                        heap_round[i] = t;
-                        heap.push((Reverse(t), i as u32));
+                        if heap_round[i] != t {
+                            heap_round[i] = t;
+                            heap.push((Reverse(t), i as u32));
+                        }
                     }
                     Wake::Next | Wake::At(_) => {
+                        heap_round[i] = u64::MAX;
                         wake(&mut stamp, &mut next_frontier, i, round + 1);
                     }
-                    Wake::Message => {}
+                    Wake::Message => heap_round[i] = u64::MAX,
                 }
             }
             assert!(

@@ -414,6 +414,107 @@ mod tests {
         assert_eq!(active.metrics.stepped_nodes, 10);
     }
 
+    /// Re-parking exercise on disjoint edges `(2k, 2k + 1)`: pinger `2k`
+    /// pings its sleeper at the rounds in `PINGS[k]`, sleeper `2k + 1`
+    /// parks as `sleep(k, pings seen)` says, and everyone votes `Done`
+    /// from round `REPARK_END` on.
+    struct Repark;
+
+    const REPARK_END: u64 = 10;
+    /// Ping rounds per pair (arrivals land one round later).
+    const PINGS: [&[u64]; 4] = [&[3], &[3, 5], &[3, 5], &[3]];
+    /// A sleeper's park request after `pings` arrivals, per pair:
+    /// 0 re-parks to the same target when woken early; 1 re-parks to a
+    /// different target and back; 2 cancels with `Message`, then
+    /// re-parks to the original target; 3 cancels for good (it votes
+    /// `Done` once pinged).
+    fn sleep(pair: usize, pings: u64) -> Wake {
+        match (pair, pings) {
+            (1, 1) => Wake::At(8),
+            (2, 1) | (3, 1) => Wake::Message,
+            _ => Wake::At(REPARK_END),
+        }
+    }
+
+    impl Protocol for Repark {
+        type State = u64; // pings received
+        type Msg = ();
+        fn init(&self, _: &NodeCtx, _: &mut NodeRng) -> u64 {
+            0
+        }
+        fn round(
+            &self,
+            pings: &mut u64,
+            ctx: &NodeCtx,
+            _: &mut NodeRng,
+            inbox: &Inbox<()>,
+            out: &mut Outbox<()>,
+        ) -> Status {
+            let pair = ctx.index as usize / 2;
+            *pings += inbox.len() as u64;
+            if ctx.index.is_multiple_of(2) && PINGS[pair].contains(&ctx.round) {
+                out.send(0, ());
+            }
+            if ctx.round >= REPARK_END || (pair == 3 && *pings > 0) {
+                Status::Done
+            } else {
+                Status::Running
+            }
+        }
+        fn next_wake(&self, pings: &u64, ctx: &NodeCtx, status: Status) -> Wake {
+            let pair = ctx.index as usize / 2;
+            if status == Status::Done {
+                Wake::Message
+            } else if ctx.index.is_multiple_of(2) {
+                let next = PINGS[pair].iter().find(|&&r| r > ctx.round);
+                Wake::At(next.copied().unwrap_or(REPARK_END))
+            } else {
+                sleep(pair, *pings)
+            }
+        }
+    }
+
+    #[test]
+    fn reparking_wakes_exactly_once_per_pending_target() {
+        let g = Graph::from_edges(8, &[(0, 1), (2, 3), (4, 5), (6, 7)]).unwrap();
+        let active = SequentialRuntime
+            .execute(&g, &Repark, &SimConfig::default())
+            .unwrap();
+        let reference = SequentialRuntime
+            .execute(
+                &g,
+                &Repark,
+                &SimConfig {
+                    scheduling: Scheduling::AlwaysStep,
+                    ..SimConfig::default()
+                },
+            )
+            .unwrap();
+        // Hand-counted steps per node. Pingers step at round 0, at each
+        // ping, and at the end. Sleepers, by pair:
+        // 0: rounds 0, 4 (early arrival, re-parks to 10), 10;
+        // 1: 0, 4 (parks to 8), 6 (back to 10), 10 — never 8;
+        // 2: 0, 4 (`Message` cancels 10), 6 (re-parks to 10), 10 — once;
+        // 3: 0, 4 (`Done`, `Message`) — the cancelled 10 wakes nobody.
+        let steps = [3, 3, 4, 4, 4, 4, 3, 2];
+        assert_eq!(active.metrics.stepped_nodes, steps.iter().sum::<u64>());
+        assert_eq!(reference.metrics.rounds, REPARK_END + 1);
+        assert_eq!(reference.metrics.stepped_nodes, 8 * (REPARK_END + 1));
+        // Every other observable equals the always-step run.
+        assert_eq!(active.states, reference.states);
+        assert_eq!(active.states, [0, 1, 0, 2, 0, 2, 0, 1]);
+        assert_eq!(
+            Metrics {
+                stepped_nodes: 0,
+                ..active.metrics
+            },
+            Metrics {
+                stepped_nodes: 0,
+                ..reference.metrics
+            }
+        );
+    }
+
     #[test]
     fn round_limit_live_nodes_excludes_crashed() {
         /// A protocol that never terminates (and never sends).

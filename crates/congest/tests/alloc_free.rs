@@ -11,7 +11,7 @@
 //! inside the protocol after warmup and near the end of the run.
 
 use congest::{
-    Inbox, Message, NodeCtx, NodeRng, Outbox, Port, Protocol, SimConfig, SmallIds, Status,
+    Inbox, Message, NodeCtx, NodeRng, Outbox, Port, Protocol, SimConfig, SmallIds, Status, Wake,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,9 +59,13 @@ impl Message for PumpMsg {
 
 /// Every node broadcasts an inline batch every round and folds whatever
 /// arrives — the steady-state skeleton of the pipelined list exchanges.
+/// With `park`, every node parks to the last round on every step, and
+/// the arrivals wake it each round anyway — the shape of a reduction
+/// phase's non-maximal nodes.
 struct Pump {
     rounds: u64,
     warm_round: u64,
+    park: bool,
 }
 
 struct PumpState {
@@ -106,6 +110,14 @@ impl Protocol for Pump {
         }
         Status::Running
     }
+
+    fn next_wake(&self, _st: &PumpState, _ctx: &NodeCtx, _status: Status) -> Wake {
+        if self.park {
+            Wake::At(self.rounds - 1)
+        } else {
+            Wake::Next
+        }
+    }
 }
 
 /// One test function for both engines: the snapshot statics are shared,
@@ -117,6 +129,7 @@ fn steady_state_rounds_do_not_allocate() {
     let proto = Pump {
         rounds: 200,
         warm_round: 10,
+        park: false,
     };
     let res = congest::run(&g, &proto, &SimConfig::seeded(5)).expect("run");
     assert_eq!(res.metrics.rounds, 200);
@@ -135,6 +148,7 @@ fn steady_state_rounds_do_not_allocate() {
     let proto = Pump {
         rounds: 200,
         warm_round: 30,
+        park: false,
     };
     let res = congest::run_parallel(&g, &proto, &SimConfig::seeded(5), 3).expect("run");
     assert_eq!(res.metrics.rounds, 200);
@@ -155,6 +169,7 @@ fn steady_state_rounds_do_not_allocate() {
     let proto = Pump {
         rounds: 200,
         warm_round: 10,
+        park: false,
     };
     let res = congest::run(&g, &proto, &dup_cfg).expect("run");
     assert_eq!(res.metrics.rounds, 200);
@@ -170,6 +185,7 @@ fn steady_state_rounds_do_not_allocate() {
     let proto = Pump {
         rounds: 200,
         warm_round: 30,
+        park: false,
     };
     let res = congest::run_parallel(&g, &proto, &dup_cfg, 3).expect("run");
     assert_eq!(res.metrics.rounds, 200);
@@ -179,6 +195,24 @@ fn steady_state_rounds_do_not_allocate() {
         late,
         warm,
         "dup-heavy steady-state rounds allocated {} times on the parallel engine",
+        late - warm
+    );
+
+    // Re-parking to the pending `Wake::At` target on every arrival wake
+    // must not grow the wake queue.
+    let proto = Pump {
+        rounds: 200,
+        warm_round: 10,
+        park: true,
+    };
+    let res = congest::run(&g, &proto, &SimConfig::seeded(5)).expect("run");
+    assert_eq!(res.metrics.rounds, 200);
+    let warm = WARM_SNAPSHOT.load(Ordering::Relaxed);
+    let late = LATE_SNAPSHOT.load(Ordering::Relaxed);
+    assert_eq!(
+        late,
+        warm,
+        "re-parked steady-state rounds allocated {} times on the sequential engine",
         late - warm
     );
 }

@@ -65,9 +65,16 @@ fn pow_ge(r: u64, e: u32, k: u64) -> bool {
 
 /// The best single Linial step from `k` colors: minimizes the outgoing
 /// space `q²` over the degree `d`.
+///
+/// # Panics
+///
+/// Panics if the best field size exceeds `u32::MAX`, past which the u64
+/// evaluation kernel of [`reduce_color`] could overflow.
 fn best_step(k: u64, delta_c: u64) -> IterPlan {
     let dc = delta_c.max(1);
-    let mut best: Option<IterPlan> = None;
+    // `q²` is monotone in `q`, so the smallest field gives the smallest
+    // outgoing space (ties keep the lowest degree).
+    let mut best: Option<(u64, u32)> = None;
     for d in 1..=8u32 {
         let r = iroot(k, d + 1);
         let qbase = (dc * u64::from(d)).max(r.saturating_sub(1));
@@ -75,17 +82,21 @@ fn best_step(k: u64, delta_c: u64) -> IterPlan {
         while !pow_ge(q, d + 1, k) {
             q = crate::common::next_prime(q);
         }
-        let k_out = q * q;
-        if best.is_none_or(|b| k_out < b.k_out) {
-            best = Some(IterPlan {
-                k_in: k,
-                q,
-                d,
-                k_out,
-            });
+        if best.is_none_or(|(bq, _)| q < bq) {
+            best = Some((q, d));
         }
     }
-    best.expect("d = 1 always yields a plan")
+    let (q, d) = best.expect("d = 1 always yields a plan");
+    assert!(
+        q <= u64::from(u32::MAX),
+        "Linial field size q = {q} exceeds u32::MAX (k = {k}, ∆_c = {delta_c})"
+    );
+    IterPlan {
+        k_in: k,
+        q,
+        d,
+        k_out: q * q,
+    }
 }
 
 /// The full iteration schedule from `k0` colors down to the fixed point.
@@ -112,39 +123,36 @@ pub fn final_k(k0: u64, delta_c: u64) -> u64 {
     schedule(k0, delta_c).last().map_or(k0, |p| p.k_out)
 }
 
-/// Digits of `c` base `q`, lowest first (`d + 1` coefficients).
-fn poly_coeffs(c: u64, q: u64, d: u32) -> Vec<u64> {
-    let mut c = c;
-    (0..=d)
-        .map(|_| {
-            let digit = c % q;
-            c /= q;
-            digit
-        })
-        .collect()
-}
-
+/// `p(x) mod q` by Horner over coefficients lowest first. Exact in u64
+/// because [`best_step`] keeps `q ≤ u32::MAX`: every step stays at most
+/// `(q − 1)² + (q − 1) < q² < 2⁶⁴`.
 fn poly_eval(coeffs: &[u64], x: u64, q: u64) -> u64 {
-    // Horner, in u128 to stay overflow-safe for q up to ~2^32.
-    let mut acc: u128 = 0;
-    for &a in coeffs.iter().rev() {
-        acc = (acc * u128::from(x) + u128::from(a)) % u128::from(q);
-    }
-    acc as u64
+    coeffs.iter().rev().fold(0, |acc, &a| (acc * x + a) % q)
 }
 
-/// One node's color update given its conflict neighbors' colors.
-fn reduce_color(color: u64, plan: &IterPlan, conflicts: &[u64]) -> u64 {
-    let my = poly_coeffs(color, plan.q, plan.d);
-    let others: Vec<Vec<u64>> = conflicts
+/// One node's color update given its conflict neighbors' colors: the
+/// first point `x` where the node's polynomial differs from every
+/// conflicting one, encoded as `x·q + p(x)`.
+fn reduce_color(color: u64, plan: &IterPlan, conflicts: &[u32]) -> u64 {
+    let (q, width) = (plan.q, plan.d as usize + 1);
+    // Base-q digits, lowest first: the node's own row, then one row per
+    // conflicting color.
+    let mut coeffs = Vec::with_capacity(width * (conflicts.len() + 1));
+    let conflicting = conflicts
         .iter()
-        .filter(|&&c| c != color)
-        .map(|&c| poly_coeffs(c, plan.q, plan.d))
-        .collect();
-    for x in 0..plan.q {
-        let mine = poly_eval(&my, x, plan.q);
-        if others.iter().all(|o| poly_eval(o, x, plan.q) != mine) {
-            return x * plan.q + mine;
+        .map(|&c| u64::from(c))
+        .filter(|&c| c != color);
+    for mut c in std::iter::once(color).chain(conflicting) {
+        for _ in 0..width {
+            coeffs.push(c % q);
+            c /= q;
+        }
+    }
+    let (mine, others) = coeffs.split_at(width);
+    for x in 0..q {
+        let v = poly_eval(mine, x, q);
+        if others.chunks_exact(width).all(|o| poly_eval(o, x, q) != v) {
+            return x * q + v;
         }
     }
     unreachable!("q > ∆_c · d guarantees a good evaluation point")
@@ -260,8 +268,7 @@ impl Protocol for Linial {
             }
             // Fold this iteration: compute the new color, move on.
             if active {
-                let conflicts: Vec<u64> = gather.collected.iter().map(|&c| u64::from(c)).collect();
-                st.color = reduce_color(st.color, &self.plans[st.iter], &conflicts);
+                st.color = reduce_color(st.color, &self.plans[st.iter], &gather.collected);
             }
             st.iter += 1;
             if st.iter >= self.plans.len() {
@@ -292,6 +299,50 @@ mod tests {
     use super::*;
     use crate::det::Dist;
     use congest::SimConfig;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// The u128 kernel the u64 one replaced, kept as the reference it must
+    /// reproduce bit for bit.
+    mod u128_reference {
+        use crate::det::linial::IterPlan;
+
+        /// Digits of `c` base `q`, lowest first (`d + 1` coefficients).
+        pub fn poly_coeffs(c: u64, q: u64, d: u32) -> Vec<u64> {
+            let mut c = c;
+            (0..=d)
+                .map(|_| {
+                    let digit = c % q;
+                    c /= q;
+                    digit
+                })
+                .collect()
+        }
+
+        pub fn poly_eval(coeffs: &[u64], x: u64, q: u64) -> u64 {
+            let mut acc: u128 = 0;
+            for &a in coeffs.iter().rev() {
+                acc = (acc * u128::from(x) + u128::from(a)) % u128::from(q);
+            }
+            acc as u64
+        }
+
+        pub fn reduce_color(color: u64, plan: &IterPlan, conflicts: &[u64]) -> u64 {
+            let my = poly_coeffs(color, plan.q, plan.d);
+            let others: Vec<Vec<u64>> = conflicts
+                .iter()
+                .filter(|&&c| c != color)
+                .map(|&c| poly_coeffs(c, plan.q, plan.d))
+                .collect();
+            for x in 0..plan.q {
+                let mine = poly_eval(&my, x, plan.q);
+                if others.iter().all(|o| poly_eval(o, x, plan.q) != mine) {
+                    return x * plan.q + mine;
+                }
+            }
+            unreachable!("q > ∆_c · d guarantees a good evaluation point")
+        }
+    }
 
     #[test]
     fn iroot_exactness() {
@@ -307,7 +358,7 @@ mod tests {
     fn poly_roundtrip() {
         let q = 7;
         let c = 5 * 49 + 3 * 7 + 2; // coefficients [2, 3, 5]
-        let coeffs = poly_coeffs(c, q, 2);
+        let coeffs = u128_reference::poly_coeffs(c, q, 2);
         assert_eq!(coeffs, vec![2, 3, 5]);
         assert_eq!(poly_eval(&coeffs, 0, q), 2);
         assert_eq!(poly_eval(&coeffs, 1, q), 10 % 7);
@@ -338,15 +389,112 @@ mod tests {
     fn reduce_color_avoids_conflicts() {
         let plan = best_step(1000, 5);
         let mine = 700u64;
-        let conflicts: Vec<u64> = vec![1, 2, 3, 700, 999];
+        let conflicts = [1, 2, 3, 700, 999];
         let new = reduce_color(mine, &plan, &conflicts);
         assert!(new < plan.k_out);
         // Decode (x, value) and check no conflicting polynomial matches.
         let (x, val) = (new / plan.q, new % plan.q);
-        for &c in conflicts.iter().filter(|&&c| c != mine) {
-            let pc = poly_coeffs(c, plan.q, plan.d);
+        for c in conflicts
+            .iter()
+            .map(|&c| u64::from(c))
+            .filter(|&c| c != mine)
+        {
+            let pc = u128_reference::poly_coeffs(c, plan.q, plan.d);
             assert_ne!(poly_eval(&pc, x, plan.q), val);
         }
+    }
+
+    /// `len` conflict colors for a node colored `color` under `plan`, below
+    /// `k_in` and `2³²` as gathered. Most are built to agree with the
+    /// node's polynomial at one of the first points, so the search for a
+    /// good point runs past `x = 0`.
+    fn conflicts_for(rng: &mut ChaCha8Rng, color: u64, plan: &IterPlan, len: usize) -> Vec<u32> {
+        let (q, bound) = (plan.q, plan.k_in.min(1 << 32));
+        let mine = u128_reference::poly_coeffs(color, q, plan.d);
+        (0..len)
+            .map(|_| {
+                let r = rng.gen_range(0..bound);
+                let mut b = u128_reference::poly_coeffs(r, q, plan.d);
+                b[0] = 0;
+                let j = rng.gen_range(0..q.min(2 * len as u64 + 1));
+                let target = u128_reference::poly_eval(&mine, j, q);
+                b[0] = (target + q - u128_reference::poly_eval(&b, j, q)) % q;
+                let agreeing = b
+                    .iter()
+                    .rev()
+                    .fold(0u128, |acc, &a| acc * u128::from(q) + u128::from(a));
+                let c = if rng.gen_bool(0.75) && agreeing < u128::from(bound) {
+                    agreeing as u64
+                } else {
+                    r
+                };
+                u32::try_from(c).expect("below 2^32")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn u64_kernel_matches_the_u128_reference() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x11a1);
+        let mut plans: Vec<IterPlan> = [
+            (100_000, 64),
+            (1 << 20, 16),
+            (1_000, 5),
+            (u64::from(u32::MAX), 8),
+            (50, 2),
+        ]
+        .into_iter()
+        .flat_map(|(k0, dc)| {
+            let plans = schedule(k0, dc);
+            assert!(!plans.is_empty(), "({k0}, {dc}) schedules nothing");
+            plans
+        })
+        .collect();
+        // Fields next to the bound: the largest prime below 2³².
+        let q = 4_294_967_291;
+        let near_max = best_step(1_000, q - 1);
+        assert_eq!((near_max.q, near_max.d), (q, 1));
+        plans.push(near_max);
+        plans.push(IterPlan {
+            k_in: q * q,
+            q,
+            d: 1,
+            k_out: q * q,
+        });
+        for plan in &plans {
+            let max_len = (plan.q - 1) / u64::from(plan.d);
+            for _ in 0..200 {
+                let color = rng.gen_range(0..plan.k_in);
+                let len = rng.gen_range(0..=max_len.min(64)) as usize;
+                let conflicts = conflicts_for(&mut rng, color, plan, len);
+                let wide: Vec<u64> = conflicts.iter().map(|&c| u64::from(c)).collect();
+                assert_eq!(
+                    reduce_color(color, plan, &conflicts),
+                    u128_reference::reduce_color(color, plan, &wide),
+                    "{plan:?}, color {color}, conflicts {conflicts:?}"
+                );
+            }
+            // Horner alone, over the whole field and at its top corner.
+            for _ in 0..200 {
+                let coeffs: Vec<u64> = (0..=plan.d).map(|_| rng.gen_range(0..plan.q)).collect();
+                let x = rng.gen_range(0..plan.q);
+                assert_eq!(
+                    poly_eval(&coeffs, x, plan.q),
+                    u128_reference::poly_eval(&coeffs, x, plan.q)
+                );
+            }
+            let top = vec![plan.q - 1; plan.d as usize + 1];
+            assert_eq!(
+                poly_eval(&top, plan.q - 1, plan.q),
+                u128_reference::poly_eval(&top, plan.q - 1, plan.q)
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds u32::MAX")]
+    fn best_step_rejects_a_field_past_u32() {
+        let _ = best_step(1_000, 1 << 32);
     }
 
     /// End-to-end: run Linial at distance 2 on a random graph and check the
