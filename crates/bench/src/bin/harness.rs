@@ -1,5 +1,6 @@
-//! Experiment harness: regenerates every table in EXPERIMENTS.md, runs
-//! the bench registry, and drives the multi-process netplane.
+//! Experiment harness: prints the experiment tables (`exp1` … `exp12`,
+//! or `all`), runs the bench registry, and drives the multi-process
+//! netplane.
 //!
 //! ```sh
 //! cargo run --release -p d2color-bench --bin harness -- all

@@ -142,7 +142,7 @@ impl RuntimeMode {
 /// [`RuntimeMode::Auto`] for anything that might amortize a barrier).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScalePreset {
-    /// `n < 10⁴`: unit-test and EXPERIMENTS.md territory.
+    /// `n < 10⁴`: unit-test and `harness exp*` territory.
     Small,
     /// `10⁴ ≤ n < 10⁶`: the benchmark-trajectory midrange.
     Large,

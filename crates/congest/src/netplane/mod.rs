@@ -53,7 +53,8 @@
 //!   contents (inboxes sort by arrival port, so delivery interleaving is
 //!   unobservable). Owned rows therefore equal the sequential rows;
 //!   un-owned ("ghost") rows stay at their init values and pipeline
-//!   drivers re-authorize anything derived from them via [`sync_rows`].
+//!   drivers re-authorize anything derived from them via
+//!   [`NetPlane::sync_rows`].
 //! * **Rounds** — termination is the same global unanimity check,
 //!   computed by AND-ing per-shard vote flags at each barrier.
 //! * **Messages / bits** — counted at the sender, exactly as the
@@ -86,9 +87,10 @@
 //! sync-tagged frames for a configurable trailing window
 //! ([`NetConfig::retained_syncs`]; supervised runs retain everything), so
 //! a peer that restarts mid-phase can redial, announce the last sync it
-//! applied ([`Rejoin`]), and have the survivor replay exactly the unacked
-//! frames ([`NetPlane::recover`]) — deterministic replay makes the
-//! rejoined stream byte-identical to an uninterrupted one.
+//! applied ([`Rejoin`]), and have the survivor — parked at its barrier
+//! read on the dead link — replay exactly the unacked frames
+//! ([`Link::resume`]). Deterministic replay makes the rejoined stream
+//! byte-identical to an uninterrupted one.
 //!
 //! # Failure model
 //!
@@ -140,10 +142,7 @@ pub use membership::{
     connect_mesh, join, Assign, Assignment, Coordinator, Hello, Join, Link, Membership, NetConfig,
     NetError, RecvFailure, Rejoin,
 };
-pub use runtime::{
-    allreduce_and, coordinator, install, is_active, join_mesh, local_range, rejoin_mesh, run_phase,
-    shard_range, sync_rows, uninstall, NetPlane,
-};
+pub use runtime::{rejoin_mesh, shard_range, NetPlane};
 pub use wire::{Reader, Wire, WireError};
 
 #[allow(unused_imports)]

@@ -49,9 +49,7 @@
 
 use super::chaos::{ChaosConfig, ChaosState};
 use super::frame::{kind, Frame};
-use super::membership::{
-    self, Coordinator, Link, Membership, NetConfig, NetError, RecvFailure, Rejoin,
-};
+use super::membership::{self, Link, Membership, NetConfig, NetError, RecvFailure, Rejoin};
 use super::wire::{Reader, Wire, WireError};
 use crate::faults::FaultPlane;
 use crate::runtime::engine::{self, RoundFlags, ShardWorld, Transport};
@@ -60,8 +58,8 @@ use crate::{Metrics, NetTables, Protocol, SimConfig};
 use graphs::Graph;
 use std::io::{self, Write as _};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// The node range shard `s` of `k` owns on an `n`-node graph: contiguous
 /// `⌈n/k⌉`-sized chunks, last one ragged.
@@ -288,26 +286,34 @@ impl NetPlane {
                     shard: peer,
                     sync: want_seq,
                 })?;
-            let mut stream =
-                membership::accept_deadline(&self.listener, remaining).map_err(|e| match e {
-                    NetError::AcceptTimeout { .. } => NetError::PeerTimeout {
-                        shard: peer,
-                        sync: want_seq,
-                    },
-                    other => other,
-                })?;
-            let rejoin: Rejoin =
-                membership::expect_payload(&mut stream, kind::REJOIN, self.config.read_timeout)?;
-            let link = self
-                .links
-                .iter_mut()
-                .find(|l| l.peer == rejoin.from)
-                .ok_or_else(|| {
-                    NetError::Handshake(format!("rejoin from unknown shard {}", rejoin.from))
-                })?;
-            link.resume(stream, rejoin.have_sync)?;
+            self.accept_rejoin(remaining).map_err(|e| match e {
+                NetError::AcceptTimeout { .. } => NetError::PeerTimeout {
+                    shard: peer,
+                    sync: want_seq,
+                },
+                other => other,
+            })?;
         }
         Ok(())
+    }
+
+    /// Services one peer restart: accepts the pending redial on the mesh
+    /// listener within `budget`, reads its [`Rejoin`], and resumes that
+    /// peer's link, replaying every retained frame the rejoiner has not
+    /// acked. Returns the rejoined shard.
+    fn accept_rejoin(&mut self, budget: Duration) -> Result<u32, NetError> {
+        let mut stream = membership::accept_deadline(&self.listener, budget)?;
+        let rejoin: Rejoin =
+            membership::expect_payload(&mut stream, kind::REJOIN, self.config.read_timeout)?;
+        let link = self
+            .links
+            .iter_mut()
+            .find(|l| l.peer == rejoin.from)
+            .ok_or_else(|| {
+                NetError::Handshake(format!("rejoin from unknown shard {}", rejoin.from))
+            })?;
+        link.resume(stream, rejoin.have_sync)?;
+        Ok(rejoin.from)
     }
 
     /// One lockstep all-to-all exchange: bumps `seq`, broadcasts `body`
@@ -333,55 +339,12 @@ impl NetPlane {
         Ok(out)
     }
 
-    /// Global AND over one boolean per shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unrecoverable transport failure (structured
-    /// [`NetError`] in the message).
-    pub fn allreduce_and(&mut self, local: bool) -> bool {
-        self.collective(kind::REDUCE, &[u8::from(local)])
-            .unwrap_or_else(|e| panic!("netplane: {e}"))
-            .iter()
-            .all(|(_, body)| body == &[1]) // peer contributions
-            && local
-    }
-
-    /// Global sum over one `u64` per shard.
-    ///
-    /// # Errors
-    ///
-    /// Structured [`NetError`]s — notably [`NetError::PeerTimeout`] when
-    /// a peer stays silent past the read deadline.
-    pub fn try_allreduce_sum(&mut self, local: u64) -> Result<u64, NetError> {
-        Ok(self
-            .collective(kind::REDUCE, &local.to_wire())?
-            .iter()
-            .map(|(peer, body)| {
-                u64::from_wire(body).unwrap_or_else(|e| {
-                    panic!("netplane: malformed sum contribution from shard {peer}: {e}")
-                })
-            })
-            .sum::<u64>()
-            + local)
-    }
-
-    /// Global sum over one `u64` per shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unrecoverable transport failure.
-    pub fn allreduce_sum(&mut self, local: u64) -> u64 {
-        self.try_allreduce_sum(local)
-            .unwrap_or_else(|e| panic!("netplane: {e}"))
-    }
-
     /// Makes a per-node vector globally authoritative: each shard
     /// broadcasts its own rows `[lo, hi)` and overwrites every other range
-    /// with the owning shard's values. Pipeline drivers call this (via
-    /// [`sync_rows`](super::sync_rows)) on every vector they derive from
-    /// final phase states, because ghost rows — nodes this shard never
-    /// stepped — hold stale init-time values.
+    /// with the owning shard's values. Pipeline drivers call this on
+    /// every vector they derive from final phase states, because ghost
+    /// rows — nodes this shard never stepped — hold stale init-time
+    /// values.
     ///
     /// # Panics
     ///
@@ -419,30 +382,6 @@ impl NetPlane {
     pub fn send_result(&mut self, payload: &[u8]) -> io::Result<()> {
         super::frame::write_frame(&mut self.control, kind::RESULT, payload)?;
         self.control.flush()
-    }
-
-    /// Services one peer restart: accepts the pending redial on the mesh
-    /// listener (under the read deadline), reads its [`Rejoin`], and
-    /// resumes that peer's link — replaying every retained frame the
-    /// rejoiner has not acked.
-    ///
-    /// # Errors
-    ///
-    /// Structured [`NetError`]s: accept timeout, malformed handshake,
-    /// unknown rejoiner, or [`NetError::ReplayGap`].
-    pub fn recover(&mut self) -> Result<u32, NetError> {
-        let mut stream = membership::accept_deadline(&self.listener, self.config.read_timeout)?;
-        let rejoin: Rejoin =
-            membership::expect_payload(&mut stream, kind::REJOIN, self.config.read_timeout)?;
-        let link = self
-            .links
-            .iter_mut()
-            .find(|l| l.peer == rejoin.from)
-            .ok_or_else(|| {
-                NetError::Handshake(format!("rejoin from unknown shard {}", rejoin.from))
-            })?;
-        link.resume(stream, rejoin.have_sync)?;
-        Ok(rejoin.from)
     }
 
     /// The chaos link-drop: force-close the link to `dst`, then
@@ -688,11 +627,12 @@ impl<M: Wire> Transport<M> for MeshTransport<'_, M> {
 /// Rebuilds a [`NetPlane`] for a shard restarted from scratch by the
 /// supervisor. The replacement binds a fresh (unused) mesh listener,
 /// dials the coordinator for a new control stream (the supervisor accepts
-/// it via [`Coordinator::accept_control`]), and dials every surviving
-/// peer's *original* mesh port with `Rejoin { have_sync: 0 }` — each
-/// survivor replays its full retained history while the replacement
-/// re-executes the run, so every mesh read is satisfied and the rejoiner
-/// reaches the live frontier deterministically.
+/// it via [`Coordinator::accept_control`](membership::Coordinator::accept_control)),
+/// and dials every surviving peer's *original* mesh port with
+/// `Rejoin { have_sync: 0 }` — each survivor replays its full retained
+/// history while the replacement re-executes the run, so every mesh read
+/// is satisfied and the rejoiner reaches the live frontier
+/// deterministically.
 ///
 /// `peer_ports[s]` is shard `s`'s mesh port from the original
 /// [`Assignment`](membership::Assignment); the entry at `shard` itself is
@@ -743,114 +683,14 @@ pub fn rejoin_mesh(
     })
 }
 
-/// The process-wide netplane registry. A shard process installs its
-/// [`NetPlane`] once after the mesh handshake; pipeline drivers then
-/// transparently route phases and row syncs through it. Non-shard
-/// processes (every in-process run, every unit test) never install one
-/// and pay only a mutex check.
-static ACTIVE: Mutex<Option<NetPlane>> = Mutex::new(None);
-
-fn registry() -> std::sync::MutexGuard<'static, Option<NetPlane>> {
-    ACTIVE.lock().expect("netplane registry poisoned")
-}
-
-/// Installs `plane` as this process's transport. Panics if one is
-/// already installed.
-pub fn install(plane: NetPlane) {
-    let mut guard = registry();
-    assert!(guard.is_none(), "a netplane is already installed");
-    *guard = Some(plane);
-}
-
-/// Removes and returns the installed plane (for result shipping and
-/// clean shutdown).
-pub fn uninstall() -> Option<NetPlane> {
-    registry().take()
-}
-
-/// Whether this process runs behind a netplane.
-#[must_use]
-pub fn is_active() -> bool {
-    registry().is_some()
-}
-
-/// The installed plane's node range on an `n`-node graph, or `None`
-/// without a plane.
-#[must_use]
-pub fn local_range(n: usize) -> Option<(usize, usize)> {
-    registry().as_ref().map(|p| p.local_range(n))
-}
-
-/// Global AND across shards; identity without a plane.
-#[must_use]
-pub fn allreduce_and(local: bool) -> bool {
-    match registry().as_mut() {
-        Some(plane) => plane.allreduce_and(local),
-        None => local,
-    }
-}
-
-/// Makes a states-derived per-node vector globally authoritative (see
-/// [`NetPlane::sync_rows`]); no-op without a plane.
-pub fn sync_rows<T: Wire>(rows: &mut [T]) {
-    if let Some(plane) = registry().as_mut() {
-        plane.sync_rows(rows);
-    }
-}
-
-/// Runs one phase through the installed plane, or returns `None` when no
-/// plane is installed (callers fall back to the in-process engines).
-///
-/// # Errors
-///
-/// Inner result: the engine's [`SimError`]s, bit-identical to sequential.
-pub fn run_phase<P: Protocol>(
-    graph: &Graph,
-    protocol: &P,
-    config: &SimConfig,
-    net: &Arc<NetTables>,
-) -> Option<Result<RunResult<P::State>, SimError>>
-where
-    P::Msg: Wire,
-{
-    registry()
-        .as_mut()
-        .map(|plane| plane.execute_with(graph, protocol, config, net))
-}
-
-/// Convenience for shard drivers: full membership handshake against a
-/// coordinator at `coordinator` under `config`'s deadlines, then mesh
-/// build, optionally carrying a seeded chaos schedule.
-///
-/// # Errors
-///
-/// Structured [`NetError`]s from handshake and mesh build.
-pub fn join_mesh(
-    coordinator: SocketAddr,
-    config: NetConfig,
-    chaos: Option<ChaosConfig>,
-) -> Result<NetPlane, NetError> {
-    NetPlane::connect(membership::join(coordinator, &config)?, config, chaos)
-}
-
-/// Convenience for orchestrators: a bound coordinator on an ephemeral
-/// localhost port.
-///
-/// # Errors
-///
-/// Propagates bind errors.
-pub fn coordinator() -> io::Result<Coordinator> {
-    Coordinator::bind()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::netplane::Coordinator;
     use crate::runtime::SequentialRuntime;
     use crate::{Inbox, Message, NodeCtx, NodeRng, Outbox, Scheduling, Status, Wake};
     use graphs::gen;
     use std::thread;
-    use std::time::Duration;
 
     /// Runs `f` once per shard on a fresh `k`-way localhost mesh (threads
     /// standing in for processes) and returns the results in shard order.
@@ -1256,16 +1096,12 @@ mod tests {
     #[test]
     fn collectives_agree_across_shards() {
         let outs = with_mesh(3, |mut plane| {
-            let me = plane.shard;
-            // AND: true only when every shard contributes true.
-            let all_true = plane.allreduce_and(true);
-            let not_all = plane.allreduce_and(me != 1);
-            // Sum of shard indices.
-            let sum = plane.allreduce_sum(u64::from(me));
+            // Every shard hears each peer's body, in peer order.
+            let bodies = plane.collective(kind::REDUCE, &[plane.shard as u8]);
             // Row sync: each shard authoritatively owns 2 of 6 rows.
+            let (lo, hi) = plane.local_range(6);
             let mut rows: Vec<u64> = (0..6)
                 .map(|v| {
-                    let (lo, hi) = plane.local_range(6);
                     if (lo..hi).contains(&v) {
                         100 + v as u64
                     } else {
@@ -1274,17 +1110,17 @@ mod tests {
                 })
                 .collect();
             plane.sync_rows(&mut rows);
-            (all_true, not_all, sum, rows)
+            (plane.shard, bodies.unwrap(), rows)
         });
-        for (all_true, not_all, sum, rows) in outs {
-            assert!(all_true);
-            assert!(!not_all);
-            assert_eq!(sum, 3);
+        for (me, bodies, rows) in outs {
+            let peers = (0..3).filter(|&s| s != me).map(|s| (s, vec![s as u8]));
+            assert_eq!(bodies, peers.collect::<Vec<_>>());
             assert_eq!(rows, vec![100, 101, 102, 103, 104, 105]);
         }
     }
 
-    /// A peer "restarts" mid-stream; `recover` replays the unacked syncs.
+    /// A peer "restarts" mid-stream; `accept_rejoin` replays the unacked
+    /// syncs.
     #[test]
     fn recover_replays_unacked_round_frames() {
         let outs = with_mesh(2, |mut plane| {
@@ -1295,7 +1131,7 @@ mod tests {
                         .unwrap();
                     link.flush().unwrap();
                 }
-                let rejoined = plane.recover().unwrap();
+                let rejoined = plane.accept_rejoin(plane.config.read_timeout).unwrap();
                 assert_eq!(rejoined, 1);
                 plane.links[0]
                     .send_retained(4, kind::ROUND, &4u64.to_wire())
@@ -1341,7 +1177,7 @@ mod tests {
         let outs = with_mesh_cfg(2, config, None, |mut plane| {
             if plane.shard == 0 {
                 let start = Instant::now();
-                let err = plane.try_allreduce_sum(1).unwrap_err();
+                let err = plane.collective(kind::REDUCE, &[1]).unwrap_err();
                 Some((err, start.elapsed()))
             } else {
                 // Alive but silent: hold the plane open without ever
@@ -1364,7 +1200,7 @@ mod tests {
     fn lost_peer_without_rejoin_window_is_structured() {
         let outs = with_mesh(2, |mut plane| {
             if plane.shard == 0 {
-                Some(plane.try_allreduce_sum(1).unwrap_err())
+                Some(plane.collective(kind::REDUCE, &[1]).unwrap_err())
             } else {
                 drop(plane); // peer dies outright
                 None
@@ -1415,17 +1251,5 @@ mod tests {
             assert_eq!(res.metrics, seq.metrics);
             assert_eq!(res.states[lo..hi], seq.states[lo..hi]);
         }
-    }
-
-    #[test]
-    fn registry_roundtrip_is_inert_without_plane() {
-        assert!(!is_active());
-        assert_eq!(local_range(100), None);
-        assert!(allreduce_and(true));
-        assert!(!allreduce_and(false));
-        let mut rows = vec![1u64, 2, 3];
-        sync_rows(&mut rows);
-        assert_eq!(rows, vec![1, 2, 3]);
-        assert!(uninstall().is_none());
     }
 }

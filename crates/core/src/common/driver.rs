@@ -6,7 +6,8 @@
 //! carries node-local knowledge forward, accumulates metrics, and records a
 //! per-phase breakdown for the experiment harness.
 
-use congest::{Metrics, NetTables, Protocol, RunResult, RuntimeMode, SimConfig, SimError};
+use congest::netplane::{NetPlane, Wire};
+use congest::{Metrics, NetTables, Protocol, RunResult, SimConfig, SimError};
 use graphs::Graph;
 use std::sync::Arc;
 use std::time::Instant;
@@ -69,6 +70,8 @@ pub struct Driver<'g> {
     graph: &'g Graph,
     config: SimConfig,
     net: Arc<NetTables>,
+    /// The socket mesh phases run over; `None` runs them in-process.
+    mesh: Option<&'g mut NetPlane>,
     phase_counter: u64,
     metrics: Metrics,
     phases: Vec<PhaseReport>,
@@ -77,7 +80,7 @@ pub struct Driver<'g> {
 impl<'g> Driver<'g> {
     /// New driver. The engine is selected by `config.runtime` — all modes
     /// are bit-identical (see experiment E12), including
-    /// [`RuntimeMode::Auto`]'s per-run choice.
+    /// [`RuntimeMode::Auto`](congest::RuntimeMode::Auto)'s per-run choice.
     #[must_use]
     pub fn new(graph: &'g Graph, config: SimConfig) -> Self {
         let net = NetTables::build(graph, &config);
@@ -85,17 +88,20 @@ impl<'g> Driver<'g> {
             graph,
             config,
             net,
+            mesh: None,
             phase_counter: 0,
             metrics: Metrics::default(),
             phases: Vec::new(),
         }
     }
 
-    /// Switches execution to the parallel runtime with `threads` workers
-    /// (0 = available parallelism).
+    /// Runs every phase over `plane`'s socket mesh, bit-identically to
+    /// the sequential engine. Each shard steps only its own nodes, so
+    /// only its rows of a phase's states are final until
+    /// [`Driver::sync_rows`].
     #[must_use]
-    pub fn parallel(mut self, threads: usize) -> Self {
-        self.config.runtime = RuntimeMode::Parallel(threads);
+    pub fn on_mesh(mut self, plane: &'g mut NetPlane) -> Self {
+        self.mesh = Some(plane);
         self
     }
 
@@ -130,7 +136,7 @@ impl<'g> Driver<'g> {
         protocol: &P,
     ) -> Result<Vec<P::State>, SimError>
     where
-        P::Msg: congest::netplane::Wire,
+        P::Msg: Wire,
     {
         let name = name.into();
         // The phase name doubles as the engine's watchdog label, so a
@@ -142,13 +148,10 @@ impl<'g> Driver<'g> {
             .with_phase_label(name.clone());
         self.phase_counter += 1;
         let t0 = Instant::now();
-        // In a shard process (netplane installed) the phase runs over the
-        // socket mesh; otherwise it falls through to the in-process engines.
-        let RunResult { states, metrics } =
-            match congest::netplane::run_phase(self.graph, protocol, &cfg, &self.net) {
-                Some(sharded) => sharded?,
-                None => congest::run_with(self.graph, protocol, &cfg, &self.net)?,
-            };
+        let RunResult { states, metrics } = match self.mesh.as_deref_mut() {
+            Some(plane) => plane.execute_with(self.graph, protocol, &cfg, &self.net)?,
+            None => congest::run_with(self.graph, protocol, &cfg, &self.net)?,
+        };
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         self.metrics.absorb(&metrics);
         self.phases.push(PhaseReport {
@@ -157,6 +160,16 @@ impl<'g> Driver<'g> {
             wall_ms,
         });
         Ok(states)
+    }
+
+    /// Overwrites every row of a vector derived from phase states that
+    /// this shard does not own with the owner's row (see
+    /// [`NetPlane::sync_rows`]). Without a mesh every row is already final
+    /// and this does nothing.
+    pub fn sync_rows<T: Wire>(&mut self, rows: &mut [T]) {
+        if let Some(plane) = self.mesh.as_deref_mut() {
+            plane.sync_rows(rows);
+        }
     }
 
     /// Metrics accumulated so far.
@@ -179,7 +192,7 @@ impl<'g> Driver<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congest::{Inbox, NodeCtx, NodeRng, Outbox, Status};
+    use congest::{Inbox, NodeCtx, NodeRng, Outbox, RuntimeMode, Status};
 
     /// One-round no-op protocol used to exercise the driver plumbing.
     struct Nop;
@@ -219,8 +232,9 @@ mod tests {
     #[test]
     fn parallel_driver_matches() {
         let g = graphs::gen::cycle(7);
+        let par = SimConfig::seeded(3).with_runtime(RuntimeMode::Parallel(3));
         let mut d1 = Driver::new(&g, SimConfig::seeded(3));
-        let mut d2 = Driver::new(&g, SimConfig::seeded(3)).parallel(3);
+        let mut d2 = Driver::new(&g, par);
         let a = d1.run_phase("x", &Nop).unwrap();
         let b = d2.run_phase("x", &Nop).unwrap();
         assert_eq!(a, b);

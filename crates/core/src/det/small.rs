@@ -69,14 +69,14 @@ pub fn pipeline(driver: &mut Driver<'_>, scope: &Scope) -> Result<Vec<u32>, SimE
     // Inter-phase vectors feed the next protocol's constructor, which reads
     // *all* rows; under the netplane each shard only stepped its own nodes,
     // so re-authorize the full vector (no-op in-process).
-    congest::netplane::sync_rows(&mut psi);
+    driver.sync_rows(&mut psi);
 
     // Stage 2: locally-iterative to q = O(∆_c) colors.
     let li = loc_iter::LocIter::new(g, scope.clone(), psi, k_after);
     let q = li.q;
     let states = driver.run_phase(format!("loc-iter(q={q})"), &li)?;
     let mut colors: Vec<u32> = states.iter().map(loc_iter::LocIterState::color).collect();
-    congest::netplane::sync_rows(&mut colors);
+    driver.sync_rows(&mut colors);
 
     // Stage 3: reduce q → ∆_c + 1.
     let rc = reduce_colors::ReduceColors::new(g, scope.clone(), colors, q, budget);
@@ -92,7 +92,7 @@ pub fn pipeline(driver: &mut Driver<'_>, scope: &Scope) -> Result<Vec<u32>, SimE
             }
         })
         .collect();
-    congest::netplane::sync_rows(&mut out);
+    driver.sync_rows(&mut out);
     Ok(out)
 }
 

@@ -12,7 +12,7 @@
 //!   still `Θ(1/φ)` per 2-path, `ρ` still scales as `(φ/τ)² log n`), but
 //!   with constants that let progress happen at `n ≤ 10⁵`.
 //!
-//! EXPERIMENTS.md records which profile each experiment used.
+//! The `harness exp*` experiments run [`Params::practical`].
 
 /// Algorithm constants. See module docs.
 #[derive(Debug, Clone, PartialEq)]

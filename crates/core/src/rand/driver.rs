@@ -65,20 +65,34 @@ pub fn run(
     cfg: &SimConfig,
     variant: Variant,
 ) -> Result<ColoringOutcome, SimError> {
+    let mut driver = Driver::new(g, cfg.clone());
+    let colors = pipeline(&mut driver, params, variant)?;
+    Ok(driver.finish(colors))
+}
+
+/// Runs the randomized pipeline inside an existing [`Driver`] and returns
+/// per-node colors.
+///
+/// # Errors
+///
+/// Propagates simulator errors.
+pub fn pipeline(
+    driver: &mut Driver<'_>,
+    params: &Params,
+    variant: Variant,
+) -> Result<Vec<u32>, SimError> {
+    let g = driver.graph();
     let n = g.n();
     if n == 0 {
-        return Ok(Driver::new(g, cfg.clone()).finish(Vec::new()));
+        return Ok(Vec::new());
     }
     let d = g.max_degree();
     let dc = (d * d).min(n - 1);
     let palette = dc as u32 + 1;
-    let mut driver = Driver::new(g, cfg.clone());
 
     // Step 0: low-degree graphs go deterministic.
     if (dc as f64) < params.c2_log_n(n) {
-        let scope = Scope::full_d2(g);
-        let colors = small::pipeline(&mut driver, &scope)?;
-        return Ok(driver.finish(colors));
+        return small::pipeline(driver, &Scope::full_d2(g));
     }
 
     // Step 2 (initial random trials) — run before similarity, matching
@@ -95,7 +109,7 @@ pub fn run(
     // states-derived vector is re-authorized across shards (no-op
     // in-process). The synced rows also make the checkpoints globally
     // correct in every shard without a separate vote.
-    congest::netplane::sync_rows(&mut know);
+    driver.sync_rows(&mut know);
 
     // Vacuous-phase skip: every later phase exists to color *live* nodes
     // (similarity graphs are only ever queried by Reduce / LearnPalette on
@@ -108,13 +122,13 @@ pub fn run(
     // alone finishes `gnp_capped` graphs at ∆ = 16 w.h.p.).
     let all_colored = |know: &[(u32, Vec<u32>)]| know.iter().all(|(c, _)| *c != UNCOLORED);
     if all_colored(&know) {
-        return Ok(driver.finish(know.into_iter().map(|(c, _)| c).collect()));
+        return Ok(know.into_iter().map(|(c, _)| c).collect());
     }
 
     // Step 1: similarity graphs. The knowledge is immutable from here on
     // and every later phase reads it, so it is Arc-shared across the
     // whole cascade instead of cloned per `Reduce` call.
-    let budget = cfg.bandwidth_bits(n);
+    let budget = driver.config().bandwidth_bits(n);
     let mut sim: Vec<SimilarityKnowledge> = if dc <= params.exact_similarity_threshold {
         let proto = ExactSimilarity::new(budget).with_period(params.list_sync_period);
         driver
@@ -131,7 +145,7 @@ pub fn run(
             .map(|s| s.knowledge)
             .collect()
     };
-    congest::netplane::sync_rows(&mut sim);
+    driver.sync_rows(&mut sim);
     let sim = std::sync::Arc::new(sim);
 
     // Step 3: the Reduce cascade.
@@ -141,10 +155,10 @@ pub fn run(
         let proto = Reduce::new(params, n, palette, 2.0 * tau, tau, know, sim.clone());
         let st = driver.run_phase(format!("reduce({:.0},{:.0})", 2.0 * tau, tau), &proto)?;
         know = reduce::knowledge(&st);
-        congest::netplane::sync_rows(&mut know);
+        driver.sync_rows(&mut know);
         tau /= 2.0;
         if all_colored(&know) {
-            return Ok(driver.finish(know.into_iter().map(|(c, _)| c).collect()));
+            return Ok(know.into_iter().map(|(c, _)| c).collect());
         }
     }
 
@@ -155,26 +169,26 @@ pub fn run(
             let proto = Reduce::new(params, n, palette, phi, 1.0, know, sim);
             let st = driver.run_phase(format!("reduce({phi:.0},1)"), &proto)?;
             know = reduce::knowledge(&st);
-            congest::netplane::sync_rows(&mut know);
+            driver.sync_rows(&mut know);
             if know.iter().any(|(c, _)| *c == UNCOLORED) {
                 let proto = RandomTrials::to_completion(palette).resuming(know);
                 let st = driver.run_phase("backstop-trials", &proto)?;
                 know = trials::knowledge(&st);
-                congest::netplane::sync_rows(&mut know);
+                driver.sync_rows(&mut know);
             }
         }
         Variant::Improved => {
             let lp = LearnPalette::new(params, g, palette, budget, know.clone(), sim);
             let st = driver.run_phase("learn-palette", &lp)?;
             let mut free: Vec<Vec<u32>> = st.iter().map(|s| s.free_palette.clone()).collect();
-            congest::netplane::sync_rows(&mut free);
+            driver.sync_rows(&mut free);
             let fin = FinishColoring::new(palette, know, free);
             let st = driver.run_phase("finish-coloring", &fin)?;
             know = finish::knowledge(&st);
-            congest::netplane::sync_rows(&mut know);
+            driver.sync_rows(&mut know);
         }
     }
-    Ok(driver.finish(know.into_iter().map(|(c, _)| c).collect()))
+    Ok(know.into_iter().map(|(c, _)| c).collect())
 }
 
 #[cfg(test)]

@@ -250,8 +250,8 @@ impl Wire for SimMsg {
 }
 
 /// Crossed between shards when pipeline drivers re-authorize the
-/// knowledge vector ([`congest::netplane::sync_rows`]); the flag words are
-/// shipped verbatim and re-validated against `k` on decode.
+/// knowledge vector ([`Driver::sync_rows`](crate::Driver::sync_rows)); the
+/// flag words are shipped verbatim and re-validated against `k` on decode.
 impl Wire for SimilarityKnowledge {
     fn put(&self, buf: &mut Vec<u8>) {
         (self.k as u64).put(buf);

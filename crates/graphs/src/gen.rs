@@ -1,7 +1,8 @@
 //! Workload generators.
 //!
 //! Each generator is deterministic in its `seed` argument (ChaCha8 stream),
-//! so every experiment in EXPERIMENTS.md is reproducible bit-for-bit.
+//! so every experiment table `harness exp*` prints is reproducible
+//! bit-for-bit.
 //!
 //! The families mirror the paper's motivation: wireless interference graphs
 //! (unit-disk), task/resource bipartite graphs (strong hypergraph coloring),

@@ -15,7 +15,8 @@
 //! orchestrator (run_distributed / run_supervised)
 //! ├── binds the coordinator listener, learns its port
 //! ├── spawns k shard processes:  <program> [prefix..] <addr> <spec..>
-//! │     each: join_mesh(addr) → install → run the pipeline → RESULT
+//! │     each: join(addr) → NetPlane::connect → run the pipeline on a
+//! │           Driver built on the plane → RESULT
 //! └── assign(k) → reads one RESULT frame per control stream → stitch
 //! ```
 //!
@@ -38,10 +39,13 @@
 //! sequential reference.
 
 use congest::netplane::{
-    self, chaos, kind, read_frame, ChaosConfig, NetConfig, Reader, Wire, WireError,
+    self, chaos, kind, membership, read_frame, ChaosConfig, Coordinator, NetConfig, NetPlane,
+    Reader, Wire, WireError,
 };
-use congest::{FaultConfig, Metrics, Scheduling, SimConfig};
-use d2core::{ColoringOutcome, Params};
+use congest::{FaultConfig, Metrics, Scheduling, SimConfig, PER_MILLION};
+use d2core::det::{small, Scope};
+use d2core::rand::driver::{self as rand_driver, Variant};
+use d2core::{ColoringOutcome, Driver, Params};
 use graphs::Graph;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -143,20 +147,22 @@ impl NetSpec {
         ]
     }
 
-    /// Parses the six positional arguments produced by [`Self::to_args`].
+    /// Parses the six positional arguments produced by [`Self::to_args`];
+    /// `None` if a token is malformed or a `regular` degree is not `< n`.
     #[must_use]
     pub fn parse_args(args: &[String]) -> Option<Self> {
         let [algo, family, n, degree, graph_seed, run_seed] = args else {
             return None;
         };
-        Some(NetSpec {
+        let spec = NetSpec {
             algo: NetAlgo::parse(algo)?,
             family: NetGraph::parse(family)?,
             n: n.parse().ok()?,
             degree: degree.parse().ok()?,
             graph_seed: graph_seed.parse().ok()?,
             run_seed: run_seed.parse().ok()?,
-        })
+        };
+        (spec.family != NetGraph::RandomRegular || spec.degree < spec.n).then_some(spec)
     }
 
     /// Regenerates the workload graph.
@@ -340,8 +346,8 @@ impl ShardOptions {
 
 /// Parses the option flags that follow a spec, in any order:
 /// `[--sched <active|always>] [--drops <ppm> <seed>] [--chaos <seed>]
-/// [--rejoin <shard> <ports-csv>]`. `None` on an unknown flag or a
-/// missing or malformed value.
+/// [--rejoin <shard> <ports-csv>]`. `None` on an unknown flag, a
+/// missing or malformed value, or a drop rate above one million ppm.
 fn parse_options(mut rest: &[String]) -> Option<ShardOptions> {
     let mut opts = ShardOptions::default();
     while let Some(flag) = rest.first() {
@@ -351,7 +357,7 @@ fn parse_options(mut rest: &[String]) -> Option<ShardOptions> {
                 rest = &rest[2..];
             }
             "--drops" => {
-                let per_million = rest.get(1)?.parse().ok()?;
+                let per_million = rest.get(1)?.parse().ok().filter(|&p| p <= PER_MILLION)?;
                 let fault_seed = rest.get(2)?.parse().ok()?;
                 opts.profile.drops = Some((per_million, fault_seed));
                 rest = &rest[3..];
@@ -404,9 +410,8 @@ pub fn parse_run_argv(args: &[String]) -> Option<(u32, NetSpec, ShardOptions)> {
     (opts.rejoin.is_none() && chaos_ok).then_some((k, spec, opts))
 }
 
-/// Runs the spec's pipeline in-process under a profile (used by both
-/// the sequential reference and, with a netplane installed, the shard
-/// body).
+/// Runs the spec's pipeline under a profile: in-process for the
+/// sequential reference (`mesh = None`), or over a shard's socket mesh.
 ///
 /// # Errors
 ///
@@ -415,20 +420,25 @@ pub fn run_pipeline(
     spec: &NetSpec,
     g: &Graph,
     profile: &RunProfile,
+    mesh: Option<&mut NetPlane>,
 ) -> Result<ColoringOutcome, congest::SimError> {
-    let cfg = spec.config_with(profile);
-    let params = Params::practical();
-    match spec.algo {
-        NetAlgo::DetSmall => d2core::det::small::run(g, &params, &cfg),
-        NetAlgo::RandImproved => d2core::rand::driver::improved(g, &params, &cfg),
+    let mut driver = Driver::new(g, spec.config_with(profile));
+    if let Some(plane) = mesh {
+        driver = driver.on_mesh(plane);
     }
+    let params = Params::practical();
+    let colors = match spec.algo {
+        NetAlgo::DetSmall => small::pipeline(&mut driver, &Scope::full_d2(g))?,
+        NetAlgo::RandImproved => rand_driver::pipeline(&mut driver, &params, Variant::Improved)?,
+    };
+    Ok(driver.finish(colors))
 }
 
 /// Runs the sequential reference for a `(spec, profile)` pair.
 #[must_use]
 pub fn run_sequential(spec: &NetSpec, profile: &RunProfile) -> NetOutcome {
     let g = spec.build_graph();
-    let out = run_pipeline(spec, &g, profile).expect("sequential reference failed");
+    let out = run_pipeline(spec, &g, profile, None).expect("sequential reference failed");
     NetOutcome {
         colors: out.colors,
         metrics: out.metrics,
@@ -476,7 +486,7 @@ pub struct NetOutcome {
 }
 
 /// The body of one shard process: membership handshake (or rejoin),
-/// pipeline run with the netplane installed, `RESULT` report.
+/// pipeline run over the resulting mesh, `RESULT` report.
 ///
 /// A process launched with `--chaos` (or `--rejoin`) runs under
 /// [`NetConfig::supervised`]: unbounded frame retention and a rejoin
@@ -493,23 +503,19 @@ pub fn shard_main(coordinator: SocketAddr, spec: &NetSpec, opts: &ShardOptions) 
     } else {
         NetConfig::default()
     };
-    let plane = match &opts.rejoin {
-        Some((shard, ports)) => {
-            netplane::rejoin_mesh(coordinator, *shard, ports, config).map_err(io::Error::other)?
-        }
-        None => {
-            let chaos_cfg = opts.chaos_seed.map(ChaosConfig::seeded);
-            netplane::join_mesh(coordinator, config, chaos_cfg).map_err(io::Error::other)?
-        }
-    };
-    let shard = plane.shard;
-    netplane::install(plane);
+    let mut plane = match &opts.rejoin {
+        Some((shard, ports)) => netplane::rejoin_mesh(coordinator, *shard, ports, config),
+        None => membership::join(coordinator, &config).and_then(|membership| {
+            NetPlane::connect(membership, config, opts.chaos_seed.map(ChaosConfig::seeded))
+        }),
+    }
+    .map_err(io::Error::other)?;
     let g = spec.build_graph();
-    let out = run_pipeline(spec, &g, &opts.profile).expect("sharded pipeline failed");
-    let mut plane = netplane::uninstall().expect("netplane vanished mid-run");
+    let out =
+        run_pipeline(spec, &g, &opts.profile, Some(&mut plane)).expect("sharded pipeline failed");
     let (lo, hi) = plane.local_range(g.n());
     let result = ShardResult {
-        shard,
+        shard: plane.shard,
         lo: lo as u64,
         hi: hi as u64,
         metrics: out.metrics,
@@ -679,7 +685,7 @@ pub fn run_distributed(
 ) -> NetOutcome {
     assert!(k >= 1, "need at least one shard");
     let config = NetConfig::default();
-    let coord = netplane::coordinator().expect("bind coordinator listener");
+    let coord = Coordinator::bind().expect("bind coordinator listener");
     let addr = format!("127.0.0.1:{}", coord.port());
 
     let opts = ShardOptions {
@@ -745,7 +751,7 @@ pub fn run_supervised(
 ) -> (NetOutcome, ChaosRunReport) {
     assert!(k >= 2, "supervised chaos needs at least two shards");
     let config = NetConfig::supervised();
-    let coord = netplane::coordinator().expect("bind coordinator listener");
+    let coord = Coordinator::bind().expect("bind coordinator listener");
     let addr = format!("127.0.0.1:{}", coord.port());
     let chaos_opts = ShardOptions {
         profile: *profile,
@@ -903,11 +909,20 @@ mod tests {
         assert!(parse_shard_argv(&full_argv(&["--sched"])).is_none());
         assert!(parse_shard_argv(&full_argv(&["--drops", "25000"])).is_none());
         assert!(parse_shard_argv(&full_argv(&["--drops", "x", "11"])).is_none());
+        assert!(parse_shard_argv(&full_argv(&["--drops", "1000001", "11"])).is_none());
+        assert!(parse_shard_argv(&full_argv(&["--drops", "1000000", "11"])).is_some());
         assert!(parse_shard_argv(&full_argv(&["--chaos"])).is_none());
         assert!(parse_shard_argv(&full_argv(&["--rejoin", "2"])).is_none());
         assert!(parse_shard_argv(&full_argv(&["--rejoin", "2", "70x1"])).is_none());
         assert!(parse_shard_argv(&full_argv(&["--frobnicate"])).is_none());
         assert!(parse_shard_argv(&full_argv(&[])[..4]).is_none());
+
+        // `regular` needs degree < n (here n = 80).
+        let mut argv = full_argv(&[]);
+        argv[4] = "80".into();
+        assert!(parse_shard_argv(&argv).is_none());
+        argv[4] = "79".into();
+        assert!(parse_shard_argv(&argv).is_some());
     }
 
     fn run_argv(line: &str) -> Option<(u32, NetSpec, ShardOptions)> {
@@ -946,6 +961,10 @@ mod tests {
             "2 det-small gnp 150 5 2 9 --sched bogus",
             "2 det-small gnp 150 5 2 9 --sched",
             "2 det-small gnp 150 5 2 9 --drops 25000",
+            "2 det-small gnp 150 5 2 9 --sched active --drops 2000000 7",
+            "2 det-small regular 10 20 1 1",
+            "2 det-small regular 10 10 1 1",
+            "2 det-small regular 0 0 1 1",
             "2 det-small gnp 150 5 2 9 --rejoin 1 7001,7002",
             "2 det-small gnp 150 5 2 9 --frobnicate",
         ] {

@@ -304,7 +304,7 @@ fn full_deterministic_pipeline_equivalent_via_driver() {
     let seq = d2core::det::small::run(&g, &params, &cfg).expect("seq");
     // The driver runs sequentially; rebuild with a parallel driver.
     let scope = d2core::det::Scope::full_d2(&g);
-    let mut driver = d2core::Driver::new(&g, cfg).parallel(4);
+    let mut driver = d2core::Driver::new(&g, cfg.with_runtime(congest::RuntimeMode::Parallel(4)));
     let colors = d2core::det::small::pipeline(&mut driver, &scope).expect("par pipeline");
     let par = driver.finish(colors);
     assert_eq!(seq.colors, par.colors);
