@@ -16,7 +16,7 @@
 use benchkit::alloc::CountingAllocator;
 use benchkit::registry::{self, Ctx, Exact};
 use benchkit::{delta_sweep, loglog_slope, measure, measure_with, n_sweep, print_table, Algo, Row};
-use congest::SimConfig;
+use congest::{RuntimeMode, SimConfig};
 use d2color::netharness::{self, ShardCommand};
 use d2core::det::splitting::{self, SplitMode};
 use d2core::Params;
@@ -298,7 +298,8 @@ fn exp12() {
     let seq_cols: Vec<u32> = seq.states.iter().map(|s| s.trial.color()).collect();
     for threads in [2usize, 4, 8] {
         let t0 = std::time::Instant::now();
-        let par = congest::run_parallel(&g, &proto, &cfg, threads).expect("par");
+        let par_cfg = cfg.clone().with_runtime(RuntimeMode::Parallel(threads));
+        let par = congest::run(&g, &proto, &par_cfg).expect("par");
         let ms = t0.elapsed().as_millis();
         let par_cols: Vec<u32> = par.states.iter().map(|s| s.trial.color()).collect();
         println!(

@@ -197,9 +197,11 @@ pub struct SimConfig {
     pub max_rounds: u64,
     /// Identifier assignment policy.
     pub ids: IdAssignment,
-    /// Engine selection for phase drivers. All modes are bit-identical;
-    /// this only selects the execution strategy, so experiment harnesses
-    /// can sweep the runtime dimension through configuration alone.
+    /// Engine selection for every in-process run ([`run`](crate::run),
+    /// [`run_with`](crate::run_with), and the phase drivers built on
+    /// them). All modes are bit-identical; this only selects the
+    /// execution strategy, so experiment harnesses can sweep the runtime
+    /// dimension through configuration alone.
     pub runtime: RuntimeMode,
     /// Node-stepping policy (see [`Scheduling`]). [`Scheduling::ActiveSet`]
     /// by default; [`Scheduling::AlwaysStep`] forces the classic
@@ -271,23 +273,6 @@ impl SimConfig {
     pub fn with_runtime(mut self, runtime: RuntimeMode) -> Self {
         self.runtime = runtime;
         self
-    }
-
-    /// Compatibility helper predating [`RuntimeMode`]: `None` = sequential,
-    /// `Some(t)` = parallel with `t` workers (0 = all cores).
-    #[must_use]
-    pub fn with_threads(self, threads: Option<usize>) -> Self {
-        self.with_runtime(match threads {
-            None => RuntimeMode::Sequential,
-            Some(t) => RuntimeMode::Parallel(t),
-        })
-    }
-
-    /// Returns `self` with size-adaptive engine selection (`threads`
-    /// workers when the parallel engine is chosen, 0 = all cores).
-    #[must_use]
-    pub fn auto(self, threads: usize) -> Self {
-        self.with_runtime(RuntimeMode::Auto(threads))
     }
 
     /// Returns `self` with the node-stepping policy replaced.
@@ -390,14 +375,12 @@ mod tests {
         assert!(c.strict_bandwidth);
         assert_eq!(c.max_rounds, 10);
         assert_eq!(
-            SimConfig::default().with_threads(Some(3)).runtime,
+            SimConfig::default()
+                .with_runtime(RuntimeMode::Parallel(3))
+                .runtime,
             RuntimeMode::Parallel(3)
         );
-        assert_eq!(
-            SimConfig::default().with_threads(None).runtime,
-            RuntimeMode::Sequential
-        );
-        assert_eq!(SimConfig::default().auto(4).runtime, RuntimeMode::Auto(4));
+        assert_eq!(SimConfig::default().runtime, RuntimeMode::Sequential);
         assert_eq!(SimConfig::default().scheduling, Scheduling::ActiveSet);
         assert_eq!(
             SimConfig::default()

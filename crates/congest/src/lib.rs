@@ -16,11 +16,12 @@
 //!   its [`NodeCtx`] (ID, neighbor IDs by port, `n`, `∆`), its private RNG
 //!   stream, and the current inbox.
 //!
-//! Two interchangeable runtimes execute protocols: a deterministic
-//! [`SequentialRuntime`] and a [`ParallelRuntime`] that shards nodes over
-//! worker threads and exchanges cross-shard messages through per-shard-pair
-//! batch buffers hand-shaken with a *single* spin barrier per
-//! communication round (no per-message sends or allocations; see the
+//! [`run`] and [`run_with`] execute a protocol on the engine that
+//! [`SimConfig::runtime`] selects: [`RuntimeMode::Sequential`], the
+//! deterministic reference, or [`RuntimeMode::Parallel`], which shards
+//! nodes over worker threads and exchanges cross-shard messages through
+//! per-shard-pair batch buffers hand-shaken with a *single* spin barrier
+//! per communication round (no per-message sends or allocations; see the
 //! [`runtime`] module docs for the epoch-counter protocol). Both produce
 //! bit-identical results for the same seed, which is asserted by tests
 //! (experiment E12), and [`RuntimeMode::Auto`] picks between them per run
@@ -94,7 +95,4 @@ pub use net::NetTables;
 pub use node::{NodeCtx, NodeRng, Port};
 pub use outbox::{DuplicateDelivery, Inbox, Outbox};
 pub use protocol::{Protocol, Status, Wake};
-pub use runtime::{
-    assigned_idents, run, run_parallel, run_with, ParallelRuntime, RunResult, SequentialRuntime,
-    SimError,
-};
+pub use runtime::{run, run_with, RunResult, SimError};

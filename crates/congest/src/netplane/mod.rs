@@ -31,9 +31,9 @@
 //! The core steps this shard's owned nodes; at every **communication
 //! round** (per [`Protocol::sync_period`](crate::Protocol::sync_period))
 //! the transport writes one `ROUND` frame per peer — carrying all
-//! cross-shard messages plus the shard's `RoundFlags` (termination-vote
-//! AND, sticky-running and crash-projection sums, first
-//! strict-bandwidth violation) — and flushes once. It then blocks for
+//! cross-shard messages plus the shard's `RoundFlags` (sticky-running
+//! and crash-projection counts, first strict-bandwidth violation) — and
+//! flushes once. It then blocks for
 //! exactly one `ROUND` frame from each peer. That exchange *is* the
 //! round barrier: buffered writes are flushed only there, and no shard
 //! enters round `r + 1` before every shard finished round `r`. The
@@ -55,8 +55,9 @@
 //!   un-owned ("ghost") rows stay at their init values and pipeline
 //!   drivers re-authorize anything derived from them via
 //!   [`NetPlane::sync_rows`].
-//! * **Rounds** — termination is the same global unanimity check,
-//!   computed by AND-ing per-shard vote flags at each barrier.
+//! * **Rounds** — termination is the same rule, a zero global count of
+//!   sticky-`Running` votes, summed over the per-shard flags at each
+//!   barrier.
 //! * **Messages / bits** — counted at the sender, exactly as the
 //!   sequential sweep does; end-of-phase `STATS` frames merge per-shard
 //!   metrics into one global record identical in every shard.

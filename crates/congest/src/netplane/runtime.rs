@@ -7,10 +7,10 @@
 //! nodes `[lo, hi)`. Each communication round, messages whose destination
 //! lives on another shard travel as one [`kind::ROUND`] frame per peer
 //! (flushed once — the round barrier is the flush point), together with
-//! the shard's local termination/progress flags. Combining the flags
-//! reproduces the sequential engine's global unanimity check, progress
-//! watermark, and strict-bandwidth first-violation exactly; see the
-//! [module docs](super) for the full bit-identity argument.
+//! the shard's local `RoundFlags`. Merging the flags reproduces the
+//! sequential engine's global termination count and strict-bandwidth
+//! first-violation exactly; see the [module docs](super) for the full
+//! bit-identity argument.
 //!
 //! The round loop itself is the shared engine core (see the
 //! [runtime module docs](crate::runtime)); this module contributes only
@@ -51,8 +51,7 @@ use super::chaos::{ChaosConfig, ChaosState};
 use super::frame::{kind, Frame};
 use super::membership::{self, Link, Membership, NetConfig, NetError, RecvFailure, Rejoin};
 use super::wire::{Reader, Wire, WireError};
-use crate::faults::FaultPlane;
-use crate::runtime::engine::{self, RoundFlags, ShardWorld, Transport};
+use crate::runtime::engine::{self, RoundFlags, Transport};
 use crate::runtime::{RunResult, SimError};
 use crate::{Metrics, NetTables, Protocol, SimConfig};
 use graphs::Graph;
@@ -81,17 +80,8 @@ struct RoundEnvelope<M> {
     /// Plane sequence number — serialized *first*, so the generic mesh
     /// receive path can read it without knowing the payload type.
     sync: u64,
-    /// AND of the sender's local termination votes this round.
-    all_done: bool,
-    /// The sender's count of non-crashed local nodes whose sticky vote is
-    /// still `Running` (active-set termination; see the engine core).
-    running: u64,
-    /// The sender's one-round-ahead projection of `running` under the
-    /// fault plane's scheduled crash/recovery events (crash-probe latch).
-    proj_running: u64,
-    /// The sender's first strict-bandwidth violation this round, as
-    /// `(node index, message bits)` — `None` outside strict mode.
-    violation: Option<(u32, u64)>,
+    /// The sender's local round flags (see the engine core).
+    flags: RoundFlags,
     /// `(destination node, arrival port, message)` triples.
     msgs: Vec<(u32, u32, M)>,
 }
@@ -99,19 +89,19 @@ struct RoundEnvelope<M> {
 impl<M: Wire> Wire for RoundEnvelope<M> {
     fn put(&self, buf: &mut Vec<u8>) {
         self.sync.put(buf);
-        self.all_done.put(buf);
-        self.running.put(buf);
-        self.proj_running.put(buf);
-        self.violation.put(buf);
+        self.flags.running.put(buf);
+        self.flags.proj_running.put(buf);
+        self.flags.violation.put(buf);
         self.msgs.put(buf);
     }
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(RoundEnvelope {
             sync: u64::take(r)?,
-            all_done: bool::take(r)?,
-            running: u64::take(r)?,
-            proj_running: u64::take(r)?,
-            violation: <Option<(u32, u64)> as Wire>::take(r)?,
+            flags: RoundFlags {
+                running: u64::take(r)?,
+                proj_running: u64::take(r)?,
+                violation: <Option<(u32, u64)> as Wire>::take(r)?,
+            },
             msgs: Vec::take(r)?,
         })
     }
@@ -425,10 +415,10 @@ impl NetPlane {
 
     /// Runs one protocol phase across the mesh, stepping only this
     /// shard's nodes, and returns a result bit-identical (on all
-    /// observables: states of owned nodes, merged metrics, errors) to
-    /// [`SequentialRuntime`](crate::runtime::SequentialRuntime) — the
-    /// round loop *is* the sequential engine's, driven through the mesh
-    /// transport, so [`Scheduling`](crate::Scheduling) and
+    /// observables: states of owned nodes, merged metrics, errors) to the
+    /// sequential engine's [`crate::run`] — the round loop *is* the
+    /// sequential engine's, driven through the mesh transport, so
+    /// [`Scheduling`](crate::Scheduling) and
     /// [`FaultConfig`](crate::FaultConfig) behave identically here.
     ///
     /// States of nodes this shard does **not** own are left at their
@@ -445,8 +435,9 @@ impl NetPlane {
     /// # Panics
     ///
     /// Panics on unrecoverable transport failures (structured
-    /// [`NetError`] in the message), and on the same protocol bugs the
-    /// sequential engine rejects (silent-round sends).
+    /// [`NetError`] in the message), on `net` built for another graph,
+    /// and on the same protocol bugs the sequential engine rejects
+    /// (silent-round sends).
     pub fn execute_with<P: Protocol>(
         &mut self,
         graph: &Graph,
@@ -457,56 +448,21 @@ impl NetPlane {
     where
         P::Msg: Wire,
     {
-        assert!(net.matches(graph), "NetTables built for a different graph");
         let n = graph.n();
-        let k = self.n_shards as usize;
         let (lo, hi) = self.local_range(n);
-        let period = protocol.sync_period().max(1);
-        let budget = engine::round_budget(config, n, period);
-        let mut ctxs = net.contexts();
         // Full deterministic world: every shard inits all n nodes (so
-        // state/RNG indices line up), then steps only [lo, hi).
-        let (mut rngs, mut states) = engine::init_nodes(protocol, config, &ctxs, 0);
-        if n == 0 {
-            return Ok(RunResult {
-                states,
-                metrics: Metrics {
-                    bandwidth_bits: budget,
-                    ..Metrics::default()
-                },
-            });
-        }
-        // The simulated fault schedule is a pure function of
-        // (config, salt, n), so every shard holds the identical trace and
-        // charges fates/crashes exactly as the in-process engines do.
-        let fault_plane = config
-            .faults
-            .as_ref()
-            .map(|f| FaultPlane::new(f, config.rng_salt, n));
-        let result = {
-            let outgoing = (0..self.links.len()).map(|_| Vec::new()).collect();
-            let mut transport = MeshTransport {
-                plane: self,
-                n,
-                k,
-                outgoing,
-            };
-            engine::drive(
-                graph,
-                protocol,
-                config,
-                net,
-                ShardWorld {
-                    start: lo,
-                    ctxs: &mut ctxs[lo..hi],
-                    states: &mut states[lo..hi],
-                    rngs: &mut rngs[lo..hi],
-                    plane: fault_plane.as_ref(),
-                },
-                &mut transport,
-            )
+        // state/RNG indices line up) and holds the identical fault trace,
+        // then steps only [lo, hi).
+        let mut transport = MeshTransport {
+            n,
+            k: self.n_shards as usize,
+            outgoing: (0..self.links.len()).map(|_| Vec::new()).collect(),
+            plane: self,
         };
-        let mut metrics = result?;
+        let RunResult {
+            states,
+            mut metrics,
+        } = engine::run_range(graph, protocol, config, net, lo..hi, &mut transport)?;
         // Merge metrics so every shard returns the identical global
         // record (and driver-level absorption stays engine-agnostic).
         // `Metrics::absorb` folds every field — including any added later
@@ -562,10 +518,7 @@ impl<M: Wire> Transport<M> for MeshTransport<'_, M> {
         for slot in 0..self.outgoing.len() {
             let envelope = RoundEnvelope {
                 sync,
-                all_done: local.all_done,
-                running: local.running,
-                proj_running: local.proj_running,
-                violation: local.violation,
+                flags: local,
                 msgs: std::mem::take(&mut self.outgoing[slot]),
             };
             self.plane.send_mesh(slot, kind::ROUND, &envelope.to_wire());
@@ -582,12 +535,7 @@ impl<M: Wire> Transport<M> for MeshTransport<'_, M> {
                 panic!("netplane: malformed round frame from shard {peer}: {e}")
             });
             debug_assert_eq!(envelope.sync, sync);
-            merged.absorb(&RoundFlags {
-                all_done: envelope.all_done,
-                running: envelope.running,
-                proj_running: envelope.proj_running,
-                violation: envelope.violation,
-            });
+            merged.absorb(&envelope.flags);
             for (dest, arrival, msg) in envelope.msgs {
                 deliver(dest, arrival, msg);
             }
@@ -687,7 +635,7 @@ pub fn rejoin_mesh(
 mod tests {
     use super::*;
     use crate::netplane::Coordinator;
-    use crate::runtime::SequentialRuntime;
+    use crate::run;
     use crate::{Inbox, Message, NodeCtx, NodeRng, Outbox, Scheduling, Status, Wake};
     use graphs::gen;
     use std::thread;
@@ -787,7 +735,7 @@ mod tests {
         for k in [2u32, 4] {
             let g = gen::gnp_capped(40, 0.15, 6, 7);
             let cfg = reference_cfg(3);
-            let seq = SequentialRuntime.execute(&g, &Flood, &cfg).unwrap();
+            let seq = run(&g, &Flood, &cfg).unwrap();
             let outs = with_mesh(k, move |mut plane| {
                 let g = gen::gnp_capped(40, 0.15, 6, 7);
                 let cfg = reference_cfg(3);
@@ -854,12 +802,8 @@ mod tests {
     fn active_set_matches_sequential_and_always_step_across_shards() {
         let g = gen::gnp_capped(40, 0.15, 6, 7);
         let active_cfg = SimConfig::seeded(3); // ActiveSet is the default
-        let seq_active = SequentialRuntime
-            .execute(&g, &Staggered, &active_cfg)
-            .unwrap();
-        let seq_always = SequentialRuntime
-            .execute(&g, &Staggered, &reference_cfg(3))
-            .unwrap();
+        let seq_active = run(&g, &Staggered, &active_cfg).unwrap();
+        let seq_always = run(&g, &Staggered, &reference_cfg(3)).unwrap();
         assert_eq!(seq_active.states, seq_always.states);
         assert!(
             seq_active.metrics.stepped_nodes < seq_always.metrics.stepped_nodes,
@@ -898,7 +842,7 @@ mod tests {
         };
         let g = gen::gnp_capped(40, 0.15, 6, 7);
         let cfg = reference_cfg(3).with_faults(faults());
-        let seq = SequentialRuntime.execute(&g, &Flood, &cfg).unwrap();
+        let seq = run(&g, &Flood, &cfg).unwrap();
         assert!(
             seq.metrics.faults_dropped > 0 && seq.metrics.faults_duplicated > 0,
             "fault config must actually bite: {:?}",
@@ -928,7 +872,7 @@ mod tests {
             .with_max_rounds(10)
             .with_faults(faults())
             .with_phase_label("crashy");
-        let seq_err = SequentialRuntime.execute(&g, &Forever, &cfg).unwrap_err();
+        let seq_err = run(&g, &Forever, &cfg).unwrap_err();
         let errs = with_mesh(4, move |mut plane| {
             let g = gen::path(40);
             let cfg = SimConfig::seeded(1)
@@ -983,7 +927,7 @@ mod tests {
     fn periodic_protocol_matches_sequential() {
         let g = gen::cycle(8);
         let cfg = reference_cfg(2);
-        let seq = SequentialRuntime.execute(&g, &Pulse, &cfg).unwrap();
+        let seq = run(&g, &Pulse, &cfg).unwrap();
         assert_eq!(seq.metrics.rounds, 13);
         let outs = with_mesh(2, move |mut plane| {
             let g = gen::cycle(8);
@@ -1023,7 +967,7 @@ mod tests {
         let cfg = reference_cfg(0)
             .with_max_rounds(10)
             .with_phase_label("forever");
-        let seq_err = SequentialRuntime.execute(&g, &Forever, &cfg).unwrap_err();
+        let seq_err = run(&g, &Forever, &cfg).unwrap_err();
         let errs = with_mesh(3, move |mut plane| {
             let g = gen::path(9);
             let cfg = reference_cfg(0)
@@ -1081,7 +1025,7 @@ mod tests {
     fn strict_bandwidth_error_is_global_and_identical() {
         let g = gen::path(6);
         let cfg = reference_cfg(0).strict();
-        let seq_err = SequentialRuntime.execute(&g, &Fat, &cfg).unwrap_err();
+        let seq_err = run(&g, &Fat, &cfg).unwrap_err();
         let errs = with_mesh(2, move |mut plane| {
             let g = gen::path(6);
             let cfg = reference_cfg(0).strict();
@@ -1090,6 +1034,83 @@ mod tests {
         });
         for err in errs {
             assert_eq!(err, seq_err);
+        }
+    }
+
+    /// Votes `Running` until round `7v mod 29`, parked until then, and
+    /// never sends.
+    struct Countdown;
+
+    impl Protocol for Countdown {
+        type State = ();
+        type Msg = ();
+        fn init(&self, _: &NodeCtx, _: &mut NodeRng) {}
+        fn round(
+            &self,
+            _: &mut (),
+            ctx: &NodeCtx,
+            _: &mut NodeRng,
+            _: &Inbox<()>,
+            _: &mut Outbox<()>,
+        ) -> Status {
+            if ctx.round < u64::from(ctx.index) * 7 % 29 {
+                Status::Running
+            } else {
+                Status::Done
+            }
+        }
+        fn next_wake(&self, _: &(), ctx: &NodeCtx, status: Status) -> Wake {
+            match status {
+                Status::Running => Wake::At(u64::from(ctx.index) * 7 % 29),
+                Status::Done => Wake::Message,
+            }
+        }
+    }
+
+    /// A recovering crash plane that ends the run before the last
+    /// deadline: the termination count, the probe latch and the crash
+    /// windows agree across 2 shards under both schedules.
+    #[test]
+    fn crash_plane_termination_matches_sequential_across_shards() {
+        fn cfg(scheduling: Scheduling) -> SimConfig {
+            let faults = crate::FaultConfig::seeded(137).with_crashes(500_000, 30, 6);
+            SimConfig::seeded(6)
+                .with_faults(faults)
+                .with_scheduling(scheduling)
+        }
+        for scheduling in [Scheduling::AlwaysStep, Scheduling::ActiveSet] {
+            let g = gen::cycle(60);
+            let seq = run(&g, &Countdown, &cfg(scheduling)).unwrap();
+            assert_eq!(seq.metrics.rounds, 28, "the plane must end the run early");
+            let outs = with_mesh(2, move |mut plane| {
+                let g = gen::cycle(60);
+                let cfg = cfg(scheduling);
+                let net = NetTables::build(&g, &cfg);
+                plane.execute_with(&g, &Countdown, &cfg, &net).unwrap()
+            });
+            for res in outs {
+                assert_eq!(res.metrics, seq.metrics, "{scheduling:?}");
+            }
+        }
+    }
+
+    /// The empty graph runs zero rounds, and every shard still meets its
+    /// peer in the STATS collective.
+    #[test]
+    fn empty_graph_runs_over_the_mesh() {
+        let outs = with_mesh(2, |mut plane| {
+            let g = gen::empty(0);
+            let cfg = SimConfig::seeded(1);
+            let net = NetTables::build(&g, &cfg);
+            plane.execute_with(&g, &Flood, &cfg, &net).unwrap()
+        });
+        for res in outs {
+            assert!(res.states.is_empty());
+            assert_eq!(res.metrics.rounds, 0);
+            assert_eq!(
+                res.metrics.bandwidth_bits,
+                SimConfig::seeded(1).bandwidth_bits(0)
+            );
         }
     }
 
@@ -1235,7 +1256,7 @@ mod tests {
         let config = NetConfig::default().with_rejoin_timeout(Some(Duration::from_secs(10)));
         let g = gen::gnp_capped(40, 0.15, 6, 7);
         let cfg = reference_cfg(3);
-        let seq = SequentialRuntime.execute(&g, &Flood, &cfg).unwrap();
+        let seq = run(&g, &Flood, &cfg).unwrap();
         assert!(
             seq.metrics.rounds >= 4,
             "workload too short to exercise the drop"

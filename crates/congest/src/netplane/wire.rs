@@ -2,7 +2,7 @@
 //! payloads crossing shard-process boundaries.
 //!
 //! No external serialization crates exist in this build (the compat crates
-//! vendor only `rand`/`rand_chacha`/`criterion`), so the codec is written
+//! vendor only `rand`/`rand_chacha`), so the codec is written
 //! by hand over plain byte buffers:
 //!
 //! * integers are **fixed-width little-endian** (`u8`/`u16`/`u32`/`u64`);

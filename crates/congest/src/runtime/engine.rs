@@ -6,9 +6,10 @@
 //! scheduling (the wake frontier, `Wake::At` heap, sticky termination
 //! votes with the crash-probe latch), fault-plane send/delivery fates,
 //! sync-period batching, strict-bandwidth abort ordering, metrics
-//! accounting, and structured [`SimError`] construction. What *varies*
-//! between runtimes — how a shard's staged messages and votes reach the
-//! other shards — is abstracted behind the [`Transport`] trait.
+//! accounting, and structured [`SimError`] construction. [`run_range`]
+//! builds the world it runs on. What *varies* between runtimes — how a
+//! shard's staged messages and votes reach the other shards — is
+//! abstracted behind the [`Transport`] trait.
 //!
 //! # The `Transport` contract
 //!
@@ -23,11 +24,10 @@
 //!   staged messages and [`RoundFlags`] visible to every peer, (b)
 //!   deliver every inbound `(dest, port, msg)` through the provided
 //!   callback, and (c) return the [`RoundFlags`] merged over **all**
-//!   shards (AND of `all_done`, sums of `running`/`proj_running`,
-//!   min-by-node `violation`). Every shard must observe the identical
-//!   merged value — the core derives termination, strict-bandwidth
-//!   aborts, and the crash-probe latch from it, and shards must take
-//!   those transitions in lockstep.
+//!   shards with [`RoundFlags::absorb`]. Every shard must observe the
+//!   identical merged value — the core derives termination,
+//!   strict-bandwidth aborts, and the crash-probe latch from it, and
+//!   shards must take those transitions in lockstep.
 //! * [`Transport::watchdog`] — called once, only on the round-limit
 //!   path: globalize the diagnostics (sum of live nodes, max of
 //!   last-progress rounds) for [`SimError::RoundLimitExceeded`].
@@ -41,19 +41,21 @@
 //!
 //! # Why the merged flags are enough
 //!
-//! * **Termination.** Stepping all: unanimity is the AND over shards of
-//!   the local ANDs (crashed nodes are skipped — they vote `Done`
-//!   implicitly). Parking: the run ends when the summed count of
-//!   non-crashed sticky-`Running` votes hits zero — exactly when the
-//!   always-step reference would see unanimity (the parking contract on
-//!   [`Protocol::next_wake`] makes sticky votes exact at such rounds).
+//! * **Termination.** One rule for both schedules: the run ends at the
+//!   first communication round where the summed count of non-crashed
+//!   sticky-`Running` votes is zero. Stepping all, each non-crashed
+//!   node's sticky vote *is* this round's vote, and a crash removes the
+//!   node's vote from the count at its crash round (crashed nodes vote
+//!   `Done` implicitly), so a zero count is unanimity. Parking, the
+//!   parking contract on [`Protocol::next_wake`] makes sticky votes exact
+//!   at such rounds.
 //! * **Crash-probe latch.** When a scheduled crash removes the last
 //!   sticky-`Running` vote, parked votes may go stale, so the engine
 //!   must fall back to stepping everyone. Each shard publishes a
 //!   one-round-ahead *projection* of its running count under the
 //!   plane's statically-known crash/recovery events; a zero merged
-//!   projection latches every shard back to the classic schedule on the
-//!   same round.
+//!   projection latches every shard back to the every-node schedule on
+//!   the same round.
 //! * **Strict bandwidth.** Each shard reports its first violation in
 //!   node order as `(node, bits)`; min-by-node across shards is the
 //!   message the sequential sweep (which steps in index order) would
@@ -61,7 +63,7 @@
 //!   shard leaves the barrier protocol cleanly at the same round.
 
 use super::barrier::SpinBarrier;
-use super::{node_rng, SimError};
+use super::{node_rng, RunResult, SimError};
 use crate::faults::{Fate, FaultPlane};
 use crate::{
     Inbox, Message, Metrics, NetTables, NodeCtx, NodeRng, Outbox, Port, Protocol, SimConfig,
@@ -70,21 +72,19 @@ use crate::{
 use graphs::Graph;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// The control word exchanged at every communication-round barrier.
 ///
 /// Merging is associative and commutative, so transports may combine
-/// contributions in any order: `all_done` by AND, `running` and
-/// `proj_running` by sum, `violation` by minimum node index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// contributions in any order: `running` and `proj_running` by sum,
+/// `violation` by minimum node index. The default is the merge identity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct RoundFlags {
-    /// AND of this shard's termination votes this round (crashed nodes
-    /// excepted — they vote `Done` implicitly).
-    pub all_done: bool,
     /// Non-crashed local nodes whose sticky communication-round vote is
-    /// still [`Status::Running`].
+    /// still [`Status::Running`]; the run ends when the merged sum is 0.
     pub running: u64,
     /// Projection of `running` for the next round under the fault
     /// plane's scheduled crash/recovery events (0 when irrelevant).
@@ -97,7 +97,6 @@ pub(crate) struct RoundFlags {
 impl RoundFlags {
     /// Folds another shard's contribution into this one.
     pub(crate) fn absorb(&mut self, other: &RoundFlags) {
-        self.all_done &= other.all_done;
         self.running += other.running;
         self.proj_running += other.proj_running;
         self.violation = match (self.violation, other.violation) {
@@ -129,8 +128,7 @@ pub(crate) trait Transport<M> {
 
 /// The trivial transport of a single shard that owns every node: nothing
 /// crosses a boundary, the barrier is a no-op, the local flags are the
-/// global flags. [`SequentialRuntime`](super::SequentialRuntime) is the
-/// core plus this.
+/// global flags. The sequential engine is the core plus this.
 pub(crate) struct LocalTransport;
 
 impl<M> Transport<M> for LocalTransport {
@@ -151,8 +149,7 @@ impl<M> Transport<M> for LocalTransport {
 
 /// One shard's slice of the deterministic world, indexed so that local
 /// node `i` is global node `start + i`. The caller builds (and keeps) the
-/// slices — runtimes that must return full-length state vectors
-/// (sequential, netplane) pass sub-slices of them.
+/// slices — [`run_range`] passes sub-slices of full-length vectors.
 pub(crate) struct ShardWorld<'a, P: Protocol> {
     /// Global index of local node 0.
     pub start: usize,
@@ -188,11 +185,47 @@ pub(crate) fn init_nodes<P: Protocol>(
     (rngs, states)
 }
 
-/// The aggregated per-communication-round bandwidth budget: a protocol
-/// declaring [`Protocol::sync_period`] `p` may pack `p` rounds' worth of
-/// per-edge bandwidth into each communication-round message.
-pub(crate) fn round_budget(config: &SimConfig, n: usize, period: u64) -> u64 {
-    config.bandwidth_bits(n).saturating_mul(period)
+/// Builds the whole deterministic world — contexts, RNG streams, initial
+/// states, fault plane — and drives the nodes in `range` through
+/// `transport`. States outside `range` stay at their init values. The
+/// sequential engine passes `0..n`; a netplane shard passes its own
+/// slice.
+///
+/// # Panics
+///
+/// Panics if `net` was not built for `graph` (node or edge count
+/// mismatch — proceeding would mis-route messages and return silently
+/// wrong results), and on the protocol bugs [`drive`] rejects.
+pub(crate) fn run_range<P: Protocol, T: Transport<P::Msg>>(
+    graph: &Graph,
+    protocol: &P,
+    config: &SimConfig,
+    net: &Arc<NetTables>,
+    range: Range<usize>,
+    transport: &mut T,
+) -> Result<RunResult<P::State>, SimError> {
+    assert!(net.matches(graph), "NetTables built for a different graph");
+    let mut ctxs = net.contexts();
+    let (mut rngs, mut states) = init_nodes(protocol, config, &ctxs, 0);
+    let plane = config
+        .faults
+        .as_ref()
+        .map(|f| FaultPlane::new(f, config.rng_salt, graph.n()));
+    let metrics = drive(
+        graph,
+        protocol,
+        config,
+        net,
+        ShardWorld {
+            start: range.start,
+            ctxs: &mut ctxs[range.clone()],
+            states: &mut states[range.clone()],
+            rngs: &mut rngs[range],
+            plane: plane.as_ref(),
+        },
+        transport,
+    )?;
+    Ok(RunResult { states, metrics })
 }
 
 /// How one round's step set is traversed under active-set scheduling.
@@ -222,10 +255,8 @@ fn wake(stamp: &mut [u64], queue: &mut Vec<u32>, i: usize, t: u64) {
 /// round. Returns the shard's **local** metrics (`rounds` set to the
 /// global count, `bandwidth_bits` to the budget); the caller merges
 /// across shards. Errors are constructed from globally-merged flags, so
-/// every shard returns the identical [`SimError`].
-///
-/// The caller must handle `n == 0` itself (an empty graph has no round 0
-/// to terminate at) and must pass a non-empty graph here.
+/// every shard returns the identical [`SimError`]. An empty graph has no
+/// round 0 to terminate at: it returns zero-round metrics at once.
 ///
 /// # Panics
 ///
@@ -252,11 +283,16 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
     let local_n = ctxs.len();
     let local = start..start + local_n;
     let period = protocol.sync_period().max(1);
-    let budget = round_budget(config, n, period);
+    // A protocol declaring `sync_period` `p` may pack `p` rounds' worth
+    // of per-edge bandwidth into each communication-round message.
+    let budget = config.bandwidth_bits(n).saturating_mul(period);
     let mut metrics = Metrics {
         bandwidth_bits: budget,
         ..Metrics::default()
     };
+    if n == 0 {
+        return Ok(metrics);
+    }
 
     // A duplicating plane can deliver two copies per port in one round;
     // size inboxes for it so the steady state stays allocation-free.
@@ -291,18 +327,20 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
 
     // Sticky votes: each local node's latest communication-round vote.
     // While a node is parked its sticky vote stands in for it (the
-    // parking contract on `Protocol::next_wake` makes that exact), so a
-    // zero global sum of `running` counts is exactly the round where the
-    // always-step reference would see unanimity.
+    // parking contract on `Protocol::next_wake` makes that exact); while
+    // it is crashed the crash event has taken it out of `running`. So a
+    // zero global sum of `running` counts is exactly the round where
+    // every non-crashed node votes `Done`, under either schedule.
     let mut sticky: Vec<Status> = vec![Status::Running; local_n];
     let mut running: u64 = local_n as u64;
     let mut last_progress: u64 = 0;
 
     // Frontier machinery over local indices (untouched when `!active`):
     // `frontier` holds this round's wakes, `next_frontier` the next
-    // round's, `stamp` deduplicates insertions, and the crash/recovery
-    // event lists feed the plane's edges into the running count and the
-    // wake queue. `heap_round[i]` is node i's pending `Wake::At` target
+    // round's, and `stamp` deduplicates insertions. The crash/recovery
+    // event lists (built whenever the plane has crashes) feed the plane's
+    // edges into the running count and, while `active`, the wake queue.
+    // `heap_round[i]` is node i's pending `Wake::At` target
     // (`u64::MAX` for none), and every pending target has an entry in
     // `heap`. A node that re-parks to its pending target pushes nothing,
     // so a node parking to the same round on every wake holds one entry,
@@ -326,18 +364,18 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
         stamp = vec![0; local_n];
         in_cur = vec![false; local_n];
         heap_round = vec![u64::MAX; local_n];
-        if let Some(p) = plane {
-            for i in 0..local_n {
-                if let Some((s, e)) = p.crash_window(start + i) {
-                    crash_events.push((s, i as u32));
-                    if e != u64::MAX {
-                        recovery_events.push((e, i as u32));
-                    }
+    }
+    if let Some(p) = plane.filter(|_| has_crashes) {
+        for i in 0..local_n {
+            if let Some((s, e)) = p.crash_window(start + i) {
+                crash_events.push((s, i as u32));
+                if e != u64::MAX {
+                    recovery_events.push((e, i as u32));
                 }
             }
-            crash_events.sort_unstable();
-            recovery_events.sort_unstable();
         }
+        crash_events.sort_unstable();
+        recovery_events.sort_unstable();
     }
 
     let mut terminated = false;
@@ -348,8 +386,8 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
         let comm = round.is_multiple_of(period);
         if active {
             // Assemble this round's frontier: last round's wakes are
-            // already in `frontier`; add matured `Wake::At` requests and
-            // fault-plane crash/recovery edges.
+            // already in `frontier`; add matured `Wake::At` requests here
+            // and crash recoveries below.
             while let Some(&(Reverse(t), i)) = heap.peek() {
                 if t > round {
                     break;
@@ -360,24 +398,25 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
                     wake(&mut stamp, &mut frontier, i as usize, round);
                 }
             }
-            while ci < crash_events.len() && crash_events[ci].0 == round {
-                let i = crash_events[ci].1 as usize;
-                ci += 1;
-                if sticky[i] == Status::Running {
-                    running -= 1;
-                }
+        }
+        while ci < crash_events.len() && crash_events[ci].0 == round {
+            let i = crash_events[ci].1 as usize;
+            ci += 1;
+            if sticky[i] == Status::Running {
+                running -= 1;
             }
-            while ri < recovery_events.len() && recovery_events[ri].0 == round {
-                let i = recovery_events[ri].1 as usize;
-                ri += 1;
-                if sticky[i] == Status::Running {
-                    running += 1;
-                }
+        }
+        while ri < recovery_events.len() && recovery_events[ri].0 == round {
+            let i = recovery_events[ri].1 as usize;
+            ri += 1;
+            if sticky[i] == Status::Running {
+                running += 1;
+            }
+            if active {
                 wake(&mut stamp, &mut frontier, i, round);
             }
         }
         let stepping_all = !active;
-        let mut all_done = true;
         let mut progressed = false;
         let mut violation: Option<(u32, u64)> = None;
 
@@ -424,7 +463,6 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
             metrics.stepped_nodes += 1;
             let status = protocol.round(&mut states[i], &ctxs[i], &mut rngs[i], &cur[i], &mut out);
             cur[i].clear();
-            all_done &= status == Status::Done;
             if comm && status != sticky[i] {
                 match status {
                     Status::Done => running -= 1,
@@ -554,7 +592,6 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
         // into the local frontier), and merge the flags.
         let merged = transport.exchange(
             RoundFlags {
-                all_done,
                 running,
                 proj_running: proj,
                 violation,
@@ -583,13 +620,7 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
                 limit: budget,
             });
         }
-        if if stepping_all {
-            merged.all_done
-        } else {
-            // Zero sticky-Running votes globally ⇔ the always-step
-            // reference would see unanimity.
-            merged.running == 0
-        } {
+        if merged.running == 0 {
             terminated = true;
             break;
         }
@@ -599,7 +630,7 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
         // disagree with what it would vote in any given round (the
         // contract only pins votes at rounds where unanimity is
         // otherwise possible). Latch a probe — step every node every
-        // round with the classic unanimity check, permanently — in
+        // round, so every sticky vote is fresh again, permanently — in
         // lockstep across shards.
         if !stepping_all && has_crashes && merged.proj_running == 0 {
             active = false;
@@ -641,43 +672,20 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
 
 /// Shared flag slots of the in-process parallel transport, rotated over
 /// three sync epochs with the same discipline as the mailbox parities:
-/// written in phase A (before the barrier), read in phase B (after), and
-/// reset by shard 0 two syncs later — the earliest point at which the
-/// barrier ordering proves no reader or writer can still touch the slot.
-/// (An unrotated slot would let a shard observe a value published one
-/// sync in the future and break early, deserting its peers at the next
-/// barrier.)
+/// every shard absorbs its flags into the slot in phase A (before the
+/// barrier) and reads the merged value in phase B (after), and shard 0
+/// resets the slot to the merge identity two syncs later — the earliest
+/// point at which the barrier ordering proves no reader or writer can
+/// still touch the slot. (An unrotated slot would let a shard observe a
+/// value published one sync in the future and break early, deserting its
+/// peers at the next barrier.)
+#[derive(Default)]
 pub(crate) struct SharedFlags {
-    /// AND of `all_done`: initialized `true`, cleared by any shard whose
-    /// local AND is false.
-    done: [AtomicBool; 3],
-    /// Sum of sticky-Running counts.
-    running: [AtomicU64; 3],
-    /// Sum of next-round running projections.
-    proj: [AtomicU64; 3],
-    /// Min-by-node strict-bandwidth violation. A mutex, not an atomic:
-    /// touched only in strict mode, where violations abort the run.
-    violation: [Mutex<Option<(u32, u64)>>; 3],
+    /// The [`RoundFlags`] merged so far for each slot.
+    merged: [Mutex<RoundFlags>; 3],
     /// Round-limit diagnostics, written once per shard on that path.
     live_total: AtomicU64,
     progress_max: AtomicU64,
-}
-
-impl SharedFlags {
-    pub(crate) fn new() -> Self {
-        SharedFlags {
-            done: [
-                AtomicBool::new(true),
-                AtomicBool::new(true),
-                AtomicBool::new(true),
-            ],
-            running: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
-            proj: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
-            violation: [Mutex::new(None), Mutex::new(None), Mutex::new(None)],
-            live_total: AtomicU64::new(0),
-            progress_max: AtomicU64::new(0),
-        }
-    }
 }
 
 /// One staged cross-shard message: destination node index, arrival port,
@@ -714,7 +722,6 @@ pub(crate) struct MailboxTransport<'a, M> {
     shard: usize,
     threads: usize,
     chunk: usize,
-    strict: bool,
     /// Completed synchronizations; drives the cell parity and slot
     /// rotation. Equals the round number while `sync_period == 1`.
     sync: u64,
@@ -731,7 +738,6 @@ impl<'a, M> MailboxTransport<'a, M> {
         shard: usize,
         threads: usize,
         chunk: usize,
-        strict: bool,
         mailboxes: &'a [Vec<MailCell<M>>],
         barrier: &'a SpinBarrier,
         flags: &'a SharedFlags,
@@ -740,7 +746,6 @@ impl<'a, M> MailboxTransport<'a, M> {
             shard,
             threads,
             chunk,
-            strict,
             sync: 0,
             out_bufs: (0..threads).map(|_| Vec::new()).collect(),
             mailboxes,
@@ -775,17 +780,10 @@ impl<M> Transport<M> for MailboxTransport<'_, M> {
                 cell.epochs[parity].store(self.sync + 1, Ordering::SeqCst);
             }
         }
-        if !local.all_done {
-            self.flags.done[slot].store(false, Ordering::SeqCst);
-        }
-        self.flags.running[slot].fetch_add(local.running, Ordering::SeqCst);
-        self.flags.proj[slot].fetch_add(local.proj_running, Ordering::SeqCst);
-        if let Some(v) = local.violation {
-            let mut g = self.flags.violation[slot].lock().expect("no poisoned lock");
-            if g.is_none_or(|cur| v.0 < cur.0) {
-                *g = Some(v);
-            }
-        }
+        self.flags.merged[slot]
+            .lock()
+            .expect("no poisoned lock")
+            .absorb(&local);
 
         self.barrier.wait();
 
@@ -799,30 +797,14 @@ impl<M> Transport<M> for MailboxTransport<'_, M> {
                 }
             }
         }
-        let merged = RoundFlags {
-            all_done: self.flags.done[slot].load(Ordering::SeqCst),
-            running: self.flags.running[slot].load(Ordering::SeqCst),
-            proj_running: self.flags.proj[slot].load(Ordering::SeqCst),
-            violation: if self.strict {
-                *self.flags.violation[slot].lock().expect("no poisoned lock")
-            } else {
-                None
-            },
-        };
+        let merged = *self.flags.merged[slot].lock().expect("no poisoned lock");
         if self.shard == 0 {
-            // Reset the slots for sync + 2: their last readers finished
-            // in phase B of sync - 1, which happens-before this phase B;
-            // their next writers start in phase A of sync + 2, which
+            // Reset the slot for sync + 2: its last readers finished in
+            // phase B of sync - 1, which happens-before this phase B; its
+            // next writers start in phase A of sync + 2, which
             // happens-after (see `parallel.rs`).
             let reset = ((self.sync + 2) % 3) as usize;
-            self.flags.done[reset].store(true, Ordering::SeqCst);
-            self.flags.running[reset].store(0, Ordering::SeqCst);
-            self.flags.proj[reset].store(0, Ordering::SeqCst);
-            if self.strict {
-                *self.flags.violation[reset]
-                    .lock()
-                    .expect("no poisoned lock") = None;
-            }
+            *self.flags.merged[reset].lock().expect("no poisoned lock") = RoundFlags::default();
         }
         self.sync += 1;
         merged
@@ -849,15 +831,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_flags_merge_is_and_sum_min() {
+    fn round_flags_merge_is_sum_min() {
         let mut a = RoundFlags {
-            all_done: true,
             running: 3,
             proj_running: 1,
             violation: Some((7, 100)),
         };
         a.absorb(&RoundFlags {
-            all_done: false,
             running: 2,
             proj_running: 0,
             violation: Some((4, 200)),
@@ -865,25 +845,18 @@ mod tests {
         assert_eq!(
             a,
             RoundFlags {
-                all_done: false,
                 running: 5,
                 proj_running: 1,
                 violation: Some((4, 200)),
             }
         );
-        // None never displaces a violation; ties keep the first.
+        // The default is the identity; ties keep the first violation.
+        let before = a;
+        a.absorb(&RoundFlags::default());
+        assert_eq!(a, before);
         a.absorb(&RoundFlags {
-            all_done: true,
-            running: 0,
-            proj_running: 0,
-            violation: None,
-        });
-        assert_eq!(a.violation, Some((4, 200)));
-        a.absorb(&RoundFlags {
-            all_done: true,
-            running: 0,
-            proj_running: 0,
             violation: Some((4, 999)),
+            ..RoundFlags::default()
         });
         assert_eq!(a.violation, Some((4, 200)));
     }

@@ -5,14 +5,15 @@
 //! The round loop exists exactly once, in the private `engine` module:
 //! a generic core that owns node stepping, active-set scheduling,
 //! fault-plane delivery, sync-period batching, strict-bandwidth abort
-//! ordering, metrics accounting, and [`SimError`] construction. What a
-//! runtime contributes is a `Transport` — how one shard's staged
+//! ordering, metrics accounting, and [`SimError`] construction. What an
+//! engine contributes is a `Transport` — how one shard's staged
 //! messages and per-round control flags reach the other shards:
 //!
-//! * [`SequentialRuntime`] — the trivial transport: one shard owns every
-//!   node, the barrier is a no-op, local flags are global. This is the
-//!   deterministic reference every other transport is validated against.
-//! * [`ParallelRuntime`] — nodes sharded over worker threads; the
+//! * [`RuntimeMode::Sequential`] — the trivial transport: one shard owns
+//!   every node, the barrier is a no-op, local flags are global. This is
+//!   the deterministic reference every other transport is validated
+//!   against.
+//! * [`RuntimeMode::Parallel`] — nodes sharded over worker threads; the
 //!   transport is a parity-double-buffered mailbox matrix plus a
 //!   **single spin barrier per communication round** (see `parallel.rs`
 //!   for the handshake protocol).
@@ -23,10 +24,10 @@
 //! The `Transport` contract (documented in full on the trait) is small:
 //! *stage* a message for a remote node, *exchange* at the communication
 //! round barrier — publish staged batches plus this shard's
-//! `RoundFlags` (termination-vote AND, sticky-running sum, next-round
-//! running projection, first strict-bandwidth violation), deliver
-//! inbound messages, and return the flags merged identically on every
-//! shard — and a *watchdog* that globalizes round-limit diagnostics.
+//! `RoundFlags` (sticky-running sum, next-round running projection,
+//! first strict-bandwidth violation), deliver inbound messages, and
+//! return the flags merged identically on every shard — and a
+//! *watchdog* that globalizes round-limit diagnostics.
 //! Because termination, the crash-probe latch, and abort decisions are
 //! all functions of the merged flags, every shard takes every
 //! transition in lockstep, and adding a transport can never fork the
@@ -64,18 +65,20 @@
 //! (a delivery always wakes its destination), so no extra barrier is
 //! paid.
 //!
-//! **Termination** under parking uses *sticky votes*: each node's latest
-//! communication-round vote stands in for it while parked (the parking
-//! contract on [`Protocol::next_wake`] makes this exact — see its docs),
-//! and the run ends at the first communication round where no non-crashed
-//! node's sticky vote is `Running`. Two fault-plane escape hatches keep
-//! the crash semantics identical to the reference:
+//! **Termination** has one rule under both schedules: the run ends at
+//! the first communication round where no non-crashed node's *sticky
+//! vote* — its latest communication-round vote — is `Running`. Stepping
+//! every node, the sticky vote is the vote of that very round. Parked,
+//! it stands in for the node (the parking contract on
+//! [`Protocol::next_wake`] makes this exact — see its docs). Two
+//! fault-plane escape hatches keep the crash semantics identical to the
+//! reference:
 //!
 //! * when a crash removes the last sticky-`Running` vote, the engine
-//!   **latches** back to stepping every node with the classic unanimity
-//!   check, permanently (each shard publishes a one-round projection of
-//!   its running count in its `RoundFlags`, so every shard latches on
-//!   the same round);
+//!   **latches** back to stepping every node, permanently, so every
+//!   sticky vote is fresh again (each shard publishes a one-round
+//!   projection of its running count in its `RoundFlags`, so every shard
+//!   latches on the same round);
 //! * parking is disabled outright when crash faults meet a
 //!   [`Protocol::sync_period`] `> 1` — a crash inside a silent window
 //!   could flip unanimity between rounds the engines never compare votes
@@ -88,7 +91,8 @@
 //!
 //! # Engine selection
 //!
-//! [`SimConfig::runtime`] picks the engine per run:
+//! [`SimConfig::runtime`] picks the engine for every in-process run —
+//! [`run`] and [`run_with`] are the only entry points:
 //!
 //! * [`RuntimeMode::Sequential`] / [`RuntimeMode::Parallel`] — explicit.
 //! * [`RuntimeMode::Auto`] — adaptive: the parallel engine only pays for
@@ -111,16 +115,12 @@
 //! Context construction is backed by [`NetTables`], a
 //! CSR-layout identifier/reverse-port table built once per
 //! `(graph, config)`. Multi-phase drivers build the tables once and pass
-//! them to [`run_with`]; the convenience entry points build them on the
-//! fly.
+//! them to [`run_with`]; [`run`] builds them on the fly.
 
 mod barrier;
 pub(crate) mod engine;
 mod parallel;
 mod sequential;
-
-pub use parallel::ParallelRuntime;
-pub use sequential::SequentialRuntime;
 
 use crate::{Metrics, NetTables, NodeRng, Protocol, RuntimeMode, SimConfig};
 use graphs::Graph;
@@ -206,45 +206,42 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Runs `protocol` on `graph` with the deterministic sequential runtime.
+/// Runs `protocol` on `graph` to unanimous [`Status::Done`](crate::Status)
+/// on the engine `config.runtime` selects, building the [`NetTables`] on
+/// the fly.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] on round-limit exhaustion, or on bandwidth
 /// violations in strict mode.
+///
+/// # Panics
+///
+/// Panics if the protocol stages a message in a round its declared
+/// [`Protocol::sync_period`] marks silent — a protocol bug, like a
+/// duplicate send on a port.
 pub fn run<P: Protocol>(
     graph: &Graph,
     protocol: &P,
     config: &SimConfig,
 ) -> Result<RunResult<P::State>, SimError> {
-    SequentialRuntime.execute(graph, protocol, config)
+    run_with(graph, protocol, config, &NetTables::build(graph, config))
 }
 
-/// Runs `protocol` with the single-barrier parallel runtime on `threads`
-/// worker threads (0 = number of available CPUs).
+/// [`run`] with prebuilt [`NetTables`], resolving [`RuntimeMode::Auto`]
+/// against the graph. This is the entry point multi-phase drivers use:
+/// the tables are built once per driver and shared across all phases.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] on round-limit exhaustion, or on bandwidth
 /// violations in strict mode.
-pub fn run_parallel<P: Protocol>(
-    graph: &Graph,
-    protocol: &P,
-    config: &SimConfig,
-    threads: usize,
-) -> Result<RunResult<P::State>, SimError> {
-    ParallelRuntime::new(threads).execute(graph, protocol, config)
-}
-
-/// Runs `protocol` on the engine selected by `config.runtime` (resolving
-/// [`RuntimeMode::Auto`] against the graph), reusing prebuilt
-/// [`NetTables`]. This is the entry point multi-phase drivers use: the
-/// tables are built once per driver and shared across all phases.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Returns [`SimError`] on round-limit exhaustion, or on bandwidth
-/// violations in strict mode.
+/// Panics if `net` was not built for `graph` (node or edge count
+/// mismatch — proceeding would mis-route messages and return silently
+/// wrong results), and on the protocol bugs [`run`] rejects.
 pub fn run_with<P: Protocol>(
     graph: &Graph,
     protocol: &P,
@@ -252,23 +249,9 @@ pub fn run_with<P: Protocol>(
     net: &Arc<NetTables>,
 ) -> Result<RunResult<P::State>, SimError> {
     match config.runtime.resolve(graph) {
-        RuntimeMode::Parallel(t) => {
-            ParallelRuntime::new(t).execute_with(graph, protocol, config, net)
-        }
-        _ => SequentialRuntime.execute_with(graph, protocol, config, net),
+        RuntimeMode::Parallel(t) => parallel::execute(t, graph, protocol, config, net),
+        _ => sequential::execute(graph, protocol, config, net),
     }
-}
-
-/// The identifier assignment a run with `config` would use — what each
-/// node sees as `ctx.ident`. Public so that phase drivers can precompute
-/// schedules that depend only on information the nodes already possess
-/// locally (e.g. ident-ordered turn-taking inside decomposition clusters).
-/// `O(n)` — computes the permutation alone, not the full [`NetTables`]
-/// (drivers holding a `Driver` should prefer its cached
-/// `idents()` accessor and skip even this).
-#[must_use]
-pub fn assigned_idents(graph: &Graph, config: &SimConfig) -> Vec<u64> {
-    crate::net::ident_assignment(graph.n(), config)
 }
 
 /// Derives the private RNG stream of node `index` for run seed `seed`.
@@ -284,8 +267,9 @@ pub(crate) fn node_rng(seed: u64, index: u32) -> NodeRng {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IdAssignment;
+    use crate::{IdAssignment, Inbox, NodeCtx, Outbox, Status};
     use graphs::gen;
+    use std::thread::ThreadId;
 
     #[test]
     fn contexts_have_unique_idents_and_correct_ports() {
@@ -314,7 +298,47 @@ mod tests {
         };
         let ctxs = NetTables::build(&g, &cfg).contexts();
         assert!(ctxs.iter().enumerate().all(|(i, c)| c.ident == i as u64));
-        assert_eq!(assigned_idents(&g, &cfg), vec![0, 1, 2, 3]);
+    }
+
+    /// Records the thread that initialised each node.
+    struct InitThread;
+
+    impl Protocol for InitThread {
+        type State = ThreadId;
+        type Msg = ();
+        fn init(&self, _: &NodeCtx, _: &mut NodeRng) -> ThreadId {
+            std::thread::current().id()
+        }
+        fn round(
+            &self,
+            _: &mut ThreadId,
+            _: &NodeCtx,
+            _: &mut NodeRng,
+            _: &Inbox<()>,
+            _: &mut Outbox<()>,
+        ) -> Status {
+            Status::Done
+        }
+    }
+
+    #[test]
+    fn run_and_run_with_honour_the_runtime_mode() {
+        let g = gen::cycle(64);
+        let me = std::thread::current().id();
+        for runtime in [RuntimeMode::Sequential, RuntimeMode::Parallel(2)] {
+            let cfg = SimConfig::seeded(1).with_runtime(runtime);
+            let net = NetTables::build(&g, &cfg);
+            for res in [
+                run(&g, &InitThread, &cfg).unwrap(),
+                run_with(&g, &InitThread, &cfg, &net).unwrap(),
+            ] {
+                let off_thread = res.states.iter().filter(|&&id| id != me).count();
+                match runtime {
+                    RuntimeMode::Sequential => assert_eq!(off_thread, 0, "{runtime:?}"),
+                    _ => assert!(off_thread > 0, "{runtime:?}: every node on the caller"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Single-barrier batched-transport parallel runtime.
+//! Single-barrier batched-transport parallel engine, selected by
+//! [`RuntimeMode::Parallel`](crate::RuntimeMode::Parallel).
 //!
 //! Nodes are sharded over worker threads; each worker runs the shared
 //! round-loop core (see the [module docs](super)) over its shard through
@@ -36,10 +37,11 @@
 //!   lives beside its buffer (not per cell) because phase B of sync `k`
 //!   overlaps phase A of sync `k + 1`.
 //! * **Epoch-rotated flag slots.** The core's per-round control word
-//!   (`RoundFlags`: termination-vote AND, sticky-running sum, crash
-//!   projection sum, strict-bandwidth violation) lives in three slot
-//!   arrays indexed by `sync % 3`: written in phase A, read in phase B,
-//!   and reset by shard 0 two syncs later — the earliest point at which
+//!   (`RoundFlags`: sticky-running sum, crash projection sum,
+//!   strict-bandwidth violation) lives in three slots indexed by
+//!   `sync % 3`: each shard absorbs its flags into the slot in phase A,
+//!   reads the merged value in phase B, and shard 0 resets the slot to
+//!   the merge identity two syncs later — the earliest point at which
 //!   the barrier ordering proves no reader or writer can still touch the
 //!   slot. (A single, unrotated slot would let a shard observe a value
 //!   published one sync in the future and break early — deserting its
@@ -66,21 +68,21 @@
 //! nodes in other shards ride in the same epoch-stamped mail cells as the
 //! messages that cause them (a drained delivery wakes its destination for
 //! the next round in phase B), so parking adds no synchronization beyond
-//! the existing barrier. The sticky-vote unanimity check and the
-//! crash-probe latch ride in the same epoch-rotated `RoundFlags` slots as
-//! the termination votes (a zero merged `running` sum is exactly the
-//! reference's unanimity; a zero merged projection latches every shard
-//! back to always-stepping on the same round).
+//! the existing barrier. The sticky-vote termination rule and the
+//! crash-probe latch ride in the same epoch-rotated `RoundFlags` slots
+//! (a zero merged `running` sum is exactly the reference's unanimity; a
+//! zero merged projection latches every shard back to always-stepping on
+//! the same round).
 //!
 //! # Determinism
 //!
 //! Per-node RNG streams depend only on `(seed, index)`, at most one
 //! message arrives per port per round (the `Outbox` enforces the CONGEST
 //! discipline), and inboxes are sorted by port before delivery, so the
-//! observable behavior is bit-identical to
-//! [`SequentialRuntime`](super::SequentialRuntime) regardless of thread
-//! interleaving or batch arrival order (asserted by the differential
-//! harness and the transport property tests).
+//! observable behavior is bit-identical to the sequential engine
+//! ([`RuntimeMode::Sequential`](crate::RuntimeMode::Sequential))
+//! regardless of thread interleaving or batch arrival order (asserted by
+//! the differential harness and the transport property tests).
 
 use super::barrier::SpinBarrier;
 use super::engine::{self, MailCell, MailboxTransport, ShardWorld, SharedFlags};
@@ -90,207 +92,139 @@ use crate::{Metrics, NetTables, NodeCtx, Protocol, SimConfig};
 use graphs::Graph;
 use std::sync::{Arc, Mutex};
 
-/// Multi-threaded engine with single-barrier batched message transport.
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelRuntime {
+/// Runs `protocol` on `threads` worker threads (0 = available
+/// parallelism), each stepping one contiguous shard of the nodes.
+pub(super) fn execute<P: Protocol>(
     threads: usize,
-}
+    graph: &Graph,
+    protocol: &P,
+    config: &SimConfig,
+    net: &Arc<NetTables>,
+) -> Result<RunResult<P::State>, SimError> {
+    assert!(net.matches(graph), "NetTables built for a different graph");
+    let n = graph.n();
+    let threads = if threads == 0 {
+        std::thread::available_parallelism().map_or(4, usize::from)
+    } else {
+        threads
+    };
+    let t = threads.min(n).max(1);
+    let chunk = n.div_ceil(t).max(1);
 
-impl Default for ParallelRuntime {
-    fn default() -> Self {
-        ParallelRuntime::new(0)
+    let mut ctxs = net.contexts();
+
+    // The t×t transport matrix: `mailboxes[src][dst]` carries batches
+    // from shard `src` to shard `dst`, parity-double-buffered per sync
+    // (see the module docs). The same allocations shuttle back and
+    // forth for the whole run.
+    let mailboxes: Vec<Vec<MailCell<P::Msg>>> = (0..t)
+        .map(|_| (0..t).map(|_| MailCell::new()).collect())
+        .collect();
+    let barrier = SpinBarrier::new(t);
+    let flags = SharedFlags::default();
+
+    // Errors need no (round, node) ordering key anymore: the core
+    // derives every abort from the barrier-merged flags, so all
+    // shards return the identical error — first writer wins.
+    let first_error: Mutex<Option<SimError>> = Mutex::new(None);
+    let global_metrics: Mutex<Metrics> = Mutex::new(Metrics::default());
+    let out_states: Mutex<Vec<(usize, Vec<P::State>)>> = Mutex::new(Vec::new());
+    // The fault schedule is built once, before the workers spawn, and
+    // consulted read-only: fates are pure functions of (round, node,
+    // port) and crash windows are precomputed, so every shard computes
+    // the same trace as the sequential engine (see `faults`).
+    let plane: Option<FaultPlane> = config
+        .faults
+        .as_ref()
+        .map(|f| FaultPlane::new(f, config.rng_salt, n));
+
+    // Disjoint mutable context slices, one per shard.
+    let mut ctx_chunks: Vec<&mut [NodeCtx]> = ctxs.chunks_mut(chunk).collect();
+    while ctx_chunks.len() < t {
+        ctx_chunks.push(&mut []);
     }
-}
 
-impl ParallelRuntime {
-    /// Creates a runtime with the given worker-thread count
-    /// (0 = available parallelism).
-    #[must_use]
-    pub fn new(threads: usize) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(4, usize::from)
-        } else {
-            threads
-        };
-        ParallelRuntime { threads }
-    }
-
-    /// Runs `protocol` to unanimous [`Status::Done`](crate::Status),
-    /// building the network tables on the fly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::RoundLimitExceeded`] if the protocol does not
-    /// terminate, or [`SimError::Bandwidth`] in strict mode.
-    pub fn execute<P: Protocol>(
-        &self,
-        graph: &Graph,
-        protocol: &P,
-        config: &SimConfig,
-    ) -> Result<RunResult<P::State>, SimError> {
-        self.execute_with(graph, protocol, config, &NetTables::build(graph, config))
-    }
-
-    /// [`ParallelRuntime::execute`] with prebuilt [`NetTables`] — the
-    /// allocation-light path multi-phase drivers use.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::RoundLimitExceeded`] if the protocol does not
-    /// terminate, or [`SimError::Bandwidth`] in strict mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `net` was not built for `graph` (node or edge count
-    /// mismatch — proceeding would mis-route messages and return silently
-    /// wrong results), or if the protocol stages a message in a round its
-    /// declared [`Protocol::sync_period`] marks silent — a protocol bug,
-    /// like a duplicate send on a port.
-    pub fn execute_with<P: Protocol>(
-        &self,
-        graph: &Graph,
-        protocol: &P,
-        config: &SimConfig,
-        net: &Arc<NetTables>,
-    ) -> Result<RunResult<P::State>, SimError> {
-        assert!(net.matches(graph), "NetTables built for a different graph");
-        let n = graph.n();
-        let period = protocol.sync_period().max(1);
-        let budget = engine::round_budget(config, n, period);
-        if n == 0 {
-            return Ok(RunResult {
-                states: Vec::new(),
-                metrics: Metrics {
-                    bandwidth_bits: budget,
-                    ..Metrics::default()
-                },
-            });
-        }
-        let t = self.threads.min(n).max(1);
-        let chunk = n.div_ceil(t);
-
-        let mut ctxs = net.contexts();
-
-        // The t×t transport matrix: `mailboxes[src][dst]` carries batches
-        // from shard `src` to shard `dst`, parity-double-buffered per sync
-        // (see the module docs). The same allocations shuttle back and
-        // forth for the whole run.
-        let mailboxes: Vec<Vec<MailCell<P::Msg>>> = (0..t)
-            .map(|_| (0..t).map(|_| MailCell::new()).collect())
-            .collect();
-        let barrier = SpinBarrier::new(t);
-        let flags = SharedFlags::new();
-
-        // Errors need no (round, node) ordering key anymore: the core
-        // derives every abort from the barrier-merged flags, so all
-        // shards return the identical error — first writer wins.
-        let first_error: Mutex<Option<SimError>> = Mutex::new(None);
-        let global_metrics: Mutex<Metrics> = Mutex::new(Metrics {
-            bandwidth_bits: budget,
-            ..Metrics::default()
-        });
-        let out_states: Mutex<Vec<(usize, Vec<P::State>)>> = Mutex::new(Vec::new());
-        // The fault schedule is built once, before the workers spawn, and
-        // consulted read-only: fates are pure functions of (round, node,
-        // port) and crash windows are precomputed, so every shard computes
-        // the same trace as the sequential engine (see `faults`).
-        let plane: Option<FaultPlane> = config
-            .faults
-            .as_ref()
-            .map(|f| FaultPlane::new(f, config.rng_salt, n));
-
-        // Disjoint mutable context slices, one per shard.
-        let mut ctx_chunks: Vec<&mut [NodeCtx]> = ctxs.chunks_mut(chunk).collect();
-        while ctx_chunks.len() < t {
-            ctx_chunks.push(&mut []);
-        }
-
-        std::thread::scope(|scope| {
-            for (shard, ctx_slice) in ctx_chunks.into_iter().enumerate() {
-                let start = shard * chunk;
-                let mailboxes = &mailboxes;
-                let barrier = &barrier;
-                let flags = &flags;
-                let first_error = &first_error;
-                let global_metrics = &global_metrics;
-                let out_states = &out_states;
-                let net = &net;
-                let plane = plane.as_ref();
-                scope.spawn(move || {
-                    // Poison the barrier if this worker unwinds (protocol
-                    // bug) so peers panic instead of spinning forever.
-                    let _poison = barrier.poison_guard();
-                    let (mut rngs, mut states) =
-                        engine::init_nodes(protocol, config, ctx_slice, start);
-                    let mut transport = MailboxTransport::new(
-                        shard,
-                        t,
-                        chunk,
-                        config.strict_bandwidth,
-                        mailboxes,
-                        barrier,
-                        flags,
-                    );
-                    match engine::drive(
-                        graph,
-                        protocol,
-                        config,
-                        net,
-                        ShardWorld {
-                            start,
-                            ctxs: ctx_slice,
-                            states: &mut states,
-                            rngs: &mut rngs,
-                            plane,
-                        },
-                        &mut transport,
-                    ) {
-                        Ok(mut metrics) => {
-                            // Only shard 0 reports the round count
-                            // (identical everywhere).
-                            if shard != 0 {
-                                metrics.rounds = 0;
-                            }
-                            global_metrics
-                                .lock()
-                                .expect("no poisoned lock")
-                                .absorb(&metrics);
-                            out_states
-                                .lock()
-                                .expect("no poisoned lock")
-                                .push((start, states));
+    std::thread::scope(|scope| {
+        for (shard, ctx_slice) in ctx_chunks.into_iter().enumerate() {
+            let start = shard * chunk;
+            let mailboxes = &mailboxes;
+            let barrier = &barrier;
+            let flags = &flags;
+            let first_error = &first_error;
+            let global_metrics = &global_metrics;
+            let out_states = &out_states;
+            let net = &net;
+            let plane = plane.as_ref();
+            scope.spawn(move || {
+                // Poison the barrier if this worker unwinds (protocol
+                // bug) so peers panic instead of spinning forever.
+                let _poison = barrier.poison_guard();
+                let (mut rngs, mut states) = engine::init_nodes(protocol, config, ctx_slice, start);
+                let mut transport =
+                    MailboxTransport::new(shard, t, chunk, mailboxes, barrier, flags);
+                match engine::drive(
+                    graph,
+                    protocol,
+                    config,
+                    net,
+                    ShardWorld {
+                        start,
+                        ctxs: ctx_slice,
+                        states: &mut states,
+                        rngs: &mut rngs,
+                        plane,
+                    },
+                    &mut transport,
+                ) {
+                    Ok(mut metrics) => {
+                        // Only shard 0 reports the round count
+                        // (identical everywhere).
+                        if shard != 0 {
+                            metrics.rounds = 0;
                         }
-                        Err(e) => {
-                            // Every shard computes the identical error from
-                            // the merged flags; keep the first.
-                            let mut g = first_error.lock().expect("no poisoned lock");
-                            if g.is_none() {
-                                *g = Some(e);
-                            }
+                        global_metrics
+                            .lock()
+                            .expect("no poisoned lock")
+                            .absorb(&metrics);
+                        out_states
+                            .lock()
+                            .expect("no poisoned lock")
+                            .push((start, states));
+                    }
+                    Err(e) => {
+                        // Every shard computes the identical error from
+                        // the merged flags; keep the first.
+                        let mut g = first_error.lock().expect("no poisoned lock");
+                        if g.is_none() {
+                            *g = Some(e);
                         }
                     }
-                });
-            }
-        });
-
-        if let Some(err) = first_error.into_inner().expect("no poisoned lock") {
-            return Err(err);
+                }
+            });
         }
-        let mut shards = out_states.into_inner().expect("no poisoned lock");
-        shards.sort_by_key(|&(s, _)| s);
-        let states: Vec<P::State> = shards.into_iter().flat_map(|(_, v)| v).collect();
-        let mut metrics = global_metrics.into_inner().expect("no poisoned lock");
-        metrics.bandwidth_bits = budget;
-        Ok(RunResult { states, metrics })
+    });
+
+    if let Some(err) = first_error.into_inner().expect("no poisoned lock") {
+        return Err(err);
     }
+    let mut shards = out_states.into_inner().expect("no poisoned lock");
+    shards.sort_by_key(|&(s, _)| s);
+    let states: Vec<P::State> = shards.into_iter().flat_map(|(_, v)| v).collect();
+    let metrics = global_metrics.into_inner().expect("no poisoned lock");
+    Ok(RunResult { states, metrics })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Inbox, Message, NodeCtx, NodeRng, Outbox, Port, Status};
+    use crate::{run, Inbox, Message, NodeCtx, NodeRng, Outbox, Port, RuntimeMode, Status};
     use graphs::gen;
     use rand::Rng;
+
+    /// `config` on the parallel engine with `threads` workers.
+    fn parallel(config: &SimConfig, threads: usize) -> SimConfig {
+        config.clone().with_runtime(RuntimeMode::Parallel(threads))
+    }
 
     /// Randomized gossip: each node repeatedly sends a random value to a
     /// random neighbor and tracks the sum of everything it received.
@@ -338,9 +272,9 @@ mod tests {
         let g = gen::gnp_capped(150, 0.08, 10, 77);
         let cfg = SimConfig::seeded(123);
         let p = Gossip { rounds: 25 };
-        let seq = super::super::run(&g, &p, &cfg).unwrap();
+        let seq = run(&g, &p, &cfg).unwrap();
         for threads in [1, 2, 3, 8] {
-            let par = ParallelRuntime::new(threads).execute(&g, &p, &cfg).unwrap();
+            let par = run(&g, &p, &parallel(&cfg, threads)).unwrap();
             assert_eq!(
                 seq.states.iter().map(|s| s.sum).collect::<Vec<_>>(),
                 par.states.iter().map(|s| s.sum).collect::<Vec<_>>(),
@@ -374,14 +308,10 @@ mod tests {
         let cfg = SimConfig::default()
             .with_max_rounds(5)
             .with_phase_label("forever");
-        let err = ParallelRuntime::new(3)
-            .execute(&g, &Forever, &cfg)
-            .unwrap_err();
+        let err = run(&g, &Forever, &parallel(&cfg, 3)).unwrap_err();
         // The structured watchdog diagnostics must match the sequential
         // engine's bit for bit.
-        let seq_err = super::super::SequentialRuntime
-            .execute(&g, &Forever, &cfg)
-            .unwrap_err();
+        let seq_err = run(&g, &Forever, &cfg).unwrap_err();
         assert_eq!(
             err,
             SimError::RoundLimitExceeded {
@@ -407,13 +337,13 @@ mod tests {
                 .with_crashes(120_000, 20, 5),
         ] {
             let cfg = SimConfig::seeded(123).with_faults(faults);
-            let seq = super::super::run(&g, &p, &cfg).unwrap();
+            let seq = run(&g, &p, &cfg).unwrap();
             assert!(
                 seq.metrics.faults_dropped > 0,
                 "fault plane must actually fire for the test to mean anything"
             );
             for threads in [1, 2, 3, 8] {
-                let par = ParallelRuntime::new(threads).execute(&g, &p, &cfg).unwrap();
+                let par = run(&g, &p, &parallel(&cfg, threads)).unwrap();
                 assert_eq!(
                     seq.states.iter().map(|s| s.sum).collect::<Vec<_>>(),
                     par.states.iter().map(|s| s.sum).collect::<Vec<_>>(),
@@ -432,8 +362,8 @@ mod tests {
         let p = Gossip { rounds: 15 };
         let base = SimConfig::seeded(9);
         let with_field = base.clone().without_faults();
-        let a = super::super::run(&g, &p, &base).unwrap();
-        let b = super::super::run(&g, &p, &with_field).unwrap();
+        let a = run(&g, &p, &base).unwrap();
+        let b = run(&g, &p, &with_field).unwrap();
         assert_eq!(
             a.states.iter().map(|s| s.sum).collect::<Vec<_>>(),
             b.states.iter().map(|s| s.sum).collect::<Vec<_>>()
@@ -473,14 +403,14 @@ mod tests {
             }
         }
         let g = gen::cycle(40);
-        let clean = super::super::run(&g, &CountArrivals, &SimConfig::seeded(4)).unwrap();
-        let dropped = super::super::run(
+        let clean = run(&g, &CountArrivals, &SimConfig::seeded(4)).unwrap();
+        let dropped = run(
             &g,
             &CountArrivals,
             &SimConfig::seeded(4).with_faults(FaultConfig::seeded(1).with_drops(200_000)),
         )
         .unwrap();
-        let duped = super::super::run(
+        let duped = run(
             &g,
             &CountArrivals,
             &SimConfig::seeded(4).with_faults(FaultConfig::seeded(1).with_dups(200_000)),
@@ -512,20 +442,23 @@ mod tests {
         // inside the active rounds.
         let faults = FaultConfig::seeded(3).with_crashes(300_000, 10, 4);
         let cfg = SimConfig::seeded(8).with_faults(faults);
-        let res = super::super::run(&g, &p, &cfg).unwrap();
+        let res = run(&g, &p, &cfg).unwrap();
         assert!(res.metrics.crashed_rounds > 0, "no node ever crashed");
         assert!(res.metrics.crash_drops > 0, "no message hit a crashed node");
         // Parallel engine agrees on the crash trace too.
-        let par = ParallelRuntime::new(4).execute(&g, &p, &cfg).unwrap();
+        let par = run(&g, &p, &parallel(&cfg, 4)).unwrap();
         assert_eq!(res.metrics, par.metrics);
     }
 
     #[test]
     fn parallel_empty_graph() {
         let g = gen::empty(0);
-        let res = ParallelRuntime::new(4)
-            .execute(&g, &Gossip { rounds: 3 }, &SimConfig::default())
-            .unwrap();
+        let res = run(
+            &g,
+            &Gossip { rounds: 3 },
+            &parallel(&SimConfig::default(), 4),
+        )
+        .unwrap();
         assert!(res.states.is_empty());
     }
 
@@ -534,8 +467,8 @@ mod tests {
         let g = gen::path(3);
         let p = Gossip { rounds: 5 };
         let cfg = SimConfig::seeded(5);
-        let seq = super::super::run(&g, &p, &cfg).unwrap();
-        let par = ParallelRuntime::new(64).execute(&g, &p, &cfg).unwrap();
+        let seq = run(&g, &p, &cfg).unwrap();
+        let par = run(&g, &p, &parallel(&cfg, 64)).unwrap();
         assert_eq!(
             seq.states.iter().map(|s| s.sum).collect::<Vec<_>>(),
             par.states.iter().map(|s| s.sum).collect::<Vec<_>>()
@@ -578,18 +511,15 @@ mod tests {
         }
         let g = gen::cycle(9);
         let cfg = SimConfig::default().strict();
-        let seq_err = super::super::SequentialRuntime
-            .execute(&g, &Fat, &cfg)
-            .unwrap_err();
+        let seq_err = run(&g, &Fat, &cfg).unwrap_err();
         match seq_err {
             SimError::Bandwidth { bits, .. } => assert_eq!(bits, 1 << 20),
             ref other => panic!("expected bandwidth error, got {other:?}"),
         }
         for threads in [2usize, 3, 5] {
+            let par_cfg = parallel(&cfg, threads);
             for _ in 0..3 {
-                let err = ParallelRuntime::new(threads)
-                    .execute(&g, &Fat, &cfg)
-                    .unwrap_err();
+                let err = run(&g, &Fat, &par_cfg).unwrap_err();
                 assert_eq!(err, seq_err, "error diverged with {threads} threads");
             }
         }
@@ -622,10 +552,10 @@ mod tests {
         }
         let g = gen::cycle(12);
         let caught = std::panic::catch_unwind(|| {
-            let _ = ParallelRuntime::new(4).execute(
+            let _ = run(
                 &g,
                 &Bomb,
-                &SimConfig::default().with_max_rounds(10),
+                &parallel(&SimConfig::default().with_max_rounds(10), 4),
             );
         });
         assert!(caught.is_err(), "panic must propagate, not deadlock");
@@ -639,10 +569,10 @@ mod tests {
         let threads = (2 * cores + 2).min(48);
         let g = gen::cycle(4 * threads);
         let caught = std::panic::catch_unwind(|| {
-            let _ = ParallelRuntime::new(threads).execute(
+            let _ = run(
                 &g,
                 &Bomb,
-                &SimConfig::default().with_max_rounds(10),
+                &parallel(&SimConfig::default().with_max_rounds(10), threads),
             );
         });
         assert!(caught.is_err(), "park-path panic must propagate");

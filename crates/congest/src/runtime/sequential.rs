@@ -1,110 +1,40 @@
-//! Deterministic single-threaded runtime.
+//! Deterministic single-threaded engine, selected by
+//! [`RuntimeMode::Sequential`](crate::RuntimeMode::Sequential).
 //!
-//! The round loop itself lives in [`super::engine`]; this runtime is the
+//! The round loop itself lives in [`super::engine`]; this engine is the
 //! [`engine::LocalTransport`] instantiation — one shard owning every
-//! node, no barriers, no staging. It exists as a named type because it
-//! is the *reference*: every other transport is differentially tested
-//! against it.
+//! node, no barriers, no staging, woken nodes stepped in index order
+//! each round. It is the *reference*: every other transport is
+//! differentially tested against it.
 
-use super::engine::{self, LocalTransport, ShardWorld};
+use super::engine::{self, LocalTransport};
 use super::{RunResult, SimError};
-use crate::faults::FaultPlane;
-use crate::{Metrics, NetTables, Protocol, SimConfig};
+use crate::{NetTables, Protocol, SimConfig};
 use graphs::Graph;
 use std::sync::Arc;
 
-/// Single-threaded engine: woken nodes are stepped in index order each
-/// round (see the [module docs](crate::runtime) for the active-set
-/// scheduling contract; [`Scheduling::AlwaysStep`](crate::Scheduling)
-/// forces the classic every-node schedule).
-///
-/// This is the reference implementation; the parallel and netplane
-/// runtimes are validated against it. All three share the round loop in
-/// [`crate::runtime`]'s private `engine` module, so a protocol behaves
-/// bit-identically on each — what this runtime pins down is the
-/// *transport-free* observable behavior the others must reproduce.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SequentialRuntime;
-
-impl SequentialRuntime {
-    /// Runs `protocol` to unanimous [`Status::Done`](crate::Status),
-    /// building the network tables on the fly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::RoundLimitExceeded`] if the protocol does not
-    /// terminate, or [`SimError::Bandwidth`] in strict mode.
-    pub fn execute<P: Protocol>(
-        &self,
-        graph: &Graph,
-        protocol: &P,
-        config: &SimConfig,
-    ) -> Result<RunResult<P::State>, SimError> {
-        self.execute_with(graph, protocol, config, &NetTables::build(graph, config))
-    }
-
-    /// [`SequentialRuntime::execute`] with prebuilt [`NetTables`] — the
-    /// allocation-light path multi-phase drivers use.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::RoundLimitExceeded`] if the protocol does not
-    /// terminate, or [`SimError::Bandwidth`] in strict mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `net` was not built for `graph` (node or edge count
-    /// mismatch — proceeding would mis-route messages and return silently
-    /// wrong results), or if the protocol stages a message in a round its
-    /// declared [`Protocol::sync_period`] marks silent — a protocol bug,
-    /// like a duplicate send on a port.
-    pub fn execute_with<P: Protocol>(
-        &self,
-        graph: &Graph,
-        protocol: &P,
-        config: &SimConfig,
-        net: &Arc<NetTables>,
-    ) -> Result<RunResult<P::State>, SimError> {
-        assert!(net.matches(graph), "NetTables built for a different graph");
-        let n = graph.n();
-        let period = protocol.sync_period().max(1);
-        let mut ctxs = net.contexts();
-        let (mut rngs, mut states) = engine::init_nodes(protocol, config, &ctxs, 0);
-        if n == 0 {
-            return Ok(RunResult {
-                states,
-                metrics: Metrics {
-                    bandwidth_bits: engine::round_budget(config, n, period),
-                    ..Metrics::default()
-                },
-            });
-        }
-        let plane = config
-            .faults
-            .as_ref()
-            .map(|f| FaultPlane::new(f, config.rng_salt, n));
-        let metrics = engine::drive(
-            graph,
-            protocol,
-            config,
-            net,
-            ShardWorld {
-                start: 0,
-                ctxs: &mut ctxs,
-                states: &mut states,
-                rngs: &mut rngs,
-                plane: plane.as_ref(),
-            },
-            &mut LocalTransport,
-        )?;
-        Ok(RunResult { states, metrics })
-    }
+/// Runs `protocol` over every node of `graph` on the calling thread.
+pub(super) fn execute<P: Protocol>(
+    graph: &Graph,
+    protocol: &P,
+    config: &SimConfig,
+    net: &Arc<NetTables>,
+) -> Result<RunResult<P::State>, SimError> {
+    engine::run_range(
+        graph,
+        protocol,
+        config,
+        net,
+        0..graph.n(),
+        &mut LocalTransport,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Inbox, Message, NodeCtx, NodeRng, Outbox, Scheduling, Status, Wake};
+    use crate::faults::FaultPlane;
+    use crate::{run, Inbox, Message, Metrics, NodeCtx, NodeRng, Outbox, Scheduling, Status, Wake};
     use graphs::gen;
 
     /// Flood the maximum identifier: classic O(diameter) protocol.
@@ -158,7 +88,7 @@ mod tests {
             ids: crate::IdAssignment::Sequential,
             ..SimConfig::default()
         };
-        let res = SequentialRuntime.execute(&g, &MaxFlood, &cfg).unwrap();
+        let res = run(&g, &MaxFlood, &cfg).unwrap();
         assert!(res.states.iter().all(|s| s.best == 15));
         // The max must travel the diameter; rounds is Θ(n) on a path.
         assert!(res.metrics.rounds >= 15, "rounds = {}", res.metrics.rounds);
@@ -185,15 +115,14 @@ mod tests {
             }
         }
         let g = gen::path(3);
-        let err = SequentialRuntime
-            .execute(
-                &g,
-                &Forever,
-                &SimConfig::default()
-                    .with_max_rounds(10)
-                    .with_phase_label("forever"),
-            )
-            .unwrap_err();
+        let err = run(
+            &g,
+            &Forever,
+            &SimConfig::default()
+                .with_max_rounds(10)
+                .with_phase_label("forever"),
+        )
+        .unwrap_err();
         // Forever never sends and never changes its vote after round 0:
         // all 3 nodes live, no progress ever.
         assert_eq!(
@@ -239,17 +168,13 @@ mod tests {
             }
         }
         let g = gen::path(3);
-        let err = SequentialRuntime
-            .execute(&g, &Fat, &SimConfig::default().strict())
-            .unwrap_err();
+        let err = run(&g, &Fat, &SimConfig::default().strict()).unwrap_err();
         match err {
             SimError::Bandwidth { bits, .. } => assert_eq!(bits, 1 << 20),
             other => panic!("expected bandwidth error, got {other:?}"),
         }
         // Non-strict mode records instead of aborting.
-        let res = SequentialRuntime
-            .execute(&g, &Fat, &SimConfig::default())
-            .unwrap();
+        let res = run(&g, &Fat, &SimConfig::default()).unwrap();
         assert_eq!(res.metrics.bandwidth_violations, 4); // 2 inner edges × 2 endpoints... path(3) has 2 edges = 4 directed
         assert!(!res.metrics.is_congest_compliant());
     }
@@ -257,9 +182,7 @@ mod tests {
     #[test]
     fn empty_graph_terminates_immediately() {
         let g = gen::empty(0);
-        let res = SequentialRuntime
-            .execute(&g, &MaxFlood, &SimConfig::default())
-            .unwrap();
+        let res = run(&g, &MaxFlood, &SimConfig::default()).unwrap();
         assert_eq!(res.metrics.rounds, 0);
         assert!(res.states.is_empty());
     }
@@ -267,9 +190,7 @@ mod tests {
     #[test]
     fn isolated_nodes_run_and_finish() {
         let g = gen::empty(5);
-        let res = SequentialRuntime
-            .execute(&g, &MaxFlood, &SimConfig::default())
-            .unwrap();
+        let res = run(&g, &MaxFlood, &SimConfig::default()).unwrap();
         // Every node keeps its own ident (no one to talk to).
         let mut bests: Vec<u64> = res.states.iter().map(|s| s.best).collect();
         bests.sort_unstable();
@@ -279,9 +200,7 @@ mod tests {
     #[test]
     fn message_metrics_counted() {
         let g = gen::cycle(4);
-        let res = SequentialRuntime
-            .execute(&g, &MaxFlood, &SimConfig::default())
-            .unwrap();
+        let res = run(&g, &MaxFlood, &SimConfig::default()).unwrap();
         assert!(res.metrics.messages > 0);
         assert!(res.metrics.total_bits >= res.metrics.messages);
         assert!(res.metrics.max_message_bits <= 3); // idents 0..3 fit in ≤2 bits, +min 1
@@ -333,9 +252,7 @@ mod tests {
             period: 3,
             pulses: 4,
         };
-        let res = SequentialRuntime
-            .execute(&g, &p, &SimConfig::seeded(2))
-            .unwrap();
+        let res = run(&g, &p, &SimConfig::seeded(2)).unwrap();
         // Done votes only count at rounds ≡ 0 (mod 3): the first unanimous
         // one is round 12 (pulse index 4), so 13 rounds execute.
         assert_eq!(res.metrics.rounds, 13);
@@ -389,19 +306,16 @@ mod tests {
     #[test]
     fn parking_steps_only_the_frontier() {
         let g = gen::star(4); // hub + 4 leaves
-        let active = SequentialRuntime
-            .execute(&g, &WakeOnPing, &SimConfig::default())
-            .unwrap();
-        let reference = SequentialRuntime
-            .execute(
-                &g,
-                &WakeOnPing,
-                &SimConfig {
-                    scheduling: Scheduling::AlwaysStep,
-                    ..SimConfig::default()
-                },
-            )
-            .unwrap();
+        let active = run(&g, &WakeOnPing, &SimConfig::default()).unwrap();
+        let reference = run(
+            &g,
+            &WakeOnPing,
+            &SimConfig {
+                scheduling: Scheduling::AlwaysStep,
+                ..SimConfig::default()
+            },
+        )
+        .unwrap();
         // Identical observables: terminate at round 3 (leaves' Done lands
         // one round after the ping), one ping per leaf.
         assert_eq!(active.metrics.rounds, 4);
@@ -477,19 +391,16 @@ mod tests {
     #[test]
     fn reparking_wakes_exactly_once_per_pending_target() {
         let g = Graph::from_edges(8, &[(0, 1), (2, 3), (4, 5), (6, 7)]).unwrap();
-        let active = SequentialRuntime
-            .execute(&g, &Repark, &SimConfig::default())
-            .unwrap();
-        let reference = SequentialRuntime
-            .execute(
-                &g,
-                &Repark,
-                &SimConfig {
-                    scheduling: Scheduling::AlwaysStep,
-                    ..SimConfig::default()
-                },
-            )
-            .unwrap();
+        let active = run(&g, &Repark, &SimConfig::default()).unwrap();
+        let reference = run(
+            &g,
+            &Repark,
+            &SimConfig {
+                scheduling: Scheduling::AlwaysStep,
+                ..SimConfig::default()
+            },
+        )
+        .unwrap();
         // Hand-counted steps per node. Pingers step at round 0, at each
         // ping, and at the end. Sleepers, by pair:
         // 0: rounds 0, 4 (early arrival, re-parks to 10), 10;
@@ -545,7 +456,7 @@ mod tests {
         let plane = FaultPlane::new(&fc, cfg.rng_salt, n);
         let crashed = (0..n).filter(|&v| plane.is_crashed(v, 9)).count();
         assert!(crashed > 0, "plane must crash someone for this test");
-        let err = SequentialRuntime.execute(&g, &Forever, &cfg).unwrap_err();
+        let err = run(&g, &Forever, &cfg).unwrap_err();
         let expect = SimError::RoundLimitExceeded {
             limit: 10,
             phase: String::new(),
@@ -554,9 +465,8 @@ mod tests {
         };
         assert_eq!(err, expect);
         // Engine-identical diagnostic.
-        let perr = crate::runtime::ParallelRuntime::new(4)
-            .execute(&g, &Forever, &cfg)
-            .unwrap_err();
+        let par_cfg = cfg.clone().with_runtime(crate::RuntimeMode::Parallel(4));
+        let perr = run(&g, &Forever, &par_cfg).unwrap_err();
         assert_eq!(perr, expect);
     }
 
@@ -585,6 +495,6 @@ mod tests {
             }
         }
         let g = gen::cycle(4);
-        let _ = SequentialRuntime.execute(&g, &Liar, &SimConfig::default().with_max_rounds(10));
+        let _ = run(&g, &Liar, &SimConfig::default().with_max_rounds(10));
     }
 }

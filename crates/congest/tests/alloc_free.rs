@@ -150,7 +150,8 @@ fn steady_state_rounds_do_not_allocate() {
         warm_round: 30,
         park: false,
     };
-    let res = congest::run_parallel(&g, &proto, &SimConfig::seeded(5), 3).expect("run");
+    let par_cfg = SimConfig::seeded(5).with_runtime(congest::RuntimeMode::Parallel(3));
+    let res = congest::run(&g, &proto, &par_cfg).expect("run");
     assert_eq!(res.metrics.rounds, 200);
     let warm = WARM_SNAPSHOT.load(Ordering::Relaxed);
     let late = LATE_SNAPSHOT.load(Ordering::Relaxed);
@@ -187,7 +188,8 @@ fn steady_state_rounds_do_not_allocate() {
         warm_round: 30,
         park: false,
     };
-    let res = congest::run_parallel(&g, &proto, &dup_cfg, 3).expect("run");
+    let par_cfg = dup_cfg.with_runtime(congest::RuntimeMode::Parallel(3));
+    let res = congest::run(&g, &proto, &par_cfg).expect("run");
     assert_eq!(res.metrics.rounds, 200);
     let warm = WARM_SNAPSHOT.load(Ordering::Relaxed);
     let late = LATE_SNAPSHOT.load(Ordering::Relaxed);

@@ -87,7 +87,8 @@ fn no_lost_duplicated_or_reordered_deliveries() {
                 let cfg = SimConfig::seeded(seed ^ u64::from(density));
                 let seq = congest::run(&g, &proto, &cfg).expect("sequential");
                 for threads in [1usize, 2, 3, 5, 8, 13] {
-                    let par = congest::run_parallel(&g, &proto, &cfg, threads).expect("parallel");
+                    let par_cfg = cfg.clone().with_runtime(RuntimeMode::Parallel(threads));
+                    let par = congest::run(&g, &proto, &par_cfg).expect("parallel");
                     assert_eq!(
                         seq.states, par.states,
                         "{name}: trace diverged (density {density}, {threads} threads)"
@@ -155,7 +156,8 @@ fn round_batched_protocols_equivalent_across_engines() {
             // first unanimous one is round `bursts * period`.
             assert_eq!(seq.metrics.rounds, 5 * period + 1, "{name}");
             for threads in [2usize, 4, 8] {
-                let par = congest::run_parallel(&g, &proto, &cfg, threads).expect("parallel");
+                let par_cfg = cfg.clone().with_runtime(RuntimeMode::Parallel(threads));
+                let par = congest::run(&g, &proto, &par_cfg).expect("parallel");
                 assert_eq!(
                     seq.states, par.states,
                     "{name}: trace diverged (period {period}, {threads} threads)"
@@ -212,7 +214,13 @@ fn parallel_silent_round_send_panics_cleanly() {
     }
     let g = gen::cycle(9);
     let caught = std::panic::catch_unwind(|| {
-        let _ = congest::run_parallel(&g, &Liar, &SimConfig::default().with_max_rounds(9), 3);
+        let _ = congest::run(
+            &g,
+            &Liar,
+            &SimConfig::default()
+                .with_max_rounds(9)
+                .with_runtime(RuntimeMode::Parallel(3)),
+        );
     });
     assert!(caught.is_err(), "silent-round send must panic, not hang");
 }
@@ -231,7 +239,8 @@ fn dense_volume_with_ragged_shards() {
     let seq = congest::run(&g, &proto, &cfg).expect("sequential");
     assert!(seq.metrics.messages > 10_000, "stress must be dense");
     for threads in [3usize, 7, 10] {
-        let par = congest::run_parallel(&g, &proto, &cfg, threads).expect("parallel");
+        let par_cfg = cfg.clone().with_runtime(RuntimeMode::Parallel(threads));
+        let par = congest::run(&g, &proto, &par_cfg).expect("parallel");
         assert_eq!(seq.states, par.states, "{threads} threads");
     }
 }

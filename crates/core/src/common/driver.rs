@@ -118,8 +118,7 @@ impl<'g> Driver<'g> {
     }
 
     /// The identifier assignment of this driver's network, from the cached
-    /// tables — what each node sees as `ctx.ident` in every phase. Free;
-    /// prefer this over `congest::assigned_idents` when a driver exists.
+    /// tables — what each node sees as `ctx.ident` in every phase.
     #[must_use]
     pub fn idents(&self) -> &[u64] {
         self.net.idents()

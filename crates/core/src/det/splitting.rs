@@ -486,7 +486,7 @@ mod tests {
     fn derand_split_satisfies_definition() {
         let g = gen::random_regular(120, 16, 3);
         let cfg = SimConfig::seeded(5);
-        let idents = congest::assigned_idents(&g, &cfg);
+        let idents = congest::NetTables::build(&g, &cfg).idents().to_vec();
         let decomposition = decomp::oracle::decompose_power(&g, 2, None);
         let part = vec![0u32; g.n()];
         let lambda = 0.45;
@@ -517,7 +517,7 @@ mod tests {
         // argument must keep both sides below (1+λ)(n-1)/2.
         let g = gen::clique(40);
         let cfg = SimConfig::seeded(9);
-        let idents = congest::assigned_idents(&g, &cfg);
+        let idents = congest::NetTables::build(&g, &cfg).idents().to_vec();
         let d = decomp::oracle::decompose_power(&g, 2, None);
         let part = vec![0u32; g.n()];
         let proto = DerandSplit::new(&g, &d, &idents, part.clone(), 0.5, 10);

@@ -886,7 +886,7 @@ mod tests {
         let view = graphs::D2View::build(&g);
         let cfg = SimConfig::seeded(9);
         let (states, _, _) = run_lp(&g, 1, 9);
-        let idents = congest::assigned_idents(&g, &cfg);
+        let idents = congest::NetTables::build(&g, &cfg).idents().to_vec();
         let colors: Vec<u32> = states.iter().map(|s| s.color).collect();
         for v in 0..g.n() as u32 {
             let mut expect: Vec<u64> = view

@@ -124,7 +124,8 @@ fn similarity_steady_state_rounds_do_not_allocate() {
         warm_round: 14,
         late_round: 19,
     };
-    let res = congest::run_parallel(&g, &proto, &cfg, 3).expect("parallel run");
+    let par_cfg = cfg.clone().with_runtime(congest::RuntimeMode::Parallel(3));
+    let res = congest::run(&g, &proto, &par_cfg).expect("parallel run");
     assert!(res.metrics.rounds > 21);
     let warm = WARM_SNAPSHOT.load(Ordering::Relaxed);
     let late = LATE_SNAPSHOT.load(Ordering::Relaxed);

@@ -49,7 +49,8 @@ fn main() -> Result<(), SimError> {
     // Runtime equivalence on a raw protocol phase (experiment E12).
     let proto = d2core::rand::trials::RandomTrials::new(g.max_degree() as u32 * 4, 10);
     let seq = congest::run(&g, &proto, &cfg)?;
-    let par = congest::run_parallel(&g, &proto, &cfg, 4)?;
+    let par_cfg = cfg.clone().with_runtime(congest::RuntimeMode::Parallel(4));
+    let par = congest::run(&g, &proto, &par_cfg)?;
     let seq_colors: Vec<u32> = seq.states.iter().map(|s| s.trial.color()).collect();
     let par_colors: Vec<u32> = par.states.iter().map(|s| s.trial.color()).collect();
     assert_eq!(seq_colors, par_colors);

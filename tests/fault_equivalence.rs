@@ -18,7 +18,7 @@
 //! * The repair-after-churn pipeline is differentially checked end to
 //!   end: same damage set, same repaired coloring, same metrics.
 
-use congest::FaultConfig;
+use congest::{FaultConfig, RuntimeMode};
 use d2color::prelude::*;
 use graphs::D2View;
 
@@ -73,7 +73,7 @@ fn pipelines_under_message_drops_are_engine_identical() {
                      color vector"
                 );
                 for t in thread_counts() {
-                    let cfg = seq_cfg.clone().with_threads(Some(t));
+                    let cfg = seq_cfg.clone().with_runtime(RuntimeMode::Parallel(t));
                     let det_par = d2core::det::small::run(&g, &params, &cfg).expect("det par");
                     assert_identical(
                         &format!("{name}/{drop_ppm}ppm/det/t{t}"),
@@ -88,7 +88,7 @@ fn pipelines_under_message_drops_are_engine_identical() {
                         &rand_par,
                     );
                 }
-                let auto_cfg = seq_cfg.clone().auto(4);
+                let auto_cfg = seq_cfg.clone().with_runtime(RuntimeMode::Auto(4));
                 let det_auto = d2core::det::small::run(&g, &params, &auto_cfg).expect("det auto");
                 assert_identical(
                     &format!("{name}/{drop_ppm}ppm/det/auto"),
@@ -145,18 +145,14 @@ fn duplicates_and_crashes_are_engine_identical() {
                 _ => {}
             }
             for t in thread_counts() {
-                let par = congest::run_parallel(&g, &proto, &cfg, t).expect("par");
+                let par_cfg = cfg.clone().with_runtime(RuntimeMode::Parallel(t));
+                let par = congest::run(&g, &proto, &par_cfg).expect("par");
                 let par_colors: Vec<u32> = par.states.iter().map(|s| s.trial.color()).collect();
                 assert_eq!(seq_colors, par_colors, "{gname}/{fname}/t{t}: colors");
                 assert_eq!(seq.metrics, par.metrics, "{gname}/{fname}/t{t}: metrics");
             }
-            let auto = congest::run_with(
-                &g,
-                &proto,
-                &cfg.clone().auto(4),
-                &congest::NetTables::build(&g, &cfg),
-            )
-            .expect("auto");
+            let auto = congest::run(&g, &proto, &cfg.clone().with_runtime(RuntimeMode::Auto(4)))
+                .expect("auto");
             let auto_colors: Vec<u32> = auto.states.iter().map(|s| s.trial.color()).collect();
             assert_eq!(seq_colors, auto_colors, "{gname}/{fname}/auto: colors");
             assert_eq!(seq.metrics, auto.metrics, "{gname}/{fname}/auto: metrics");
@@ -208,14 +204,14 @@ fn round_limit_diagnostics_are_engine_identical() {
         }
     );
     for t in thread_counts() {
-        let err = congest::run_parallel(&g, &GoesQuiet, &cfg, t).unwrap_err();
+        let par_cfg = cfg.clone().with_runtime(RuntimeMode::Parallel(t));
+        let err = congest::run(&g, &GoesQuiet, &par_cfg).unwrap_err();
         assert_eq!(err, seq_err, "t{t}: watchdog diagnostics diverged");
     }
-    let auto_err = congest::run_with(
+    let auto_err = congest::run(
         &g,
         &GoesQuiet,
-        &cfg.clone().auto(4),
-        &congest::NetTables::build(&g, &cfg),
+        &cfg.clone().with_runtime(RuntimeMode::Auto(4)),
     )
     .unwrap_err();
     assert_eq!(auto_err, seq_err, "auto: watchdog diagnostics diverged");
@@ -272,7 +268,7 @@ fn repair_after_churn_is_engine_identical() {
         "sequential repair left conflicts"
     );
     for t in thread_counts() {
-        let cfg = seq_cfg.clone().with_threads(Some(t));
+        let cfg = seq_cfg.clone().with_runtime(RuntimeMode::Parallel(t));
         let par = d2core::repair(&churned.graph, &view, &colors, &churned.touched, &cfg)
             .expect("par repair");
         assert_eq!(seq.damaged, par.damaged, "t{t}: damage sets diverged");
@@ -280,7 +276,7 @@ fn repair_after_churn_is_engine_identical() {
         assert_eq!(seq.metrics, par.metrics, "t{t}: repair metrics diverged");
         assert_eq!(seq.palette_drift(), par.palette_drift(), "t{t}: drift");
     }
-    let auto_cfg = seq_cfg.clone().auto(4);
+    let auto_cfg = seq_cfg.clone().with_runtime(RuntimeMode::Auto(4));
     let auto = d2core::repair(&churned.graph, &view, &colors, &churned.touched, &auto_cfg)
         .expect("auto repair");
     assert_eq!(seq.colors, auto.colors, "auto: repaired colorings diverged");
@@ -330,7 +326,7 @@ fn churn_repair_under_drop_plane_is_engine_identical() {
     );
     assert_eq!(seq.metrics.faults_dropped, 0, "repair must strip the plane");
     for t in [2, 4] {
-        let cfg = drop_cfg.clone().with_threads(Some(t));
+        let cfg = drop_cfg.clone().with_runtime(RuntimeMode::Parallel(t));
         let par = d2core::repair(&churned.graph, &view, &colors, &churned.touched, &cfg)
             .expect("par repair");
         assert_eq!(seq.damaged, par.damaged, "t{t}: damage sets diverged");
@@ -373,4 +369,109 @@ fn repair_is_fault_free_even_with_a_plane_attached() {
     assert_eq!(clean.metrics, noisy.metrics);
     assert_eq!(noisy.metrics.faults_dropped, 0);
     assert_eq!(noisy.metrics.crashed_rounds, 0);
+}
+
+/// Termination oracle under crash planes, including the schedules no
+/// other test pins: `AlwaysStep` with crashes, and crashes with
+/// `sync_period > 1`. Node `v` votes `Running` until round
+/// `t_v = 7v mod 29`, then `Done`, and never sends. A run must end one
+/// round after the first communication round `r` at which every node not
+/// crashed at `r` has `r ≥ t_v` (crashed nodes vote `Done` implicitly),
+/// and charge each crash window's overlap with the executed rounds.
+#[test]
+fn crash_plane_termination_matches_the_oracle() {
+    use congest::{
+        FaultPlane, Inbox, NodeCtx, NodeRng, Outbox, Protocol, Scheduling, Status, Wake,
+    };
+
+    /// Period `.0`; under `ActiveSet` a node parks until the first
+    /// communication round at or after its deadline.
+    struct Countdown(u64);
+    fn deadline(v: usize) -> u64 {
+        (7 * v as u64) % 29
+    }
+    impl Protocol for Countdown {
+        type State = ();
+        type Msg = ();
+        fn init(&self, _: &NodeCtx, _: &mut NodeRng) {}
+        fn round(
+            &self,
+            _: &mut (),
+            ctx: &NodeCtx,
+            _: &mut NodeRng,
+            _: &Inbox<()>,
+            _: &mut Outbox<()>,
+        ) -> Status {
+            if ctx.round < deadline(ctx.index as usize) {
+                Status::Running
+            } else {
+                Status::Done
+            }
+        }
+        fn next_wake(&self, _: &(), ctx: &NodeCtx, status: Status) -> Wake {
+            match status {
+                Status::Running => Wake::At(deadline(ctx.index as usize).next_multiple_of(self.0)),
+                Status::Done => Wake::Message,
+            }
+        }
+        fn sync_period(&self) -> u64 {
+            self.0
+        }
+    }
+
+    let n = 60;
+    let g = graphs::gen::cycle(n);
+    for (plane_name, faults) in [
+        (
+            "recovering",
+            Some(FaultConfig::seeded(137).with_crashes(500_000, 30, 6)),
+        ),
+        (
+            "never-recovering",
+            Some(FaultConfig::seeded(137).with_crashes(500_000, 30, u64::MAX)),
+        ),
+        ("no plane", None),
+    ] {
+        let base = match &faults {
+            Some(f) => SimConfig::seeded(6).with_faults(f.clone()),
+            None => SimConfig::seeded(6),
+        };
+        let plane = faults.map(|f| FaultPlane::new(&f, base.rng_salt, n));
+        let crashed = |v: usize, r: u64| plane.as_ref().is_some_and(|p| p.is_crashed(v, r));
+        for period in [1u64, 3] {
+            let last = (0..)
+                .step_by(period as usize)
+                .find(|&r| (0..n).all(|v| crashed(v, r) || r >= deadline(v)))
+                .expect("every deadline passes");
+            let rounds = last + 1;
+            // The latest deadline is 28: both planes must end the run
+            // earlier, or this test would not exercise them.
+            let fault_free = 28u64.next_multiple_of(period) + 1;
+            assert_eq!(
+                rounds < fault_free,
+                plane.is_some(),
+                "{plane_name}/p{period}"
+            );
+            let crashed_rounds: u64 = plane.as_ref().map_or(0, |p| {
+                (0..n)
+                    .filter_map(|v| p.crash_window(v))
+                    .map(|(s, e)| e.min(rounds) - s.min(rounds))
+                    .sum()
+            });
+            let runtimes = std::iter::once(RuntimeMode::Sequential)
+                .chain(thread_counts().into_iter().map(RuntimeMode::Parallel));
+            for runtime in runtimes {
+                for scheduling in [Scheduling::AlwaysStep, Scheduling::ActiveSet] {
+                    let cfg = base
+                        .clone()
+                        .with_runtime(runtime)
+                        .with_scheduling(scheduling);
+                    let label = format!("{plane_name}/p{period}/{runtime:?}/{scheduling:?}");
+                    let res = congest::run(&g, &Countdown(period), &cfg).expect(&label);
+                    assert_eq!(res.metrics.rounds, rounds, "{label}: rounds");
+                    assert_eq!(res.metrics.crashed_rounds, crashed_rounds, "{label}");
+                }
+            }
+        }
+    }
 }

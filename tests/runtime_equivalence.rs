@@ -10,6 +10,7 @@
 //! variable pins a single count so CI can matrix the suite over
 //! `--threads {1, 4}` without recompiling.
 
+use congest::RuntimeMode;
 use d2color::prelude::*;
 use graphs::D2View;
 
@@ -90,13 +91,13 @@ fn differential_sweep_det_and_rand_pipelines() {
                 "{name}: rand reference invalid"
             );
             for t in thread_counts() {
-                let cfg = SimConfig::seeded(seed).with_threads(Some(t));
+                let cfg = SimConfig::seeded(seed).with_runtime(RuntimeMode::Parallel(t));
                 let det_par = d2core::det::small::run(&g, &params, &cfg).expect("det par");
                 assert_identical(&name, &format!("parallel-{t}/det"), &det_seq, &det_par);
                 let rand_par = d2core::rand::driver::improved(&g, &params, &cfg).expect("rand par");
                 assert_identical(&name, &format!("parallel-{t}/rand"), &rand_seq, &rand_par);
             }
-            let auto_cfg = SimConfig::seeded(seed).auto(4);
+            let auto_cfg = SimConfig::seeded(seed).with_runtime(RuntimeMode::Auto(4));
             let det_auto = d2core::det::small::run(&g, &params, &auto_cfg).expect("det auto");
             assert_identical(&name, "auto/det", &det_seq, &det_auto);
             let rand_auto =
@@ -134,7 +135,7 @@ fn active_set_matches_always_step_reference() {
             ),
         ];
         for t in thread_counts() {
-            let cfg = act_cfg.clone().with_threads(Some(t));
+            let cfg = act_cfg.clone().with_runtime(RuntimeMode::Parallel(t));
             cells.push((
                 "det/par",
                 det_ref.clone(),
@@ -174,11 +175,10 @@ fn active_set_matches_always_step_reference() {
 /// engine on a multicore host (the sweep above only exercises auto's
 /// sequential resolution — those graphs are small). The policy decision is
 /// asserted against an explicit core count; the engine auto would dispatch
-/// to is then differentially checked at that size, and `run_with` under
+/// to is then differentially checked at that size, and `run` under
 /// auto must match the reference on whatever this host resolves to.
 #[test]
 fn auto_mode_parallel_resolution_is_bit_identical() {
-    use congest::RuntimeMode;
     let g = graphs::gen::random_regular(2600, 6, 5);
     assert_eq!(
         RuntimeMode::Auto(4).resolve_for(&g, 8),
@@ -192,12 +192,12 @@ fn auto_mode_parallel_resolution_is_bit_identical() {
     );
     let proto = d2core::rand::trials::RandomTrials::new(37, 12);
     let seq = congest::run(&g, &proto, &SimConfig::seeded(8)).expect("seq");
-    let par = congest::run_parallel(&g, &proto, &SimConfig::seeded(8), 4).expect("par");
-    let auto = congest::run_with(
+    let par_cfg = SimConfig::seeded(8).with_runtime(RuntimeMode::Parallel(4));
+    let par = congest::run(&g, &proto, &par_cfg).expect("par");
+    let auto = congest::run(
         &g,
         &proto,
-        &SimConfig::seeded(8).auto(4),
-        &congest::NetTables::build(&g, &SimConfig::seeded(8)),
+        &SimConfig::seeded(8).with_runtime(RuntimeMode::Auto(4)),
     )
     .expect("auto");
     let a: Vec<u32> = seq.states.iter().map(|s| s.trial.color()).collect();
@@ -262,19 +262,19 @@ fn strict_bandwidth_error_ordering_differential() {
         };
         assert!(round >= 1, "{name}: violations start at round 1");
         for t in thread_counts() {
+            let par_cfg = cfg.clone().with_runtime(RuntimeMode::Parallel(t));
             for repeat in 0..3 {
-                let err = congest::run_parallel(&g, &Staggered, &cfg, t).unwrap_err();
+                let err = congest::run(&g, &Staggered, &par_cfg).unwrap_err();
                 assert_eq!(
                     err, seq_err,
                     "{name}: error diverged with {t} threads (repeat {repeat})"
                 );
             }
         }
-        let auto_err = congest::run_with(
+        let auto_err = congest::run(
             &g,
             &Staggered,
-            &cfg.clone().auto(4),
-            &congest::NetTables::build(&g, &cfg),
+            &cfg.clone().with_runtime(RuntimeMode::Auto(4)),
         )
         .unwrap_err();
         assert_eq!(auto_err, seq_err, "{name}: auto mode error diverged");
@@ -288,7 +288,8 @@ fn random_trials_equivalent_across_runtimes() {
     let cfg = SimConfig::seeded(5);
     let seq = congest::run(&g, &proto, &cfg).expect("sequential");
     for threads in [2, 5, 16] {
-        let par = congest::run_parallel(&g, &proto, &cfg, threads).expect("parallel");
+        let par_cfg = cfg.clone().with_runtime(RuntimeMode::Parallel(threads));
+        let par = congest::run(&g, &proto, &par_cfg).expect("parallel");
         let a: Vec<u32> = seq.states.iter().map(|s| s.trial.color()).collect();
         let b: Vec<u32> = par.states.iter().map(|s| s.trial.color()).collect();
         assert_eq!(a, b, "divergence with {threads} threads");
@@ -304,7 +305,7 @@ fn full_deterministic_pipeline_equivalent_via_driver() {
     let seq = d2core::det::small::run(&g, &params, &cfg).expect("seq");
     // The driver runs sequentially; rebuild with a parallel driver.
     let scope = d2core::det::Scope::full_d2(&g);
-    let mut driver = d2core::Driver::new(&g, cfg.with_runtime(congest::RuntimeMode::Parallel(4)));
+    let mut driver = d2core::Driver::new(&g, cfg.with_runtime(RuntimeMode::Parallel(4)));
     let colors = d2core::det::small::pipeline(&mut driver, &scope).expect("par pipeline");
     let par = driver.finish(colors);
     assert_eq!(seq.colors, par.colors);
@@ -318,7 +319,8 @@ fn similarity_construction_equivalent() {
     let cfg = SimConfig::seeded(7);
     let proto = d2core::rand::similarity::ExactSimilarity::new(cfg.bandwidth_bits(g.n()));
     let seq = congest::run(&g, &proto, &cfg).expect("seq");
-    let par = congest::run_parallel(&g, &proto, &cfg, 3).expect("par");
+    let par_cfg = cfg.clone().with_runtime(RuntimeMode::Parallel(3));
+    let par = congest::run(&g, &proto, &par_cfg).expect("par");
     for (a, b) in seq.states.iter().zip(&par.states) {
         assert_eq!(a.knowledge, b.knowledge);
     }
@@ -344,7 +346,8 @@ fn similarity_knowledge_is_sync_period_invariant() {
         let proto = d2core::rand::similarity::ExactSimilarity::new(budget).with_period(p);
         let seq = congest::run(&g, &proto, &cfg).expect("seq");
         for t in thread_counts() {
-            let par = congest::run_parallel(&g, &proto, &cfg, t).expect("par");
+            let par_cfg = cfg.clone().with_runtime(RuntimeMode::Parallel(t));
+            let par = congest::run(&g, &proto, &par_cfg).expect("par");
             assert_eq!(seq.metrics, par.metrics, "p={p} t={t} metrics diverge");
             for (a, b) in seq.states.iter().zip(&par.states) {
                 assert_eq!(a.knowledge, b.knowledge, "p={p} t={t}");
@@ -382,7 +385,7 @@ fn rand_pipeline_sync_period_equivalent_across_engines() {
             "period {period}: invalid coloring"
         );
         for t in thread_counts() {
-            let cfg = seq_cfg.clone().with_threads(Some(t));
+            let cfg = seq_cfg.clone().with_runtime(RuntimeMode::Parallel(t));
             let par = d2core::rand::driver::improved(&g, &params, &cfg).expect("par");
             assert_eq!(seq.colors, par.colors, "period {period} t={t}");
             assert_eq!(seq.metrics, par.metrics, "period {period} t={t}");

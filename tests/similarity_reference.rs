@@ -426,7 +426,8 @@ fn streaming_exact_matches_buffered_reference() {
                     "{label}: metrics diverged (the fold must be receiver-side only)"
                 );
                 assert_states_identical(&label, &s_seq.states, &b_seq.states);
-                let s_par = congest::run_parallel(&g, &stream_proto, &cfg, 3).expect("par");
+                let par_cfg = cfg.clone().with_runtime(congest::RuntimeMode::Parallel(3));
+                let s_par = congest::run(&g, &stream_proto, &par_cfg).expect("par");
                 assert_eq!(s_seq.metrics, s_par.metrics, "{label}: engine metrics");
                 assert_states_identical(&format!("{label}/par"), &s_par.states, &b_seq.states);
             }
@@ -458,7 +459,8 @@ fn streaming_sampled_matches_buffered_reference() {
                 let b_seq = congest::run(&g, &buf_proto, &cfg).expect("buffered seq");
                 assert_eq!(s_seq.metrics, b_seq.metrics, "{label}: metrics diverged");
                 assert_states_identical(&label, &s_seq.states, &b_seq.states);
-                let s_par = congest::run_parallel(&g, &stream_proto, &cfg, 3).expect("par");
+                let par_cfg = cfg.clone().with_runtime(congest::RuntimeMode::Parallel(3));
+                let s_par = congest::run(&g, &stream_proto, &par_cfg).expect("par");
                 assert_eq!(s_seq.metrics, s_par.metrics, "{label}: engine metrics");
                 assert_states_identical(&format!("{label}/par"), &s_par.states, &b_seq.states);
             }
