@@ -311,25 +311,11 @@ fn exp12() {
     }
 }
 
-const NET_SHARD_USAGE: &str = "usage: harness net-shard <coordinator> <algo> <family> <n> \
-    <degree> <gseed> <rseed> [--sched <active|always>] [--drops <ppm> <seed>] [--chaos <seed>] \
-    [--rejoin <shard> <ports-csv>]";
-
 const NET_RUN_USAGE: &str = "usage: harness net-run <k> <algo> <family> <n> <degree> <gseed> \
     <rseed> [--sched <active|always>] [--drops <ppm> <seed>] [--chaos <seed>]
   k >= 1 processes (>= 2 with --chaos); algo: det-small | rand-improved; family: gnp | regular
   e.g.: harness net-run 4 rand-improved gnp 200 6 13 42 --chaos 29
   e.g.: harness net-run 4 det-small gnp 200 5 11 42 --sched active --drops 25000 7 --chaos 29";
-
-/// One netplane shard process (spawned by `net-run` and the `net/` bench
-/// cells).
-fn net_shard(args: &[String]) {
-    let Some((addr, spec, opts)) = netharness::parse_shard_argv(args) else {
-        eprintln!("{NET_SHARD_USAGE}");
-        std::process::exit(2);
-    };
-    netharness::shard_main(addr, &spec, &opts).expect("shard transport failure");
-}
 
 /// One interactive distributed run, recorded like a `net/` bench cell:
 /// the spec runs sequentially and across `k` processes under the same
@@ -370,7 +356,9 @@ fn main() {
             std::process::exit(registry::cli(rest, &mut ctx));
         }
         "net-run" => return net_run(rest),
-        "net-shard" => return net_shard(rest),
+        // One netplane shard process (spawned by `net-run` and the `net/`
+        // bench cells).
+        "net-shard" => std::process::exit(netharness::shard_cli(rest)),
         _ => {}
     }
     let exps: Vec<(&str, fn())> = vec![

@@ -16,14 +16,6 @@
 //! length. The length is capped at [`MAX_FRAME_LEN`]; a prefix above the
 //! cap is [`FrameError::TooLarge`] — corrupt input can never trigger a
 //! multi-gigabyte allocation.
-//!
-//! Two decoders cover the two consumption patterns:
-//!
-//! * [`read_frame`] — blocking, over any [`Read`]; used by the per-peer
-//!   reader threads.
-//! * [`FrameReader`] — incremental; bytes are fed in arbitrary splits and
-//!   complete frames pop out. The property tests drive it with frames
-//!   torn at every byte boundary.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -54,7 +46,7 @@ pub mod kind {
     pub const REDUCE: u8 = 6;
     /// End-of-phase stats exchange (peer ↔ peer).
     pub const STATS: u8 = 7;
-    /// Shard → coordinator: final colors + metrics of the owned range.
+    /// Shard → coordinator: final colors + metrics.
     pub const RESULT: u8 = 8;
 }
 
@@ -175,9 +167,8 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
         Err(e) => return Err(e.into()),
     }
     read_exact_or_eof(r, &mut header[1..])?;
-    parse_header(&header)?;
-    let len = u32::from_le_bytes(header[2..6].try_into().expect("4 bytes")) as usize;
-    let mut payload = vec![0u8; len];
+    let len = parse_header(&header)?;
+    let mut payload = vec![0u8; len as usize];
     read_exact_or_eof(r, &mut payload)?;
     Ok(Frame {
         kind: header[1],
@@ -208,75 +199,6 @@ fn parse_header(header: &[u8; 6]) -> Result<u32, FrameError> {
         });
     }
     Ok(len)
-}
-
-/// Incremental frame decoder: bytes in (arbitrary splits), frames out.
-///
-/// After any error the reader is *poisoned* — a framing error means the
-/// byte stream can no longer be trusted to realign, so every later call
-/// returns the same error.
-#[derive(Debug, Default)]
-pub struct FrameReader {
-    buf: Vec<u8>,
-    poisoned: Option<FrameError>,
-}
-
-impl FrameReader {
-    /// An empty reader.
-    #[must_use]
-    pub fn new() -> Self {
-        FrameReader::default()
-    }
-
-    /// Appends raw bytes from the stream.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Pops the next complete frame, if the buffer holds one.
-    ///
-    /// # Errors
-    ///
-    /// Returns the structured [`FrameError`] for malformed input; the
-    /// reader stays poisoned with it afterwards.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
-        if let Some(e) = &self.poisoned {
-            return Err(e.clone());
-        }
-        if self.buf.len() < 6 {
-            // Not even a header yet — but a wrong magic byte is already
-            // diagnosable from the first byte alone.
-            if let Some(&b) = self.buf.first() {
-                if b != MAGIC {
-                    let e = FrameError::BadMagic(b);
-                    self.poisoned = Some(e.clone());
-                    return Err(e);
-                }
-            }
-            return Ok(None);
-        }
-        let header: [u8; 6] = self.buf[..6].try_into().expect("6 bytes");
-        let len = match parse_header(&header) {
-            Ok(len) => len as usize,
-            Err(e) => {
-                self.poisoned = Some(e.clone());
-                return Err(e);
-            }
-        };
-        if self.buf.len() < 6 + len {
-            return Ok(None);
-        }
-        let payload = self.buf[6..6 + len].to_vec();
-        let kind = header[1];
-        self.buf.drain(..6 + len);
-        Ok(Some(Frame { kind, payload }))
-    }
-
-    /// Bytes buffered but not yet consumed as frames.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
 }
 
 #[cfg(test)]
@@ -338,34 +260,31 @@ mod tests {
         assert_eq!(whole, full);
     }
 
-    #[test]
-    fn incremental_reader_handles_torn_input() {
-        let mut stream = Vec::new();
-        write_frame(&mut stream, kind::ROUND, b"abc").unwrap();
-        write_frame(&mut stream, kind::REDUCE, &[1, 2, 3, 4, 5, 6, 7]).unwrap();
-        // Feed one byte at a time; frames must pop exactly twice.
-        let mut r = FrameReader::new();
-        let mut got = Vec::new();
-        for &b in &stream {
-            r.feed(&[b]);
-            while let Some(f) = r.next_frame().unwrap() {
-                got.push(f);
-            }
+    /// A reader that hands out one byte per `read` call, the most torn a
+    /// socket can deliver.
+    struct Dribble<'a>(&'a [u8]);
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.0.len()).min(1);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
         }
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].payload, b"abc");
-        assert_eq!(got[1].kind, kind::REDUCE);
-        assert_eq!(r.pending(), 0);
     }
 
     #[test]
-    fn incremental_reader_poisons_on_bad_magic() {
-        let mut r = FrameReader::new();
-        r.feed(&[0x42]);
-        assert_eq!(r.next_frame(), Err(FrameError::BadMagic(0x42)));
-        // Stays poisoned even if valid bytes follow.
-        r.feed(&[MAGIC, 0, 0, 0, 0, 0]);
-        assert_eq!(r.next_frame(), Err(FrameError::BadMagic(0x42)));
+    fn blocking_reader_handles_one_byte_reads() {
+        let mut stream = Vec::new();
+        write_frame(&mut stream, kind::ROUND, b"abc").unwrap();
+        write_frame(&mut stream, kind::REDUCE, &[1, 2, 3, 4, 5, 6, 7]).unwrap();
+        let mut r = Dribble(&stream);
+        let f1 = read_frame(&mut r).unwrap();
+        assert_eq!((f1.kind, f1.payload.as_slice()), (kind::ROUND, &b"abc"[..]));
+        let f2 = read_frame(&mut r).unwrap();
+        assert_eq!(f2.kind, kind::REDUCE);
+        assert_eq!(f2.payload, [1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(read_frame(&mut r), Err(FrameError::Closed));
     }
 
     #[test]

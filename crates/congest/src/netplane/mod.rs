@@ -52,9 +52,9 @@
 //!   seed and steps its own nodes in index order with the same inbox
 //!   contents (inboxes sort by arrival port, so delivery interleaving is
 //!   unobservable). Owned rows therefore equal the sequential rows;
-//!   un-owned ("ghost") rows stay at their init values and pipeline
-//!   drivers re-authorize anything derived from them via
-//!   [`NetPlane::sync_rows`].
+//!   un-owned ("ghost") rows stay at their init values until
+//!   [`NetPlane::sync_rows`] overwrites them with their owners' rows,
+//!   which the pipeline driver does once at the end of every phase.
 //! * **Rounds** — termination is the same rule, a zero global count of
 //!   sticky-`Running` votes, summed over the per-shard flags at each
 //!   barrier.
@@ -136,8 +136,7 @@ pub mod wire;
 
 pub use chaos::ChaosConfig;
 pub use frame::{
-    kind, read_frame, write_frame, write_torn_frame, Frame, FrameError, FrameReader, MAGIC,
-    MAX_FRAME_LEN,
+    kind, read_frame, write_frame, write_torn_frame, Frame, FrameError, MAGIC, MAX_FRAME_LEN,
 };
 pub use membership::{
     connect_mesh, join, Assign, Assignment, Coordinator, Hello, Join, Link, Membership, NetConfig,

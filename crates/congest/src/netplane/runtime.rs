@@ -331,9 +331,9 @@ impl NetPlane {
 
     /// Makes a per-node vector globally authoritative: each shard
     /// broadcasts its own rows `[lo, hi)` and overwrites every other range
-    /// with the owning shard's values. Pipeline drivers call this on
-    /// every vector they derive from final phase states, because ghost
-    /// rows — nodes this shard never stepped — hold stale init-time
+    /// with the owning shard's values. The pipeline driver calls this once
+    /// per phase, on the rows it derives from the final states, because
+    /// ghost rows — nodes this shard never stepped — hold stale init-time
     /// values.
     ///
     /// # Panics

@@ -5,10 +5,9 @@
 //! the original frames or a structured [`FrameError`] — never a panic,
 //! never a silently wrong frame.
 
-use congest::netplane::{
-    kind, read_frame, write_frame, Frame, FrameError, FrameReader, Wire, MAGIC,
-};
+use congest::netplane::{kind, read_frame, write_frame, Frame, FrameError, Wire, MAGIC};
 use congest::Metrics;
+use std::io::{self, Read};
 
 /// A deterministic xorshift stream for payload fuzzing (no external RNG
 /// in integration tests).
@@ -75,59 +74,57 @@ fn blocking_reader_roundtrips_every_kind() {
     assert_eq!(read_frame(&mut cursor), Err(FrameError::Closed));
 }
 
-/// The incremental reader produces identical frames no matter how the
+/// Reads frames until the stream closes cleanly.
+fn read_all(r: &mut impl Read) -> Vec<Frame> {
+    let mut got = Vec::new();
+    loop {
+        match read_frame(r) {
+            Ok(f) => got.push(f),
+            Err(FrameError::Closed) => return got,
+            Err(e) => panic!("unexpected {e:?}"),
+        }
+    }
+}
+
+/// The blocking reader produces identical frames no matter where the
 /// byte stream is split: every single split point of the whole stream.
 #[test]
-fn incremental_reader_survives_all_torn_reads() {
+fn blocking_reader_survives_all_torn_reads() {
     let frames = sample_frames();
     let bytes = encode(&frames);
     for split in 0..=bytes.len() {
-        let mut r = FrameReader::new();
-        r.feed(&bytes[..split]);
-        let mut got = Vec::new();
-        while let Some(f) = r.next_frame().unwrap() {
-            got.push(f);
-        }
-        r.feed(&bytes[split..]);
-        while let Some(f) = r.next_frame().unwrap() {
-            got.push(f);
-        }
-        assert_eq!(got, frames, "split at byte {split}");
-        assert_eq!(r.pending(), 0, "split at byte {split} left residue");
+        let mut torn = (&bytes[..split]).chain(&bytes[split..]);
+        assert_eq!(read_all(&mut torn), frames, "split at byte {split}");
     }
 }
 
-/// Byte-at-a-time feeding (the most extreme tearing) also works.
+/// A reader that hands out one byte per `read` call.
+struct Dribble<'a>(&'a [u8]);
+
+impl Read for Dribble<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = buf.len().min(self.0.len()).min(1);
+        buf[..n].copy_from_slice(&self.0[..n]);
+        self.0 = &self.0[n..];
+        Ok(n)
+    }
+}
+
+/// Byte-at-a-time reads (the most extreme tearing) also work.
 #[test]
-fn incremental_reader_survives_byte_dribble() {
+fn blocking_reader_survives_byte_dribble() {
     let frames = sample_frames();
     let bytes = encode(&frames);
-    let mut r = FrameReader::new();
-    let mut got = Vec::new();
-    for b in &bytes {
-        r.feed(std::slice::from_ref(b));
-        while let Some(f) = r.next_frame().unwrap() {
-            got.push(f);
-        }
-    }
-    assert_eq!(got, frames);
+    assert_eq!(read_all(&mut Dribble(&bytes)), frames);
 }
 
-/// A stream that does not start with the magic byte fails structurally —
-/// identifying the offending byte — and the reader stays poisoned.
+/// A stream that does not start with the magic byte fails structurally,
+/// identifying the offending byte.
 #[test]
 fn garbage_prefix_is_rejected_not_panicked() {
     for garbage in [0u8, 1, 0x55, MAGIC.wrapping_add(1), 0xFF] {
         let mut bytes = vec![garbage];
         bytes.extend_from_slice(&encode(&sample_frames()[..1]));
-
-        let mut r = FrameReader::new();
-        r.feed(&bytes);
-        assert_eq!(r.next_frame(), Err(FrameError::BadMagic(garbage)));
-        // Poisoned: the same structured error forever, no resync into the
-        // valid frame that follows the garbage.
-        assert_eq!(r.next_frame(), Err(FrameError::BadMagic(garbage)));
-
         let mut cursor = &bytes[..];
         assert_eq!(read_frame(&mut cursor), Err(FrameError::BadMagic(garbage)));
     }
@@ -142,10 +139,9 @@ fn corruption_after_valid_frame_is_caught() {
     bytes.push(0x00); // not MAGIC
     bytes.extend_from_slice(&encode(&frames[1..2]));
 
-    let mut r = FrameReader::new();
-    r.feed(&bytes);
-    assert_eq!(r.next_frame().unwrap().as_ref(), Some(&frames[0]));
-    assert_eq!(r.next_frame(), Err(FrameError::BadMagic(0x00)));
+    let mut cursor = &bytes[..];
+    assert_eq!(read_frame(&mut cursor).as_ref(), Ok(&frames[0]));
+    assert_eq!(read_frame(&mut cursor), Err(FrameError::BadMagic(0x00)));
 }
 
 /// A length prefix above the cap is rejected before any allocation.
@@ -155,21 +151,16 @@ fn oversized_length_prefix_is_rejected() {
     let mut bytes = vec![MAGIC, kind::ROUND];
     bytes.extend_from_slice(&len.to_le_bytes());
 
-    let mut r = FrameReader::new();
-    r.feed(&bytes);
     let expected = FrameError::TooLarge {
         len,
         max: congest::netplane::MAX_FRAME_LEN,
     };
-    assert_eq!(r.next_frame(), Err(expected.clone()));
-
     let mut cursor = &bytes[..];
     assert_eq!(read_frame(&mut cursor), Err(expected));
 }
 
 /// Truncating the stream at every byte gives `UnexpectedEof` (mid-frame)
-/// or `Closed` (clean boundary) from the blocking reader, and `None`
-/// (keep waiting) from the incremental one — never a wrong frame.
+/// or `Closed` (clean boundary) — never a wrong frame.
 #[test]
 fn every_truncation_is_structured() {
     let frames = sample_frames();
@@ -197,12 +188,6 @@ fn every_truncation_is_structured() {
                 Err(e) => panic!("cut {cut}: unexpected {e:?}"),
             }
         }
-
-        let mut r = FrameReader::new();
-        r.feed(&bytes[..cut]);
-        while r.next_frame().unwrap().is_some() {}
-        // Still waiting for more bytes, not an error.
-        assert!(r.next_frame().unwrap().is_none());
     }
 }
 

@@ -11,7 +11,7 @@
 //! * [`greedy_central`] — centralized greedy on `G²`; the color-count
 //!   reference point.
 
-use crate::rand::trials::{self, RandomTrials};
+use crate::rand::trials::RandomTrials;
 use crate::{ColoringOutcome, Driver, TrialCore, TrialMsg};
 use congest::netplane::{Reader, Wire, WireError};
 use congest::{
@@ -30,11 +30,12 @@ pub fn oversampled(g: &Graph, epsilon: f64, cfg: &SimConfig) -> Result<ColoringO
     let d = g.max_degree();
     let palette = (((1.0 + epsilon) * (d * d) as f64).ceil() as u32).max(1) + 1;
     let mut driver = Driver::new(g, cfg.clone());
-    let states = driver.run_phase(
+    let colors = driver.run_phase(
         format!("oversampled(palette={palette})"),
         &RandomTrials::to_completion(palette),
+        |s| s.trial.color(),
     )?;
-    Ok(driver.finish(trials::colors(&states)))
+    Ok(driver.finish(colors))
 }
 
 /// Messages of the naive-relay baseline.
@@ -228,8 +229,8 @@ impl Protocol for NaiveRelay {
 pub fn naive_relay(g: &Graph, cfg: &SimConfig) -> Result<ColoringOutcome, SimError> {
     let proto = NaiveRelay::new(g);
     let mut driver = Driver::new(g, cfg.clone());
-    let states = driver.run_phase("naive-relay", &proto)?;
-    Ok(driver.finish(states.iter().map(RelayState::color).collect()))
+    let colors = driver.run_phase("naive-relay", &proto, |s| s.color())?;
+    Ok(driver.finish(colors))
 }
 
 /// Centralized greedy on `G²` (reference point for color counts).

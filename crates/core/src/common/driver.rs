@@ -96,9 +96,8 @@ impl<'g> Driver<'g> {
     }
 
     /// Runs every phase over `plane`'s socket mesh, bit-identically to
-    /// the sequential engine. Each shard steps only its own nodes, so
-    /// only its rows of a phase's states are final until
-    /// [`Driver::sync_rows`].
+    /// the sequential engine: each shard steps only its own nodes, and
+    /// [`Driver::run_phase`] fills in the other shards' rows.
     #[must_use]
     pub fn on_mesh(mut self, plane: &'g mut NetPlane) -> Self {
         self.mesh = Some(plane);
@@ -124,16 +123,21 @@ impl<'g> Driver<'g> {
         self.net.idents()
     }
 
-    /// Runs one phase to completion and returns the final node states.
+    /// Runs one phase to completion and returns one row per node: `row`
+    /// applied to the node's final state. On a mesh each shard steps only
+    /// its own nodes, so the other shards' rows are filled in from their
+    /// owners before returning; every shard gets the rows the sequential
+    /// engine would return.
     ///
     /// # Errors
     ///
     /// Propagates [`SimError`] from the runtime.
-    pub fn run_phase<P: Protocol>(
+    pub fn run_phase<P: Protocol, T: Wire>(
         &mut self,
         name: impl Into<String>,
         protocol: &P,
-    ) -> Result<Vec<P::State>, SimError>
+        row: impl FnMut(P::State) -> T,
+    ) -> Result<Vec<T>, SimError>
     where
         P::Msg: Wire,
     {
@@ -158,17 +162,11 @@ impl<'g> Driver<'g> {
             metrics,
             wall_ms,
         });
-        Ok(states)
-    }
-
-    /// Overwrites every row of a vector derived from phase states that
-    /// this shard does not own with the owner's row (see
-    /// [`NetPlane::sync_rows`]). Without a mesh every row is already final
-    /// and this does nothing.
-    pub fn sync_rows<T: Wire>(&mut self, rows: &mut [T]) {
+        let mut rows: Vec<T> = states.into_iter().map(row).collect();
         if let Some(plane) = self.mesh.as_deref_mut() {
-            plane.sync_rows(rows);
+            plane.sync_rows(&mut rows);
         }
+        Ok(rows)
     }
 
     /// Metrics accumulated so far.
@@ -217,8 +215,8 @@ mod tests {
     fn driver_accumulates_phases() {
         let g = graphs::gen::cycle(5);
         let mut d = Driver::new(&g, SimConfig::seeded(3));
-        let s1 = d.run_phase("a", &Nop).unwrap();
-        let s2 = d.run_phase("b", &Nop).unwrap();
+        let s1 = d.run_phase("a", &Nop, |s| s).unwrap();
+        let s2 = d.run_phase("b", &Nop, |s| s).unwrap();
         assert_eq!(s1.len(), 5);
         assert_eq!(s1, s2, "identifiers stable across phases");
         let out = d.finish(vec![0; 5]);
@@ -234,8 +232,8 @@ mod tests {
         let par = SimConfig::seeded(3).with_runtime(RuntimeMode::Parallel(3));
         let mut d1 = Driver::new(&g, SimConfig::seeded(3));
         let mut d2 = Driver::new(&g, par);
-        let a = d1.run_phase("x", &Nop).unwrap();
-        let b = d2.run_phase("x", &Nop).unwrap();
+        let a = d1.run_phase("x", &Nop, |s| s).unwrap();
+        let b = d2.run_phase("x", &Nop, |s| s).unwrap();
         assert_eq!(a, b);
     }
 

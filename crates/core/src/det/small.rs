@@ -53,46 +53,33 @@ pub fn pipeline(driver: &mut Driver<'_>, scope: &Scope) -> Result<Vec<u32>, SimE
     let budget = driver.config().bandwidth_bits(n);
     let k0 = n as u64;
 
-    // Stage 1: Linial, if it makes progress from the ID space.
+    // Stage 1: Linial, if it makes progress from the ID space. Otherwise
+    // the identifiers are already within the locally-iterative range and
+    // the nodes use them directly (they know them for free), fetched
+    // through a Linial instance with an empty schedule.
     let lin = linial::Linial::new(g, scope.clone(), None, k0, budget);
     let k_after = lin.output_k(k0);
-    let mut psi: Vec<u32> = if k_after < k0 {
-        let states = driver.run_phase("linial", &lin)?;
-        states.iter().map(linial::LinialState::color_u32).collect()
+    let name = if k_after < k0 {
+        "linial"
     } else {
-        // Identifiers are already within the locally-iterative range; the
-        // nodes can use them directly (they know them for free). We fetch
-        // them through a Linial instance with an empty schedule.
-        let states = driver.run_phase("linial(skip)", &lin)?;
-        states.iter().map(linial::LinialState::color_u32).collect()
+        "linial(skip)"
     };
-    // Inter-phase vectors feed the next protocol's constructor, which reads
-    // *all* rows; under the netplane each shard only stepped its own nodes,
-    // so re-authorize the full vector (no-op in-process).
-    driver.sync_rows(&mut psi);
+    let psi = driver.run_phase(name, &lin, |s| s.color_u32())?;
 
     // Stage 2: locally-iterative to q = O(∆_c) colors.
     let li = loc_iter::LocIter::new(g, scope.clone(), psi, k_after);
     let q = li.q;
-    let states = driver.run_phase(format!("loc-iter(q={q})"), &li)?;
-    let mut colors: Vec<u32> = states.iter().map(loc_iter::LocIterState::color).collect();
-    driver.sync_rows(&mut colors);
+    let colors = driver.run_phase(format!("loc-iter(q={q})"), &li, |s| s.color())?;
 
     // Stage 3: reduce q → ∆_c + 1.
     let rc = reduce_colors::ReduceColors::new(g, scope.clone(), colors, q, budget);
-    let states = driver.run_phase(format!("color-reduce({q}->{})", scope.delta_c + 1), &rc)?;
-    let mut out: Vec<u32> = states
-        .iter()
-        .enumerate()
-        .map(|(v, s)| {
-            if scope.is_active(v) {
-                s.color
-            } else {
-                UNCOLORED
-            }
-        })
-        .collect();
-    driver.sync_rows(&mut out);
+    let name = format!("color-reduce({q}->{})", scope.delta_c + 1);
+    let mut out = driver.run_phase(name, &rc, |s| s.color)?;
+    for (v, c) in out.iter_mut().enumerate() {
+        if !scope.is_active(v) {
+            *c = UNCOLORED;
+        }
+    }
     Ok(out)
 }
 

@@ -13,9 +13,9 @@
 //! Total palette: `2^h · (∆_c + 1)` where `∆_c ≤ ∆·∆_h` is the maximum
 //! same-part d2-degree — `(1+ε)∆²` for the paper's parameter regime.
 //!
-//! Substitution (DESIGN.md §4): the paper recursively invokes Theorem 3.4
-//! on each `Hᵢ` to keep the round count polylogarithmic at astronomical
-//! `∆`; at laptop scale we color each `Hᵢ` directly with the Theorem 1.2
+//! Substitution: the paper recursively invokes Theorem 3.4 on each `Hᵢ`
+//! to keep the round count polylogarithmic at astronomical `∆`; at
+//! laptop scale we color each `Hᵢ` directly with the Theorem 1.2
 //! pipeline (`O(∆·∆_h + log* n)` rounds), which uses *fewer* colors and
 //! preserves the headline claim (deterministic, `(1+ε)∆²` palette).
 //! `∆_c` is the measured maximum same-part d2-degree — a global max a

@@ -18,11 +18,11 @@
 //! every binding constraint is satisfied *with certainty* — a valid
 //! λ-splitting, deterministically.
 //!
-//! Substitutions vs. the paper (DESIGN.md §4): exact conditional
-//! expectations → MGF pessimistic estimators; per-bit seed fixing with
-//! k-wise independence → per-coin fixing (the guarantee `Σ_v F_v = 0` is
-//! identical); decomposition black box \[28\] → [`decomp::oracle`] with its
-//! round cost charged analytically.
+//! Substitutions vs. the paper: exact conditional expectations → MGF
+//! pessimistic estimators; per-bit seed fixing with k-wise independence →
+//! per-coin fixing (the guarantee `Σ_v F_v = 0` is identical);
+//! decomposition black box \[28\] → [`decomp::oracle`] with its round cost
+//! charged analytically.
 
 use crate::{Driver, Params};
 use congest::netplane::{Reader, Wire, WireError};
@@ -431,18 +431,17 @@ pub fn recursive_split(
     let idents = driver.idents().to_vec();
     for level in 0..h {
         let sides: Vec<Side> = match mode {
-            SplitMode::Randomized => {
-                let states =
-                    driver.run_phase(format!("rand-split(level={level})"), &RandomizedSplit)?;
-                states
-            }
+            SplitMode::Randomized => driver.run_phase(
+                format!("rand-split(level={level})"),
+                &RandomizedSplit,
+                |s| s,
+            )?,
             SplitMode::Deterministic => {
                 let decomposition = decomp::oracle::decompose_power(g, 2, None);
-                charged += decomp::linial_saks::charged_rounds(n, 2);
+                charged += decomp::oracle::charged_rounds(n, 2);
                 let proto =
                     DerandSplit::new(g, &decomposition, &idents, part.clone(), lambda, threshold);
-                let states = driver.run_phase(format!("derand-split(level={level})"), &proto)?;
-                states.into_iter().map(|s| s.side).collect()
+                driver.run_phase(format!("derand-split(level={level})"), &proto, |s| s.side)?
             }
         };
         for v in 0..n {
@@ -534,7 +533,7 @@ mod tests {
     fn randomized_split_mostly_balances() {
         let g = gen::random_regular(200, 20, 7);
         let mut driver = Driver::new(&g, SimConfig::seeded(3));
-        let sides = driver.run_phase("split", &RandomizedSplit).unwrap();
+        let sides = driver.run_phase("split", &RandomizedSplit, |s| s).unwrap();
         let result = SplitResult {
             sides,
             lambda: 0.8,

@@ -16,11 +16,11 @@
 //! variant appends palette-wide random trials). Backstop rounds are
 //! reported as their own phase so experiments can separate them.
 
-use super::finish::{self, FinishColoring};
+use super::finish::FinishColoring;
 use super::learn_palette::LearnPalette;
-use super::reduce::{self, Reduce};
-use super::similarity::{ExactSimilarity, SampledSimilarity, SimilarityKnowledge};
-use super::trials::{self, RandomTrials};
+use super::reduce::Reduce;
+use super::similarity::{ExactSimilarity, SampledSimilarity};
+use super::trials::RandomTrials;
 use crate::det::{small, Scope};
 use crate::{ColoringOutcome, Driver, Params, UNCOLORED};
 use congest::{SimConfig, SimError};
@@ -98,18 +98,11 @@ pub fn pipeline(
     // Step 2 (initial random trials) — run before similarity, matching
     // Improved-d2-Color's ordering; both orders are valid for d2-Color.
     let cycles = params.initial_trials(n);
-    let st = driver.run_phase(
+    let mut know = driver.run_phase(
         format!("initial-trials(x{cycles})"),
         &RandomTrials::new(palette, cycles),
+        |s| s.trial.into_knowledge(),
     )?;
-    let mut know = trials::knowledge(&st);
-    // Knowledge vectors feed subsequent protocol constructors (and the
-    // vacuous-phase checkpoints below), which read *all* rows; under the
-    // netplane each shard only stepped its own nodes, so every
-    // states-derived vector is re-authorized across shards (no-op
-    // in-process). The synced rows also make the checkpoints globally
-    // correct in every shard without a separate vote.
-    driver.sync_rows(&mut know);
 
     // Vacuous-phase skip: every later phase exists to color *live* nodes
     // (similarity graphs are only ever queried by Reduce / LearnPalette on
@@ -119,7 +112,9 @@ pub fn pipeline(
     // implementation detects the same condition with an O(diameter)
     // termination convergecast; on sparse benchmark workloads the skip
     // removes thousands of structurally empty rounds (the trials phase
-    // alone finishes `gnp_capped` graphs at ∆ = 16 w.h.p.).
+    // alone finishes `gnp_capped` graphs at ∆ = 16 w.h.p.). Phases return
+    // every node's row on every shard, so the checkpoints agree across a
+    // mesh without a separate vote.
     let all_colored = |know: &[(u32, Vec<u32>)]| know.iter().all(|(c, _)| *c != UNCOLORED);
     if all_colored(&know) {
         return Ok(know.into_iter().map(|(c, _)| c).collect());
@@ -129,23 +124,16 @@ pub fn pipeline(
     // and every later phase reads it, so it is Arc-shared across the
     // whole cascade instead of cloned per `Reduce` call.
     let budget = driver.config().bandwidth_bits(n);
-    let mut sim: Vec<SimilarityKnowledge> = if dc <= params.exact_similarity_threshold {
+    let sim = if dc <= params.exact_similarity_threshold {
         let proto = ExactSimilarity::new(budget).with_period(params.list_sync_period);
-        driver
-            .run_phase("similarity(exact)", &proto)?
-            .into_iter()
-            .map(|s| s.knowledge)
-            .collect()
+        driver.run_phase("similarity(exact)", &proto, |s| s.knowledge)?
     } else {
         let p = params.sample_prob(n, dc);
         let proto = SampledSimilarity::new(p, dc, budget).with_period(params.list_sync_period);
-        driver
-            .run_phase(format!("similarity(sampled p={p:.3})"), &proto)?
-            .into_iter()
-            .map(|s| s.knowledge)
-            .collect()
+        driver.run_phase(format!("similarity(sampled p={p:.3})"), &proto, |s| {
+            s.knowledge
+        })?
     };
-    driver.sync_rows(&mut sim);
     let sim = std::sync::Arc::new(sim);
 
     // Step 3: the Reduce cascade.
@@ -153,9 +141,8 @@ pub fn pipeline(
     let mut tau = params.c1_leeway_frac * dc as f64;
     while tau > c2ln {
         let proto = Reduce::new(params, n, palette, 2.0 * tau, tau, know, sim.clone());
-        let st = driver.run_phase(format!("reduce({:.0},{:.0})", 2.0 * tau, tau), &proto)?;
-        know = reduce::knowledge(&st);
-        driver.sync_rows(&mut know);
+        let name = format!("reduce({:.0},{:.0})", 2.0 * tau, tau);
+        know = driver.run_phase(name, &proto, |s| s.trial.into_knowledge())?;
         tau /= 2.0;
         if all_colored(&know) {
             return Ok(know.into_iter().map(|(c, _)| c).collect());
@@ -167,25 +154,18 @@ pub fn pipeline(
         Variant::Basic => {
             let phi = c2ln.max(2.0);
             let proto = Reduce::new(params, n, palette, phi, 1.0, know, sim);
-            let st = driver.run_phase(format!("reduce({phi:.0},1)"), &proto)?;
-            know = reduce::knowledge(&st);
-            driver.sync_rows(&mut know);
+            let name = format!("reduce({phi:.0},1)");
+            know = driver.run_phase(name, &proto, |s| s.trial.into_knowledge())?;
             if know.iter().any(|(c, _)| *c == UNCOLORED) {
                 let proto = RandomTrials::to_completion(palette).resuming(know);
-                let st = driver.run_phase("backstop-trials", &proto)?;
-                know = trials::knowledge(&st);
-                driver.sync_rows(&mut know);
+                know = driver.run_phase("backstop-trials", &proto, |s| s.trial.into_knowledge())?;
             }
         }
         Variant::Improved => {
             let lp = LearnPalette::new(params, g, palette, budget, know.clone(), sim);
-            let st = driver.run_phase("learn-palette", &lp)?;
-            let mut free: Vec<Vec<u32>> = st.iter().map(|s| s.free_palette.clone()).collect();
-            driver.sync_rows(&mut free);
+            let free = driver.run_phase("learn-palette", &lp, |s| s.free_palette)?;
             let fin = FinishColoring::new(palette, know, free);
-            let st = driver.run_phase("finish-coloring", &fin)?;
-            know = finish::knowledge(&st);
-            driver.sync_rows(&mut know);
+            know = driver.run_phase("finish-coloring", &fin, |s| s.trial.into_knowledge())?;
         }
     }
     Ok(know.into_iter().map(|(c, _)| c).collect())

@@ -9,11 +9,11 @@
 //! contested in expectation, each trial succeeds with constant
 //! probability: `O(log n)` cycles w.h.p.
 //!
-//! Simplification (documented in DESIGN.md §4): the paper's `Busy`
-//! back-pressure signal is omitted — forwarding backlogs are bounded by
-//! the `O(log n)` live d2-neighbors of the precondition, and a node trying
-//! against a stale palette merely wastes the cycle (the handshake rejects
-//! it); validity is never at risk.
+//! Simplification: the paper's `Busy` back-pressure signal is omitted —
+//! forwarding backlogs are bounded by the `O(log n)` live d2-neighbors of
+//! the precondition, and a node trying against a stale palette merely
+//! wastes the cycle (the handshake rejects it); validity is never at
+//! risk.
 
 use crate::common::trial::next_resolve;
 #[cfg(test)]
@@ -205,15 +205,6 @@ impl Protocol for FinishColoring {
         // node votes `Running` through round 4).
         Wake::At(next_resolve(ctx.round).max(5))
     }
-}
-
-/// Knowledge extraction for outcome assembly.
-#[must_use]
-pub fn knowledge(states: &[FinState]) -> Vec<(u32, Vec<u32>)> {
-    states
-        .iter()
-        .map(|s| (s.trial.color(), s.trial.nbr_colors().to_vec()))
-        .collect()
 }
 
 /// Colors only.

@@ -20,11 +20,11 @@
 //!    regardless of how much gossip was dropped. Gossip quality only
 //!    determines `|T_v|`, i.e. speed (Lemma 2.15: `O(log n)` w.h.p.).
 //!
-//! Substitution (DESIGN.md §4): handlers are chosen round-robin among `v`'s
-//! *immediate* `H`-neighbors instead of uniformly random 2-hop
-//! `H`-neighbors — for solid nodes almost all neighbors are `H`-neighbors
-//! (Lemma 2.6), assignment/report routing collapses to one hop, and the
-//! exactness guarantee is untouched (it rests on step 7 alone).
+//! Substitution: handlers are chosen round-robin among `v`'s *immediate*
+//! `H`-neighbors instead of uniformly random 2-hop `H`-neighbors — for
+//! solid nodes almost all neighbors are `H`-neighbors (Lemma 2.6),
+//! assignment/report routing collapses to one hop, and the exactness
+//! guarantee is untouched (it rests on step 7 alone).
 
 use super::similarity::SimilarityKnowledge;
 use crate::{Params, UNCOLORED};

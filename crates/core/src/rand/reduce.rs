@@ -795,15 +795,6 @@ impl Protocol for Reduce {
     }
 }
 
-/// Extracts knowledge for the next pipeline phase.
-#[must_use]
-pub fn knowledge(states: &[ReduceState]) -> Vec<(u32, Vec<u32>)> {
-    states
-        .iter()
-        .map(|s| (s.trial.color(), s.trial.nbr_colors().to_vec()))
-        .collect()
-}
-
 /// Colors only.
 #[must_use]
 pub fn colors(states: &[ReduceState]) -> Vec<u32> {

@@ -249,9 +249,9 @@ impl Wire for SimMsg {
     }
 }
 
-/// Crossed between shards when pipeline drivers re-authorize the
-/// knowledge vector ([`Driver::sync_rows`](crate::Driver::sync_rows)); the
-/// flag words are shipped verbatim and re-validated against `k` on decode.
+/// Crossed between shards when the similarity phase returns its rows
+/// ([`Driver::run_phase`](crate::Driver::run_phase)); the flag words are
+/// shipped verbatim and re-validated against `k` on decode.
 impl Wire for SimilarityKnowledge {
     fn put(&self, buf: &mut Vec<u8>) {
         (self.k as u64).put(buf);

@@ -257,8 +257,7 @@ pub fn repair(
 
     let mut driver = Driver::new(graph, config.clone().without_faults());
     let proto = RepairTrials { palette, init };
-    let states = driver.run_phase("repair", &proto)?;
-    let repaired: Vec<u32> = states.iter().map(|s| s.trial.color()).collect();
+    let repaired = driver.run_phase("repair", &proto, |s| s.trial.color())?;
     let palette_after = verify::palette_size(&repaired);
     Ok(RepairOutcome {
         colors: repaired,

@@ -1,16 +1,18 @@
-//! Both mesh pipelines on an in-process thread mesh: each shard is a
-//! thread holding its own [`NetPlane`], wired as a shard process wires
-//! itself (coordinator, membership handshake, mesh), and runs det-small
-//! and rand-improved back to back on a [`Driver::on_mesh`] driver. Every
-//! shard must end with the sequential run's colors and metrics.
+//! Pipelines on an in-process thread mesh: each shard is a thread holding
+//! its own [`NetPlane`], wired as a shard process wires itself
+//! (coordinator, membership handshake, mesh), and runs det-small and
+//! rand-improved back to back, or the recursive splitting, on a
+//! [`Driver::on_mesh`] driver. Every shard must end with the sequential
+//! run's result.
 
-use congest::netplane::{membership, Coordinator, NetConfig, NetPlane};
-use congest::{Metrics, SimConfig};
+use congest::netplane::{membership, shard_range, Coordinator, NetConfig, NetPlane};
+use congest::{Inbox, Metrics, NodeCtx, NodeRng, Outbox, Protocol, SimConfig, Status};
+use d2core::det::splitting::{recursive_split, SplitMode};
 use d2core::det::{small, Scope};
 use d2core::rand::driver::{self as rand_driver, Variant};
-use d2core::rand::trials::{self, RandomTrials};
 use d2core::{ColoringOutcome, Driver, Params};
 use graphs::{gen, Graph};
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::net::{Ipv4Addr, SocketAddr};
 use std::thread;
 
@@ -26,8 +28,8 @@ fn graph() -> Graph {
     gen::random_regular(400, 8, 1)
 }
 
-fn driver<'g>(g: &'g Graph, mesh: Option<&'g mut NetPlane>) -> Driver<'g> {
-    let driver = Driver::new(g, SimConfig::seeded(42));
+fn driver<'g>(g: &'g Graph, seed: u64, mesh: Option<&'g mut NetPlane>) -> Driver<'g> {
+    let driver = Driver::new(g, SimConfig::seeded(seed));
     match mesh {
         Some(plane) => driver.on_mesh(plane),
         None => driver,
@@ -38,10 +40,10 @@ fn driver<'g>(g: &'g Graph, mesh: Option<&'g mut NetPlane>) -> Driver<'g> {
 /// (optional) plane. One initial-trials round per `ln n` leaves nodes
 /// uncolored, so rand-improved runs its whole tail.
 fn both_pipelines(g: &Graph, mut mesh: Option<&mut NetPlane>) -> [Observed; 2] {
-    let mut det = driver(g, mesh.as_deref_mut());
+    let mut det = driver(g, 42, mesh.as_deref_mut());
     let colors = small::pipeline(&mut det, &Scope::full_d2(g)).unwrap();
     let det = observed(det.finish(colors));
-    let mut rand = driver(g, mesh);
+    let mut rand = driver(g, 42, mesh);
     let params = Params {
         c0_initial_rounds: 1.0,
         ..Params::practical()
@@ -89,31 +91,86 @@ fn two_and_three_shard_threads_match_sequential() {
     }
 }
 
-/// The phases really run on the mesh: rows outside a shard's range keep
-/// their init values until `sync_rows` fills them in. Without a mesh,
-/// `sync_rows` leaves every row as it is.
+/// The deterministic and the randomized two-level splitting of a dense
+/// graph. The deterministic one builds each level's protocol from every
+/// node's part, so it needs the previous level's rows of all shards.
+fn partitions(mut mesh: Option<&mut NetPlane>) -> Vec<Vec<u32>> {
+    let g = gen::random_regular(300, 32, 7);
+    [SplitMode::Deterministic, SplitMode::Randomized]
+        .into_iter()
+        .map(|mode| {
+            let mut driver = driver(&g, 71, mesh.as_deref_mut());
+            let params = Params::practical();
+            let out = recursive_split(&mut driver, &params, 1.0, mode, Some(2)).unwrap();
+            out.part
+        })
+        .collect()
+}
+
 #[test]
-fn mesh_phases_leave_ghost_rows_until_synced() {
+fn recursive_split_on_two_shard_threads_matches_sequential() {
+    let seq = partitions(None);
+    for (shard, parts) in on_thread_mesh(2, |plane| partitions(Some(plane)))
+        .iter()
+        .enumerate()
+    {
+        assert_eq!(parts[0], seq[0], "deterministic split on shard {shard}");
+        assert_eq!(parts[1], seq[1], "randomized split on shard {shard}");
+    }
+}
+
+/// One round in which every node records a hash of the thread that
+/// stepped it.
+struct SteppedBy;
+
+impl Protocol for SteppedBy {
+    type State = u64;
+    type Msg = ();
+
+    fn init(&self, _: &NodeCtx, _: &mut NodeRng) -> u64 {
+        0
+    }
+
+    fn round(
+        &self,
+        st: &mut u64,
+        _: &NodeCtx,
+        _: &mut NodeRng,
+        _: &Inbox<()>,
+        _: &mut Outbox<()>,
+    ) -> Status {
+        let mut h = DefaultHasher::new();
+        thread::current().id().hash(&mut h);
+        *st = h.finish();
+        Status::Done
+    }
+}
+
+/// The phases really run on the mesh: each shard steps only its own
+/// range, and every shard gets back the rows its owner stepped.
+#[test]
+fn mesh_phases_step_each_range_on_its_owner() {
     let g = graph();
-    let mut seq_driver = driver(&g, None);
-    let st = seq_driver.run_phase("trials", &RandomTrials::new(65, 2));
-    let seq = trials::knowledge(&st.unwrap());
-    let mut synced = seq.clone();
-    seq_driver.sync_rows(&mut synced);
-    assert_eq!(synced, seq, "a meshless sync_rows changed a row");
+    let seq = driver(&g, 42, None).run_phase("stepped-by", &SteppedBy, |s| s);
+    let seq = seq.unwrap();
+    assert!(
+        seq.iter().all(|&h| h == seq[0]),
+        "one thread steps every node"
+    );
     let shards = on_thread_mesh(2, |plane| {
         let g = graph();
-        let (lo, hi) = plane.local_range(g.n());
-        let mut driver = driver(&g, Some(plane));
-        let st = driver.run_phase("trials", &RandomTrials::new(65, 2));
-        let mut know = trials::knowledge(&st.unwrap());
-        let before = know.clone();
-        driver.sync_rows(&mut know);
-        (lo..hi, before, know)
+        let rows = driver(&g, 42, Some(plane)).run_phase("stepped-by", &SteppedBy, |s| s);
+        rows.unwrap()
     });
-    for (owned, before, synced) in shards {
-        assert_eq!(before[owned.clone()], seq[owned]);
-        assert_ne!(before, seq, "every row is final before a sync: no mesh ran");
-        assert_eq!(synced, seq);
-    }
+    assert_eq!(shards[0], shards[1], "the shards got back different rows");
+    let stepper = |owner| {
+        let (lo, hi) = shard_range(g.n(), 2, owner);
+        let rows = &shards[0][lo..hi];
+        assert!(
+            rows.iter().all(|&h| h == rows[0]),
+            "shard {owner}: two steppers"
+        );
+        rows[0]
+    };
+    assert_ne!(stepper(0), stepper(1), "one thread stepped both ranges");
 }

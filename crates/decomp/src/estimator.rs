@@ -3,8 +3,8 @@
 //! The paper fixes seed bits by comparing conditional expectations
 //! `E[Σ_v F_v | prefix]` of Chernoff-failure indicators, which are not
 //! efficiently computable in closed form. Following standard
-//! derandomization practice (documented as substitution §4.4 in DESIGN.md)
-//! we replace each indicator by its moment-generating-function bound:
+//! derandomization practice we replace each indicator by its
+//! moment-generating-function bound:
 //!
 //! For a vertex `v` with `d` relevant coins of which `f` are fixed with
 //! `r` red among them, the probability that the red count `X` exceeds

@@ -7,18 +7,13 @@
 //!
 //! * the decomposition data model ([`Decomposition`]) with validity checks,
 //! * a **centralized oracle** ([`oracle::decompose_power`]) producing
-//!   `(O(log n), O(log n))`-decompositions of `G^k` — the substitution
-//!   documented in DESIGN.md §4 (the paper also treats \[28\] as a black
-//!   box; its `O(k log⁸ n)` round cost is charged analytically),
-//! * an in-simulator randomized Linial–Saks-style decomposition
-//!   ([`linial_saks`]), message-counted by the CONGEST engine,
-//! * k-wise independent hash families from polynomials over a prime field
-//!   ([`kwise`], Theorem A.6) and the pessimistic estimators used by the
-//!   derandomized splitting ([`estimator`]).
+//!   `(O(log n), O(log n))`-decompositions of `G^k` (the paper also treats
+//!   \[28\] as a black box; the rounds of a distributed construction are
+//!   charged analytically, [`oracle::charged_rounds`]),
+//! * the pessimistic estimators used by the derandomized splitting
+//!   ([`estimator`]).
 
 pub mod estimator;
-pub mod kwise;
-pub mod linial_saks;
 pub mod oracle;
 
 use graphs::{Graph, NodeId};

@@ -6,15 +6,24 @@
 //! the carved clusters are pairwise `G`-distance `> k` apart; carved nodes
 //! leave the pool; repeat with a fresh color until empty.
 //!
-//! This stands in for the Rozhoň–Ghaffari black box \[28\] the paper cites
-//! (see DESIGN.md §4): downstream consumers only need Def. A.1 validity,
-//! which [`Decomposition::validate_separation`] asserts in tests. The round
-//! cost of the real distributed construction, `O(k · log⁸ n)`, is charged
-//! analytically by the experiment harness when this oracle is used.
+//! This stands in for the Rozhoň–Ghaffari black box \[28\] the paper
+//! cites: downstream consumers only need Def. A.1 validity, which
+//! [`Decomposition::validate_separation`] asserts in tests. The rounds of
+//! a distributed construction are charged analytically instead, as
+//! [`charged_rounds`].
 
 use crate::Decomposition;
 use graphs::{Graph, NodeId};
 use std::collections::VecDeque;
+
+/// Analytic round charge for a distributed decomposition of `G^k`:
+/// `k · ⌈log₂ n⌉²`, i.e. `O(log² n)` Linial–Saks rounds times the `G^k`
+/// relay factor `k`.
+#[must_use]
+pub fn charged_rounds(n: usize, k: usize) -> u64 {
+    let b = graphs::id_bits(n);
+    (k as u64) * b * b
+}
 
 /// Carves a decomposition of `G^k`.
 ///
@@ -134,6 +143,12 @@ mod tests {
     fn empty_graph() {
         let d = decompose_power(&gen::empty(0), 2, None);
         assert_eq!(d.num_clusters(), 0);
+    }
+
+    #[test]
+    fn charged_rounds_scale() {
+        assert!(charged_rounds(1000, 2) > charged_rounds(1000, 1));
+        assert!(charged_rounds(100_000, 2) > charged_rounds(100, 2));
     }
 
     #[test]

@@ -9,12 +9,11 @@
 //! [`D2View`] — they only exchange messages through the simulator.
 //!
 //! The *centralized* side is a different story. The verifier, the square
-//! graph, sparsity estimation, experiment statistics, and the test suites
-//! all consult distance-2 neighborhoods constantly — and the naive
-//! [`Graph::d2_neighbors`] allocates, sorts, and dedups a fresh `Vec` on
-//! every call. Sitting under near-quadratic loops (similarity ground
-//! truth, per-node sparsity), that is an allocation storm on the hot path
-//! of every experiment.
+//! graph, and the test suites all consult distance-2 neighborhoods
+//! constantly — and the naive [`Graph::d2_neighbors`] allocates, sorts,
+//! and dedups a fresh `Vec` on every call. Sitting under near-quadratic
+//! loops (similarity ground truth), that is an allocation storm on the hot
+//! path of every experiment.
 //!
 //! [`D2View`] fixes this with a one-shot `O(Σ_v deg²(v))` construction:
 //! one offsets array plus one flat, sorted `NodeId` array (the same CSR

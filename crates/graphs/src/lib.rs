@@ -3,10 +3,9 @@
 //!
 //! This crate is the *workload substrate*: it provides the network
 //! topologies on which the CONGEST algorithms run, plus centralized
-//! utilities (square graphs, coloring verification, sparsity in the sense of
-//! Definition 2.4 of the paper) that are used **only** by tests, the
-//! verifier, and the experiment harness — never by the distributed
-//! algorithms themselves.
+//! utilities (square graphs, coloring verification) that are used **only**
+//! by tests, the verifier, and the experiment harness — never by the
+//! distributed algorithms themselves.
 //!
 //! # Quick example
 //!
@@ -26,7 +25,6 @@ pub mod gen;
 mod graph;
 pub mod io;
 pub mod square;
-pub mod stats;
 pub mod verify;
 
 pub use churn::{apply_batch, ChurnResult, EdgeBatch};

@@ -23,35 +23,6 @@ pub fn square_max_degree(g: &Graph) -> usize {
     D2View::build(g).max_d2_degree()
 }
 
-/// Sparsity `ζ(v)` of a node per Definition 2.4 of the paper:
-/// `G²[v]` (the subgraph of `G²` induced by v's d2-neighbors) contains
-/// `C(∆², 2) − ∆² · ζ` edges, i.e.
-/// `ζ(v) = (C(∆²,2) − |E(G²[v])|) / ∆²`.
-///
-/// Small `ζ` means the d2-neighborhood is nearly a clique (the "dense" case
-/// driving `Reduce`); sparsity translates into color slack (Prop. 2.5).
-///
-/// Takes the prebuilt [`D2View`] of the base graph and its square `sq`
-/// (`view.to_square()`); allocation-free per query.
-#[must_use]
-pub fn sparsity(view: &D2View, sq: &Graph, v: NodeId) -> f64 {
-    let d2 = view.base_max_degree() * view.base_max_degree();
-    if d2 == 0 {
-        return 0.0;
-    }
-    let nbrs = view.d2_neighbors(v);
-    let mut edges = 0usize;
-    for (i, &a) in nbrs.iter().enumerate() {
-        for &b in &nbrs[i + 1..] {
-            if sq.has_edge(a, b) {
-                edges += 1;
-            }
-        }
-    }
-    let full = d2 * (d2 - 1) / 2;
-    (full.saturating_sub(edges)) as f64 / d2 as f64
-}
-
 /// Greedy sequential coloring of `G²` — the centralized reference the
 /// paper's `∆² + 1` bound generalizes. Returns the coloring and the number
 /// of colors used.
@@ -113,28 +84,6 @@ mod tests {
         let g = gen::gnp_capped(120, 0.1, 8, 11);
         let d = g.max_degree();
         assert!(square_max_degree(&g) <= d * d);
-    }
-
-    #[test]
-    fn sparsity_of_star_center_is_zero() {
-        // A star's square restricted to any neighborhood is a clique on the
-        // d2-neighbors, but ∆² counts the *global* bound; the hub of K_{1,k}
-        // has d2-degree k = ∆ and sees all C(k,2) edges, so its sparsity is
-        // (C(∆²,2) - C(k,2))/∆² which is NOT zero for k < ∆². Use a clique:
-        // there every node's d2-neighborhood is the full ∆² = (n-1)... only
-        // when n-1 = ∆². Take K_4: ∆ = 3, ∆² = 9 ≠ 3. Sparsity is a scaled
-        // quantity; we just check monotonicity: the clique neighborhood is
-        // denser than the path neighborhood.
-        let dense = gen::clique(8);
-        let sparse = gen::path(8);
-        let view_d = D2View::build(&dense);
-        let view_s = D2View::build(&sparse);
-        let (sq_d, sq_s) = (view_d.to_square(), view_s.to_square());
-        let zeta_dense = sparsity(&view_d, &sq_d, 0);
-        let zeta_sparse = sparsity(&view_s, &sq_s, 3);
-        // Both are measured against their own ∆²; the clique is maximally
-        // dense relative to its neighborhood size.
-        assert!(zeta_dense >= 0.0 && zeta_sparse >= 0.0);
     }
 
     #[test]

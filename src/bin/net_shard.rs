@@ -9,23 +9,17 @@
 //! Spawned by [`d2color::netharness::run_distributed`] (directly by
 //! `tests/net_equivalence.rs`; the `harness` binary re-execs itself via
 //! its `net-shard` subcommand instead). Joins the coordinator, runs the
-//! spec's pipeline over the socket mesh, reports its color slice, exits.
+//! spec's pipeline over the socket mesh, reports its coloring, exits.
 //! `--sched` / `--drops` select the engine profile (active-set
 //! scheduling, simulated drop-fault plane) — the orchestrator passes
 //! the same profile to every shard and the sequential reference.
 //! `--chaos` runs the shard under a seeded fault schedule; `--rejoin`
 //! marks the process as a supervisor-spawned replacement for a killed
-//! shard, redialing the surviving mesh at the given ports.
+//! shard, redialing the surviving mesh at the given ports. Exits 2 on
+//! malformed arguments and 1 on a transport failure
+//! ([`d2color::netharness::shard_cli`]).
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((addr, spec, opts)) = d2color::netharness::parse_shard_argv(&args) else {
-        eprintln!(
-            "usage: net_shard <coordinator> <algo> <family> <n> <degree> <gseed> <rseed> \
-             [--sched <active|always>] [--drops <ppm> <seed>] \
-             [--chaos <seed>] [--rejoin <shard> <ports-csv>]"
-        );
-        std::process::exit(2);
-    };
-    d2color::netharness::shard_main(addr, &spec, &opts).expect("shard transport failure");
+    std::process::exit(d2color::netharness::shard_cli(&args));
 }

@@ -4,10 +4,10 @@
 //! round barrier); this module provides the *orchestration*: spawning one
 //! OS process per shard, handing each the same `(graph, seed, config)`
 //! recipe over `argv`, collecting per-shard `RESULT` frames over the
-//! coordinator control streams, and stitching them into a single
-//! [`NetOutcome`] that must be bit-identical to the sequential reference
-//! (`tests/net_equivalence.rs` asserts exactly that; the `harness
-//! net-run` subcommand does the same interactively).
+//! coordinator control streams, and checking that every shard reports
+//! the same [`NetOutcome`], which must be bit-identical to the sequential
+//! reference (`tests/net_equivalence.rs` asserts exactly that; the
+//! `harness net-run` subcommand does the same interactively).
 //!
 //! The process tree looks like:
 //!
@@ -17,12 +17,13 @@
 //! ├── spawns k shard processes:  <program> [prefix..] <addr> <spec..>
 //! │     each: join(addr) → NetPlane::connect → run the pipeline on a
 //! │           Driver built on the plane → RESULT
-//! └── assign(k) → reads one RESULT frame per control stream → stitch
+//! └── assign(k) → reads one RESULT frame per control stream → agree
 //! ```
 //!
 //! Every shard rebuilds the identical world from the spec — graphs are
 //! generated, never shipped — so the only bytes on the wire are round
-//! messages, barrier flags, and the final per-shard color slices.
+//! messages, barrier flags, the row syncs that end each phase, and each
+//! shard's final coloring.
 //!
 //! # Supervision
 //!
@@ -35,19 +36,18 @@
 //! supervisor detects the exit, respawns the victim with `--rejoin`, and
 //! the replacement rebuilds the seeded world, replays the survivors'
 //! retained frames to the live frontier, and finishes the run — with the
-//! stitched coloring and merged metrics still bit-identical to the
-//! sequential reference.
+//! coloring and merged metrics still bit-identical to the sequential
+//! reference.
 
 use congest::netplane::{
-    self, chaos, kind, membership, read_frame, ChaosConfig, Coordinator, NetConfig, NetPlane,
-    Reader, Wire, WireError,
+    self, chaos, kind, membership, read_frame, ChaosConfig, Coordinator, NetConfig, NetError,
+    NetPlane, Reader, Wire, WireError,
 };
 use congest::{FaultConfig, Metrics, Scheduling, SimConfig, PER_MILLION};
 use d2core::det::{small, Scope};
 use d2core::rand::driver::{self as rand_driver, Variant};
 use d2core::{ColoringOutcome, Driver, Params};
 use graphs::Graph;
-use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::process::{Child, Command};
 use std::sync::mpsc;
@@ -445,12 +445,12 @@ pub fn run_sequential(spec: &NetSpec, profile: &RunProfile) -> NetOutcome {
     }
 }
 
-/// What one shard reports back on its control stream.
+/// What one shard reports back on its control stream: the whole
+/// coloring, which every shard holds at the end of a run, and the merged
+/// metrics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct ShardResult {
     shard: u32,
-    lo: u64,
-    hi: u64,
     metrics: Metrics,
     colors: Vec<u32>,
 }
@@ -458,8 +458,6 @@ struct ShardResult {
 impl Wire for ShardResult {
     fn put(&self, buf: &mut Vec<u8>) {
         self.shard.put(buf);
-        self.lo.put(buf);
-        self.hi.put(buf);
         self.metrics.put(buf);
         self.colors.put(buf);
     }
@@ -467,16 +465,14 @@ impl Wire for ShardResult {
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(ShardResult {
             shard: u32::take(r)?,
-            lo: u64::take(r)?,
-            hi: u64::take(r)?,
             metrics: Metrics::take(r)?,
             colors: Vec::<u32>::take(r)?,
         })
     }
 }
 
-/// A stitched distributed run: the full coloring plus the (globally
-/// merged, shard-identical) metrics.
+/// A distributed run that every shard agreed on: the full coloring plus
+/// the (globally merged) metrics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetOutcome {
     /// Color of each node, indexed by node index.
@@ -496,7 +492,11 @@ pub struct NetOutcome {
 ///
 /// Returns transport errors; pipeline failures abort the process (they
 /// indicate an engine bug, not recoverable I/O).
-pub fn shard_main(coordinator: SocketAddr, spec: &NetSpec, opts: &ShardOptions) -> io::Result<()> {
+pub fn shard_main(
+    coordinator: SocketAddr,
+    spec: &NetSpec,
+    opts: &ShardOptions,
+) -> Result<(), NetError> {
     let supervised = opts.chaos_seed.is_some() || opts.rejoin.is_some();
     let config = if supervised {
         NetConfig::supervised()
@@ -508,20 +508,39 @@ pub fn shard_main(coordinator: SocketAddr, spec: &NetSpec, opts: &ShardOptions) 
         None => membership::join(coordinator, &config).and_then(|membership| {
             NetPlane::connect(membership, config, opts.chaos_seed.map(ChaosConfig::seeded))
         }),
-    }
-    .map_err(io::Error::other)?;
+    }?;
     let g = spec.build_graph();
     let out =
         run_pipeline(spec, &g, &opts.profile, Some(&mut plane)).expect("sharded pipeline failed");
-    let (lo, hi) = plane.local_range(g.n());
     let result = ShardResult {
         shard: plane.shard,
-        lo: lo as u64,
-        hi: hi as u64,
         metrics: out.metrics,
-        colors: out.colors[lo..hi].to_vec(),
+        colors: out.colors,
     };
-    plane.send_result(&result.to_wire())
+    Ok(plane.send_result(&result.to_wire())?)
+}
+
+const SHARD_USAGE: &str = "usage: (net_shard | harness net-shard) <coordinator> <algo> \
+    <family> <n> <degree> <gseed> <rseed> [--sched <active|always>] [--drops <ppm> <seed>] \
+    [--chaos <seed>] [--rejoin <shard> <ports-csv>]";
+
+/// One shard process, behind both the `net_shard` binary and `harness
+/// net-shard`: parses `args` ([`parse_shard_argv`]), runs [`shard_main`],
+/// and returns the process exit code — 2 with the usage line on malformed
+/// arguments, 1 with the transport error on stderr, 0 on success.
+#[must_use]
+pub fn shard_cli(args: &[String]) -> i32 {
+    let Some((addr, spec, opts)) = parse_shard_argv(args) else {
+        eprintln!("{SHARD_USAGE}");
+        return 2;
+    };
+    match shard_main(addr, &spec, &opts) {
+        Ok(()) => 0,
+        Err(e) => {
+            eprintln!("net-shard: {e}");
+            1
+        }
+    }
 }
 
 /// How to launch one shard process.
@@ -622,37 +641,30 @@ fn spawn_result_reader(mut stream: TcpStream, tx: &mpsc::Sender<ShardResult>) {
     });
 }
 
-/// Stitches per-shard results into the global outcome, checking ranges
-/// tile the node set and every shard agrees on the merged metrics.
-fn stitch(n: usize, k: u32, results: Vec<Option<ShardResult>>) -> NetOutcome {
-    let results: Vec<ShardResult> = results
+/// The outcome every shard reported: checks that each reported `n`
+/// colors, and that all of them report the same colors and metrics.
+fn agree(n: usize, results: Vec<Option<ShardResult>>) -> NetOutcome {
+    let mut results = results
         .into_iter()
         .enumerate()
-        .map(|(i, r)| r.unwrap_or_else(|| panic!("no RESULT from shard {i}")))
-        .collect();
-    let mut colors = vec![u32::MAX; n];
-    let mut covered = 0usize;
-    for r in &results {
-        let (lo, hi) = (r.lo as usize, r.hi as usize);
+        .map(|(i, r)| r.unwrap_or_else(|| panic!("no RESULT from shard {i}")));
+    let first = results.next().expect("k >= 1");
+    assert_eq!(first.colors.len(), n, "a coloring of the wrong size");
+    for r in results {
         assert_eq!(
-            (lo, hi),
-            netplane::shard_range(n, k as usize, r.shard as usize),
-            "shard {} reported a foreign range",
+            r.colors, first.colors,
+            "shard {} disagrees on colors",
             r.shard
         );
-        assert_eq!(r.colors.len(), hi - lo, "shard {} slice length", r.shard);
-        colors[lo..hi].copy_from_slice(&r.colors);
-        covered += hi - lo;
         assert_eq!(
-            r.metrics, results[0].metrics,
+            r.metrics, first.metrics,
             "shard {} disagrees on global metrics",
             r.shard
         );
     }
-    assert_eq!(covered, n, "shard ranges do not tile the node set");
     NetOutcome {
-        colors,
-        metrics: results.into_iter().next().expect("k >= 1").metrics,
+        colors: first.colors,
+        metrics: first.metrics,
     }
 }
 
@@ -670,9 +682,9 @@ fn store_result(results: &mut [Option<ShardResult>], r: ShardResult) {
 }
 
 /// Orchestrates a full distributed run: coordinator, `k` shard
-/// processes, result stitching. Children are kill-on-drop; a shard
-/// death fails the run loudly (for survivable chaos runs use
-/// [`run_supervised`]).
+/// processes, and a check that all `k` results agree. Children are
+/// kill-on-drop; a shard death fails the run loudly (for survivable chaos
+/// runs use [`run_supervised`]).
 ///
 /// Panics on any shard failure — the harness and tests both want a loud
 /// abort, never a silently partial coloring.
@@ -714,7 +726,7 @@ pub fn run_distributed(
     for (i, guard) in guards.iter_mut().enumerate() {
         guard.expect_success(&format!("shard process {i}"));
     }
-    stitch(spec.n, k, results)
+    agree(spec.n, results)
 }
 
 /// What happened in a supervised chaos run.
@@ -735,9 +747,9 @@ pub struct ChaosRunReport {
 /// chaos schedule that kills one of them mid-phase; the supervisor
 /// detects the exit, respawns the victim with `--rejoin` (chaos
 /// stripped), and the replacement replays the survivors' retained
-/// history to the live frontier. Returns the stitched outcome — which
-/// must be bit-identical to the chaos-free and sequential runs — plus a
-/// report of what the supervisor observed.
+/// history to the live frontier. Returns the outcome all shards agreed on
+/// — which must be bit-identical to the chaos-free and sequential runs —
+/// plus a report of what the supervisor observed.
 ///
 /// Panics on a second concurrent failure (outside the survivable model)
 /// or on supervision timeout.
@@ -820,7 +832,7 @@ pub fn run_supervised(
     for guard in &mut guards {
         guard.expect_success("surviving shard");
     }
-    let outcome = stitch(spec.n, k, results);
+    let outcome = agree(spec.n, results);
     (
         outcome,
         ChaosRunReport {
@@ -1002,8 +1014,6 @@ mod tests {
     fn shard_result_wire_roundtrip() {
         let r = ShardResult {
             shard: 3,
-            lo: 100,
-            hi: 150,
             metrics: Metrics {
                 rounds: 17,
                 messages: 900,

@@ -99,7 +99,7 @@ fn rand_improved_survives_a_mid_phase_shard_kill() {
 /// Every survivability layer at once: a chaos kill/respawn while the
 /// engine runs active-set scheduling *and* a simulated drop-fault
 /// plane. The rejoined replacement rebuilds the same frontier and
-/// charges the same seeded fates, so the stitched outcome — coloring,
+/// charges the same seeded fates, so the agreed outcome — coloring,
 /// fault counters, stepped-node total — still matches the sequential
 /// reference bit-for-bit.
 #[test]

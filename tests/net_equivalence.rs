@@ -10,6 +10,8 @@
 use d2color::netharness::{
     run_distributed, run_sequential, NetAlgo, NetGraph, NetSpec, RunProfile, ShardCommand,
 };
+use std::net::TcpListener;
+use std::process::Command;
 
 fn shard_cmd() -> ShardCommand {
     ShardCommand {
@@ -153,7 +155,7 @@ fn active_set_profile_matches_over_sockets() {
 
 /// Simulated drop faults over sockets: the seeded fault plane is a pure
 /// function of `(config, salt, n)`, so every shard charges the same
-/// fates and the stitched outcome — including the fault counters —
+/// fates and the outcome they agree on — including the fault counters —
 /// matches the sequential reference bit-for-bit.
 #[test]
 fn drop_fault_profile_matches_over_sockets() {
@@ -177,4 +179,24 @@ fn active_set_with_drop_faults_matches_over_sockets() {
     let seq = run_sequential(&spec, &profile);
     assert!(seq.metrics.faults_dropped > 0, "drop plane never fired");
     check_profile(spec, &profile);
+}
+
+/// A shard that cannot reach its coordinator reports the structured dial
+/// failure and exits 1 instead of panicking.
+#[test]
+fn unreachable_coordinator_exits_one_without_a_panic() {
+    // A port that was free a moment ago: nothing listens there now.
+    let port = TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .unwrap()
+        .port();
+    let out = Command::new(env!("CARGO_BIN_EXE_net_shard"))
+        .arg(format!("127.0.0.1:{port}"))
+        .args(["det-small", "gnp", "10", "2", "1", "1"])
+        .output()
+        .expect("spawn net_shard");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("dial to 127.0.0.1"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }

@@ -87,7 +87,7 @@ fn randomized_split_definition() {
     for (i, g) in graph_cases(12).enumerate() {
         let mut driver = d2core::Driver::new(&g, SimConfig::seeded(i as u64));
         let sides = driver
-            .run_phase("split", &d2core::det::splitting::RandomizedSplit)
+            .run_phase("split", &d2core::det::splitting::RandomizedSplit, |s| s)
             .expect("split");
         let result = d2core::det::splitting::SplitResult {
             sides,
