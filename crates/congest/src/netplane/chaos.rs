@@ -1,5 +1,5 @@
-//! Deterministic netplane chaos: seeded process kills, link drops, and
-//! flush delays.
+//! Deterministic netplane chaos: a seeded process kill plus flush
+//! jitter.
 //!
 //! This is the transport-level sibling of [`crate::faults`]: where the
 //! fault plane perturbs the *simulated* network (message drops, node
@@ -11,27 +11,24 @@
 //! two shards consulting the plane independently always agree on the
 //! schedule.
 //!
-//! Three event classes, each independently enabled:
+//! A chaos run carries both event classes:
 //!
-//! * **Kill** ([`ChaosConfig::kill`]): one victim shard aborts itself at
-//!   the first barrier whose plane sequence number reaches the scheduled
+//! * **Kill** ([`kill_plan`]): one victim shard aborts itself at the
+//!   first barrier whose plane sequence number reaches the scheduled
 //!   sync — from the survivors' perspective, indistinguishable from a
 //!   `SIGKILL` (sockets close, reads EOF). Half the schedules tear a
 //!   frame mid-write first ([`KillPlan::mid_frame`]), modeling death
 //!   inside `write_all`. The supervisor respawns the victim with
 //!   `--rejoin` and chaos stripped, so the replacement runs clean.
-//! * **Link drop** ([`ChaosConfig::drop_link`]): one shard force-closes
-//!   one mesh link after a scheduled barrier and immediately redials with
-//!   [`Rejoin`](super::Rejoin) carrying its live frontier — exercising
-//!   the resume/replay path without killing any process.
-//! * **Flush delay** ([`ChaosConfig::flush_delay`]): sub-millisecond
-//!   jitter injected before a per-link flush at a small per-million rate
-//!   — reordering the *wall-clock* interleaving of frame arrivals while
-//!   the barrier protocol keeps the observables bit-identical.
+//! * **Flush delay** ([`flush_delay`]): sub-millisecond jitter injected
+//!   before a per-link flush at a small per-million rate — reordering
+//!   the *wall-clock* interleaving of frame arrivals while the barrier
+//!   protocol keeps the observables bit-identical.
 //!
-//! None of these may change the run's observables: colorings, metrics,
-//! and errors must stay bit-identical to the sequential engine. That is
-//! the claim `tests/net_chaos.rs` and the PR 9 bench gate check.
+//! Neither may change the run's observables: colorings, metrics, and
+//! errors must stay bit-identical to the sequential engine. That is the
+//! claim `tests/net_chaos.rs` and the bench registry's `net/*chaos*`
+//! cells check.
 
 use std::time::Duration;
 
@@ -47,57 +44,6 @@ fn splitmix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Declarative chaos model for a supervised netplane run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosConfig {
-    /// Seed of the chaos schedule. Independent of graph and run seeds:
-    /// the same workload can be replayed under different chaos traces.
-    pub seed: u64,
-    /// Kill one seeded victim shard at a seeded sync.
-    pub kill: bool,
-    /// Force-close (and immediately redial) one seeded mesh link.
-    pub drop_link: bool,
-    /// Inject sub-millisecond seeded delays before per-link flushes.
-    pub flush_delay: bool,
-}
-
-impl ChaosConfig {
-    /// The profile the supervised harness uses: one kill plus flush
-    /// jitter. Link drops are off by default (they are exercised by the
-    /// in-process tests; a drop racing the kill's rejoin would violate
-    /// the one-failure-at-a-time survivability contract).
-    #[must_use]
-    pub fn seeded(seed: u64) -> Self {
-        ChaosConfig {
-            seed,
-            kill: true,
-            drop_link: false,
-            flush_delay: true,
-        }
-    }
-
-    /// Returns `self` with the kill event enabled or disabled.
-    #[must_use]
-    pub fn with_kill(mut self, on: bool) -> Self {
-        self.kill = on;
-        self
-    }
-
-    /// Returns `self` with the link-drop event enabled or disabled.
-    #[must_use]
-    pub fn with_drop_link(mut self, on: bool) -> Self {
-        self.drop_link = on;
-        self
-    }
-
-    /// Returns `self` with flush jitter enabled or disabled.
-    #[must_use]
-    pub fn with_flush_delay(mut self, on: bool) -> Self {
-        self.flush_delay = on;
-        self
-    }
 }
 
 /// The seeded kill event: which shard dies, and when.
@@ -132,32 +78,6 @@ pub fn kill_plan(seed: u64, n_shards: u32) -> KillPlan {
     }
 }
 
-/// The seeded link-drop event: `src` force-closes its link to `dst`
-/// after the barrier at `sync` and immediately redials.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DropPlan {
-    /// The shard that closes and redials.
-    pub src: u32,
-    /// The peer whose link is dropped.
-    pub dst: u32,
-    /// The barrier after which the drop fires (first `seq >= sync`).
-    pub sync: u64,
-}
-
-/// The seeded link-drop event for a world of `n_shards` (requires at
-/// least two shards; a one-shard world has no links to drop).
-#[must_use]
-pub fn drop_plan(seed: u64, n_shards: u32) -> DropPlan {
-    let n = u64::from(n_shards.max(2));
-    let h = splitmix(seed ^ 0x4452_4F50_u64); // "DROP"
-    let src = (h % n) as u32;
-    let h2 = splitmix(h);
-    // dst uniform over the other shards.
-    let dst = ((u64::from(src) + 1 + h2 % (n - 1)) % n) as u32;
-    let sync = 2 + (splitmix(h2) % 8);
-    DropPlan { src, dst, sync }
-}
-
 /// Seeded flush jitter for the flush of link `(src → dst)` at `sync`:
 /// `Some(delay)` at a ~3% rate, sub-millisecond, pure in the
 /// coordinates.
@@ -174,29 +94,24 @@ pub fn flush_delay(seed: u64, sync: u64, src: u32, dst: u32) -> Option<Duration>
     }
 }
 
-/// A shard's materialized view of the chaos schedule: the plans that
-/// concern *this* shard, plus one-shot firing state.
+/// A shard's materialized view of the chaos schedule: the seed and the
+/// run's kill plan.
 #[derive(Debug)]
 pub struct ChaosState {
-    config: ChaosConfig,
+    seed: u64,
     shard: u32,
-    kill: Option<KillPlan>,
-    drop: Option<DropPlan>,
-    drop_fired: bool,
+    kill: KillPlan,
 }
 
 impl ChaosState {
-    /// Materializes the schedule for shard `shard` of `n_shards`.
+    /// Materializes the schedule of chaos seed `seed` for shard `shard`
+    /// of `n_shards`.
     #[must_use]
-    pub fn new(config: ChaosConfig, shard: u32, n_shards: u32) -> Self {
-        let kill = config.kill.then(|| kill_plan(config.seed, n_shards));
-        let drop = (config.drop_link && n_shards >= 2).then(|| drop_plan(config.seed, n_shards));
+    pub fn new(seed: u64, shard: u32, n_shards: u32) -> Self {
         ChaosState {
-            config,
+            seed,
             shard,
-            kill,
-            drop,
-            drop_fired: false,
+            kill: kill_plan(seed, n_shards),
         }
     }
 
@@ -206,28 +121,14 @@ impl ChaosState {
     /// space, so the exact scheduled value may be skipped).
     #[must_use]
     pub fn kill_action(&self, sync: u64) -> Option<bool> {
-        let plan = self.kill?;
+        let plan = self.kill;
         (plan.victim == self.shard && sync >= plan.sync).then_some(plan.mid_frame)
-    }
-
-    /// The peer whose link this shard must drop-and-redial after the
-    /// barrier at `sync`, at most once per run.
-    pub fn take_drop_action(&mut self, sync: u64) -> Option<u32> {
-        let plan = self.drop?;
-        if self.drop_fired || plan.src != self.shard || sync < plan.sync {
-            return None;
-        }
-        self.drop_fired = true;
-        Some(plan.dst)
     }
 
     /// Seeded jitter before flushing the link to `dst` at `sync`.
     #[must_use]
     pub fn flush_delay(&self, sync: u64, dst: u32) -> Option<Duration> {
-        if !self.config.flush_delay {
-            return None;
-        }
-        flush_delay(self.config.seed, sync, self.shard, dst)
+        flush_delay(self.seed, sync, self.shard, dst)
     }
 }
 
@@ -239,7 +140,6 @@ mod tests {
     fn plans_are_pure_functions_of_the_seed() {
         for seed in 0..64u64 {
             assert_eq!(kill_plan(seed, 4), kill_plan(seed, 4));
-            assert_eq!(drop_plan(seed, 4), drop_plan(seed, 4));
             for sync in 0..16 {
                 assert_eq!(flush_delay(seed, sync, 0, 1), flush_delay(seed, sync, 0, 1));
             }
@@ -256,17 +156,6 @@ mod tests {
             victims[plan.victim as usize] = true;
         }
         assert!(victims.iter().all(|&v| v), "some shard is never a victim");
-    }
-
-    #[test]
-    fn drop_plan_never_targets_self() {
-        for seed in 0..256u64 {
-            for n in 2..6u32 {
-                let plan = drop_plan(seed, n);
-                assert!(plan.src < n && plan.dst < n);
-                assert_ne!(plan.src, plan.dst);
-            }
-        }
     }
 
     #[test]
@@ -289,48 +178,10 @@ mod tests {
         let seed = 7u64;
         let plan = kill_plan(seed, 4);
         for shard in 0..4u32 {
-            let state = ChaosState::new(ChaosConfig::seeded(seed), shard, 4);
+            let state = ChaosState::new(seed, shard, 4);
             for sync in 0..20u64 {
                 let fires = state.kill_action(sync).is_some();
                 assert_eq!(fires, shard == plan.victim && sync >= plan.sync);
-            }
-        }
-    }
-
-    #[test]
-    fn drop_action_fires_once_on_the_source() {
-        let seed = 11u64;
-        let config = ChaosConfig::seeded(seed)
-            .with_kill(false)
-            .with_drop_link(true);
-        let plan = drop_plan(seed, 4);
-        let mut state = ChaosState::new(config, plan.src, 4);
-        let mut fired = Vec::new();
-        for sync in 0..20u64 {
-            if let Some(dst) = state.take_drop_action(sync) {
-                fired.push((sync, dst));
-            }
-        }
-        assert_eq!(fired, vec![(plan.sync, plan.dst)]);
-        // Other shards never fire.
-        let mut other = ChaosState::new(config, (plan.src + 1) % 4, 4);
-        assert!((0..20u64).all(|s| other.take_drop_action(s).is_none()));
-    }
-
-    #[test]
-    fn disabled_events_never_fire() {
-        let config = ChaosConfig {
-            seed: 3,
-            kill: false,
-            drop_link: false,
-            flush_delay: false,
-        };
-        let mut state = ChaosState::new(config, 0, 4);
-        for sync in 0..50u64 {
-            assert_eq!(state.kill_action(sync), None);
-            assert_eq!(state.take_drop_action(sync), None);
-            for dst in 0..4 {
-                assert_eq!(state.flush_delay(sync, dst), None);
             }
         }
     }

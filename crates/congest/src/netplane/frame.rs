@@ -36,8 +36,9 @@ pub mod kind {
     pub const ASSIGN: u8 = 2;
     /// Dialing shard → accepting shard: "I am shard `from`".
     pub const JOIN: u8 = 3;
-    /// Restarted shard → surviving shard: "I am shard `from`, I have
-    /// acked syncs `≤ have_sync`; replay the rest".
+    /// Restarted shard → surviving shard: "I am shard `from` (a
+    /// [`Join`](crate::netplane::Join) payload), restarted from scratch;
+    /// replay everything you sent me".
     pub const REJOIN: u8 = 4;
     /// One communication round's batch + control flags (peer ↔ peer).
     pub const ROUND: u8 = 5;

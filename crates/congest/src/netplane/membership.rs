@@ -26,22 +26,19 @@
 //!
 //! # Reconnect
 //!
-//! A [`Link`] retains its sync-tagged frames for the trailing
-//! [`NetConfig::retained_syncs`] window (the default of two mirrors the
-//! parity double-buffered mailboxes: a *live* peer is never more than one
-//! sync behind; supervised chaos runs retain everything so a shard
-//! restarted from scratch can be replayed the whole history). A restarted
-//! peer dials back and sends [`Rejoin`] with the highest sync it has
-//! fully applied; the survivor answers via [`Link::resume`], replaying
-//! every retained frame with a newer sync. Replay is deterministic — the
-//! frames are byte-identical to the originals — so the rejoined peer
-//! observes the exact stream it would have seen without the restart. A
-//! rejoiner whose ack falls below the retained window gets a structured
-//! [`NetError::ReplayGap`], never a silently divergent stream.
+//! The one restart the netplane survives is a shard process killed and
+//! respawned from scratch, which re-executes the run from sync 0. So a
+//! [`Link`] on a plane that can be rejoined ([`NetConfig::rejoin_timeout`]
+//! is set) retains every frame it sends, and a link on any other plane
+//! retains nothing. The restarted peer dials back and sends a
+//! [`kind::REJOIN`] frame carrying its [`Join`]; the survivor answers
+//! via [`Link::resume`], replaying every frame it ever sent on that link.
+//! Replay is deterministic — the frames are byte-identical to the
+//! originals — so the rejoined peer observes the exact stream it would
+//! have seen without the restart.
 
 use super::frame::{kind, read_frame, write_frame, Frame, FrameError};
 use super::wire::{Reader, Wire, WireError};
-use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, BufWriter, Write as _};
 use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -64,13 +61,10 @@ pub struct NetConfig {
     /// Retries after the first dial attempt (so `max_retries + 1` dials
     /// total) before [`NetError::DialTimeout`].
     pub max_retries: u32,
-    /// How many trailing syncs every link retains for replay.
-    /// [`u64::MAX`] retains everything (supervised runs, where a peer
-    /// may restart from scratch and need the full history).
-    pub retained_syncs: u64,
     /// How long a survivor parks at a barrier waiting for a dead peer's
     /// replacement to dial back in. `None` disables recovery: a lost
-    /// link is a structured [`NetError::PeerLost`].
+    /// link is a structured [`NetError::PeerLost`]. `Some` also makes
+    /// every mesh link retain every frame it sends, for the replay.
     pub rejoin_timeout: Option<Duration>,
 }
 
@@ -81,23 +75,21 @@ impl Default for NetConfig {
             read_timeout: Duration::from_secs(30),
             retry_backoff: Duration::from_millis(25),
             max_retries: 5,
-            retained_syncs: 2,
             rejoin_timeout: None,
         }
     }
 }
 
 impl NetConfig {
-    /// The profile supervised (chaos / respawn) runs use: unbounded
-    /// retention — a killed shard's replacement rejoins with
-    /// `have_sync = 0` and replays the whole history — and survivors
-    /// parking for up to a minute while the supervisor respawns the
-    /// victim.
+    /// The profile supervised (chaos / respawn) runs use: survivors park
+    /// for up to a minute while the supervisor respawns the victim, and
+    /// because that rejoin window is set, every link retains every frame
+    /// it sends — a killed shard's replacement re-executes from sync 0
+    /// and is replayed the whole history.
     #[must_use]
     pub fn supervised() -> Self {
         NetConfig {
             read_timeout: Duration::from_secs(60),
-            retained_syncs: u64::MAX,
             rejoin_timeout: Some(Duration::from_secs(60)),
             ..NetConfig::default()
         }
@@ -116,13 +108,6 @@ impl NetConfig {
         self.dial_timeout = timeout;
         self.retry_backoff = backoff;
         self.max_retries = retries;
-        self
-    }
-
-    /// Returns the config with `retained_syncs` replaced.
-    #[must_use]
-    pub fn with_retained_syncs(mut self, window: u64) -> Self {
-        self.retained_syncs = window;
         self
     }
 
@@ -168,17 +153,6 @@ pub enum NetError {
         /// The underlying transport failure.
         cause: String,
     },
-    /// A rejoiner acked a sync older than the retained window: exact
-    /// replay is impossible, so recovery refuses rather than diverging.
-    ReplayGap {
-        /// The rejoining peer's shard index.
-        shard: u32,
-        /// The sync the rejoiner claims to have applied.
-        have_sync: u64,
-        /// The newest sync already pruned from retention; replay would
-        /// need every sync in `have_sync + 1 ..= pruned_through`.
-        pruned_through: u64,
-    },
     /// A peer sent a frame from a different point in the lockstep
     /// schedule (or of an unexpected kind).
     Desync {
@@ -220,15 +194,6 @@ impl fmt::Display for NetError {
             NetError::PeerLost { shard, sync, cause } => {
                 write!(f, "lost link to shard {shard} at sync {sync}: {cause}")
             }
-            NetError::ReplayGap {
-                shard,
-                have_sync,
-                pruned_through,
-            } => write!(
-                f,
-                "shard {shard} acked sync {have_sync} but retention already pruned \
-                 through sync {pruned_through}; exact replay is impossible"
-            ),
             NetError::Desync {
                 shard,
                 frame_kind,
@@ -372,7 +337,9 @@ impl Wire for Assign {
     }
 }
 
-/// First frame on a freshly dialed mesh connection: who is calling.
+/// First frame on a freshly dialed mesh connection: who is calling. A
+/// [`kind::JOIN`] frame carries it when the mesh forms, a
+/// [`kind::REJOIN`] frame when a restarted shard dials back in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Join {
     /// The dialing shard's index.
@@ -389,39 +356,6 @@ impl Wire for Join {
         })
     }
 }
-
-/// First frame after a restart: who is calling and how far they got.
-///
-/// A peer that merely dropped its connection rejoins with its last
-/// applied sync; a peer restarted from scratch (supervised recovery)
-/// rejoins with `have_sync = 0` and is replayed the whole retained
-/// history while it deterministically re-executes the run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Rejoin {
-    /// The rejoining shard's index.
-    pub from: u32,
-    /// Highest sync the rejoiner has fully applied; the survivor replays
-    /// every retained frame with a strictly newer sync.
-    pub have_sync: u64,
-}
-
-impl Wire for Rejoin {
-    fn put(&self, buf: &mut Vec<u8>) {
-        self.from.put(buf);
-        self.have_sync.put(buf);
-    }
-    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Rejoin {
-            from: u32::take(r)?,
-            have_sync: u64::take(r)?,
-        })
-    }
-}
-
-/// Default trailing-sync retention window ([`NetConfig::retained_syncs`]).
-/// Two, because the parity double-buffer means a live peer is never more
-/// than one sync behind the sender.
-pub const RETAINED_SYNCS: u64 = 2;
 
 /// Why [`Link::recv_deadline`] came back without a frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -440,9 +374,10 @@ pub enum RecvFailure {
 /// *is* the flush point. Reads happen on a dedicated thread per peer
 /// (sender and receiver can both be mid-`write_all` without deadlock)
 /// feeding an in-process channel drained by [`Link::recv_deadline`]. The
-/// reader thread's handle is owned by the link: [`Link::resume`] /
-/// [`Link::reconnect`] shut the old socket down and *join* the old
-/// thread before re-arming, so reconnect cycles never leak threads.
+/// reader thread's handle is owned by the link: [`Link::resume`] shuts
+/// the old socket down and *joins* the old thread before re-arming, so
+/// reconnect cycles never leak threads. A retaining link keeps a copy of
+/// every frame it sends, for [`Link::resume`] to replay.
 #[derive(Debug)]
 pub struct Link {
     /// The peer shard's index.
@@ -457,12 +392,9 @@ pub struct Link {
     raw: TcpStream,
     rx: mpsc::Receiver<Result<Frame, FrameError>>,
     reader: Option<thread::JoinHandle<()>>,
-    /// Sync-tagged frames of the last `retain_window` syncs, oldest
-    /// first, for replay after a peer restart.
-    retained: VecDeque<(u64, u8, Vec<u8>)>,
-    retain_window: u64,
-    /// Newest sync ever pruned from `retained` (0 when nothing was).
-    pruned_through: u64,
+    /// Every frame sent, oldest first, for replay after a peer restart;
+    /// `None` on a link that does not retain.
+    retained: Option<Vec<(u8, Vec<u8>)>>,
 }
 
 /// A spawned reader: the frame channel plus the thread's join handle
@@ -497,13 +429,13 @@ fn spawn_reader(peer: u32, stream: TcpStream) -> io::Result<ReaderHandle> {
 }
 
 impl Link {
-    /// Wraps an established connection to `peer`, retaining the trailing
-    /// `retain_window` syncs for replay.
+    /// Wraps an established connection to `peer`; with `retain`, the
+    /// link keeps every frame it sends for replay.
     ///
     /// # Errors
     ///
     /// Fails if the stream cannot be cloned for the reader thread.
-    pub fn new(peer: u32, stream: TcpStream, retain_window: u64) -> io::Result<Self> {
+    pub fn new(peer: u32, stream: TcpStream, retain: bool) -> io::Result<Self> {
         stream.set_nodelay(true)?;
         // Handshake reads may have armed a read timeout on this stream;
         // the reader thread needs plain blocking reads (a long silent
@@ -518,48 +450,23 @@ impl Link {
             raw,
             rx,
             reader: Some(reader),
-            retained: VecDeque::new(),
-            retain_window,
-            pruned_through: 0,
+            retained: retain.then(Vec::new),
         })
     }
 
-    /// Queues a frame that is *not* replayed on reconnect (membership and
-    /// result traffic).
+    /// Queues a frame. A retaining link keeps a copy *before* attempting
+    /// the write, so a frame that fails to transmit is still replayed
+    /// after the peer rejoins.
     ///
     /// # Errors
     ///
-    /// Propagates write errors.
+    /// Propagates write errors (a retaining link keeps the frame
+    /// regardless).
     pub fn send(&mut self, frame_kind: u8, payload: &[u8]) -> io::Result<()> {
-        write_frame(&mut self.writer, frame_kind, payload)
-    }
-
-    /// Queues a sync-tagged frame, retaining it for replay *before*
-    /// attempting the write — a frame that fails to transmit is still
-    /// replayable after the peer rejoins. Frames older than the retention
-    /// window are pruned (and remembered in [`Link::pruned_through`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates write errors (the frame is retained regardless).
-    pub fn send_retained(&mut self, sync: u64, frame_kind: u8, payload: &[u8]) -> io::Result<()> {
-        while let Some(&(s, _, _)) = self.retained.front() {
-            if s.saturating_add(self.retain_window) > sync {
-                break;
-            }
-            self.pruned_through = self.pruned_through.max(s);
-            self.retained.pop_front();
+        if let Some(frames) = &mut self.retained {
+            frames.push((frame_kind, payload.to_vec()));
         }
-        self.retained
-            .push_back((sync, frame_kind, payload.to_vec()));
         write_frame(&mut self.writer, frame_kind, payload)
-    }
-
-    /// Newest sync pruned from retention (0 when nothing was pruned). A
-    /// rejoiner must have acked at least this sync for exact replay.
-    #[must_use]
-    pub fn pruned_through(&self) -> u64 {
-        self.pruned_through
     }
 
     /// Flushes everything queued since the last barrier.
@@ -609,50 +516,26 @@ impl Link {
     }
 
     /// Re-arms the link over a fresh connection after the peer restarted,
-    /// replaying every retained frame with sync > `have_sync` (in
-    /// original order) and flushing.
+    /// replaying every retained frame in original order and flushing. A
+    /// link that does not retain replays nothing.
     ///
     /// # Errors
     ///
-    /// [`NetError::ReplayGap`] when `have_sync` predates the retained
-    /// window (replay would silently skip pruned syncs); otherwise
-    /// propagates clone/write errors on the new stream.
-    pub fn resume(&mut self, stream: TcpStream, have_sync: u64) -> Result<(), NetError> {
-        if have_sync < self.pruned_through {
-            return Err(NetError::ReplayGap {
-                shard: self.peer,
-                have_sync,
-                pruned_through: self.pruned_through,
-            });
-        }
-        self.rearm(stream)?;
-        for (sync, frame_kind, payload) in &self.retained {
-            if *sync > have_sync {
-                write_frame(&mut self.writer, *frame_kind, payload).map_err(NetError::from)?;
-            }
-        }
-        self.writer.flush()?;
-        Ok(())
-    }
-
-    /// Swaps in a fresh connection without replaying anything: the
-    /// *dialing* side of a reconnect (it announced its own `have_sync`
-    /// via [`Rejoin`]; the peer replays, this side just resumes sending
-    /// new frames).
-    ///
-    /// # Errors
-    ///
-    /// Propagates clone errors on the new stream.
-    pub fn reconnect(&mut self, stream: TcpStream) -> Result<(), NetError> {
-        self.rearm(stream)?;
-        Ok(())
-    }
-
-    /// Tears the connection down deliberately (chaos link-drop): the
-    /// socket is shut down and the reader joined. The link is unusable
-    /// until [`Link::reconnect`].
-    pub fn force_close(&mut self) {
+    /// Propagates clone/write errors on the new stream.
+    pub fn resume(&mut self, stream: TcpStream) -> io::Result<()> {
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(None)?;
         self.detach_reader();
+        self.raw = stream.try_clone()?;
+        let (rx, reader) = spawn_reader(self.peer, stream.try_clone()?)?;
+        self.rx = rx;
+        self.reader = Some(reader);
+        self.writer = BufWriter::new(stream);
+        self.alive = true;
+        for (frame_kind, payload) in self.retained.iter().flatten() {
+            write_frame(&mut self.writer, *frame_kind, payload)?;
+        }
+        self.writer.flush()
     }
 
     /// Writes only the first `keep` bytes of a frame and flushes — chaos
@@ -665,19 +548,6 @@ impl Link {
     ) -> io::Result<()> {
         super::frame::write_torn_frame(&mut self.writer, frame_kind, payload, keep)?;
         self.writer.flush()
-    }
-
-    fn rearm(&mut self, stream: TcpStream) -> io::Result<()> {
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(None)?;
-        self.detach_reader();
-        self.raw = stream.try_clone()?;
-        let (rx, reader) = spawn_reader(self.peer, stream.try_clone()?)?;
-        self.rx = rx;
-        self.reader = Some(reader);
-        self.writer = BufWriter::new(stream);
-        self.alive = true;
-        Ok(())
     }
 }
 
@@ -814,7 +684,8 @@ pub fn join(coordinator: SocketAddr, config: &NetConfig) -> Result<Membership, N
 
 /// Builds the full mesh: one [`Link`] per peer, indexed by peer shard.
 /// Shard `i` dials every `j < i` (retry/backoff per dial) and accepts
-/// from every `j > i` under the read deadline.
+/// from every `j > i` under the read deadline. The links retain what
+/// they send exactly when `config` has a rejoin window.
 ///
 /// # Errors
 ///
@@ -822,6 +693,7 @@ pub fn join(coordinator: SocketAddr, config: &NetConfig) -> Result<Membership, N
 pub fn connect_mesh(membership: &Membership, config: &NetConfig) -> Result<Vec<Link>, NetError> {
     let me = membership.assign.shard;
     let n = membership.assign.n_shards;
+    let retain = config.rejoin_timeout.is_some();
     let mut links: Vec<Option<Link>> = (0..n).map(|_| None).collect();
     // Dial the lower-indexed peers.
     for &(peer, port) in &membership.assign.peers {
@@ -831,7 +703,7 @@ pub fn connect_mesh(membership: &Membership, config: &NetConfig) -> Result<Vec<L
         let mut stream = dial_retry(SocketAddr::from((Ipv4Addr::LOCALHOST, port)), config)?;
         write_frame(&mut stream, kind::JOIN, &Join { from: me }.to_wire())?;
         stream.flush().map_err(NetError::from)?;
-        links[peer as usize] = Some(Link::new(peer, stream, config.retained_syncs)?);
+        links[peer as usize] = Some(Link::new(peer, stream, retain)?);
     }
     // Accept the higher-indexed peers (in whatever order they dial).
     let start = Instant::now();
@@ -851,7 +723,7 @@ pub fn connect_mesh(membership: &Membership, config: &NetConfig) -> Result<Vec<L
                 joiner.from
             )));
         }
-        links[joiner.from as usize] = Some(Link::new(joiner.from, stream, config.retained_syncs)?);
+        links[joiner.from as usize] = Some(Link::new(joiner.from, stream, retain)?);
     }
     Ok(links.into_iter().flatten().collect())
 }
@@ -872,25 +744,20 @@ mod tests {
         assert_eq!(Hello::from_wire(&hello.to_wire()).unwrap(), hello);
         let join = Join { from: 3 };
         assert_eq!(Join::from_wire(&join.to_wire()).unwrap(), join);
-        let rejoin = Rejoin {
-            from: 2,
-            have_sync: 41,
-        };
-        assert_eq!(Rejoin::from_wire(&rejoin.to_wire()).unwrap(), rejoin);
     }
 
-    /// Coordinator + three shards rendezvous and build the mesh; each
-    /// pair exchanges a ping tagged with the sender's index.
-    #[test]
-    fn mesh_forms_and_exchanges() {
+    /// Coordinator + three shards rendezvous under `config` and build the
+    /// mesh; each pair exchanges a ping tagged with the sender's index.
+    /// Returns every shard's links, in shard order.
+    fn ping_mesh(config: &NetConfig) -> Vec<Vec<Link>> {
         let coordinator = Coordinator::bind().unwrap();
         let addr = SocketAddr::from((Ipv4Addr::LOCALHOST, coordinator.port()));
-        let coord_thread =
-            thread::spawn(move || coordinator.assign(3, &NetConfig::default()).unwrap());
+        let coord_config = config.clone();
+        let coord_thread = thread::spawn(move || coordinator.assign(3, &coord_config).unwrap());
         let shards: Vec<_> = (0..3)
             .map(|_| {
+                let config = config.clone();
                 thread::spawn(move || {
-                    let config = NetConfig::default();
                     let membership = join(addr, &config).unwrap();
                     let me = membership.assign.shard;
                     let mut links = connect_mesh(&membership, &config).unwrap();
@@ -904,132 +771,87 @@ mod tests {
                         assert_eq!(frame.kind, kind::ROUND);
                         assert_eq!(u32::from_wire(&frame.payload).unwrap(), link.peer);
                     }
-                    me
+                    (me, links)
                 })
             })
             .collect();
-        let mut ids: Vec<u32> = shards.into_iter().map(|h| h.join().unwrap()).collect();
-        ids.sort_unstable();
+        let mut shards: Vec<(u32, Vec<Link>)> =
+            shards.into_iter().map(|h| h.join().unwrap()).collect();
+        shards.sort_by_key(|&(me, _)| me);
+        let ids: Vec<u32> = shards.iter().map(|&(me, _)| me).collect();
         assert_eq!(ids, vec![0, 1, 2]);
         assert_eq!(coord_thread.join().unwrap().controls.len(), 3);
+        shards.into_iter().map(|(_, links)| links).collect()
+    }
+
+    #[test]
+    fn mesh_forms_and_exchanges() {
+        ping_mesh(&NetConfig::default());
+    }
+
+    /// Only a plane that can be rejoined pays for retention: without a
+    /// rejoin window no link keeps a frame, and with one every link
+    /// keeps every frame it sent.
+    #[test]
+    fn links_retain_only_when_rejoinable() {
+        for links in ping_mesh(&NetConfig::default()) {
+            assert!(links.iter().all(|link| link.retained.is_none()));
+        }
+        let rejoinable = NetConfig::default().with_rejoin_timeout(Some(Duration::from_secs(10)));
+        for (me, links) in (0u32..).zip(ping_mesh(&rejoinable)) {
+            for link in links {
+                assert_eq!(link.retained, Some(vec![(kind::ROUND, me.to_wire())]));
+            }
+        }
     }
 
     /// The reconnect path: a peer "restarts" (drops its connection
-    /// mid-phase), dials back with `Rejoin`, and the survivor replays
-    /// exactly the unacked syncs.
+    /// mid-phase) and dials back with a `REJOIN`; the survivor replays
+    /// every frame it sent, then the link carries new frames.
     #[test]
-    fn link_replays_unacked_syncs_on_resume() {
+    fn link_replays_its_whole_history_on_resume() {
         let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
         let port = listener.local_addr().unwrap().port();
 
-        // Survivor side: accept, send three sync-tagged rounds, then
-        // service a rejoin that acked only sync 1.
+        // Survivor side: accept, send three rounds, then service a
+        // rejoin.
         let survivor = thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
-            let mut link = Link::new(1, stream, RETAINED_SYNCS + 1).unwrap();
+            let mut link = Link::new(1, stream, true).unwrap();
             for sync in 1u64..=3 {
-                link.send_retained(sync, kind::ROUND, &sync.to_wire())
-                    .unwrap();
+                link.send(kind::ROUND, &sync.to_wire()).unwrap();
             }
             link.flush().unwrap();
             // Peer restarts and dials back in.
             let (mut stream, _) = listener.accept().unwrap();
-            let rejoin: Rejoin =
+            let rejoin: Join =
                 expect_payload(&mut stream, kind::REJOIN, Duration::from_secs(10)).unwrap();
-            assert_eq!(
-                rejoin,
-                Rejoin {
-                    from: 1,
-                    have_sync: 1
-                }
-            );
-            link.resume(stream, rejoin.have_sync).unwrap();
+            assert_eq!(rejoin, Join { from: 1 });
+            link.resume(stream).unwrap();
             // The resumed link keeps working for new syncs.
-            link.send_retained(4, kind::ROUND, &4u64.to_wire()).unwrap();
+            link.send(kind::ROUND, &4u64.to_wire()).unwrap();
             link.flush().unwrap();
         });
 
         // First incarnation: read sync 1, then "crash" (drop the stream).
         let stream = TcpStream::connect((Ipv4Addr::LOCALHOST, port)).unwrap();
-        let mut link = Link::new(0, stream, RETAINED_SYNCS).unwrap();
+        let mut link = Link::new(0, stream, false).unwrap();
         let first = link.recv().unwrap();
         assert_eq!(u64::from_wire(&first.payload).unwrap(), 1);
         drop(link);
 
-        // Second incarnation: rejoin claiming sync 1; syncs 2, 3 must be
+        // Second incarnation, restarted from scratch: syncs 1, 2, 3 are
         // replayed, then 4 arrives live.
         let mut stream = TcpStream::connect((Ipv4Addr::LOCALHOST, port)).unwrap();
-        let rejoin = Rejoin {
-            from: 1,
-            have_sync: 1,
-        };
-        write_frame(&mut stream, kind::REJOIN, &rejoin.to_wire()).unwrap();
+        write_frame(&mut stream, kind::REJOIN, &Join { from: 1 }.to_wire()).unwrap();
         stream.flush().unwrap();
-        let mut link = Link::new(0, stream, RETAINED_SYNCS).unwrap();
-        for expect in 2u64..=4 {
+        let mut link = Link::new(0, stream, false).unwrap();
+        for expect in 1u64..=4 {
             let frame = link.recv().unwrap();
             assert_eq!(frame.kind, kind::ROUND);
             assert_eq!(u64::from_wire(&frame.payload).unwrap(), expect);
         }
         survivor.join().unwrap();
-    }
-
-    fn local_pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
-        let port = listener.local_addr().unwrap().port();
-        let dial = thread::spawn(move || TcpStream::connect((Ipv4Addr::LOCALHOST, port)).unwrap());
-        let (near, _) = listener.accept().unwrap();
-        (near, dial.join().unwrap())
-    }
-
-    /// Retention is bounded by the configured window, and the link
-    /// remembers how far it pruned.
-    #[test]
-    fn retention_prunes_old_syncs() {
-        let (near, _far) = local_pair();
-        let mut link = Link::new(1, near, RETAINED_SYNCS).unwrap();
-        for sync in 1u64..=10 {
-            link.send_retained(sync, kind::ROUND, &sync.to_wire())
-                .unwrap();
-        }
-        let kept: Vec<u64> = link.retained.iter().map(|(s, _, _)| *s).collect();
-        assert_eq!(kept, vec![9, 10]);
-        assert_eq!(link.pruned_through(), 8);
-    }
-
-    /// Unbounded retention (supervised mode) never prunes.
-    #[test]
-    fn unbounded_retention_keeps_everything() {
-        let (near, _far) = local_pair();
-        let mut link = Link::new(1, near, u64::MAX).unwrap();
-        for sync in 1u64..=50 {
-            link.send_retained(sync, kind::ROUND, &sync.to_wire())
-                .unwrap();
-        }
-        assert_eq!(link.retained.len(), 50);
-        assert_eq!(link.pruned_through(), 0);
-    }
-
-    /// A rejoiner that acked a sync below the retained window gets a
-    /// structured [`NetError::ReplayGap`], never a gapped replay.
-    #[test]
-    fn resume_refuses_replay_below_the_retained_window() {
-        let (near, _far) = local_pair();
-        let mut link = Link::new(3, near, RETAINED_SYNCS).unwrap();
-        for sync in 1u64..=10 {
-            link.send_retained(sync, kind::ROUND, &sync.to_wire())
-                .unwrap();
-        }
-        let (fresh, _fresh_far) = local_pair();
-        let err = link.resume(fresh, 7).unwrap_err();
-        assert_eq!(
-            err,
-            NetError::ReplayGap {
-                shard: 3,
-                have_sync: 7,
-                pruned_through: 8
-            }
-        );
     }
 
     /// A dial to a dead port fails with a structured error after the
@@ -1085,9 +907,9 @@ mod tests {
         let dial = thread::spawn(move || TcpStream::connect((Ipv4Addr::LOCALHOST, port)).unwrap());
         let (near, _) = listener.accept().unwrap();
         let mut held = vec![dial.join().unwrap()];
-        let mut link = Link::new(1, near, u64::MAX).unwrap();
+        let mut link = Link::new(1, near, true).unwrap();
         let before = thread_count();
-        for cycle in 0..20 {
+        for _ in 0..20 {
             // The far side goes half-dead: we keep the old far stream
             // alive (in `held`) so the old reader would block forever on
             // it were it not shut down by `resume`.
@@ -1095,7 +917,7 @@ mod tests {
                 thread::spawn(move || TcpStream::connect((Ipv4Addr::LOCALHOST, port)).unwrap());
             let (fresh_near, _) = listener.accept().unwrap();
             held.push(dial.join().unwrap());
-            link.resume(fresh_near, cycle).unwrap();
+            link.resume(fresh_near).unwrap();
         }
         let after = thread_count();
         assert!(

@@ -84,12 +84,12 @@
 //! path — dials, accepts, handshake and barrier reads — runs under a
 //! [`NetConfig`] deadline, and dials retry with bounded exponential
 //! backoff, so a dead or silent peer surfaces as a structured
-//! [`NetError`] instead of an infinite block. Links retain their
-//! sync-tagged frames for a configurable trailing window
-//! ([`NetConfig::retained_syncs`]; supervised runs retain everything), so
-//! a peer that restarts mid-phase can redial, announce the last sync it
-//! applied ([`Rejoin`]), and have the survivor — parked at its barrier
-//! read on the dead link — replay exactly the unacked frames
+//! [`NetError`] instead of an infinite block. On a plane that can be
+//! rejoined ([`NetConfig::rejoin_timeout`] is set, as in supervised runs)
+//! every link retains every frame it sends; on any other plane links
+//! retain nothing. A peer restarted from scratch redials with a
+//! [`kind::REJOIN`] frame, and the survivor — parked at its barrier read
+//! on the dead link — replays everything it sent on that link
 //! ([`Link::resume`]). Deterministic replay makes the rejoined stream
 //! byte-identical to an uninterrupted one.
 //!
@@ -98,23 +98,22 @@
 //! What a supervised run ([`NetConfig::supervised`] + the `netharness`
 //! supervisor) survives, and what it does not:
 //!
-//! * **Survivable: one shard death at a time, within retention.** When a
-//!   shard process dies (crash, or a seeded [`chaos`] kill — including
-//!   mid-frame), every survivor notices the dead link at its next mesh
-//!   read and parks at the barrier under [`NetConfig::rejoin_timeout`].
-//!   The supervisor respawns the shard; the replacement rebuilds the
-//!   seeded SPMD world from scratch, dials every survivor with
-//!   [`Rejoin`]` { have_sync: 0 }` ([`rejoin_mesh`]), and re-executes the
-//!   run with every mesh read satisfied from the survivors' replayed
-//!   history until it reaches the live frontier. Survivors discard the
-//!   re-sent duplicates by sequence number. Observables stay
-//!   bit-identical to the sequential engine — `tests/net_chaos.rs` and
-//!   the PR 9 bench gate prove it.
-//! * **Survivable: a dropped-and-redialed link.** A connection torn
-//!   between two live shards (seeded
-//!   [`ChaosConfig::drop_link`](chaos::ChaosConfig)) recovers without
-//!   re-execution: the dialer announces its live frontier and the peer
-//!   replays only the in-flight frames.
+//! * **Survivable: one shard death at a time.** When a shard process
+//!   dies (crash, or a seeded [`chaos`] kill — including mid-frame),
+//!   every survivor notices the dead link at its next mesh read and parks
+//!   at the barrier under [`NetConfig::rejoin_timeout`]. The supervisor
+//!   respawns the shard; the replacement rebuilds the seeded SPMD world
+//!   from scratch, dials every survivor with a `REJOIN`
+//!   ([`rejoin_mesh`]), and re-executes the run with every mesh read
+//!   satisfied from the survivors' replayed history until it reaches the
+//!   live frontier. Survivors discard the re-sent duplicates by sequence
+//!   number. Observables stay bit-identical to the sequential engine —
+//!   `tests/net_chaos.rs` and the bench registry's `net/*chaos*` cells
+//!   prove it.
+//! * **Not survivable: a link lost between two live shards.** Nothing
+//!   redials it. An unsupervised run fails with [`NetError::PeerLost`]; a
+//!   supervised one parks for a rejoin that never comes and fails with
+//!   [`NetError::PeerTimeout`] once the rejoin window expires.
 //! * **Not survivable: coordinator death.** The coordinator holds the
 //!   control streams and the respawn logic; if it dies, the kill-on-drop
 //!   guards in `netharness` reap every shard — no orphans, no result.
@@ -122,11 +121,6 @@
 //!   *surviving* peers; if two shards die in overlapping windows, each
 //!   replacement needs frames the other lost. Survivors surface the
 //!   second loss as a structured error within their deadlines.
-//! * **Not survivable: a rejoin beyond retention.** A rejoiner whose
-//!   acked sync was already pruned gets [`NetError::ReplayGap`] — exact
-//!   recovery is refused rather than approximated (supervised runs
-//!   retain everything precisely to keep `have_sync = 0` inside the
-//!   window).
 
 pub mod chaos;
 pub mod frame;
@@ -134,13 +128,12 @@ pub mod membership;
 mod runtime;
 pub mod wire;
 
-pub use chaos::ChaosConfig;
 pub use frame::{
     kind, read_frame, write_frame, write_torn_frame, Frame, FrameError, MAGIC, MAX_FRAME_LEN,
 };
 pub use membership::{
     connect_mesh, join, Assign, Assignment, Coordinator, Hello, Join, Link, Membership, NetConfig,
-    NetError, RecvFailure, Rejoin,
+    NetError, RecvFailure,
 };
 pub use runtime::{rejoin_mesh, shard_range, NetPlane};
 pub use wire::{Reader, Wire, WireError};

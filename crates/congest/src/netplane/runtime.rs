@@ -14,8 +14,8 @@
 //!
 //! The round loop itself is the shared engine core (see the
 //! [runtime module docs](crate::runtime)); this module contributes only
-//! the socket transport — frame I/O, membership, retention/rejoin, and
-//! the chaos plane. Active-set scheduling
+//! the socket transport — frame I/O, membership, retention and rejoin,
+//! and the chaos plane. Active-set scheduling
 //! ([`Scheduling::ActiveSet`](crate::Scheduling)) and the simulated
 //! fault plane ([`crate::faults`]) therefore work here exactly as in the
 //! in-process engines: the fault schedule is a pure function of
@@ -31,15 +31,15 @@
 //! mesh frame carries its `seq` as the first `u64` of its payload. That
 //! single monotone sequence is what makes recovery exact:
 //!
-//! * frames are retained per link keyed by `seq`
-//!   ([`Link::send_retained`]), so a surviving peer can replay precisely
-//!   the suffix a rejoiner has not applied;
-//! * a rejoined peer that restarted from scratch re-executes the run and
-//!   re-sends frames for syncs the survivors already processed —
-//!   survivors discard anything with `seq` below the one they are
-//!   waiting on;
+//! * a rejoiner restarted from scratch is replayed every frame a
+//!   survivor sent it ([`Link::resume`]), so it re-executes the run
+//!   against the very inputs it saw before, in `seq` order;
+//! * while re-executing, it re-sends frames for syncs the survivors
+//!   already processed — survivors discard anything with `seq` below
+//!   the one they are waiting on;
 //! * a peer at the wrong `seq` (lockstep broken) is a structured
-//!   [`NetError::Desync`], never silent divergence.
+//!   [`NetError::Desync`], and a frame too short to carry a `seq` is a
+//!   structured [`NetError::Handshake`], never silent divergence.
 //!
 //! Transport failures that cannot be recovered are process-fatal panics
 //! rather than [`SimError`]s, so the error enum stays identical across
@@ -47,9 +47,9 @@
 //! the survivor at the barrier until the supervisor's replacement dials
 //! back in ([`NetPlane`]'s `await_rejoin`).
 
-use super::chaos::{ChaosConfig, ChaosState};
+use super::chaos::ChaosState;
 use super::frame::{kind, Frame};
-use super::membership::{self, Link, Membership, NetConfig, NetError, RecvFailure, Rejoin};
+use super::membership::{self, Join, Link, Membership, NetConfig, NetError, RecvFailure};
 use super::wire::{Reader, Wire, WireError};
 use crate::runtime::engine::{self, RoundFlags, Transport};
 use crate::runtime::{RunResult, SimError};
@@ -111,9 +111,8 @@ impl<M: Wire> Wire for RoundEnvelope<M> {
 /// mesh frame type puts it first ([`RoundEnvelope`]; collectives encode
 /// `(seq, body)`), so the receive path can dedup and lockstep-check
 /// generically.
-fn payload_seq(payload: &[u8]) -> u64 {
-    let mut r = Reader::new(payload);
-    u64::take(&mut r).unwrap_or(0)
+fn payload_seq(payload: &[u8]) -> Result<u64, WireError> {
+    u64::take(&mut Reader::new(payload))
 }
 
 /// A shard's handle on the running mesh: its assignment, one [`Link`] per
@@ -139,7 +138,8 @@ pub struct NetPlane {
 
 impl NetPlane {
     /// Builds the full mesh from a completed membership handshake, under
-    /// `config`'s deadlines, optionally carrying a seeded chaos schedule.
+    /// `config`'s deadlines, optionally under the seeded chaos schedule of
+    /// `chaos_seed` (a kill plus flush jitter, see [`super::chaos`]).
     ///
     /// # Errors
     ///
@@ -147,11 +147,11 @@ impl NetPlane {
     pub fn connect(
         membership: Membership,
         config: NetConfig,
-        chaos: Option<ChaosConfig>,
+        chaos_seed: Option<u64>,
     ) -> Result<Self, NetError> {
         let links = membership::connect_mesh(&membership, &config)?;
-        let chaos =
-            chaos.map(|c| ChaosState::new(c, membership.assign.shard, membership.assign.n_shards));
+        let chaos = chaos_seed
+            .map(|seed| ChaosState::new(seed, membership.assign.shard, membership.assign.n_shards));
         Ok(NetPlane {
             shard: membership.assign.shard,
             n_shards: membership.assign.n_shards,
@@ -179,14 +179,12 @@ impl NetPlane {
         }
     }
 
-    /// Queues one mesh frame on `slot`, stamped and retained under the
-    /// current `seq`. A write failure only marks the link down — the
-    /// frame is retained regardless, so it is replayed once the peer
-    /// rejoins.
+    /// Queues one mesh frame on `slot`. A write failure only marks the
+    /// link down — a retaining link keeps the frame regardless, so it is
+    /// replayed once the peer rejoins.
     fn send_mesh(&mut self, slot: usize, frame_kind: u8, payload: &[u8]) {
-        let seq = self.seq;
         let link = &mut self.links[slot];
-        if link.send_retained(seq, frame_kind, payload).is_err() {
+        if link.send(frame_kind, payload).is_err() {
             link.alive = false;
         }
     }
@@ -214,7 +212,8 @@ impl NetPlane {
     ///
     /// [`NetError::PeerTimeout`] when the peer stays silent past the
     /// budget, [`NetError::PeerLost`] when the link died and recovery is
-    /// disabled, [`NetError::Desync`] on a lockstep violation.
+    /// disabled, [`NetError::Desync`] on a lockstep violation,
+    /// [`NetError::Handshake`] for a frame too short to carry its `seq`.
     fn recv_mesh(&mut self, slot: usize, want_kind: u8, want_seq: u64) -> Result<Frame, NetError> {
         loop {
             if !self.links[slot].alive {
@@ -224,7 +223,12 @@ impl NetPlane {
             let link = &mut self.links[slot];
             match link.recv_deadline(timeout) {
                 Ok(frame) => {
-                    let got = payload_seq(&frame.payload);
+                    let got = payload_seq(&frame.payload).map_err(|e| {
+                        NetError::Handshake(format!(
+                            "malformed mesh frame from shard {}: {e}",
+                            link.peer
+                        ))
+                    })?;
                     if got < want_seq {
                         continue; // stale duplicate from a rejoined peer
                     }
@@ -257,8 +261,7 @@ impl NetPlane {
     /// # Errors
     ///
     /// [`NetError::PeerLost`] when recovery is disabled,
-    /// [`NetError::PeerTimeout`] when the rejoin window expires,
-    /// [`NetError::ReplayGap`] when the rejoiner acked a pruned sync.
+    /// [`NetError::PeerTimeout`] when the rejoin window expires.
     fn await_rejoin(&mut self, slot: usize, want_seq: u64) -> Result<(), NetError> {
         let peer = self.links[slot].peer;
         let Some(budget) = self.config.rejoin_timeout else {
@@ -288,12 +291,12 @@ impl NetPlane {
     }
 
     /// Services one peer restart: accepts the pending redial on the mesh
-    /// listener within `budget`, reads its [`Rejoin`], and resumes that
-    /// peer's link, replaying every retained frame the rejoiner has not
-    /// acked. Returns the rejoined shard.
+    /// listener within `budget`, reads the [`Join`] its `REJOIN` frame
+    /// carries, and resumes that peer's link, replaying every frame sent
+    /// on it. Returns the rejoined shard.
     fn accept_rejoin(&mut self, budget: Duration) -> Result<u32, NetError> {
         let mut stream = membership::accept_deadline(&self.listener, budget)?;
-        let rejoin: Rejoin =
+        let rejoin: Join =
             membership::expect_payload(&mut stream, kind::REJOIN, self.config.read_timeout)?;
         let link = self
             .links
@@ -302,7 +305,7 @@ impl NetPlane {
             .ok_or_else(|| {
                 NetError::Handshake(format!("rejoin from unknown shard {}", rejoin.from))
             })?;
-        link.resume(stream, rejoin.have_sync)?;
+        link.resume(stream)?;
         Ok(rejoin.from)
     }
 
@@ -372,30 +375,6 @@ impl NetPlane {
     pub fn send_result(&mut self, payload: &[u8]) -> io::Result<()> {
         super::frame::write_frame(&mut self.control, kind::RESULT, payload)?;
         self.control.flush()
-    }
-
-    /// The chaos link-drop: force-close the link to `dst`, then
-    /// immediately redial with a [`Rejoin`] carrying this shard's live
-    /// frontier. The peer replays anything newer (its in-flight frames of
-    /// the next barrier); nothing is lost, nothing re-executes.
-    fn drop_and_redial(&mut self, dst: u32) -> Result<(), NetError> {
-        let slot = self.link_index(dst as usize);
-        let port = self
-            .peers
-            .iter()
-            .find(|&&(p, _)| p == dst)
-            .expect("chaos drop target in roster")
-            .1;
-        self.links[slot].force_close();
-        let mut stream =
-            membership::dial_retry(SocketAddr::from((Ipv4Addr::LOCALHOST, port)), &self.config)?;
-        let rejoin = Rejoin {
-            from: self.shard,
-            have_sync: self.seq,
-        };
-        super::frame::write_frame(&mut stream, kind::REJOIN, &rejoin.to_wire())?;
-        stream.flush().map_err(NetError::from)?;
-        self.links[slot].reconnect(stream)
     }
 
     /// The chaos kill: optionally tear a frame mid-write (modeling death
@@ -488,11 +467,10 @@ impl NetPlane {
 
 /// The socket transport: one [`RoundEnvelope`] per peer per
 /// communication round (the flush is the barrier), collectives for the
-/// watchdog. Chaos actions fire at their scheduled syncs inside
-/// `exchange`, exactly where the old in-line loop fired them, so
-/// recorded chaos plans stay valid: the engine core exchanges once per
-/// communication round regardless of scheduling mode, which keeps the
-/// plane's `seq` trajectory identical under `ActiveSet` and
+/// watchdog. The chaos kill fires at its scheduled sync inside
+/// `exchange`: the engine core exchanges once per communication round
+/// regardless of scheduling mode, which keeps the plane's `seq`
+/// trajectory, and so the kill, identical under `ActiveSet` and
 /// `AlwaysStep`.
 struct MeshTransport<'a, M> {
     plane: &'a mut NetPlane,
@@ -540,16 +518,6 @@ impl<M: Wire> Transport<M> for MeshTransport<'_, M> {
                 deliver(dest, arrival, msg);
             }
         }
-        if let Some(dst) = self
-            .plane
-            .chaos
-            .as_mut()
-            .and_then(|c| c.take_drop_action(sync))
-        {
-            self.plane
-                .drop_and_redial(dst)
-                .unwrap_or_else(|e| panic!("netplane: {e}"));
-        }
         merged
     }
 
@@ -576,10 +544,10 @@ impl<M: Wire> Transport<M> for MeshTransport<'_, M> {
 /// supervisor. The replacement binds a fresh (unused) mesh listener,
 /// dials the coordinator for a new control stream (the supervisor accepts
 /// it via [`Coordinator::accept_control`](membership::Coordinator::accept_control)),
-/// and dials every surviving peer's *original* mesh port with
-/// `Rejoin { have_sync: 0 }` — each survivor replays its full retained
-/// history while the replacement re-executes the run, so every mesh read
-/// is satisfied and the rejoiner reaches the live frontier
+/// and dials every surviving peer's *original* mesh port with a
+/// [`kind::REJOIN`] frame — each survivor replays everything it sent
+/// while the replacement re-executes the run, so every mesh read is
+/// satisfied and the rejoiner reaches the live frontier
 /// deterministically.
 ///
 /// `peer_ports[s]` is shard `s`'s mesh port from the original
@@ -610,13 +578,9 @@ pub fn rejoin_mesh(
         }
         let mut stream =
             membership::dial_retry(SocketAddr::from((Ipv4Addr::LOCALHOST, port)), &config)?;
-        let rejoin = Rejoin {
-            from: shard,
-            have_sync: 0,
-        };
-        super::frame::write_frame(&mut stream, kind::REJOIN, &rejoin.to_wire())?;
+        super::frame::write_frame(&mut stream, kind::REJOIN, &Join { from: shard }.to_wire())?;
         stream.flush().map_err(NetError::from)?;
-        links.push(Link::new(peer, stream, config.retained_syncs)?);
+        links.push(Link::new(peer, stream, config.rejoin_timeout.is_some())?);
     }
     Ok(NetPlane {
         shard,
@@ -642,7 +606,7 @@ mod tests {
 
     /// Runs `f` once per shard on a fresh `k`-way localhost mesh (threads
     /// standing in for processes) and returns the results in shard order.
-    fn with_mesh_cfg<R, F>(k: u32, config: NetConfig, chaos: Option<ChaosConfig>, f: F) -> Vec<R>
+    fn with_mesh_cfg<R, F>(k: u32, config: NetConfig, f: F) -> Vec<R>
     where
         R: Send + 'static,
         F: Fn(NetPlane) -> R + Send + Sync + 'static,
@@ -659,7 +623,7 @@ mod tests {
                 thread::spawn(move || {
                     let membership = membership::join(addr, &config).unwrap();
                     let shard = membership.assign.shard;
-                    let plane = NetPlane::connect(membership, config, chaos).unwrap();
+                    let plane = NetPlane::connect(membership, config, None).unwrap();
                     (shard, f(plane))
                 })
             })
@@ -675,7 +639,7 @@ mod tests {
         R: Send + 'static,
         F: Fn(NetPlane) -> R + Send + Sync + 'static,
     {
-        with_mesh_cfg(k, NetConfig::default(), None, f)
+        with_mesh_cfg(k, NetConfig::default(), f)
     }
 
     #[test]
@@ -1140,53 +1104,45 @@ mod tests {
         }
     }
 
-    /// A peer "restarts" mid-stream; `accept_rejoin` replays the unacked
-    /// syncs.
+    /// A peer restarts from scratch mid-stream; on a plane with a rejoin
+    /// window, `accept_rejoin` replays every frame sent to it.
     #[test]
-    fn recover_replays_unacked_round_frames() {
-        let outs = with_mesh(2, |mut plane| {
+    fn recover_replays_every_round_frame() {
+        let config = NetConfig::default().with_rejoin_timeout(Some(Duration::from_secs(10)));
+        let outs = with_mesh_cfg(2, config, |mut plane| {
             if plane.shard == 0 {
-                let link = &mut plane.links[0];
                 for sync in 1u64..=3 {
-                    link.send_retained(sync, kind::ROUND, &sync.to_wire())
-                        .unwrap();
-                    link.flush().unwrap();
+                    plane.send_mesh(0, kind::ROUND, &sync.to_wire());
+                    plane.links[0].flush().unwrap();
                 }
                 let rejoined = plane.accept_rejoin(plane.config.read_timeout).unwrap();
                 assert_eq!(rejoined, 1);
-                plane.links[0]
-                    .send_retained(4, kind::ROUND, &4u64.to_wire())
-                    .unwrap();
+                plane.send_mesh(0, kind::ROUND, &4u64.to_wire());
                 plane.links[0].flush().unwrap();
                 vec![]
             } else {
                 // Apply sync 1, then crash: drop the link mid-phase.
                 let first = plane.links[0].recv().unwrap();
-                let have = u64::from_wire(&first.payload).unwrap();
-                assert_eq!(have, 1);
+                assert_eq!(u64::from_wire(&first.payload).unwrap(), 1);
                 let peer_port = plane.peers[0].1;
                 let me = plane.shard;
                 drop(plane);
-                // Restarted incarnation redials and announces its ack.
+                // The restarted incarnation redials.
                 let mut stream = TcpStream::connect((Ipv4Addr::LOCALHOST, peer_port)).unwrap();
                 super::super::frame::write_frame(
                     &mut stream,
                     kind::REJOIN,
-                    &Rejoin {
-                        from: me,
-                        have_sync: have,
-                    }
-                    .to_wire(),
+                    &Join { from: me }.to_wire(),
                 )
                 .unwrap();
                 stream.flush().unwrap();
-                let mut link = Link::new(0, stream, 2).unwrap();
-                (2u64..=4)
+                let mut link = Link::new(0, stream, false).unwrap();
+                (1u64..=4)
                     .map(|_| u64::from_wire(&link.recv().unwrap().payload).unwrap())
                     .collect::<Vec<_>>()
             }
         });
-        assert_eq!(outs[1], vec![2, 3, 4]);
+        assert_eq!(outs[1], vec![1, 2, 3, 4]);
     }
 
     /// The acceptance check for "no unbounded blocking on the hot path":
@@ -1195,7 +1151,7 @@ mod tests {
     #[test]
     fn silent_peer_yields_peer_timeout_within_budget() {
         let config = NetConfig::default().with_read_timeout(Duration::from_millis(300));
-        let outs = with_mesh_cfg(2, config, None, |mut plane| {
+        let outs = with_mesh_cfg(2, config, |mut plane| {
             if plane.shard == 0 {
                 let start = Instant::now();
                 let err = plane.collective(kind::REDUCE, &[1]).unwrap_err();
@@ -1238,39 +1194,35 @@ mod tests {
         }
     }
 
-    /// Seeded chaos link-drop mid-run: the source force-closes and
-    /// redials, the destination replays its in-flight frames, and the
-    /// result stays bit-identical to sequential.
+    /// A mesh frame too short to carry its sequence number fails the
+    /// read at once with an error naming the sender, instead of being
+    /// discarded as a stale duplicate while the read deadline runs out.
     #[test]
-    fn seeded_link_drop_recovers_bit_identically() {
-        // Pick a seed whose drop fires early enough to land mid-run.
-        let seed = (0..64u64)
-            .find(|&s| super::super::chaos::drop_plan(s, 2).sync <= 3)
-            .expect("some seed drops early");
-        let chaos = ChaosConfig {
-            seed,
-            kill: false,
-            drop_link: true,
-            flush_delay: false,
-        };
-        let config = NetConfig::default().with_rejoin_timeout(Some(Duration::from_secs(10)));
-        let g = gen::gnp_capped(40, 0.15, 6, 7);
-        let cfg = reference_cfg(3);
-        let seq = run(&g, &Flood, &cfg).unwrap();
-        assert!(
-            seq.metrics.rounds >= 4,
-            "workload too short to exercise the drop"
-        );
-        let outs = with_mesh_cfg(2, config, Some(chaos), move |mut plane| {
-            let g = gen::gnp_capped(40, 0.15, 6, 7);
-            let cfg = reference_cfg(3);
-            let net = NetTables::build(&g, &cfg);
-            let range = plane.local_range(g.n());
-            (range, plane.execute_with(&g, &Flood, &cfg, &net).unwrap())
+    fn short_mesh_frame_is_a_structured_error_at_once() {
+        let config = NetConfig::default().with_read_timeout(Duration::from_secs(5));
+        let done = Arc::new(std::sync::Barrier::new(2));
+        let outs = with_mesh_cfg(2, config, move |mut plane| {
+            let outcome = if plane.shard == 0 {
+                let start = Instant::now();
+                let err = plane.collective(kind::REDUCE, &[1]).unwrap_err();
+                Some((err, start.elapsed()))
+            } else {
+                plane.send_mesh(0, kind::REDUCE, &[1, 2, 3]);
+                plane.links[0].flush().unwrap();
+                None
+            };
+            // Shard 1 stays connected until shard 0 has its answer.
+            done.wait();
+            outcome
         });
-        for ((lo, hi), res) in outs {
-            assert_eq!(res.metrics, seq.metrics);
-            assert_eq!(res.states[lo..hi], seq.states[lo..hi]);
+        let (err, elapsed) = outs[0].clone().expect("shard 0 reports");
+        match err {
+            NetError::Handshake(msg) => assert!(msg.contains("shard 1"), "{msg}"),
+            other => panic!("expected a malformed-frame error, got {other:?}"),
         }
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "the short frame was not reported at once: {elapsed:?}"
+        );
     }
 }

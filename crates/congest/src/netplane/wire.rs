@@ -299,7 +299,11 @@ impl<T: Wire> Wire for Vec<T> {
     }
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = take_len(r)?;
-        let mut out = Vec::with_capacity(len);
+        // `take_len` bounds the count by the bytes left, not by memory: a
+        // corrupt count of large elements would reserve `len` times their
+        // size. Reserve at most as many bytes as the input holds, and let
+        // the vector grow as elements decode.
+        let mut out = Vec::with_capacity(len.min(r.remaining() / size_of::<T>().max(1)));
         for _ in 0..len {
             out.push(T::take(r)?);
         }

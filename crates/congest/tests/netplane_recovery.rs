@@ -1,15 +1,12 @@
-//! Property tests for rejoin-with-replay at the retention boundary.
+//! Property tests for rejoin-with-replay.
 //!
-//! The recovery contract (PR 9): a rejoiner that announces `have_sync`
-//! gets **exactly** the retained frames with newer syncs replayed, in
-//! original order — or a structured [`NetError::ReplayGap`] when its ack
-//! predates the retained window. Never a silently gapped stream. A frame
-//! torn mid-replay (the survivor dying while replaying) must surface as a
+//! The recovery contract: a rejoiner restarted from scratch gets
+//! **exactly** every frame a retaining link sent, in original order,
+//! and a link that does not retain replays nothing. A frame torn
+//! mid-replay (the survivor dying while replaying) must surface as a
 //! structured [`FrameError`], never as a decoded partial payload.
 
-use congest::netplane::{
-    kind, read_frame, write_frame, write_torn_frame, FrameError, Link, NetError, Rejoin, Wire,
-};
+use congest::netplane::{kind, read_frame, write_frame, write_torn_frame, FrameError, Link, Wire};
 use std::io::Write as _;
 use std::net::{Ipv4Addr, TcpListener, TcpStream};
 use std::thread;
@@ -23,19 +20,18 @@ fn pair() -> (TcpStream, TcpStream) {
     (near, dial.join().unwrap())
 }
 
-/// Drives one scenario: send `total` syncs under `window`, then resume a
-/// fresh connection with `have_sync`. Returns the replayed sync values,
-/// or the structured error.
-fn replay_after(total: u64, window: u64, have_sync: u64) -> Result<Vec<u64>, NetError> {
+/// Drives one scenario: send frames `1..=total` on a link that does or
+/// does not `retain`, then resume a fresh connection. Returns the
+/// replayed values.
+fn replay_after(total: u64, retain: bool) -> Vec<u64> {
     let (near, _far) = pair();
-    let mut link = Link::new(7, near, window).unwrap();
+    let mut link = Link::new(7, near, retain).unwrap();
     for sync in 1..=total {
-        link.send_retained(sync, kind::ROUND, &sync.to_wire())
-            .unwrap();
+        link.send(kind::ROUND, &sync.to_wire()).unwrap();
     }
     link.flush().unwrap();
     let (fresh_near, fresh_far) = pair();
-    link.resume(fresh_near, have_sync)?;
+    link.resume(fresh_near).unwrap();
     // Close the write side so the reader sees a clean end after the
     // replayed frames.
     drop(link);
@@ -51,52 +47,21 @@ fn replay_after(total: u64, window: u64, have_sync: u64) -> Result<Vec<u64>, Net
             Err(e) => panic!("replay stream must end cleanly, got {e}"),
         }
     }
-    Ok(got)
+    got
 }
 
-/// Sweeping every (total, window, have_sync) combination in a small box:
-/// the replay is exact — `(have_sync, total]` — whenever `have_sync` is
-/// at or above the prune watermark, and a structured `ReplayGap` below
-/// it. The boundary case `have_sync == pruned_through` must recover
-/// exactly, not error.
+/// For every history length up to 200 frames, a retaining link replays
+/// exactly `1..=total` and a non-retaining one replays nothing.
 #[test]
-fn replay_is_exact_or_refused_across_the_retention_boundary() {
-    for total in [3u64, 5, 8, 12] {
-        for window in [1u64, 2, 3, 7, u64::MAX] {
-            // The prune watermark after `total` sends under `window`:
-            // everything at or below it is gone.
-            let pruned_through = if window == u64::MAX {
-                0
-            } else {
-                total.saturating_sub(window)
-            };
-            for have_sync in 0..=total {
-                let case = format!(
-                    "total={total} window={window} have_sync={have_sync} \
-                     pruned_through={pruned_through}"
-                );
-                match replay_after(total, window, have_sync) {
-                    Ok(got) => {
-                        assert!(have_sync >= pruned_through, "gapped replay allowed: {case}");
-                        let want: Vec<u64> = (have_sync + 1..=total).collect();
-                        assert_eq!(got, want, "inexact replay: {case}");
-                    }
-                    Err(NetError::ReplayGap {
-                        shard,
-                        have_sync: h,
-                        pruned_through: p,
-                    }) => {
-                        assert!(have_sync < pruned_through, "spurious refusal: {case}");
-                        assert_eq!(
-                            (shard, h, p),
-                            (7, have_sync, pruned_through),
-                            "wrong gap diagnostics: {case}"
-                        );
-                    }
-                    Err(e) => panic!("unexpected error {e}: {case}"),
-                }
-            }
-        }
+fn retaining_links_replay_their_whole_history() {
+    for total in 0u64..=200 {
+        let want: Vec<u64> = (1..=total).collect();
+        assert_eq!(replay_after(total, true), want, "total={total}");
+        assert_eq!(
+            replay_after(total, false),
+            Vec::<u64>::new(),
+            "total={total}"
+        );
     }
 }
 
@@ -134,15 +99,5 @@ fn torn_frame_mid_replay_is_a_structured_error() {
         } else {
             assert_eq!(err, FrameError::UnexpectedEof, "tear_at={tear_at}");
         }
-    }
-}
-
-/// The `Rejoin` payload itself round-trips exactly at the boundary
-/// values recovery depends on.
-#[test]
-fn rejoin_payload_roundtrips_boundary_values() {
-    for have_sync in [0u64, 1, u64::MAX - 1, u64::MAX] {
-        let rejoin = Rejoin { from: 3, have_sync };
-        assert_eq!(Rejoin::from_wire(&rejoin.to_wire()).unwrap(), rejoin);
     }
 }

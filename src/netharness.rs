@@ -17,7 +17,8 @@
 //! ├── spawns k shard processes:  <program> [prefix..] <addr> <spec..>
 //! │     each: join(addr) → NetPlane::connect → run the pipeline on a
 //! │           Driver built on the plane → RESULT
-//! └── assign(k) → reads one RESULT frame per control stream → agree
+//! └── assign(k) → one reader thread per control stream forwards its
+//!     RESULT → agree
 //! ```
 //!
 //! Every shard rebuilds the identical world from the spec — graphs are
@@ -27,21 +28,24 @@
 //!
 //! # Supervision
 //!
-//! Children are held in kill-on-drop `ShardGuard`s: if the
-//! orchestrator panics mid-run (coordinator bug, handshake timeout), the
-//! unwinding drops reap every shard — no orphaned processes. In
-//! *supervised* mode ([`run_supervised`]) the orchestrator is a real
-//! supervisor: shards run under a seeded chaos schedule
-//! ([`congest::netplane::chaos`]) that kills one of them mid-phase; the
-//! supervisor detects the exit, respawns the victim with `--rejoin`, and
-//! the replacement rebuilds the seeded world, replays the survivors'
-//! retained frames to the live frontier, and finishes the run — with the
-//! coloring and merged metrics still bit-identical to the sequential
+//! [`run_distributed`] and [`run_supervised`] share one orchestration
+//! loop. Children are held in kill-on-drop `ShardGuard`s: if the loop
+//! panics mid-run (coordinator bug, handshake timeout), the unwinding
+//! drops reap every shard — no orphaned processes. The loop reads each
+//! control stream on its own thread and polls the children's exits
+//! until every shard has reported, under one overall deadline. A
+//! malformed report, or a failed exit it may not recover from, panics
+//! at once and names the shard. Under a seeded chaos schedule
+//! ([`congest::netplane::chaos`], [`run_supervised`]) one shard is killed
+//! mid-phase; the loop respawns that victim once with `--rejoin`, and
+//! the replacement rebuilds the seeded world, is replayed the survivors'
+//! whole history up to the live frontier, and finishes the run — with
+//! the coloring and merged metrics still bit-identical to the sequential
 //! reference.
 
 use congest::netplane::{
-    self, chaos, kind, membership, read_frame, ChaosConfig, Coordinator, NetConfig, NetError,
-    NetPlane, Reader, Wire, WireError,
+    self, chaos, kind, membership, read_frame, Coordinator, NetConfig, NetError, NetPlane, Reader,
+    Wire, WireError,
 };
 use congest::{FaultConfig, Metrics, Scheduling, SimConfig, PER_MILLION};
 use d2core::det::{small, Scope};
@@ -49,7 +53,7 @@ use d2core::rand::driver::{self as rand_driver, Variant};
 use d2core::{ColoringOutcome, Driver, Params};
 use graphs::Graph;
 use std::net::{SocketAddr, TcpStream};
-use std::process::{Child, Command};
+use std::process::{Child, Command, ExitStatus};
 use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -485,8 +489,9 @@ pub struct NetOutcome {
 /// pipeline run over the resulting mesh, `RESULT` report.
 ///
 /// A process launched with `--chaos` (or `--rejoin`) runs under
-/// [`NetConfig::supervised`]: unbounded frame retention and a rejoin
-/// window, so it can service — or be — a restarted peer.
+/// [`NetConfig::supervised`]: a rejoin window, and so links that retain
+/// every frame they send, so it can service — or be — a restarted peer.
+/// Any other process retains nothing.
 ///
 /// # Errors
 ///
@@ -505,9 +510,8 @@ pub fn shard_main(
     };
     let mut plane = match &opts.rejoin {
         Some((shard, ports)) => netplane::rejoin_mesh(coordinator, *shard, ports, config),
-        None => membership::join(coordinator, &config).and_then(|membership| {
-            NetPlane::connect(membership, config, opts.chaos_seed.map(ChaosConfig::seeded))
-        }),
+        None => membership::join(coordinator, &config)
+            .and_then(|membership| NetPlane::connect(membership, config, opts.chaos_seed)),
     }?;
     let g = spec.build_graph();
     let out =
@@ -573,30 +577,21 @@ impl ShardCommand {
 #[derive(Debug)]
 struct ShardGuard {
     child: Child,
-    /// An observed exit was already acted on (respawn or success).
-    handled: bool,
 }
 
 impl ShardGuard {
-    /// Non-blocking death check: `true` exactly once, when the child has
-    /// exited unsuccessfully and nobody has acted on it yet.
-    fn failed_exit(&mut self) -> bool {
-        if self.handled {
-            return false;
-        }
+    /// Non-blocking death check: the exit status once the child has
+    /// exited unsuccessfully.
+    fn failed_exit(&mut self) -> Option<ExitStatus> {
         match self.child.try_wait() {
-            Ok(Some(status)) if !status.success() => {
-                self.handled = true;
-                true
-            }
-            _ => false,
+            Ok(Some(status)) if !status.success() => Some(status),
+            _ => None,
         }
     }
 
     /// Blocks for exit and asserts success (normal end-of-run reap).
     fn expect_success(&mut self, who: &str) {
         let status = self.child.wait().expect("wait on shard");
-        self.handled = true;
         assert!(status.success(), "{who} exited with {status}");
     }
 }
@@ -618,26 +613,39 @@ fn spawn_shard(cmd: &ShardCommand, addr: &str, spec: &NetSpec, opts: &ShardOptio
         .args(opts.to_args())
         .spawn()
         .unwrap_or_else(|e| panic!("spawn shard ({}): {e}", cmd.program));
-    ShardGuard {
-        child,
-        handled: false,
-    }
+    ShardGuard { child }
 }
 
-/// One background reader per control stream: reads a single `RESULT`
-/// frame and forwards it. A stream that EOFs without one (the shard
-/// died) just ends — the supervisor's exit polling handles the death.
-fn spawn_result_reader(mut stream: TcpStream, tx: &mpsc::Sender<ShardResult>) {
+/// How long a distributed run may take, from spawning the shards to the
+/// last `RESULT`.
+const RUN_DEADLINE: Duration = Duration::from_secs(600);
+
+/// One background reader per control stream, which belongs to `shard`:
+/// reads a single frame and forwards its `RESULT`, or an error naming
+/// `shard` when the frame is not a well-formed `RESULT`. A stream that
+/// closes without a frame (the shard died) just ends — the exit polling
+/// handles the death.
+fn spawn_result_reader(
+    shard: u32,
+    mut stream: TcpStream,
+    tx: &mpsc::Sender<Result<ShardResult, String>>,
+) {
     let tx = tx.clone();
     thread::spawn(move || {
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(600)));
-        if let Ok(frame) = read_frame(&mut stream) {
-            if frame.kind == kind::RESULT {
-                if let Ok(r) = ShardResult::from_wire(&frame.payload) {
-                    let _ = tx.send(r);
-                }
-            }
-        }
+        let _ = stream.set_read_timeout(Some(RUN_DEADLINE));
+        let Ok(frame) = read_frame(&mut stream) else {
+            return;
+        };
+        let result = if frame.kind == kind::RESULT {
+            ShardResult::from_wire(&frame.payload)
+                .map_err(|e| format!("shard {shard} sent a malformed RESULT: {e}"))
+        } else {
+            Err(format!(
+                "shard {shard} sent control frame kind {} instead of RESULT",
+                frame.kind
+            ))
+        };
+        let _ = tx.send(result);
     });
 }
 
@@ -681,6 +689,98 @@ fn store_result(results: &mut [Option<ShardResult>], r: ShardResult) {
     results[slot] = Some(r);
 }
 
+/// The orchestration loop behind [`run_distributed`] and
+/// [`run_supervised`]: binds the coordinator, spawns `k` shard
+/// processes (under the seeded chaos schedule of `chaos_seed`, if any),
+/// reads each control stream on its own thread, and polls the children's
+/// exits until every shard has reported. Under chaos the first failed
+/// exit is the schedule's victim, respawned once with `--rejoin` and
+/// chaos stripped. Returns the outcome all shards agreed on and whether
+/// the victim was respawned.
+///
+/// Panics on a malformed report, on any other failed exit (naming the
+/// shard process), and past [`RUN_DEADLINE`].
+fn orchestrate(
+    spec: &NetSpec,
+    k: u32,
+    cmd: &ShardCommand,
+    profile: &RunProfile,
+    chaos_seed: Option<u64>,
+) -> (NetOutcome, bool) {
+    let deadline = Instant::now() + RUN_DEADLINE;
+    let config = if chaos_seed.is_some() {
+        NetConfig::supervised()
+    } else {
+        NetConfig::default()
+    };
+    let coord = Coordinator::bind().expect("bind coordinator listener");
+    let addr = format!("127.0.0.1:{}", coord.port());
+    let opts = ShardOptions {
+        profile: *profile,
+        chaos_seed,
+        rejoin: None,
+    };
+    let mut guards: Vec<ShardGuard> = (0..k)
+        .map(|_| spawn_shard(cmd, &addr, spec, &opts))
+        .collect();
+
+    let assignment = coord
+        .assign(k, &config)
+        .expect("shard membership handshake");
+    let ports: Vec<u16> = assignment.peers.iter().map(|&(_, port)| port).collect();
+    let (tx, rx) = mpsc::channel();
+    for (shard, stream) in (0..).zip(assignment.controls) {
+        spawn_result_reader(shard, stream, &tx);
+    }
+
+    let mut results: Vec<Option<ShardResult>> = (0..k).map(|_| None).collect();
+    let mut got = 0u32;
+    let mut respawned = false;
+    while got < k {
+        assert!(
+            Instant::now() < deadline,
+            "distributed run timed out awaiting shard results ({got}/{k})"
+        );
+        match rx.recv_timeout(Duration::from_millis(50)) {
+            Ok(result) => {
+                store_result(&mut results, result.unwrap_or_else(|e| panic!("{e}")));
+                got += 1;
+                continue;
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => {}
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                unreachable!("the loop holds a live sender")
+            }
+        }
+        for (i, guard) in guards.iter_mut().enumerate() {
+            let Some(status) = guard.failed_exit() else {
+                continue;
+            };
+            let victim = match chaos_seed {
+                Some(seed) if !respawned => chaos::kill_plan(seed, k).victim,
+                _ => panic!("shard process {i} exited with {status}"),
+            };
+            respawned = true;
+            let rejoin = ShardOptions {
+                profile: *profile,
+                chaos_seed: None,
+                rejoin: Some((victim, ports.clone())),
+            };
+            *guard = spawn_shard(cmd, &addr, spec, &rejoin);
+            // The replacement dials the coordinator first thing for its
+            // fresh control stream.
+            let control = coord
+                .accept_control(Duration::from_secs(60))
+                .expect("rejoiner control redial");
+            spawn_result_reader(victim, control, &tx);
+        }
+    }
+    for (i, guard) in guards.iter_mut().enumerate() {
+        guard.expect_success(&format!("shard process {i}"));
+    }
+    (agree(spec.n, results), respawned)
+}
+
 /// Orchestrates a full distributed run: coordinator, `k` shard
 /// processes, and a check that all `k` results agree. Children are
 /// kill-on-drop; a shard death fails the run loudly (for survivable chaos
@@ -696,37 +796,7 @@ pub fn run_distributed(
     profile: &RunProfile,
 ) -> NetOutcome {
     assert!(k >= 1, "need at least one shard");
-    let config = NetConfig::default();
-    let coord = Coordinator::bind().expect("bind coordinator listener");
-    let addr = format!("127.0.0.1:{}", coord.port());
-
-    let opts = ShardOptions {
-        profile: *profile,
-        ..ShardOptions::default()
-    };
-    let mut guards: Vec<ShardGuard> = (0..k)
-        .map(|_| spawn_shard(cmd, &addr, spec, &opts))
-        .collect();
-
-    let assignment = coord
-        .assign(k, &config)
-        .expect("shard membership handshake");
-    let mut results: Vec<Option<ShardResult>> = (0..k).map(|_| None).collect();
-    for mut stream in assignment.controls {
-        stream
-            .set_read_timeout(Some(Duration::from_secs(600)))
-            .expect("control read deadline");
-        let frame = read_frame(&mut stream).expect("shard RESULT frame");
-        assert_eq!(frame.kind, kind::RESULT, "unexpected control frame");
-        store_result(
-            &mut results,
-            ShardResult::from_wire(&frame.payload).expect("RESULT payload"),
-        );
-    }
-    for (i, guard) in guards.iter_mut().enumerate() {
-        guard.expect_success(&format!("shard process {i}"));
-    }
-    agree(spec.n, results)
+    orchestrate(spec, k, cmd, profile, None).0
 }
 
 /// What happened in a supervised chaos run.
@@ -746,13 +816,13 @@ pub struct ChaosRunReport {
 /// Orchestrates a *supervised* chaos run: `k` shards under a seeded
 /// chaos schedule that kills one of them mid-phase; the supervisor
 /// detects the exit, respawns the victim with `--rejoin` (chaos
-/// stripped), and the replacement replays the survivors' retained
-/// history to the live frontier. Returns the outcome all shards agreed on
-/// — which must be bit-identical to the chaos-free and sequential runs —
-/// plus a report of what the supervisor observed.
+/// stripped), and the replacement is replayed the survivors' whole
+/// history up to the live frontier. Returns the outcome all shards agreed
+/// on — which must be bit-identical to the chaos-free and sequential
+/// runs — plus a report of what the supervisor observed.
 ///
-/// Panics on a second concurrent failure (outside the survivable model)
-/// or on supervision timeout.
+/// Panics on a second failure (outside the survivable model) or on
+/// supervision timeout.
 #[must_use]
 pub fn run_supervised(
     spec: &NetSpec,
@@ -762,77 +832,8 @@ pub fn run_supervised(
     profile: &RunProfile,
 ) -> (NetOutcome, ChaosRunReport) {
     assert!(k >= 2, "supervised chaos needs at least two shards");
-    let config = NetConfig::supervised();
-    let coord = Coordinator::bind().expect("bind coordinator listener");
-    let addr = format!("127.0.0.1:{}", coord.port());
-    let chaos_opts = ShardOptions {
-        profile: *profile,
-        chaos_seed: Some(chaos_seed),
-        rejoin: None,
-    };
-    let mut guards: Vec<ShardGuard> = (0..k)
-        .map(|_| spawn_shard(cmd, &addr, spec, &chaos_opts))
-        .collect();
-
-    let assignment = coord
-        .assign(k, &config)
-        .expect("shard membership handshake");
-    let ports: Vec<u16> = assignment.peers.iter().map(|&(_, port)| port).collect();
+    let (outcome, respawned) = orchestrate(spec, k, cmd, profile, Some(chaos_seed));
     let plan = chaos::kill_plan(chaos_seed, k);
-
-    let (tx, rx) = mpsc::channel();
-    for stream in assignment.controls {
-        spawn_result_reader(stream, &tx);
-    }
-
-    let mut results: Vec<Option<ShardResult>> = (0..k).map(|_| None).collect();
-    let mut got = 0u32;
-    let mut respawned = false;
-    let deadline = Instant::now() + Duration::from_secs(240);
-    while got < k {
-        assert!(
-            Instant::now() < deadline,
-            "supervised run timed out awaiting shard results ({got}/{k})"
-        );
-        match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(r) => {
-                store_result(&mut results, r);
-                got += 1;
-                continue;
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                unreachable!("supervisor holds a live sender")
-            }
-        }
-        for guard in &mut guards {
-            if guard.failed_exit() {
-                assert!(
-                    !respawned,
-                    "second shard failure — only one loss at a time is survivable"
-                );
-                respawned = true;
-                // The dead child is the schedule's victim (only chaos
-                // kills shards here); respawn it with rejoin, no chaos.
-                let rejoin_opts = ShardOptions {
-                    profile: *profile,
-                    chaos_seed: None,
-                    rejoin: Some((plan.victim, ports.clone())),
-                };
-                *guard = spawn_shard(cmd, &addr, spec, &rejoin_opts);
-                // The replacement dials the coordinator first thing for
-                // its fresh control stream.
-                let control = coord
-                    .accept_control(Duration::from_secs(60))
-                    .expect("rejoiner control redial");
-                spawn_result_reader(control, &tx);
-            }
-        }
-    }
-    for guard in &mut guards {
-        guard.expect_success("surviving shard");
-    }
-    let outcome = agree(spec.n, results);
     (
         outcome,
         ChaosRunReport {
@@ -847,6 +848,8 @@ pub fn run_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use congest::netplane::write_frame;
+    use std::net::{Ipv4Addr, TcpListener};
 
     #[test]
     fn spec_argv_roundtrip() {
@@ -1044,6 +1047,24 @@ mod tests {
         }
     }
 
+    /// A `RESULT` that does not decode reaches the orchestration loop at
+    /// once as an error naming its shard, instead of being dropped while
+    /// the run's deadline runs out.
+    #[test]
+    fn a_malformed_result_is_reported() {
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let mut shard_side = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (control, _) = listener.accept().unwrap();
+        let (tx, rx) = mpsc::channel();
+        spawn_result_reader(2, control, &tx);
+        write_frame(&mut shard_side, kind::RESULT, &[1, 2, 3]).unwrap();
+        let err = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the reader reports within 5 s")
+            .unwrap_err();
+        assert!(err.contains("shard 2"), "{err}");
+    }
+
     /// The orphan-leak regression (satellite of PR 9): dropping a
     /// [`ShardGuard`] — as stack unwinding does when the coordinator
     /// panics mid-assign — must kill and reap the child.
@@ -1054,10 +1075,7 @@ mod tests {
             .spawn()
             .expect("spawn sleeper");
         let pid = child.id();
-        let guard = ShardGuard {
-            child,
-            handled: false,
-        };
+        let guard = ShardGuard { child };
         assert!(
             std::path::Path::new(&format!("/proc/{pid}")).exists(),
             "sleeper must be alive before the drop"
