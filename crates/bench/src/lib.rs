@@ -1,6 +1,6 @@
-//! Shared experiment plumbing for the harness binary and the Criterion
-//! benches: algorithm dispatch, workload sweeps, table printing, and the
-//! bench [`registry`] behind `harness bench`.
+//! Experiment plumbing for the harness binary: algorithm dispatch,
+//! workload sweeps, table printing, and the bench [`registry`] behind
+//! `harness bench`.
 
 use congest::{SimConfig, SimError};
 use d2core::det::splitting::SplitMode;

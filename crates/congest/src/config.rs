@@ -33,42 +33,22 @@ pub enum RuntimeMode {
 
 /// How the engines decide which nodes to step each round. Both policies
 /// are bit-identical in every observable (colorings, messages, rounds,
-/// errors, fault counters) except [`Metrics::stepped_nodes`]; see
+/// errors, drop counts) except [`Metrics::stepped_nodes`]; see
 /// [`crate::runtime`] for the scheduling contract.
 ///
 /// [`Metrics::stepped_nodes`]: crate::Metrics::stepped_nodes
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduling {
     /// Step only woken nodes: non-empty inbox, a [`Wake`](crate::Wake)
-    /// request from the node's last step, or an engine-scheduled wake
-    /// (round 0, crash recovery). The default — round cost is
-    /// O(active + messages).
+    /// request from the node's last step, or round 0, which wakes every
+    /// node. The default — round cost is O(active + messages).
     #[default]
     ActiveSet,
-    /// Step every non-crashed node every round (the classic reference
-    /// schedule). [`Protocol::next_wake`](crate::Protocol::next_wake) is
-    /// never called. The differential harnesses run this against
+    /// Step every node every round (the classic reference schedule).
+    /// [`Protocol::next_wake`](crate::Protocol::next_wake) is never
+    /// called. The differential harnesses run this against
     /// [`Scheduling::ActiveSet`] to prove the frontier sound.
     AlwaysStep,
-}
-
-impl Scheduling {
-    /// Whether the engine actually runs the active-set frontier for a run
-    /// with the given fault/batching shape.
-    ///
-    /// Parking is disabled when crashes meet round batching
-    /// (`sync_period > 1`): a crash landing in a silent window could flip
-    /// the unanimity outcome between rounds the engines never compare
-    /// votes at, and no in-repo workload combines the two. Every engine —
-    /// sequential, parallel, netplane — must apply this rule identically
-    /// or their schedules (and `Metrics::stepped_nodes`) diverge, so it
-    /// lives here, once.
-    ///
-    /// [`Metrics::stepped_nodes`]: crate::Metrics::stepped_nodes
-    #[must_use]
-    pub fn effective(self, has_crashes: bool, sync_period: u64) -> bool {
-        self == Scheduling::ActiveSet && !(has_crashes && sync_period > 1)
-    }
 }
 
 /// Per-round work threshold (in units of `n + 2m`) above which
@@ -207,10 +187,10 @@ pub struct SimConfig {
     /// by default; [`Scheduling::AlwaysStep`] forces the classic
     /// every-node-every-round reference schedule.
     pub scheduling: Scheduling,
-    /// Optional fault injection: seeded message drops/duplicates and node
-    /// crash/restart schedules (see [`crate::faults`]). `None` (the
-    /// default) is the flawless network of the paper; every metric is then
-    /// bit-identical to a build without the fault plane.
+    /// Optional fault injection: seeded message drops (see
+    /// [`crate::faults`]). `None` (the default) is the flawless network
+    /// of the paper; every metric is then bit-identical to a build
+    /// without the fault plane.
     pub faults: Option<FaultConfig>,
     /// Human-readable label of the pipeline phase this run executes,
     /// carried into [`SimError::RoundLimitExceeded`](crate::SimError)
@@ -232,8 +212,8 @@ impl SimConfig {
     /// Scale-aware config: the given seed, size-adaptive runtime (all
     /// cores when the parallel engine is picked), and the
     /// [`ScalePreset`]-tuned livelock cutoff for a graph of `n` nodes.
-    /// The constructor the large-`n` benchmark matrix and the CI
-    /// scale-smoke job use.
+    /// The constructor the bench registry's `scale/*` cells use (CI runs
+    /// them in its `bench-scale` job).
     #[must_use]
     pub fn at_scale(seed: u64, n: usize) -> Self {
         SimConfig::seeded(seed)
@@ -334,22 +314,6 @@ impl Default for SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn effective_scheduling_disables_parking_only_for_crashes_with_batching() {
-        // The frontier runs whenever requested…
-        assert!(Scheduling::ActiveSet.effective(false, 1));
-        assert!(Scheduling::ActiveSet.effective(false, 5));
-        assert!(Scheduling::ActiveSet.effective(true, 1));
-        // …except when crashes meet round batching.
-        assert!(!Scheduling::ActiveSet.effective(true, 2));
-        // AlwaysStep never parks, whatever the run shape.
-        for crashes in [false, true] {
-            for period in [1, 2, 5] {
-                assert!(!Scheduling::AlwaysStep.effective(crashes, period));
-            }
-        }
-    }
 
     #[test]
     fn bandwidth_budget_scales_with_n() {

@@ -1,24 +1,19 @@
-//! Deterministic fault injection: message drops/duplicates and node
-//! crash/restart schedules.
+//! Deterministic fault injection: seeded message drops.
 //!
-//! # Why faults are *scheduled*, not sampled online
+//! # Why drops are *scheduled*, not sampled online
 //!
 //! Every engine — sequential, parallel, and the multi-process netplane —
 //! must produce bit-identical observables for the same seed (the repo's
-//! foundational differential invariant), so faults cannot be drawn from
+//! foundational differential invariant), so drops cannot be drawn from
 //! any stream whose consumption order depends on the engine: the parallel
 //! runtime steps shards concurrently and stages messages in
-//! shard-interleaved order, and netplane shards evaluate fates in
-//! separate OS processes. Instead, every fault is a **pure function of
-//! its coordinates**:
+//! shard-interleaved order, and netplane shards evaluate drops in
+//! separate OS processes. Instead, whether a message is dropped is a
+//! **pure function of its coordinates** `(fault seed, round, sending
+//! node, sending port)` — a SplitMix64 hash of the coordinates compared
+//! against a per-million threshold.
 //!
-//! * the fate of a message (delivered / dropped / duplicated) depends only
-//!   on `(fault seed, round, sending node, sending port)` — a SplitMix64
-//!   hash of the coordinates compared against per-million thresholds;
-//! * the crash window of a node is precomputed at plane construction by
-//!   walking nodes `0..n` in index order with one `ChaCha8` stream.
-//!
-//! Whichever thread — or process — evaluates a fault, at whatever time,
+//! Whichever thread — or process — evaluates a drop, at whatever time,
 //! it computes the same answer. The differential harness
 //! (`tests/fault_equivalence.rs`) asserts this across sequential vs
 //! parallel engines, and `tests/net_equivalence.rs` extends the claim to
@@ -26,54 +21,19 @@
 //!
 //! The plane is salted with the run's RNG salt, so each phase of a
 //! multi-phase [`Driver`](crate::SimConfig::rng_salt)-style pipeline draws
-//! a fresh fault trace while staying reproducible end to end.
-//!
-//! # What "crash" means in a synchronous round
-//!
-//! A node crashed at round `r` (i.e. `r` lies inside its crash window):
-//!
-//! * **does not step**: its [`Protocol::round`](crate::Protocol) is not
-//!   called, so it sends nothing and observes nothing;
-//! * **keeps its state and its RNG stream untouched** (*crash with durable
-//!   state*): on restart it resumes exactly where it stopped, so a restart
-//!   is deterministic and bit-identical across engines;
-//! * **implicitly votes [`Done`](crate::Status::Done)**: a crashed node
-//!   must not be able to block global termination forever (its restart
-//!   round may lie beyond the round limit). If the protocol terminates
-//!   while the node is down, the node's state is frozen mid-protocol —
-//!   exactly the damage the repair pipeline (`d2core::repair`) recovers
-//!   from;
-//! * **receives nothing**: a message whose *arrival* round (send round
-//!   `+ 1`) lands inside the destination's crash window is discarded at
-//!   delivery-staging time and counted in
-//!   [`Metrics::crash_drops`](crate::Metrics::crash_drops).
-//!
-//! Senders are unaffected by a neighbor's crash — in a synchronous
-//! message-passing network a sender cannot observe a silent receiver
-//! within the same round.
+//! a fresh drop trace while staying reproducible end to end.
 //!
 //! # Accounting
 //!
 //! Bandwidth is charged at *send* time: a dropped message still consumed
 //! its slot on the wire, so [`Metrics::messages`](crate::Metrics) counts
 //! protocol sends regardless of fate and strict-bandwidth violations abort
-//! even if the offending message would have been dropped. Fault artifacts
-//! are tallied separately ([`Metrics::faults_dropped`](crate::Metrics),
-//! `faults_duplicated`, `crash_drops`, `crashed_rounds`), and the
-//! duplicate copy of a duplicated message is *not* counted as a protocol
-//! message — with faults disabled every metric is bit-identical to a
-//! fault-free build.
-//!
-//! A duplicated message arrives as **two identical copies on the same
-//! port** in the same round. [`Inbox::from_port`](crate::Inbox::from_port)
-//! deterministically returns the first copy;
-//! [`Inbox::from_port_strict`](crate::Inbox::from_port_strict) surfaces
-//! the duplication as a structured error for protocols that want to treat
-//! it as a fault signal.
+//! even if the offending message would have been dropped. Drops are
+//! tallied separately in [`Metrics::faults_dropped`](crate::Metrics), so
+//! with faults disabled every metric is bit-identical to a fault-free
+//! build.
 
 use crate::node::Port;
-use rand::prelude::*;
-use rand_chacha::ChaCha8Rng;
 
 /// The number of "per-million" probability units in a certainty.
 pub const PER_MILLION: u32 = 1_000_000;
@@ -81,41 +41,27 @@ pub const PER_MILLION: u32 = 1_000_000;
 /// Declarative fault model for a run, hung on
 /// [`SimConfig::faults`](crate::SimConfig::faults).
 ///
-/// All probabilities are integer **parts per million**, so configurations
-/// are exact, hashable, and platform-independent (no float rounding in the
-/// fault schedule).
+/// The drop probability is in integer **parts per million**, so
+/// configurations are exact, hashable, and platform-independent (no float
+/// rounding in the fault schedule).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultConfig {
     /// Seed of the fault schedule. Independent of the run seed: the same
-    /// protocol randomness can be replayed under different fault traces
+    /// protocol randomness can be replayed under different drop traces
     /// and vice versa.
     pub fault_seed: u64,
     /// Per-message drop probability, in parts per million.
     pub drop_per_million: u32,
-    /// Per-message duplication probability, in parts per million. A
-    /// duplicated message is delivered twice on the same port.
-    pub dup_per_million: u32,
-    /// Per-node probability of suffering one crash, in parts per million.
-    pub crash_per_million: u32,
-    /// Crash rounds are drawn uniformly from `[0, crash_window)`.
-    pub crash_window: u64,
-    /// Rounds a crashed node stays down before restarting
-    /// (`u64::MAX` = the node never restarts).
-    pub crash_down: u64,
 }
 
 impl FaultConfig {
-    /// A fault model with the given schedule seed and no faults enabled —
-    /// combine with the `with_*` builders.
+    /// A fault model with the given schedule seed and no drops — combine
+    /// with [`FaultConfig::with_drops`].
     #[must_use]
     pub fn seeded(fault_seed: u64) -> Self {
         FaultConfig {
             fault_seed,
             drop_per_million: 0,
-            dup_per_million: 0,
-            crash_per_million: 0,
-            crash_window: 0,
-            crash_down: 0,
         }
     }
 
@@ -125,42 +71,6 @@ impl FaultConfig {
         self.drop_per_million = per_million;
         self
     }
-
-    /// Returns `self` with the message duplication rate set (parts per
-    /// million).
-    #[must_use]
-    pub fn with_dups(mut self, per_million: u32) -> Self {
-        self.dup_per_million = per_million;
-        self
-    }
-
-    /// Returns `self` with node crashes enabled: each node crashes with
-    /// probability `per_million` ppm, at a round uniform in `[0, window)`,
-    /// staying down for `down` rounds (`u64::MAX` = forever).
-    #[must_use]
-    pub fn with_crashes(mut self, per_million: u32, window: u64, down: u64) -> Self {
-        self.crash_per_million = per_million;
-        self.crash_window = window;
-        self.crash_down = down;
-        self
-    }
-
-    /// Whether any fault class is enabled at all.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.drop_per_million > 0 || self.dup_per_million > 0 || self.crash_per_million > 0
-    }
-}
-
-/// The fate of one sent message under the fault plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fate {
-    /// Delivered normally (one copy).
-    Deliver,
-    /// Lost on the wire.
-    Drop,
-    /// Delivered twice on the same port.
-    Duplicate,
 }
 
 /// SplitMix64 finalizer: the avalanche permutation both the per-node RNG
@@ -173,104 +83,40 @@ fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A materialized fault schedule for one run: per-message fates as a pure
-/// hash, per-node crash windows precomputed in index order. Built by the
-/// engines from [`SimConfig::faults`](crate::SimConfig::faults); see the
-/// [module docs](self) for the determinism argument.
+/// The drop schedule of one run: a salted seed and a threshold, so
+/// whether a message is dropped is a pure hash of its coordinates. The
+/// engine core builds it from [`SimConfig::faults`](crate::SimConfig::faults);
+/// see the [module docs](self) for the determinism argument.
 #[derive(Debug)]
 pub struct FaultPlane {
     seed: u64,
     drop_per_million: u32,
-    dup_per_million: u32,
-    /// Per-node crash window `[start, end)`; `start == u64::MAX` means the
-    /// node never crashes.
-    crash_windows: Vec<(u64, u64)>,
-    any_crashes: bool,
 }
 
 impl FaultPlane {
-    /// Builds the schedule for a network of `n` nodes. `salt` is the run's
-    /// RNG salt (phase counter in multi-phase drivers): mixing it in gives
-    /// every phase a fresh, reproducible fault trace.
+    /// Builds the schedule. `salt` is the run's RNG salt (phase counter in
+    /// multi-phase drivers): mixing it in gives every phase a fresh,
+    /// reproducible drop trace.
     #[must_use]
-    pub fn new(config: &FaultConfig, salt: u64, n: usize) -> Self {
-        let seed = splitmix(config.fault_seed ^ splitmix(salt ^ 0x6A09_E667_F3BC_C909));
-        let mut any_crashes = false;
-        let crash_windows = if config.crash_per_million > 0 && config.crash_window > 0 {
-            // One ChaCha stream, consumed in node-index order — identical
-            // on every engine because it is consumed only here, at plane
-            // construction.
-            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xC3A5_C85C_97CB_3127);
-            (0..n)
-                .map(|_| {
-                    if rng.gen_range(0..PER_MILLION) < config.crash_per_million {
-                        any_crashes = true;
-                        let start = rng.gen_range(0..config.crash_window);
-                        (start, start.saturating_add(config.crash_down))
-                    } else {
-                        (u64::MAX, u64::MAX)
-                    }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+    pub fn new(config: &FaultConfig, salt: u64) -> Self {
         FaultPlane {
-            seed,
+            seed: splitmix(config.fault_seed ^ splitmix(salt ^ 0x6A09_E667_F3BC_C909)),
             drop_per_million: config.drop_per_million,
-            dup_per_million: config.dup_per_million,
-            crash_windows,
-            any_crashes,
         }
     }
 
-    /// The fate of the message sent by node `src` on port `port` in round
-    /// `round` — a pure function of the coordinates, so every engine (and
-    /// every netplane shard process) agrees regardless of evaluation order.
+    /// Whether the message sent by node `src` on port `port` in round
+    /// `round` is lost on the wire — a pure function of the coordinates,
+    /// so every engine (and every netplane shard process) agrees
+    /// regardless of evaluation order.
     #[must_use]
-    pub fn fate(&self, round: u64, src: u32, port: Port) -> Fate {
-        if self.drop_per_million == 0 && self.dup_per_million == 0 {
-            return Fate::Deliver;
+    pub fn drops(&self, round: u64, src: u32, port: Port) -> bool {
+        if self.drop_per_million == 0 {
+            return false;
         }
         let edge = (u64::from(src) << 32) | u64::from(port);
         let roll = (splitmix(splitmix(self.seed ^ round) ^ edge) % u64::from(PER_MILLION)) as u32;
-        if roll < self.drop_per_million {
-            Fate::Drop
-        } else if roll < self.drop_per_million + self.dup_per_million {
-            Fate::Duplicate
-        } else {
-            Fate::Deliver
-        }
-    }
-
-    /// Whether node `v` is crashed (down) at round `round`.
-    #[must_use]
-    pub fn is_crashed(&self, v: usize, round: u64) -> bool {
-        if !self.any_crashes {
-            return false;
-        }
-        let (start, end) = self.crash_windows[v];
-        start <= round && round < end
-    }
-
-    /// Whether any node has a crash scheduled at all — lets engines skip
-    /// the per-node window check entirely on crash-free planes.
-    #[must_use]
-    pub fn has_crashes(&self) -> bool {
-        self.any_crashes
-    }
-
-    /// The crash window `[start, end)` scheduled for node `v`, or `None`
-    /// if the node never crashes (`end == u64::MAX` means it never
-    /// restarts). Engines use this to build crash/recovery event lists for
-    /// active-set scheduling and to count crashed node-rounds analytically.
-    #[must_use]
-    pub fn crash_window(&self, v: usize) -> Option<(u64, u64)> {
-        if !self.any_crashes {
-            return None;
-        }
-        let (start, end) = self.crash_windows[v];
-        (start != u64::MAX).then_some((start, end))
+        roll < self.drop_per_million
     }
 }
 
@@ -279,105 +125,44 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fate_is_a_pure_function() {
-        let cfg = FaultConfig::seeded(7).with_drops(100_000).with_dups(50_000);
-        let a = FaultPlane::new(&cfg, 3, 100);
-        let b = FaultPlane::new(&cfg, 3, 100);
+    fn drops_are_a_pure_function() {
+        let cfg = FaultConfig::seeded(7).with_drops(100_000);
+        let a = FaultPlane::new(&cfg, 3);
+        let b = FaultPlane::new(&cfg, 3);
         for round in 0..50 {
             for src in 0..20 {
                 for port in 0..4 {
-                    assert_eq!(a.fate(round, src, port), b.fate(round, src, port));
+                    assert_eq!(a.drops(round, src, port), b.drops(round, src, port));
                 }
             }
         }
     }
 
     #[test]
-    fn fate_rates_are_roughly_calibrated() {
-        let cfg = FaultConfig::seeded(11)
-            .with_drops(100_000)
-            .with_dups(100_000);
-        let plane = FaultPlane::new(&cfg, 0, 10);
-        let mut drops = 0u32;
-        let mut dups = 0u32;
+    fn drop_rate_is_roughly_calibrated() {
+        let plane = FaultPlane::new(&FaultConfig::seeded(11).with_drops(100_000), 0);
         let total = 40_000u32;
-        for i in 0..total {
-            match plane.fate(u64::from(i / 100), i % 10, (i / 10) % 10) {
-                Fate::Drop => drops += 1,
-                Fate::Duplicate => dups += 1,
-                Fate::Deliver => {}
-            }
-        }
-        // 10% each; allow wide slack (binomial σ ≈ 0.15%).
+        let drops = (0..total)
+            .filter(|&i| plane.drops(u64::from(i / 100), i % 10, (i / 10) % 10))
+            .count() as u32;
+        // 10%; allow wide slack (binomial σ ≈ 0.15%).
         let lo = total / 10 - total / 50;
         let hi = total / 10 + total / 50;
         assert!((lo..=hi).contains(&drops), "drops = {drops}");
-        assert!((lo..=hi).contains(&dups), "dups = {dups}");
     }
 
     #[test]
     fn salt_changes_the_trace() {
         let cfg = FaultConfig::seeded(7).with_drops(200_000);
-        let a = FaultPlane::new(&cfg, 0, 10);
-        let b = FaultPlane::new(&cfg, 1, 10);
-        let differs = (0..200u64).any(|r| a.fate(r, 0, 0) != b.fate(r, 0, 0));
+        let a = FaultPlane::new(&cfg, 0);
+        let b = FaultPlane::new(&cfg, 1);
+        let differs = (0..200u64).any(|r| a.drops(r, 0, 0) != b.drops(r, 0, 0));
         assert!(differs, "different salts must yield different traces");
     }
 
     #[test]
-    fn crash_windows_are_deterministic_and_bounded() {
-        let cfg = FaultConfig::seeded(9).with_crashes(500_000, 30, 10);
-        let a = FaultPlane::new(&cfg, 2, 500);
-        let b = FaultPlane::new(&cfg, 2, 500);
-        assert!(a.has_crashes());
-        let mut crashed = 0;
-        for v in 0..500 {
-            let window_a: Vec<bool> = (0..60).map(|r| a.is_crashed(v, r)).collect();
-            let window_b: Vec<bool> = (0..60).map(|r| b.is_crashed(v, r)).collect();
-            assert_eq!(window_a, window_b);
-            if window_a.iter().any(|&x| x) {
-                crashed += 1;
-                let down = window_a.iter().filter(|&&x| x).count();
-                assert!(down <= 10, "down {down} rounds, configured 10");
-            }
-        }
-        // ~50% of 500 nodes crash inside the 60-round observation span.
-        assert!((150..=350).contains(&crashed), "crashed = {crashed}");
-    }
-
-    #[test]
-    fn never_restart_windows_extend_forever() {
-        let cfg = FaultConfig::seeded(1).with_crashes(PER_MILLION, 5, u64::MAX);
-        let plane = FaultPlane::new(&cfg, 0, 4);
-        for v in 0..4 {
-            assert!(plane.is_crashed(v, 1 << 40), "node {v} must stay down");
-        }
-    }
-
-    #[test]
-    fn crash_window_accessor_matches_is_crashed() {
-        let cfg = FaultConfig::seeded(9).with_crashes(500_000, 30, 10);
-        let plane = FaultPlane::new(&cfg, 2, 200);
-        for v in 0..200 {
-            match plane.crash_window(v) {
-                Some((start, end)) => {
-                    assert!(plane.is_crashed(v, start));
-                    assert!(!plane.is_crashed(v, end));
-                    assert!(start > 0 || plane.is_crashed(v, 0));
-                }
-                None => assert!((0..60).all(|r| !plane.is_crashed(v, r))),
-            }
-        }
-        let clean = FaultPlane::new(&FaultConfig::seeded(3), 0, 10);
-        assert_eq!(clean.crash_window(0), None);
-    }
-
-    #[test]
     fn inactive_config_yields_clean_plane() {
-        let cfg = FaultConfig::seeded(3);
-        assert!(!cfg.is_active());
-        let plane = FaultPlane::new(&cfg, 0, 100);
-        assert!(!plane.has_crashes());
-        assert_eq!(plane.fate(0, 0, 0), Fate::Deliver);
+        let plane = FaultPlane::new(&FaultConfig::seeded(3), 0);
+        assert!((0..100).all(|r| !plane.drops(r, 0, 0)));
     }
 }

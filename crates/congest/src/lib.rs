@@ -30,10 +30,10 @@
 //! simulator rounds per synchronization.
 //!
 //! Robustness experiments run against a deterministic fault plane
-//! ([`faults`]): seeded per-(round, edge) message drops/duplicates and
-//! per-node crash windows injected identically by every engine (the
-//! multi-process [`netplane`] included), so a fault trace reproduces bit
-//! for bit from its `(graph seed, fault seed)` pair.
+//! ([`faults`]): seeded per-(round, edge) message drops injected
+//! identically by every engine (the multi-process [`netplane`]
+//! included), so a drop trace reproduces bit for bit from its
+//! `(graph seed, fault seed)` pair.
 //!
 //! # Example
 //!
@@ -88,11 +88,11 @@ pub use config::{
     auto_work_estimate, IdAssignment, RuntimeMode, ScalePreset, Scheduling, SimConfig,
     AUTO_WORK_THRESHOLD,
 };
-pub use faults::{Fate, FaultConfig, FaultPlane, PER_MILLION};
+pub use faults::{FaultConfig, FaultPlane, PER_MILLION};
 pub use message::{BitCost, Message, SmallIds};
 pub use metrics::Metrics;
 pub use net::NetTables;
 pub use node::{NodeCtx, NodeRng, Port};
-pub use outbox::{DuplicateDelivery, Inbox, Outbox};
+pub use outbox::{Inbox, Outbox};
 pub use protocol::{Protocol, Status, Wake};
 pub use runtime::{run, run_with, RunResult, SimError};

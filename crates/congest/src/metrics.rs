@@ -5,9 +5,10 @@
 pub struct Metrics {
     /// Number of synchronous rounds executed (the paper's complexity unit).
     pub rounds: u64,
-    /// Total messages delivered.
+    /// Total messages sent. A message the fault plane drops still
+    /// counts: bandwidth is charged at send time (see [`crate::faults`]).
     pub messages: u64,
-    /// Total bits delivered.
+    /// Total bits sent, dropped messages included.
     pub total_bits: u64,
     /// Largest single message observed, in bits.
     pub max_message_bits: u64,
@@ -21,19 +22,10 @@ pub struct Metrics {
     ///
     /// [`messages`]: Metrics::messages
     pub faults_dropped: u64,
-    /// Messages the fault plane delivered twice. Only the original copy
-    /// counts in [`Metrics::messages`].
-    pub faults_duplicated: u64,
-    /// Messages discarded because their receiver was crashed at the
-    /// arrival round.
-    pub crash_drops: u64,
-    /// Node-rounds spent crashed (nodes skipped by the engine because
-    /// their crash window covered the round).
-    pub crashed_rounds: u64,
     /// Number of `Protocol::round` calls executed — the active-set
     /// engine's work unit. Under always-step scheduling this is
-    /// `rounds × (n − crashed)`; under active-set scheduling it is the
-    /// quantity the frontier saves. Identical across engines for a fixed
+    /// `rounds × n`; under active-set scheduling it is the quantity the
+    /// frontier saves. Identical across engines for a fixed
     /// scheduling mode, but *not* across scheduling modes — mode-vs-mode
     /// bit-identity comparisons must exclude it.
     pub stepped_nodes: u64,
@@ -50,13 +42,10 @@ impl Metrics {
         self.bandwidth_bits = self.bandwidth_bits.max(other.bandwidth_bits);
         self.bandwidth_violations += other.bandwidth_violations;
         self.faults_dropped += other.faults_dropped;
-        self.faults_duplicated += other.faults_duplicated;
-        self.crash_drops += other.crash_drops;
-        self.crashed_rounds += other.crashed_rounds;
         self.stepped_nodes += other.stepped_nodes;
     }
 
-    /// Record one delivered message of `bits` bits against budget `budget`.
+    /// Record one sent message of `bits` bits against budget `budget`.
     pub(crate) fn record_message(&mut self, bits: u64, budget: u64) {
         self.messages += 1;
         self.total_bits += bits;
@@ -111,9 +100,6 @@ mod tests {
             bandwidth_bits: 64,
             bandwidth_violations: 1,
             faults_dropped: 4,
-            faults_duplicated: 3,
-            crash_drops: 2,
-            crashed_rounds: 7,
             stepped_nodes: 9,
         };
         a.absorb(&b);
@@ -123,9 +109,6 @@ mod tests {
         assert_eq!(a.max_message_bits, 32);
         assert_eq!(a.bandwidth_violations, 1);
         assert_eq!(a.faults_dropped, 4);
-        assert_eq!(a.faults_duplicated, 3);
-        assert_eq!(a.crash_drops, 2);
-        assert_eq!(a.crashed_rounds, 7);
         assert_eq!(a.stepped_nodes, 9);
     }
 }

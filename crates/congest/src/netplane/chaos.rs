@@ -2,10 +2,10 @@
 //! jitter.
 //!
 //! This is the transport-level sibling of [`crate::faults`]: where the
-//! fault plane perturbs the *simulated* network (message drops, node
-//! crashes) inside one address space, the chaos plane perturbs the *real*
-//! one — the TCP mesh between shard processes. The same discipline
-//! applies: every event is a **pure function of its coordinates**
+//! fault plane perturbs the *simulated* network (message drops) inside
+//! one address space, the chaos plane perturbs the *real* one — the TCP
+//! mesh between shard processes. The same discipline applies: every
+//! event is a **pure function of its coordinates**
 //! (`(chaos seed, sync, src, dst)` hashed through the shared SplitMix64
 //! finalizer), so a chaos run is exactly reproducible from its seed, and
 //! two shards consulting the plane independently always agree on the

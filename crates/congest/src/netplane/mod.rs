@@ -32,14 +32,13 @@
 //! round** (per [`Protocol::sync_period`](crate::Protocol::sync_period))
 //! the transport writes one `ROUND` frame per peer — carrying all
 //! cross-shard messages plus the shard's `RoundFlags` (sticky-running
-//! and crash-projection counts, first strict-bandwidth violation) — and
-//! flushes once. It then blocks for
-//! exactly one `ROUND` frame from each peer. That exchange *is* the
-//! round barrier: buffered writes are flushed only there, and no shard
-//! enters round `r + 1` before every shard finished round `r`. The
-//! exchange happens every communication round regardless of scheduling
-//! mode (a fully-parked shard still publishes its flags), so the
-//! plane's sequence trajectory — and any seeded [`chaos`] plan keyed to
+//! count, first strict-bandwidth violation) — and flushes once. It then
+//! blocks for exactly one `ROUND` frame from each peer. That exchange
+//! *is* the round barrier: buffered writes are flushed only there, and
+//! no shard enters round `r + 1` before every shard finished round `r`.
+//! The exchange happens every communication round regardless of
+//! scheduling mode (a fully-parked shard still publishes its flags), so
+//! the plane's sequence trajectory — and any seeded [`chaos`] plan keyed to
 //! it — is identical under `ActiveSet` and `AlwaysStep`.
 //! Declared-silent rounds (periods > 1) touch the wire not at all.
 //!
@@ -71,11 +70,10 @@
 //! capabilities come with it: active-set scheduling
 //! ([`Scheduling::ActiveSet`](crate::Scheduling) — only the wake
 //! frontier is stepped, with [`Metrics::stepped_nodes`](crate::Metrics)
-//! the only field allowed to shrink) and the simulated fault plane
+//! the only field allowed to shrink) and the simulated drop plane
 //! ([`crate::faults`] — the schedule is a pure function of
-//! `(config, salt, n)`, so every shard charges the identical fates and
-//! crash windows). Faults of the *real* network are the [`chaos`]
-//! plane's job.
+//! `(config, salt)`, so every shard charges the identical drops).
+//! Faults of the *real* network are the [`chaos`] plane's job.
 //!
 //! # Membership and restarts
 //!

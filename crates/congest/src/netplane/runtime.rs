@@ -18,8 +18,8 @@
 //! and the chaos plane. Active-set scheduling
 //! ([`Scheduling::ActiveSet`](crate::Scheduling)) and the simulated
 //! fault plane ([`crate::faults`]) therefore work here exactly as in the
-//! in-process engines: the fault schedule is a pure function of
-//! `(config, salt, n)`, so every shard computes the identical trace, and
+//! in-process engines: the drop schedule is a pure function of
+//! `(config, salt)`, so every shard computes the identical trace, and
 //! the frontier/termination machinery runs on flags merged at the round
 //! barrier. Faults of the *real* network are the chaos plane's job
 //! ([`super::chaos`]).
@@ -90,7 +90,6 @@ impl<M: Wire> Wire for RoundEnvelope<M> {
     fn put(&self, buf: &mut Vec<u8>) {
         self.sync.put(buf);
         self.flags.running.put(buf);
-        self.flags.proj_running.put(buf);
         self.flags.violation.put(buf);
         self.msgs.put(buf);
     }
@@ -99,7 +98,6 @@ impl<M: Wire> Wire for RoundEnvelope<M> {
             sync: u64::take(r)?,
             flags: RoundFlags {
                 running: u64::take(r)?,
-                proj_running: u64::take(r)?,
                 violation: <Option<(u32, u64)> as Wire>::take(r)?,
             },
             msgs: Vec::take(r)?,
@@ -430,7 +428,7 @@ impl NetPlane {
         let n = graph.n();
         let (lo, hi) = self.local_range(n);
         // Full deterministic world: every shard inits all n nodes (so
-        // state/RNG indices line up) and holds the identical fault trace,
+        // state/RNG indices line up) and builds the identical drop plane,
         // then steps only [lo, hi).
         let mut transport = MeshTransport {
             n,
@@ -794,21 +792,17 @@ mod tests {
         }
     }
 
-    /// The simulated fault plane (drops + duplicates) charges the same
-    /// fates on every shard, and the STATS merge carries the fault
-    /// counters — the old hand-rolled merge silently zeroed them.
+    /// The simulated drop plane charges the same drops on every shard,
+    /// and the STATS merge carries the drop counter — the old
+    /// hand-rolled merge silently zeroed it.
     #[test]
     fn fault_plane_matches_sequential_across_shards() {
-        let faults = || {
-            crate::FaultConfig::seeded(11)
-                .with_drops(120_000)
-                .with_dups(90_000)
-        };
+        let faults = || crate::FaultConfig::seeded(11).with_drops(120_000);
         let g = gen::gnp_capped(40, 0.15, 6, 7);
         let cfg = reference_cfg(3).with_faults(faults());
         let seq = run(&g, &Flood, &cfg).unwrap();
         assert!(
-            seq.metrics.faults_dropped > 0 && seq.metrics.faults_duplicated > 0,
+            seq.metrics.faults_dropped > 0,
             "fault config must actually bite: {:?}",
             seq.metrics
         );
@@ -822,32 +816,6 @@ mod tests {
         for ((lo, hi), res) in outs {
             assert_eq!(res.metrics, seq.metrics);
             assert_eq!(res.states[lo..hi], seq.states[lo..hi]);
-        }
-    }
-
-    /// Crash faults under `ActiveSet`: the projection-driven probe latch
-    /// must fire on the same round in every shard, and the round-limit
-    /// watchdog must exclude crashed nodes globally.
-    #[test]
-    fn crash_faults_with_active_set_latch_identically_across_shards() {
-        let faults = || crate::FaultConfig::seeded(5).with_crashes(400_000, 6, u64::MAX);
-        let g = gen::path(40);
-        let cfg = SimConfig::seeded(1)
-            .with_max_rounds(10)
-            .with_faults(faults())
-            .with_phase_label("crashy");
-        let seq_err = run(&g, &Forever, &cfg).unwrap_err();
-        let errs = with_mesh(4, move |mut plane| {
-            let g = gen::path(40);
-            let cfg = SimConfig::seeded(1)
-                .with_max_rounds(10)
-                .with_faults(faults())
-                .with_phase_label("crashy");
-            let net = NetTables::build(&g, &cfg);
-            plane.execute_with(&g, &Forever, &cfg, &net).unwrap_err()
-        });
-        for err in errs {
-            assert_eq!(err, seq_err);
         }
     }
 
@@ -998,63 +966,6 @@ mod tests {
         });
         for err in errs {
             assert_eq!(err, seq_err);
-        }
-    }
-
-    /// Votes `Running` until round `7v mod 29`, parked until then, and
-    /// never sends.
-    struct Countdown;
-
-    impl Protocol for Countdown {
-        type State = ();
-        type Msg = ();
-        fn init(&self, _: &NodeCtx, _: &mut NodeRng) {}
-        fn round(
-            &self,
-            _: &mut (),
-            ctx: &NodeCtx,
-            _: &mut NodeRng,
-            _: &Inbox<()>,
-            _: &mut Outbox<()>,
-        ) -> Status {
-            if ctx.round < u64::from(ctx.index) * 7 % 29 {
-                Status::Running
-            } else {
-                Status::Done
-            }
-        }
-        fn next_wake(&self, _: &(), ctx: &NodeCtx, status: Status) -> Wake {
-            match status {
-                Status::Running => Wake::At(u64::from(ctx.index) * 7 % 29),
-                Status::Done => Wake::Message,
-            }
-        }
-    }
-
-    /// A recovering crash plane that ends the run before the last
-    /// deadline: the termination count, the probe latch and the crash
-    /// windows agree across 2 shards under both schedules.
-    #[test]
-    fn crash_plane_termination_matches_sequential_across_shards() {
-        fn cfg(scheduling: Scheduling) -> SimConfig {
-            let faults = crate::FaultConfig::seeded(137).with_crashes(500_000, 30, 6);
-            SimConfig::seeded(6)
-                .with_faults(faults)
-                .with_scheduling(scheduling)
-        }
-        for scheduling in [Scheduling::AlwaysStep, Scheduling::ActiveSet] {
-            let g = gen::cycle(60);
-            let seq = run(&g, &Countdown, &cfg(scheduling)).unwrap();
-            assert_eq!(seq.metrics.rounds, 28, "the plane must end the run early");
-            let outs = with_mesh(2, move |mut plane| {
-                let g = gen::cycle(60);
-                let cfg = cfg(scheduling);
-                let net = NetTables::build(&g, &cfg);
-                plane.execute_with(&g, &Countdown, &cfg, &net).unwrap()
-            });
-            for res in outs {
-                assert_eq!(res.metrics, seq.metrics, "{scheduling:?}");
-            }
         }
     }
 

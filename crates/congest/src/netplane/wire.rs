@@ -343,9 +343,6 @@ impl Wire for Metrics {
             self.bandwidth_bits,
             self.bandwidth_violations,
             self.faults_dropped,
-            self.faults_duplicated,
-            self.crash_drops,
-            self.crashed_rounds,
             self.stepped_nodes,
         ] {
             v.put(buf);
@@ -360,9 +357,6 @@ impl Wire for Metrics {
             bandwidth_bits: u64::take(r)?,
             bandwidth_violations: u64::take(r)?,
             faults_dropped: u64::take(r)?,
-            faults_duplicated: u64::take(r)?,
-            crash_drops: u64::take(r)?,
-            crashed_rounds: u64::take(r)?,
             stepped_nodes: u64::take(r)?,
         })
     }
@@ -434,10 +428,7 @@ mod tests {
             bandwidth_bits: 5,
             bandwidth_violations: 6,
             faults_dropped: 7,
-            faults_duplicated: 8,
-            crash_drops: 9,
-            crashed_rounds: 10,
-            stepped_nodes: 11,
+            stepped_nodes: 8,
         };
         roundtrip(m);
     }

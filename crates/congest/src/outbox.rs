@@ -1,36 +1,6 @@
 //! Inboxes and outboxes: the only I/O surface of a node program.
 
 use crate::node::Port;
-use std::fmt;
-
-/// More than one message arrived on a single port in one round.
-///
-/// Only the fault plane's duplicate injection ([`crate::faults`]) can
-/// produce this under the engines — the sending [`Outbox`] rejects
-/// duplicate sends — so protocols that must distinguish "one message" from
-/// "one message, delivered twice" use [`Inbox::from_port_strict`] and
-/// surface this as a structured error instead of silently reading the
-/// first copy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DuplicateDelivery {
-    /// The port carrying more than one message.
-    pub port: Port,
-    /// How many copies arrived (≥ 2).
-    pub copies: usize,
-}
-
-impl fmt::Display for DuplicateDelivery {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} messages delivered on port {} in one round \
-             (CONGEST allows one message per edge per round)",
-            self.copies, self.port
-        )
-    }
-}
-
-impl std::error::Error for DuplicateDelivery {}
 
 /// Messages received this round, as `(port, message)` pairs sorted by port.
 ///
@@ -43,27 +13,13 @@ pub struct Inbox<M> {
 
 impl<M> Inbox<M> {
     /// An inbox pre-sized to the most a round can deliver: the node's
-    /// degree, or **twice** the degree when a duplicating fault plane is
-    /// active (every port can carry the original plus one injected copy —
-    /// see [`crate::faults::Fate::Duplicate`]). The engines pass the right
-    /// bound via [`Inbox::round_capacity`]; one up-front allocation instead
-    /// of `log₂ degree` growth doublings on the first busy rounds (the
+    /// degree (one message per port). One up-front allocation instead of
+    /// `log₂ degree` growth doublings on the first busy rounds (the
     /// engines reuse the buffer for the whole run, so this is the inbox's
     /// only allocation ever).
     pub(crate) fn with_capacity(degree: usize) -> Self {
         Inbox {
             items: Vec::with_capacity(degree),
-        }
-    }
-
-    /// The worst-case number of deliveries in one round for a node of
-    /// `degree` under a plane that duplicates iff `dups` — the capacity
-    /// that keeps the steady state allocation-free.
-    pub(crate) fn round_capacity(degree: usize, dups: bool) -> usize {
-        if dups {
-            degree * 2
-        } else {
-            degree
         }
     }
 
@@ -81,9 +37,7 @@ impl<M> Inbox<M> {
         // Unstable sort keeps the steady-state round allocation-free (the
         // stable sort buys a merge buffer); it is still deterministic:
         // the Outbox delivers at most one message per port per round, so
-        // keys are distinct except for fault-plane duplicates — and those
-        // are bitwise copies of each other, making any reordering within
-        // an equal run unobservable.
+        // the keys are distinct.
         self.items.sort_unstable_by_key(|&(p, _)| p);
     }
 
@@ -122,51 +76,15 @@ impl<M> Inbox<M> {
 
     /// The message received on `port`, if any.
     ///
-    /// **Contract**: under the engines' fault-free delivery rules at most
-    /// one message arrives per port per round (the sending [`Outbox`]
-    /// rejects duplicate sends), so the lookup has a unique answer. When
-    /// the fault plane ([`crate::faults`]) injects a duplicate — or an
-    /// inbox constructed outside the engines (tests) carries one — the
-    /// *first* copy on `port` in sorted order is returned
-    /// deterministically; since fault-plane duplicates are bitwise copies,
-    /// first-copy semantics are indistinguishable from fault-free delivery
-    /// for this accessor. Use [`Inbox::from_port_strict`] to detect the
-    /// duplication instead of absorbing it.
+    /// At most one message arrives per port per round (the sending
+    /// [`Outbox`] rejects duplicate sends), so the lookup has a unique
+    /// answer.
     #[must_use]
     pub fn from_port(&self, port: Port) -> Option<&M> {
-        // Lower bound of the (usually unit-length) run of entries at `port`.
         let i = self.items.partition_point(|&(p, _)| p < port);
         match self.items.get(i) {
             Some(&(p, ref m)) if p == port => Some(m),
             _ => None,
-        }
-    }
-
-    /// [`Inbox::from_port`] that reports multiple deliveries on `port` as
-    /// a structured [`DuplicateDelivery`] error instead of returning the
-    /// first copy — for protocols (or harnesses) that audit the
-    /// one-message-per-edge discipline at runtime rather than trusting
-    /// first-copy absorption.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DuplicateDelivery`] if more than one message arrived on
-    /// `port` this round.
-    pub fn from_port_strict(&self, port: Port) -> Result<Option<&M>, DuplicateDelivery> {
-        let i = self.items.partition_point(|&(p, _)| p < port);
-        match self.items.get(i) {
-            Some(&(p, ref m)) if p == port => {
-                let copies = 1 + self.items[i + 1..]
-                    .iter()
-                    .take_while(|&&(q, _)| q == port)
-                    .count();
-                if copies > 1 {
-                    Err(DuplicateDelivery { port, copies })
-                } else {
-                    Ok(Some(m))
-                }
-            }
-            _ => Ok(None),
         }
     }
 }
@@ -278,27 +196,6 @@ mod tests {
         assert_eq!(inbox.from_port(1), None);
         let ports: Vec<Port> = inbox.iter().map(|&(p, _)| p).collect();
         assert_eq!(ports, vec![0, 2]);
-    }
-
-    #[test]
-    fn from_port_absorbs_duplicates_strict_reports_them() {
-        let mut inbox: Inbox<u64> = Inbox::with_capacity(0);
-        inbox.push(1, 7);
-        inbox.push(1, 7);
-        inbox.push(3, 9);
-        inbox.finalize();
-        // Lenient accessor: deterministic first copy.
-        assert_eq!(inbox.from_port(1), Some(&7));
-        assert_eq!(inbox.from_port(3), Some(&9));
-        // Strict accessor: the duplication is surfaced, clean ports pass.
-        assert_eq!(
-            inbox.from_port_strict(1),
-            Err(DuplicateDelivery { port: 1, copies: 2 })
-        );
-        assert_eq!(inbox.from_port_strict(3), Ok(Some(&9)));
-        assert_eq!(inbox.from_port_strict(0), Ok(None));
-        let err = inbox.from_port_strict(1).unwrap_err();
-        assert!(err.to_string().contains("port 1"), "{err}");
     }
 
     #[test]

@@ -127,9 +127,7 @@ pub trait Protocol: Sync {
     /// spontaneous wake at round `r`. Returning the same `Wake::At(r)` on
     /// every wake until `r` is free: re-parking to the pending target
     /// queues nothing, so a node parked to a fixed round costs the engines
-    /// one queue entry however often arrivals wake it. Nodes crashed by
-    /// the fault plane are skipped while down and woken at their recovery
-    /// round.
+    /// one queue entry however often arrivals wake it.
     ///
     /// The default, [`Wake::Next`], reproduces the classic every-round
     /// schedule exactly.

@@ -4,12 +4,12 @@
 //! bounded-bandwidth edges — and this module implements it exactly once.
 //! [`drive`] owns everything the runtimes used to triplicate: active-set
 //! scheduling (the wake frontier, `Wake::At` heap, sticky termination
-//! votes with the crash-probe latch), fault-plane send/delivery fates,
-//! sync-period batching, strict-bandwidth abort ordering, metrics
-//! accounting, and structured [`SimError`] construction. [`run_range`]
-//! builds the world it runs on. What *varies* between runtimes — how a
-//! shard's staged messages and votes reach the other shards — is
-//! abstracted behind the [`Transport`] trait.
+//! votes), the drop plane, sync-period batching, strict-bandwidth abort
+//! ordering, metrics accounting, and structured [`SimError`]
+//! construction. [`run_range`] builds the world it runs on. What
+//! *varies* between runtimes — how a shard's staged messages and votes
+//! reach the other shards — is abstracted behind the [`Transport`]
+//! trait.
 //!
 //! # The `Transport` contract
 //!
@@ -25,37 +25,28 @@
 //!   deliver every inbound `(dest, port, msg)` through the provided
 //!   callback, and (c) return the [`RoundFlags`] merged over **all**
 //!   shards with [`RoundFlags::absorb`]. Every shard must observe the
-//!   identical merged value — the core derives termination,
-//!   strict-bandwidth aborts, and the crash-probe latch from it, and
-//!   shards must take those transitions in lockstep.
+//!   identical merged value — the core derives termination and
+//!   strict-bandwidth aborts from it, and shards must take those
+//!   transitions in lockstep.
 //! * [`Transport::watchdog`] — called once, only on the round-limit
 //!   path: globalize the diagnostics (sum of live nodes, max of
 //!   last-progress rounds) for [`SimError::RoundLimitExceeded`].
 //!
-//! Everything else — which nodes step, what they send, how faults bite,
-//! what the metrics say — is the core's business and therefore identical
-//! across runtimes by construction. The differential harnesses
-//! (`tests/runtime_equivalence.rs`, `tests/net_equivalence.rs`,
-//! `tests/fault_equivalence.rs`) hold the three transports bit-identical
-//! on every observable.
+//! Everything else — which nodes step, what they send, which messages
+//! the drop plane loses, what the metrics say — is the core's business
+//! and therefore identical across runtimes by construction. The
+//! differential harnesses (`tests/runtime_equivalence.rs`,
+//! `tests/net_equivalence.rs`, `tests/fault_equivalence.rs`) hold the
+//! three transports bit-identical on every observable.
 //!
 //! # Why the merged flags are enough
 //!
 //! * **Termination.** One rule for both schedules: the run ends at the
-//!   first communication round where the summed count of non-crashed
-//!   sticky-`Running` votes is zero. Stepping all, each non-crashed
-//!   node's sticky vote *is* this round's vote, and a crash removes the
-//!   node's vote from the count at its crash round (crashed nodes vote
-//!   `Done` implicitly), so a zero count is unanimity. Parking, the
-//!   parking contract on [`Protocol::next_wake`] makes sticky votes exact
-//!   at such rounds.
-//! * **Crash-probe latch.** When a scheduled crash removes the last
-//!   sticky-`Running` vote, parked votes may go stale, so the engine
-//!   must fall back to stepping everyone. Each shard publishes a
-//!   one-round-ahead *projection* of its running count under the
-//!   plane's statically-known crash/recovery events; a zero merged
-//!   projection latches every shard back to the every-node schedule on
-//!   the same round.
+//!   first communication round where the summed count of sticky-`Running`
+//!   votes is zero. Stepping all, each node's sticky vote *is* this
+//!   round's vote, so a zero count is unanimity. Parking, the parking
+//!   contract on [`Protocol::next_wake`] makes sticky votes exact at such
+//!   rounds.
 //! * **Strict bandwidth.** Each shard reports its first violation in
 //!   node order as `(node, bits)`; min-by-node across shards is the
 //!   message the sequential sweep (which steps in index order) would
@@ -64,10 +55,10 @@
 
 use super::barrier::SpinBarrier;
 use super::{node_rng, RunResult, SimError};
-use crate::faults::{Fate, FaultPlane};
+use crate::faults::FaultPlane;
 use crate::{
-    Inbox, Message, Metrics, NetTables, NodeCtx, NodeRng, Outbox, Port, Protocol, SimConfig,
-    Status, Wake,
+    Inbox, Message, Metrics, NetTables, NodeCtx, NodeRng, Outbox, Port, Protocol, Scheduling,
+    SimConfig, Status, Wake,
 };
 use graphs::Graph;
 use std::cmp::Reverse;
@@ -79,16 +70,13 @@ use std::sync::{Arc, Mutex};
 /// The control word exchanged at every communication-round barrier.
 ///
 /// Merging is associative and commutative, so transports may combine
-/// contributions in any order: `running` and `proj_running` by sum,
-/// `violation` by minimum node index. The default is the merge identity.
+/// contributions in any order: `running` by sum, `violation` by minimum
+/// node index. The default is the merge identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct RoundFlags {
-    /// Non-crashed local nodes whose sticky communication-round vote is
-    /// still [`Status::Running`]; the run ends when the merged sum is 0.
+    /// Local nodes whose sticky communication-round vote is still
+    /// [`Status::Running`]; the run ends when the merged sum is 0.
     pub running: u64,
-    /// Projection of `running` for the next round under the fault
-    /// plane's scheduled crash/recovery events (0 when irrelevant).
-    pub proj_running: u64,
     /// First strict-bandwidth violation this round in local node order,
     /// as `(node index, message bits)`; `None` outside strict mode.
     pub violation: Option<(u32, u64)>,
@@ -98,7 +86,6 @@ impl RoundFlags {
     /// Folds another shard's contribution into this one.
     pub(crate) fn absorb(&mut self, other: &RoundFlags) {
         self.running += other.running;
-        self.proj_running += other.proj_running;
         self.violation = match (self.violation, other.violation) {
             (Some(a), Some(b)) => Some(if a.0 <= b.0 { a } else { b }),
             (a, b) => a.or(b),
@@ -159,9 +146,6 @@ pub(crate) struct ShardWorld<'a, P: Protocol> {
     pub states: &'a mut [P::State],
     /// RNG streams of the owned nodes.
     pub rngs: &'a mut [NodeRng],
-    /// The run's fault schedule, if any — a pure function of
-    /// `(config, salt, n)`, so every shard holds the identical trace.
-    pub plane: Option<&'a FaultPlane>,
 }
 
 /// Derives the per-node `(rng, state)` world for the contexts of one
@@ -186,7 +170,7 @@ pub(crate) fn init_nodes<P: Protocol>(
 }
 
 /// Builds the whole deterministic world — contexts, RNG streams, initial
-/// states, fault plane — and drives the nodes in `range` through
+/// states — and drives the nodes in `range` through
 /// `transport`. States outside `range` stay at their init values. The
 /// sequential engine passes `0..n`; a netplane shard passes its own
 /// slice.
@@ -207,10 +191,6 @@ pub(crate) fn run_range<P: Protocol, T: Transport<P::Msg>>(
     assert!(net.matches(graph), "NetTables built for a different graph");
     let mut ctxs = net.contexts();
     let (mut rngs, mut states) = init_nodes(protocol, config, &ctxs, 0);
-    let plane = config
-        .faults
-        .as_ref()
-        .map(|f| FaultPlane::new(f, config.rng_salt, graph.n()));
     let metrics = drive(
         graph,
         protocol,
@@ -221,7 +201,6 @@ pub(crate) fn run_range<P: Protocol, T: Transport<P::Msg>>(
             ctxs: &mut ctxs[range.clone()],
             states: &mut states[range.clone()],
             rngs: &mut rngs[range],
-            plane: plane.as_ref(),
         },
         transport,
     )?;
@@ -230,7 +209,7 @@ pub(crate) fn run_range<P: Protocol, T: Transport<P::Msg>>(
 
 /// How one round's step set is traversed under active-set scheduling.
 enum Sweep {
-    /// Step every local node (always-step reference, or a latched probe).
+    /// Step every local node (the always-step reference).
     All,
     /// Step the sorted sparse frontier.
     Sparse,
@@ -252,7 +231,9 @@ fn wake(stamp: &mut [u64], queue: &mut Vec<u32>, i: usize, t: u64) {
 
 /// Runs `protocol` on this shard's slice of `graph` to global
 /// termination, synchronizing through `transport` once per communication
-/// round. Returns the shard's **local** metrics (`rounds` set to the
+/// round. Builds the run's drop plane from `config.faults` — a pure
+/// function of `(config, salt)`, so every shard holds the identical
+/// trace. Returns the shard's **local** metrics (`rounds` set to the
 /// global count, `bandwidth_bits` to the budget); the caller merges
 /// across shards. Errors are constructed from globally-merged flags, so
 /// every shard returns the identical [`SimError`]. An empty graph has no
@@ -278,7 +259,6 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
         ctxs,
         states,
         rngs,
-        plane,
     } = world;
     let local_n = ctxs.len();
     let local = start..start + local_n;
@@ -293,56 +273,39 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
     if n == 0 {
         return Ok(metrics);
     }
-
-    // A duplicating plane can deliver two copies per port in one round;
-    // size inboxes for it so the steady state stays allocation-free.
-    let dups = config
+    let plane = config
         .faults
         .as_ref()
-        .is_some_and(|f| f.dup_per_million > 0);
-    let mut cur: Vec<Inbox<P::Msg>> = (0..local_n)
-        .map(|i| {
-            Inbox::with_capacity(Inbox::<P::Msg>::round_capacity(
-                graph.degree((start + i) as u32),
-                dups,
-            ))
-        })
-        .collect();
-    let mut next: Vec<Inbox<P::Msg>> = (0..local_n)
-        .map(|i| {
-            Inbox::with_capacity(Inbox::<P::Msg>::round_capacity(
-                graph.degree((start + i) as u32),
-                dups,
-            ))
-        })
-        .collect();
+        .map(|f| FaultPlane::new(f, config.rng_salt));
+
+    // At most one delivery per port per round: degree-sized inboxes keep
+    // the steady state allocation-free.
+    let inboxes = || -> Vec<Inbox<P::Msg>> {
+        (0..local_n)
+            .map(|i| Inbox::with_capacity(graph.degree((start + i) as u32)))
+            .collect()
+    };
+    let mut cur = inboxes();
+    let mut next = inboxes();
     let mut out: Outbox<P::Msg> = Outbox::new(0);
 
-    let has_crashes = plane.is_some_and(FaultPlane::has_crashes);
-    // One rule for every transport: `Scheduling::effective` gates the
-    // frontier identically on all shards, and all later transitions (the
-    // probe latch) are driven by the merged flags, so shards always
-    // agree on the mode.
-    let mut active = config.scheduling.effective(has_crashes, period);
+    // The schedule is fixed for the whole run, identically on every shard.
+    let active = config.scheduling == Scheduling::ActiveSet;
 
     // Sticky votes: each local node's latest communication-round vote.
     // While a node is parked its sticky vote stands in for it (the
-    // parking contract on `Protocol::next_wake` makes that exact); while
-    // it is crashed the crash event has taken it out of `running`. So a
+    // parking contract on `Protocol::next_wake` makes that exact). So a
     // zero global sum of `running` counts is exactly the round where
-    // every non-crashed node votes `Done`, under either schedule.
+    // every node votes `Done`, under either schedule.
     let mut sticky: Vec<Status> = vec![Status::Running; local_n];
     let mut running: u64 = local_n as u64;
     let mut last_progress: u64 = 0;
 
     // Frontier machinery over local indices (untouched when `!active`):
     // `frontier` holds this round's wakes, `next_frontier` the next
-    // round's, and `stamp` deduplicates insertions. The crash/recovery
-    // event lists (built whenever the plane has crashes) feed the plane's
-    // edges into the running count and, while `active`, the wake queue.
-    // `heap_round[i]` is node i's pending `Wake::At` target
-    // (`u64::MAX` for none), and every pending target has an entry in
-    // `heap`. A node that re-parks to its pending target pushes nothing,
+    // round's, and `stamp` deduplicates insertions. `heap_round[i]` is
+    // node i's pending `Wake::At` target (`u64::MAX` for none), and every
+    // pending target has an entry in `heap`. A node that re-parks to its pending target pushes nothing,
     // so a node parking to the same round on every wake holds one entry,
     // however often arrivals wake it. Only `Next`, `Message`, or a target
     // ≤ the next round cancel the pending target. A popped entry wakes
@@ -355,9 +318,6 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
     let mut in_cur: Vec<bool> = Vec::new();
     let mut heap: BinaryHeap<(Reverse<u64>, u32)> = BinaryHeap::new();
     let mut heap_round: Vec<u64> = Vec::new();
-    let mut crash_events: Vec<(u64, u32)> = Vec::new();
-    let mut recovery_events: Vec<(u64, u32)> = Vec::new();
-    let (mut ci, mut ri) = (0usize, 0usize);
     if active {
         frontier = (0..local_n as u32).collect(); // round 0 wakes everyone
         next_frontier = Vec::with_capacity(local_n);
@@ -365,20 +325,7 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
         in_cur = vec![false; local_n];
         heap_round = vec![u64::MAX; local_n];
     }
-    if let Some(p) = plane.filter(|_| has_crashes) {
-        for i in 0..local_n {
-            if let Some((s, e)) = p.crash_window(start + i) {
-                crash_events.push((s, i as u32));
-                if e != u64::MAX {
-                    recovery_events.push((e, i as u32));
-                }
-            }
-        }
-        crash_events.sort_unstable();
-        recovery_events.sort_unstable();
-    }
 
-    let mut terminated = false;
     for round in 0..config.max_rounds {
         // Communication rounds carry messages and termination votes; the
         // `period - 1` rounds in between are declared-silent local
@@ -386,8 +333,7 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
         let comm = round.is_multiple_of(period);
         if active {
             // Assemble this round's frontier: last round's wakes are
-            // already in `frontier`; add matured `Wake::At` requests here
-            // and crash recoveries below.
+            // already in `frontier`; add matured `Wake::At` requests.
             while let Some(&(Reverse(t), i)) = heap.peek() {
                 if t > round {
                     break;
@@ -399,28 +345,10 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
                 }
             }
         }
-        while ci < crash_events.len() && crash_events[ci].0 == round {
-            let i = crash_events[ci].1 as usize;
-            ci += 1;
-            if sticky[i] == Status::Running {
-                running -= 1;
-            }
-        }
-        while ri < recovery_events.len() && recovery_events[ri].0 == round {
-            let i = recovery_events[ri].1 as usize;
-            ri += 1;
-            if sticky[i] == Status::Running {
-                running += 1;
-            }
-            if active {
-                wake(&mut stamp, &mut frontier, i, round);
-            }
-        }
-        let stepping_all = !active;
         let mut progressed = false;
         let mut violation: Option<(u32, u64)> = None;
 
-        let sweep = if stepping_all {
+        let sweep = if !active {
             Sweep::All
         } else if frontier.len() * 4 >= local_n {
             for &i in &frontier {
@@ -448,15 +376,6 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
                 }
             };
             let v = start + i;
-            if let Some(p) = plane {
-                if p.is_crashed(v, round) {
-                    // Crashed node: not stepped, sends nothing, votes
-                    // Done implicitly (see `faults` module docs). Its
-                    // crashed node-rounds are counted analytically at
-                    // termination.
-                    continue;
-                }
-            }
             ctxs[i].round = round;
             cur[i].finalize();
             out.reset(graph.degree(v as u32));
@@ -500,43 +419,23 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
                     // min-merges across shards to the globally first.
                     violation = Some((v as u32, bits));
                 }
-                let copies = match plane.map_or(Fate::Deliver, |p| p.fate(round, v as u32, port)) {
-                    Fate::Drop => {
-                        metrics.faults_dropped += 1;
-                        0
-                    }
-                    Fate::Deliver => 1,
-                    Fate::Duplicate => {
-                        metrics.faults_duplicated += 1;
-                        2
-                    }
-                };
-                if copies == 0 {
+                if plane
+                    .as_ref()
+                    .is_some_and(|p| p.drops(round, v as u32, port))
+                {
+                    metrics.faults_dropped += 1;
                     continue;
                 }
                 let dest = graph.neighbors(v as u32)[port as usize] as usize;
-                // Delivery lands at round + 1; a receiver crashed then
-                // loses the message (and any duplicate of it). Charged
-                // at the sender — the plane is shared knowledge.
-                if plane.is_some_and(|p| p.is_crashed(dest, round + 1)) {
-                    metrics.crash_drops += 1;
-                    continue;
-                }
                 let arrival = net.reverse_ports_of(v as u32)[port as usize];
                 if local.contains(&dest) {
                     let li = dest - start;
-                    if copies == 2 {
-                        next[li].push(arrival, msg.clone());
-                    }
                     next[li].push(arrival, msg);
                     if active {
                         // Message arrivals always wake their destination.
                         wake(&mut stamp, &mut next_frontier, li, round + 1);
                     }
                 } else {
-                    if copies == 2 {
-                        transport.stage(dest as u32, arrival, msg.clone());
-                    }
                     transport.stage(dest as u32, arrival, msg);
                 }
             }
@@ -560,50 +459,17 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
             continue;
         }
 
-        // Project this shard's running count at round + 1 by peeking the
-        // event cursors without advancing them — the top of round + 1
-        // will consume the same events for real. A zero *merged*
-        // projection is the only way every shard can latch the crash
-        // probe before stepping round + 1. (`active` under crashes
-        // forces period == 1, so every round passes here.)
-        let mut proj = 0;
-        if !stepping_all && has_crashes {
-            proj = running;
-            let mut cj = ci;
-            while cj < crash_events.len() && crash_events[cj].0 == round + 1 {
-                let i = crash_events[cj].1 as usize;
-                cj += 1;
-                if sticky[i] == Status::Running {
-                    proj -= 1;
-                }
-            }
-            let mut rj = ri;
-            while rj < recovery_events.len() && recovery_events[rj].0 == round + 1 {
-                let i = recovery_events[rj].1 as usize;
-                rj += 1;
-                if sticky[i] == Status::Running {
-                    proj += 1;
-                }
-            }
-        }
-
         // The barrier: publish, deliver inbound (arrivals wake their
         // destinations — this is where peer shards' wake lists merge
         // into the local frontier), and merge the flags.
-        let merged = transport.exchange(
-            RoundFlags {
-                running,
-                proj_running: proj,
-                violation,
-            },
-            &mut |dest, port, msg| {
+        let merged =
+            transport.exchange(RoundFlags { running, violation }, &mut |dest, port, msg| {
                 let li = dest as usize - start;
                 next[li].push(port, msg);
                 if active {
                     wake(&mut stamp, &mut next_frontier, li, round + 1);
                 }
-            },
-        );
+            });
         std::mem::swap(&mut cur, &mut next);
         if active {
             std::mem::swap(&mut frontier, &mut next_frontier);
@@ -621,46 +487,12 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
             });
         }
         if merged.running == 0 {
-            terminated = true;
-            break;
+            return Ok(metrics);
         }
-        // A zero projected running count for round + 1 can only come
-        // from crash events there: a crash is about to remove the last
-        // Running vote, after which a parked node's sticky vote may
-        // disagree with what it would vote in any given round (the
-        // contract only pins votes at rounds where unanimity is
-        // otherwise possible). Latch a probe — step every node every
-        // round, so every sticky vote is fresh again, permanently — in
-        // lockstep across shards.
-        if !stepping_all && has_crashes && merged.proj_running == 0 {
-            active = false;
-        }
-    }
-    if terminated {
-        // Crashed node-rounds, analytically: the engine never scans
-        // crashed nodes, so count each local crash window's overlap with
-        // the rounds actually executed (every shard broke at the same
-        // round, so `metrics.rounds` is the global count here).
-        if let Some(p) = plane {
-            let r = metrics.rounds;
-            for i in 0..local_n {
-                if let Some((s, e)) = p.crash_window(start + i) {
-                    metrics.crashed_rounds += e.min(r) - s.min(r);
-                }
-            }
-        }
-        return Ok(metrics);
     }
     // Live nodes: still voting Running per their latest (sticky)
-    // communication-round vote, excluding nodes the plane had crashed
-    // when the limit hit — crashed nodes vote Done implicitly and must
-    // not be reported as live work.
-    let last = config.max_rounds.saturating_sub(1);
-    let live = (0..local_n)
-        .filter(|&i| {
-            sticky[i] == Status::Running && !plane.is_some_and(|p| p.is_crashed(start + i, last))
-        })
-        .count() as u64;
+    // communication-round vote.
+    let live = sticky.iter().filter(|&&s| s == Status::Running).count() as u64;
     let (live_nodes, last_progress_round) = transport.watchdog(live, last_progress);
     Err(SimError::RoundLimitExceeded {
         limit: config.max_rounds,
@@ -834,19 +666,16 @@ mod tests {
     fn round_flags_merge_is_sum_min() {
         let mut a = RoundFlags {
             running: 3,
-            proj_running: 1,
             violation: Some((7, 100)),
         };
         a.absorb(&RoundFlags {
             running: 2,
-            proj_running: 0,
             violation: Some((4, 200)),
         });
         assert_eq!(
             a,
             RoundFlags {
                 running: 5,
-                proj_running: 1,
                 violation: Some((4, 200)),
             }
         );

@@ -4,7 +4,7 @@
 //!
 //! The round loop exists exactly once, in the private `engine` module:
 //! a generic core that owns node stepping, active-set scheduling,
-//! fault-plane delivery, sync-period batching, strict-bandwidth abort
+//! the drop plane, sync-period batching, strict-bandwidth abort
 //! ordering, metrics accounting, and [`SimError`] construction. What an
 //! engine contributes is a `Transport` — how one shard's staged
 //! messages and per-round control flags reach the other shards:
@@ -24,14 +24,12 @@
 //! The `Transport` contract (documented in full on the trait) is small:
 //! *stage* a message for a remote node, *exchange* at the communication
 //! round barrier — publish staged batches plus this shard's
-//! `RoundFlags` (sticky-running sum, next-round running projection,
-//! first strict-bandwidth violation), deliver inbound messages, and
-//! return the flags merged identically on every shard — and a
-//! *watchdog* that globalizes round-limit diagnostics.
-//! Because termination, the crash-probe latch, and abort decisions are
-//! all functions of the merged flags, every shard takes every
-//! transition in lockstep, and adding a transport can never fork the
-//! semantics.
+//! `RoundFlags` (sticky-running sum, first strict-bandwidth violation),
+//! deliver inbound messages, and return the flags merged identically on
+//! every shard — and a *watchdog* that globalizes round-limit
+//! diagnostics. Because termination and abort decisions are both
+//! functions of the merged flags, every shard takes every transition in
+//! lockstep, and adding a transport can never fork the semantics.
 //!
 //! All engines are bit-identical for the same seed: per-node RNG streams
 //! depend only on `(seed, index)`, inboxes are sorted by port before
@@ -52,13 +50,11 @@
 //!    wake their destination — staged at `r − 1`, stamped for `r`);
 //! 2. its own [`Protocol::next_wake`] asked for it: [`Wake::Next`](crate::Wake::Next) after
 //!    its round-`r − 1` step, or a matured [`Wake::At(r)`](crate::Wake)
-//!    request; or
-//! 3. the fault plane recovers it in round `r` (crash-window end).
+//!    request.
 //!
-//! Round 0 wakes every node. Nodes the plane has crashed are skipped
-//! while down without rescheduling. Per round the frontier is traversed
-//! by a `Sweep`: index-ordered flag scan when dense (≥ `n/4`), sorted
-//! sparse list otherwise — either way nodes step in index order, so the
+//! Round 0 wakes every node. Per round the frontier is traversed by a
+//! `Sweep`: index-ordered flag scan when dense (≥ `n/4`), sorted sparse
+//! list otherwise — either way nodes step in index order, so the
 //! sequential observables are unchanged. Sharded transports keep one
 //! frontier per shard over shard-local indices; wakes for remote nodes
 //! ride inside the same message batches the transport already exchanges
@@ -66,23 +62,11 @@
 //! paid.
 //!
 //! **Termination** has one rule under both schedules: the run ends at
-//! the first communication round where no non-crashed node's *sticky
-//! vote* — its latest communication-round vote — is `Running`. Stepping
-//! every node, the sticky vote is the vote of that very round. Parked,
-//! it stands in for the node (the parking contract on
-//! [`Protocol::next_wake`] makes this exact — see its docs). Two
-//! fault-plane escape hatches keep the crash semantics identical to the
-//! reference:
-//!
-//! * when a crash removes the last sticky-`Running` vote, the engine
-//!   **latches** back to stepping every node, permanently, so every
-//!   sticky vote is fresh again (each shard publishes a one-round
-//!   projection of its running count in its `RoundFlags`, so every shard
-//!   latches on the same round);
-//! * parking is disabled outright when crash faults meet a
-//!   [`Protocol::sync_period`] `> 1` — a crash inside a silent window
-//!   could flip unanimity between rounds the engines never compare votes
-//!   at.
+//! the first communication round where no node's *sticky vote* — its
+//! latest communication-round vote — is `Running`. Stepping every node,
+//! the sticky vote is the vote of that very round. Parked, it stands in
+//! for the node (the parking contract on [`Protocol::next_wake`] makes
+//! this exact — see its docs).
 //!
 //! [`Scheduling::AlwaysStep`](crate::Scheduling) forces the classic
 //! every-node schedule ([`Protocol::next_wake`] is never called); the

@@ -37,8 +37,7 @@
 //!   lives beside its buffer (not per cell) because phase B of sync `k`
 //!   overlaps phase A of sync `k + 1`.
 //! * **Epoch-rotated flag slots.** The core's per-round control word
-//!   (`RoundFlags`: sticky-running sum, crash projection sum,
-//!   strict-bandwidth violation) lives in three slots indexed by
+//!   (`RoundFlags`: sticky-running sum, strict-bandwidth violation) lives in three slots indexed by
 //!   `sync % 3`: each shard absorbs its flags into the slot in phase A,
 //!   reads the merged value in phase B, and shard 0 resets the slot to
 //!   the merge identity two syncs later — the earliest point at which
@@ -68,11 +67,9 @@
 //! nodes in other shards ride in the same epoch-stamped mail cells as the
 //! messages that cause them (a drained delivery wakes its destination for
 //! the next round in phase B), so parking adds no synchronization beyond
-//! the existing barrier. The sticky-vote termination rule and the
-//! crash-probe latch ride in the same epoch-rotated `RoundFlags` slots
-//! (a zero merged `running` sum is exactly the reference's unanimity; a
-//! zero merged projection latches every shard back to always-stepping on
-//! the same round).
+//! the existing barrier. The sticky-vote termination rule rides in the
+//! same epoch-rotated `RoundFlags` slots (a zero merged `running` sum is
+//! exactly the reference's unanimity).
 //!
 //! # Determinism
 //!
@@ -87,7 +84,6 @@
 use super::barrier::SpinBarrier;
 use super::engine::{self, MailCell, MailboxTransport, ShardWorld, SharedFlags};
 use super::{RunResult, SimError};
-use crate::faults::FaultPlane;
 use crate::{Metrics, NetTables, NodeCtx, Protocol, SimConfig};
 use graphs::Graph;
 use std::sync::{Arc, Mutex};
@@ -129,14 +125,6 @@ pub(super) fn execute<P: Protocol>(
     let first_error: Mutex<Option<SimError>> = Mutex::new(None);
     let global_metrics: Mutex<Metrics> = Mutex::new(Metrics::default());
     let out_states: Mutex<Vec<(usize, Vec<P::State>)>> = Mutex::new(Vec::new());
-    // The fault schedule is built once, before the workers spawn, and
-    // consulted read-only: fates are pure functions of (round, node,
-    // port) and crash windows are precomputed, so every shard computes
-    // the same trace as the sequential engine (see `faults`).
-    let plane: Option<FaultPlane> = config
-        .faults
-        .as_ref()
-        .map(|f| FaultPlane::new(f, config.rng_salt, n));
 
     // Disjoint mutable context slices, one per shard.
     let mut ctx_chunks: Vec<&mut [NodeCtx]> = ctxs.chunks_mut(chunk).collect();
@@ -154,7 +142,6 @@ pub(super) fn execute<P: Protocol>(
             let global_metrics = &global_metrics;
             let out_states = &out_states;
             let net = &net;
-            let plane = plane.as_ref();
             scope.spawn(move || {
                 // Poison the barrier if this worker unwinds (protocol
                 // bug) so peers panic instead of spinning forever.
@@ -172,7 +159,6 @@ pub(super) fn execute<P: Protocol>(
                         ctxs: ctx_slice,
                         states: &mut states,
                         rngs: &mut rngs,
-                        plane,
                     },
                     &mut transport,
                 ) {
@@ -331,10 +317,7 @@ mod tests {
         let p = Gossip { rounds: 25 };
         for faults in [
             FaultConfig::seeded(7).with_drops(80_000),
-            FaultConfig::seeded(7).with_drops(50_000).with_dups(50_000),
-            FaultConfig::seeded(9)
-                .with_drops(30_000)
-                .with_crashes(120_000, 20, 5),
+            FaultConfig::seeded(9).with_drops(30_000),
         ] {
             let cfg = SimConfig::seeded(123).with_faults(faults);
             let seq = run(&g, &p, &cfg).unwrap();
@@ -370,13 +353,12 @@ mod tests {
         );
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.metrics.faults_dropped, 0);
-        assert_eq!(a.metrics.crashed_rounds, 0);
     }
 
     #[test]
-    fn drops_shrink_delivery_and_duplicates_add_copies() {
+    fn drops_shrink_delivery() {
         use crate::faults::FaultConfig;
-        /// Counts every message copy that arrives, making delivered
+        /// Counts every message that arrives, making delivered
         /// (post-fault) traffic observable.
         struct CountArrivals;
         impl Protocol for CountArrivals {
@@ -410,44 +392,15 @@ mod tests {
             &SimConfig::seeded(4).with_faults(FaultConfig::seeded(1).with_drops(200_000)),
         )
         .unwrap();
-        let duped = run(
-            &g,
-            &CountArrivals,
-            &SimConfig::seeded(4).with_faults(FaultConfig::seeded(1).with_dups(200_000)),
-        )
-        .unwrap();
         let arrivals = |r: &RunResult<u64>| r.states.iter().sum::<u64>();
         // Send-side accounting is fate-independent…
         assert_eq!(clean.metrics.messages, dropped.metrics.messages);
-        assert_eq!(clean.metrics.messages, duped.metrics.messages);
-        // …but delivery reflects the injected faults exactly.
+        // …but delivery reflects the drops exactly.
         assert_eq!(
             arrivals(&dropped),
             arrivals(&clean) - dropped.metrics.faults_dropped
         );
-        assert_eq!(
-            arrivals(&duped),
-            arrivals(&clean) + duped.metrics.faults_duplicated
-        );
         assert!(dropped.metrics.faults_dropped > 0);
-        assert!(duped.metrics.faults_duplicated > 0);
-    }
-
-    #[test]
-    fn crashed_receiver_loses_messages() {
-        use crate::faults::FaultConfig;
-        let g = gen::cycle(30);
-        let p = Gossip { rounds: 20 };
-        // Crash probability high enough that some node crashes, window
-        // inside the active rounds.
-        let faults = FaultConfig::seeded(3).with_crashes(300_000, 10, 4);
-        let cfg = SimConfig::seeded(8).with_faults(faults);
-        let res = run(&g, &p, &cfg).unwrap();
-        assert!(res.metrics.crashed_rounds > 0, "no node ever crashed");
-        assert!(res.metrics.crash_drops > 0, "no message hit a crashed node");
-        // Parallel engine agrees on the crash trace too.
-        let par = run(&g, &p, &parallel(&cfg, 4)).unwrap();
-        assert_eq!(res.metrics, par.metrics);
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub(super) fn execute<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultPlane;
     use crate::{run, Inbox, Message, Metrics, NodeCtx, NodeRng, Outbox, Scheduling, Status, Wake};
     use graphs::gen;
 
@@ -424,50 +423,6 @@ mod tests {
                 ..reference.metrics
             }
         );
-    }
-
-    #[test]
-    fn round_limit_live_nodes_excludes_crashed() {
-        /// A protocol that never terminates (and never sends).
-        struct Forever;
-        impl Protocol for Forever {
-            type State = ();
-            type Msg = ();
-            fn init(&self, _: &NodeCtx, _: &mut NodeRng) {}
-            fn round(
-                &self,
-                _: &mut (),
-                _: &NodeCtx,
-                _: &mut NodeRng,
-                _: &Inbox<()>,
-                _: &mut Outbox<()>,
-            ) -> Status {
-                Status::Running
-            }
-        }
-        let n = 40;
-        let g = gen::path(n);
-        let fc = crate::FaultConfig::seeded(5).with_crashes(400_000, 6, u64::MAX);
-        let cfg = SimConfig::default()
-            .with_faults(fc.clone())
-            .with_max_rounds(10);
-        // Nodes the plane has down when the limit hits vote Done implicitly
-        // and must not be reported as live work.
-        let plane = FaultPlane::new(&fc, cfg.rng_salt, n);
-        let crashed = (0..n).filter(|&v| plane.is_crashed(v, 9)).count();
-        assert!(crashed > 0, "plane must crash someone for this test");
-        let err = run(&g, &Forever, &cfg).unwrap_err();
-        let expect = SimError::RoundLimitExceeded {
-            limit: 10,
-            phase: String::new(),
-            live_nodes: (n - crashed) as u64,
-            last_progress_round: 0,
-        };
-        assert_eq!(err, expect);
-        // Engine-identical diagnostic.
-        let par_cfg = cfg.clone().with_runtime(crate::RuntimeMode::Parallel(4));
-        let perr = run(&g, &Forever, &par_cfg).unwrap_err();
-        assert_eq!(perr, expect);
     }
 
     #[test]

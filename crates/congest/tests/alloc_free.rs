@@ -162,44 +162,6 @@ fn steady_state_rounds_do_not_allocate() {
         late - warm
     );
 
-    // Duplication-heavy fault plane: `Fate::Duplicate` delivers two copies
-    // per port, so degree-sized inboxes would reallocate in steady state —
-    // `Inbox::round_capacity` must pre-size for the worst case.
-    let dup_cfg =
-        SimConfig::seeded(5).with_faults(congest::FaultConfig::seeded(7).with_dups(400_000));
-    let proto = Pump {
-        rounds: 200,
-        warm_round: 10,
-        park: false,
-    };
-    let res = congest::run(&g, &proto, &dup_cfg).expect("run");
-    assert_eq!(res.metrics.rounds, 200);
-    assert!(res.metrics.faults_duplicated > 0, "plane must duplicate");
-    let warm = WARM_SNAPSHOT.load(Ordering::Relaxed);
-    let late = LATE_SNAPSHOT.load(Ordering::Relaxed);
-    assert_eq!(
-        late,
-        warm,
-        "dup-heavy steady-state rounds allocated {} times on the sequential engine",
-        late - warm
-    );
-    let proto = Pump {
-        rounds: 200,
-        warm_round: 30,
-        park: false,
-    };
-    let par_cfg = dup_cfg.with_runtime(congest::RuntimeMode::Parallel(3));
-    let res = congest::run(&g, &proto, &par_cfg).expect("run");
-    assert_eq!(res.metrics.rounds, 200);
-    let warm = WARM_SNAPSHOT.load(Ordering::Relaxed);
-    let late = LATE_SNAPSHOT.load(Ordering::Relaxed);
-    assert_eq!(
-        late,
-        warm,
-        "dup-heavy steady-state rounds allocated {} times on the parallel engine",
-        late - warm
-    );
-
     // Re-parking to the pending `Wake::At` target on every arrival wake
     // must not grow the wake queue.
     let proto = Pump {

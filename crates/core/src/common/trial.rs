@@ -271,9 +271,9 @@ impl TrialCore {
         mut send: F,
     ) {
         // Announcements first: verdicts must reflect the newest colors.
-        // Fault-plane duplicates are absorbed here: a repeated Announce is
-        // idempotent, and a repeated Try (adjacent in the port-sorted
-        // inbox) is recorded once — answering it twice would stage two
+        // A slice repeating a port is absorbed here: a repeated Announce
+        // is idempotent, and a repeated Try (adjacent in the port-sorted
+        // slice) is recorded once — answering it twice would stage two
         // verdicts on one port and break the CONGEST send discipline.
         for &(p, ref m) in received {
             match *m {
@@ -500,8 +500,8 @@ mod tests {
     fn duplicated_try_answered_once() {
         let mut core = TrialCore::new(2);
         let mut out = Vec::new();
-        // Port 1's Try(8) arrives twice (fault-plane duplicate): exactly
-        // one verdict goes back, and the duplicate must not read as a
+        // Port 1's Try(8) appears twice in the slice: exactly one
+        // verdict goes back, and the duplicate must not read as a
         // simultaneous conflicting try.
         core.verdict_round(&[(1, TrialMsg::Try(8)), (1, TrialMsg::Try(8))], |p, m| {
             out.push((p, m))

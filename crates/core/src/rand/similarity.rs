@@ -1143,16 +1143,21 @@ mod tests {
     /// The streaming counter must count exactly like a centralized
     /// intersection pass, whatever the interleaving: feed random sorted
     /// streams in randomized chunk sizes and compare against direct counts.
+    /// Odd trials shift every id up to just below `2^29`, so with 3 or
+    /// more source bits the packed tags cross `u32::MAX` mid-stream and
+    /// the stage migrates to wide words.
     #[test]
     fn pair_counter_matches_direct_intersections() {
         use rand::prelude::*;
         let mut r = rand_chacha::ChaCha8Rng::seed_from_u64(17);
-        for trial in 0..30 {
+        let mut wide = 0;
+        for trial in 0..60 {
+            let offset = if trial % 2 == 1 { (1u64 << 29) - 30 } else { 0 };
             let k = r.gen_range(1..9usize);
             let sets: Vec<Vec<u64>> = (0..k)
                 .map(|_| {
                     let len = r.gen_range(0..40);
-                    sorted_dedup((0..len).map(|_| r.gen_range(0..60u64)).collect())
+                    sorted_dedup((0..len).map(|_| offset + r.gen_range(0..60u64)).collect())
                 })
                 .collect();
             let mut pc = PairCounter::new(k - 1);
@@ -1186,6 +1191,7 @@ mod tests {
             let mut know = SimilarityKnowledge::empty(k - 1);
             // Threshold at 2.5: flags encode "count >= 2.5" per pair.
             pc.finalize_into(&mut know, &self_set, 2.5, 4.5);
+            wide += usize::from(matches!(pc.staged, Tags::Wide(_)));
             for a in 0..k {
                 for b in (a + 1)..k {
                     let direct = sets[a]
@@ -1206,6 +1212,7 @@ mod tests {
                 }
             }
         }
+        assert!(wide > 0, "no trial reached the wide tag store");
     }
 
     /// Both constructions terminate on degenerate inputs.

@@ -164,20 +164,6 @@ pub fn read_dimacs<R: BufRead>(reader: R) -> Result<Graph, ParseError> {
     Ok(builder.unwrap_or_else(|| GraphBuilder::new(0)).build()?)
 }
 
-/// Writes a graph as a whitespace edge list (with an `# n = …` header so
-/// isolated trailing nodes round-trip).
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_edge_list<W: Write>(g: &Graph, mut w: W) -> std::io::Result<()> {
-    writeln!(w, "# n = {}", g.n())?;
-    for (u, v) in g.edges() {
-        writeln!(w, "{u} {v}")?;
-    }
-    Ok(())
-}
-
 /// Writes a coloring as `node color` lines.
 ///
 /// # Errors
@@ -193,21 +179,6 @@ pub fn write_coloring<W: Write>(colors: &[u32], mut w: W) -> std::io::Result<()>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen;
-
-    #[test]
-    fn edge_list_roundtrip() {
-        let g = gen::gnp_capped(50, 0.1, 6, 3);
-        let mut buf = Vec::new();
-        write_edge_list(&g, &mut buf).unwrap();
-        let g2 = read_edge_list(std::io::Cursor::new(&buf)).unwrap();
-        // Header comment does not carry n for trailing isolated nodes;
-        // compare edges and degrees on the common prefix.
-        assert_eq!(
-            g.edges().collect::<Vec<_>>(),
-            g2.edges().collect::<Vec<_>>()
-        );
-    }
 
     #[test]
     fn edge_list_parses_comments_and_blanks() {

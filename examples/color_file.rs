@@ -6,13 +6,16 @@
 //!
 //! `edges.txt` is a whitespace edge list (`u v` per line, `#` comments) or
 //! DIMACS (`p edge …`, detected by extension `.col`). `algo` is one of
-//! `improved` (default), `basic`, `det`, `oversampled`, `naive`.
-//! Prints `node color` lines to stdout and a summary to stderr.
+//! `improved` (default), `basic`, `det`, `oversampled`, `naive`; `seed`
+//! defaults to 42. Prints `node color` lines to stdout and a summary to
+//! stderr. A malformed seed or a fourth argument is an error (exit 1).
 //!
 //! With no arguments, runs on a built-in demo graph.
 
 use d2color::prelude::*;
 use std::io::BufReader;
+
+const USAGE: &str = "usage: color_file <edges.txt> [algo] [seed]";
 
 fn load(path: &str) -> Result<Graph, Box<dyn std::error::Error>> {
     let file = std::fs::File::open(path)?;
@@ -27,6 +30,14 @@ fn load(path: &str) -> Result<Graph, Box<dyn std::error::Error>> {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().collect();
+    if args.len() > 4 {
+        return Err(USAGE.into());
+    }
+    let algo = args.get(2).map_or("improved", String::as_str);
+    let seed: u64 = match args.get(3) {
+        Some(s) => s.parse().map_err(|_| format!("bad seed {s:?}"))?,
+        None => 42,
+    };
     let g = match args.get(1) {
         Some(path) => load(path)?,
         None => {
@@ -34,8 +45,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             graphs::gen::unit_disk(200, 0.1, 1)
         }
     };
-    let algo = args.get(2).map_or("improved", String::as_str);
-    let seed: u64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(42);
 
     let params = Params::practical();
     let cfg = SimConfig::seeded(seed);

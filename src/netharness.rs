@@ -242,7 +242,7 @@ pub struct RunProfile {
     pub scheduling: Scheduling,
     /// Simulated message-drop plane as `(drops per million, fault
     /// seed)` (`--drops <ppm> <seed>`). The schedule is a pure function
-    /// of `(config, salt, n)`, so every shard charges identical fates.
+    /// of `(config, salt)`, so every shard charges identical drops.
     pub drops: Option<(u32, u64)>,
 }
 

@@ -2,19 +2,16 @@
 //! attached, the sequential reference, the parallel runtime at several
 //! shard counts, and the auto-selecting mode must still be
 //! **observationally identical** — the same `(graph seed, fault seed)`
-//! pair yields bit-identical colorings, metrics (including the fault
-//! counters), and structured errors on every engine.
-//!
-//! Coverage is split by what each protocol tolerates (probed empirically
-//! in both build modes):
+//! pair yields bit-identical colorings, metrics (including the drop
+//! count), and structured errors on every engine.
 //!
 //! * Full det/rand pipelines run under message *drops* — both survive
 //!   them by design (conservative trial verdicts, saturating reduce
 //!   counts).
-//! * Duplicates and crash faults run on the fixed-cycle trials protocol,
-//!   whose handshake absorbs duplicated arrivals and missing verdicts.
 //! * Round-limit exhaustion checks the watchdog diagnostics (phase,
 //!   live nodes, last progress) are engine-independent.
+//! * Parked nodes end the run on the round the oracle predicts, under
+//!   both schedules and with round batching.
 //! * The repair-after-churn pipeline is differentially checked end to
 //!   end: same damage set, same repaired coloring, same metrics.
 
@@ -103,59 +100,6 @@ fn pipelines_under_message_drops_are_engine_identical() {
                     &rand_auto,
                 );
             }
-        }
-    }
-}
-
-/// Duplicates and crash/restart schedules on the fixed-cycle trials
-/// protocol: the handshake dedups duplicated arrivals and treats missing
-/// verdicts as failures, so every engine walks the identical trace —
-/// states, colors, and all four fault counters.
-#[test]
-fn duplicates_and_crashes_are_engine_identical() {
-    let fault_set = [
-        ("dup", FaultConfig::seeded(21).with_dups(40_000)),
-        ("crash", FaultConfig::seeded(22).with_crashes(80_000, 30, 6)),
-        (
-            "mix",
-            FaultConfig::seeded(23)
-                .with_drops(20_000)
-                .with_dups(15_000)
-                .with_crashes(50_000, 40, 8),
-        ),
-    ];
-    for (gname, g) in [
-        ("gnp-capped", graphs::gen::gnp_capped(130, 0.05, 7, 5)),
-        ("star", graphs::gen::star(21)),
-    ] {
-        let proto = d2core::rand::trials::RandomTrials::new(60, 12);
-        for (fname, faults) in &fault_set {
-            let cfg = SimConfig::seeded(5).with_faults(faults.clone());
-            let seq = congest::run(&g, &proto, &cfg).expect("seq");
-            let seq_colors: Vec<u32> = seq.states.iter().map(|s| s.trial.color()).collect();
-            match *fname {
-                "dup" => assert!(
-                    seq.metrics.faults_duplicated > 0,
-                    "{gname}/{fname}: no duplicate ever injected"
-                ),
-                "crash" => assert!(
-                    seq.metrics.crashed_rounds > 0,
-                    "{gname}/{fname}: no crash window ever hit"
-                ),
-                _ => {}
-            }
-            for t in thread_counts() {
-                let par_cfg = cfg.clone().with_runtime(RuntimeMode::Parallel(t));
-                let par = congest::run(&g, &proto, &par_cfg).expect("par");
-                let par_colors: Vec<u32> = par.states.iter().map(|s| s.trial.color()).collect();
-                assert_eq!(seq_colors, par_colors, "{gname}/{fname}/t{t}: colors");
-                assert_eq!(seq.metrics, par.metrics, "{gname}/{fname}/t{t}: metrics");
-            }
-            let auto = congest::run(&g, &proto, &cfg.clone().with_runtime(RuntimeMode::Auto(4)))
-                .expect("auto");
-            let auto_colors: Vec<u32> = auto.states.iter().map(|s| s.trial.color()).collect();
-            assert_eq!(seq_colors, auto_colors, "{gname}/{fname}/auto: colors");
-            assert_eq!(seq.metrics, auto.metrics, "{gname}/{fname}/auto: metrics");
         }
     }
 }
@@ -288,7 +232,7 @@ fn repair_after_churn_is_engine_identical() {
 /// (same-colored nodes wired together), so damage is guaranteed; repair
 /// strips the plane — it *is* the recovery path — and every engine must
 /// find the same damage set and produce the same valid repaired coloring
-/// with zero fault counters burned.
+/// with no message dropped.
 #[test]
 fn churn_repair_under_drop_plane_is_engine_identical() {
     let g = graphs::gen::gnp_capped(160, 0.04, 6, 19);
@@ -355,12 +299,7 @@ fn repair_is_fault_free_even_with_a_plane_attached() {
     let view = D2View::build(&churned.graph);
 
     let clean_cfg = SimConfig::seeded(13);
-    let noisy_cfg = SimConfig::seeded(13).with_faults(
-        FaultConfig::seeded(1)
-            .with_drops(200_000)
-            .with_dups(100_000)
-            .with_crashes(100_000, 20, 5),
-    );
+    let noisy_cfg = SimConfig::seeded(13).with_faults(FaultConfig::seeded(1).with_drops(200_000));
     let clean = d2core::repair(&churned.graph, &view, &colors, &churned.touched, &clean_cfg)
         .expect("clean repair");
     let noisy = d2core::repair(&churned.graph, &view, &colors, &churned.touched, &noisy_cfg)
@@ -368,21 +307,16 @@ fn repair_is_fault_free_even_with_a_plane_attached() {
     assert_eq!(clean.colors, noisy.colors);
     assert_eq!(clean.metrics, noisy.metrics);
     assert_eq!(noisy.metrics.faults_dropped, 0);
-    assert_eq!(noisy.metrics.crashed_rounds, 0);
 }
 
-/// Termination oracle under crash planes, including the schedules no
-/// other test pins: `AlwaysStep` with crashes, and crashes with
-/// `sync_period > 1`. Node `v` votes `Running` until round
-/// `t_v = 7v mod 29`, then `Done`, and never sends. A run must end one
-/// round after the first communication round `r` at which every node not
-/// crashed at `r` has `r ≥ t_v` (crashed nodes vote `Done` implicitly),
-/// and charge each crash window's overlap with the executed rounds.
+/// Termination oracle for parked nodes: node `v` votes `Running` until
+/// round `t_v = 7v mod 29`, then `Done`, and never sends. With
+/// `sync_period` 1 or 3, on every engine and under both schedules, a run
+/// must end one round after the first communication round at or after
+/// the latest deadline, 28.
 #[test]
-fn crash_plane_termination_matches_the_oracle() {
-    use congest::{
-        FaultPlane, Inbox, NodeCtx, NodeRng, Outbox, Protocol, Scheduling, Status, Wake,
-    };
+fn parked_termination_matches_the_oracle() {
+    use congest::{Inbox, NodeCtx, NodeRng, Outbox, Protocol, Scheduling, Status, Wake};
 
     /// Period `.0`; under `ActiveSet` a node parks until the first
     /// communication round at or after its deadline.
@@ -419,58 +353,19 @@ fn crash_plane_termination_matches_the_oracle() {
         }
     }
 
-    let n = 60;
-    let g = graphs::gen::cycle(n);
-    for (plane_name, faults) in [
-        (
-            "recovering",
-            Some(FaultConfig::seeded(137).with_crashes(500_000, 30, 6)),
-        ),
-        (
-            "never-recovering",
-            Some(FaultConfig::seeded(137).with_crashes(500_000, 30, u64::MAX)),
-        ),
-        ("no plane", None),
-    ] {
-        let base = match &faults {
-            Some(f) => SimConfig::seeded(6).with_faults(f.clone()),
-            None => SimConfig::seeded(6),
-        };
-        let plane = faults.map(|f| FaultPlane::new(&f, base.rng_salt, n));
-        let crashed = |v: usize, r: u64| plane.as_ref().is_some_and(|p| p.is_crashed(v, r));
-        for period in [1u64, 3] {
-            let last = (0..)
-                .step_by(period as usize)
-                .find(|&r| (0..n).all(|v| crashed(v, r) || r >= deadline(v)))
-                .expect("every deadline passes");
-            let rounds = last + 1;
-            // The latest deadline is 28: both planes must end the run
-            // earlier, or this test would not exercise them.
-            let fault_free = 28u64.next_multiple_of(period) + 1;
-            assert_eq!(
-                rounds < fault_free,
-                plane.is_some(),
-                "{plane_name}/p{period}"
-            );
-            let crashed_rounds: u64 = plane.as_ref().map_or(0, |p| {
-                (0..n)
-                    .filter_map(|v| p.crash_window(v))
-                    .map(|(s, e)| e.min(rounds) - s.min(rounds))
-                    .sum()
-            });
-            let runtimes = std::iter::once(RuntimeMode::Sequential)
-                .chain(thread_counts().into_iter().map(RuntimeMode::Parallel));
-            for runtime in runtimes {
-                for scheduling in [Scheduling::AlwaysStep, Scheduling::ActiveSet] {
-                    let cfg = base
-                        .clone()
-                        .with_runtime(runtime)
-                        .with_scheduling(scheduling);
-                    let label = format!("{plane_name}/p{period}/{runtime:?}/{scheduling:?}");
-                    let res = congest::run(&g, &Countdown(period), &cfg).expect(&label);
-                    assert_eq!(res.metrics.rounds, rounds, "{label}: rounds");
-                    assert_eq!(res.metrics.crashed_rounds, crashed_rounds, "{label}");
-                }
+    let g = graphs::gen::cycle(60);
+    for period in [1u64, 3] {
+        let rounds = 28u64.next_multiple_of(period) + 1;
+        let runtimes = std::iter::once(RuntimeMode::Sequential)
+            .chain(thread_counts().into_iter().map(RuntimeMode::Parallel));
+        for runtime in runtimes {
+            for scheduling in [Scheduling::AlwaysStep, Scheduling::ActiveSet] {
+                let cfg = SimConfig::seeded(6)
+                    .with_runtime(runtime)
+                    .with_scheduling(scheduling);
+                let label = format!("p{period}/{runtime:?}/{scheduling:?}");
+                let res = congest::run(&g, &Countdown(period), &cfg).expect(&label);
+                assert_eq!(res.metrics.rounds, rounds, "{label}: rounds");
             }
         }
     }

@@ -99,8 +99,8 @@ fn rand_improved_survives_a_mid_phase_shard_kill() {
 /// Every survivability layer at once: a chaos kill/respawn while the
 /// engine runs active-set scheduling *and* a simulated drop-fault
 /// plane. The rejoined replacement rebuilds the same frontier and
-/// charges the same seeded fates, so the agreed outcome — coloring,
-/// fault counters, stepped-node total — still matches the sequential
+/// charges the same seeded drops, so the agreed outcome — coloring,
+/// drop count, stepped-node total — still matches the sequential
 /// reference bit-for-bit.
 #[test]
 fn chaos_kill_survives_active_set_with_drop_faults() {

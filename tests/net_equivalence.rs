@@ -154,9 +154,9 @@ fn active_set_profile_matches_over_sockets() {
 }
 
 /// Simulated drop faults over sockets: the seeded fault plane is a pure
-/// function of `(config, salt, n)`, so every shard charges the same
-/// fates and the outcome they agree on — including the fault counters —
-/// matches the sequential reference bit-for-bit.
+/// function of `(config, salt)`, so every shard charges the same drops
+/// and the outcome they agree on — including the drop count — matches
+/// the sequential reference bit-for-bit.
 #[test]
 fn drop_fault_profile_matches_over_sockets() {
     let spec = spec(NetAlgo::DetSmall, NetGraph::RandomRegular, 96, 4, 3);

@@ -109,7 +109,7 @@ fn differential_sweep_det_and_rand_pipelines() {
 
 /// Active-set scheduling against the always-step reference: for every
 /// family × pipeline cell, parking must change *nothing observable* —
-/// same colorings, same rounds/messages/bits/fault counters — while
+/// same colorings, same rounds/messages/bits/drop counts — while
 /// `stepped_nodes` (the one metric the refactor exists to shrink) may
 /// only go down. Sequential and parallel active-set runs are both held
 /// against the sequential always-step reference.
