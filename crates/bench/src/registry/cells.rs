@@ -156,6 +156,7 @@ impl Coloring {
             .algo
             .run(&graph, &params, &self.config(graph.n()))
             .unwrap_or_else(|e| panic!("{}: {e}", self.algo.name()));
+        assert_compliant(self.algo.name(), &out.metrics);
         let wall_ms = ms(t1);
         let allocs = alloc::snapshot().0 - allocs;
         let rss = peak_rss_mb();
@@ -239,7 +240,8 @@ impl Mesh {
         id
     }
 
-    fn run(&self, shard: &ShardCommand) -> Record {
+    /// The cell's record, and the merged metrics of the distributed run.
+    fn run(&self, shard: &ShardCommand) -> (Record, Metrics) {
         let Mesh {
             spec,
             processes: k,
@@ -288,7 +290,7 @@ impl Mesh {
                 .int("kill_sync", report.kill_sync)
                 .flag("respawned", report.respawned);
         }
-        r
+        (r, net.metrics)
     }
 }
 
@@ -308,7 +310,7 @@ pub fn mesh_record(
         profile,
         chaos,
     };
-    mesh.run(shard)
+    mesh.run(shard).0
 }
 
 fn ms(t: Instant) -> f64 {
@@ -317,6 +319,18 @@ fn ms(t: Instant) -> f64 {
 
 fn is_valid(g: &Graph, colors: &[u32]) -> bool {
     graphs::verify::is_valid_d2_coloring_with(&D2View::build(g), colors)
+}
+
+/// Fails the cell when its run sent a message over the CONGEST budget:
+/// the engine counts such messages but never stops for them.
+fn assert_compliant(what: &str, m: &Metrics) {
+    assert!(
+        m.is_congest_compliant(),
+        "{what}: {} messages over the {}-bit budget (largest {} bits)",
+        m.bandwidth_violations,
+        m.bandwidth_bits,
+        m.max_message_bits
+    );
 }
 
 /// Resets the kernel's peak-RSS high-water mark to the current RSS
@@ -400,7 +414,12 @@ impl Registry {
 
     fn mesh(&mut self, mesh: Mesh) -> String {
         let id = mesh.id();
-        self.cell(&id, move |ctx| mesh.run(&ctx.shard));
+        let what = id.clone();
+        self.cell(&id, move |ctx| {
+            let (r, metrics) = mesh.run(&ctx.shard);
+            assert_compliant(&what, &metrics);
+            r
+        });
         let mut flags = vec!["identical"];
         match mesh.profile.drops {
             Some(_) => self.rule("drops fired", &[&id], drops_fired),
@@ -792,6 +811,7 @@ fn drop_plane(algo: Algo, ppm: u32) -> Record {
     let par = algo
         .run(&g, &params, &par_cfg)
         .expect("drop-plane run (parallel)");
+    assert_compliant(algo.name(), &seq.metrics);
     Record::default()
         .int("rounds", seq.metrics.rounds)
         .int("messages", seq.metrics.messages)
@@ -882,6 +902,7 @@ fn churn_repair(g: &Graph, colors: &[u32], cfg: &SimConfig) -> Record {
         let view = D2View::build(&churned.graph);
         let out =
             d2core::repair(&churned.graph, &view, &colors, &churned.touched, cfg).expect("repair");
+        assert_compliant("repair", &out.metrics);
         let key = |k: &str| format!("batch.{b}.{k}");
         r = r
             .int(&key("events"), events as u64)

@@ -3,18 +3,6 @@
 use crate::faults::FaultConfig;
 use graphs::Graph;
 
-/// How `O(log n)`-bit identifiers are assigned to node indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IdAssignment {
-    /// `ident = index`. Simplest; adequate for most experiments.
-    Sequential,
-    /// `ident` is a pseudorandom permutation of `0..n` derived from the run
-    /// seed. Removes any accidental correlation between topology generation
-    /// order and identifier order (Linial-style algorithms are sensitive to
-    /// adversarial ID placement).
-    Permuted,
-}
-
 /// Which engine executes a run. Both engines are bit-identical for the same
 /// seed, so this only trades wall-clock; see [`RuntimeMode::resolve`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,26 +145,15 @@ impl ScalePreset {
 /// Configuration for a simulation run.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Root seed; all node RNG streams derive from it.
+    /// Root seed; all node RNG streams and the identifier permutation
+    /// derive from it.
     pub seed: u64,
     /// Extra salt mixed into node RNG streams but **not** into identifier
     /// assignment. Multi-phase drivers bump this per phase so that phases
     /// draw fresh randomness while the network's identifiers stay fixed.
     pub rng_salt: u64,
-    /// Bandwidth budget per message: `bandwidth_factor · ⌈log₂ n⌉` bits,
-    /// but never below `min_bandwidth_bits`. The CONGEST model allows
-    /// `O(log n)`; the factor pins the constant.
-    pub bandwidth_factor: u64,
-    /// Floor for the per-message budget (keeps tiny test graphs usable).
-    pub min_bandwidth_bits: u64,
-    /// If `true`, a bandwidth violation aborts the run with
-    /// [`SimError::Bandwidth`](crate::SimError); otherwise violations are
-    /// only counted in [`Metrics`](crate::Metrics).
-    pub strict_bandwidth: bool,
     /// Hard cutoff to catch livelocks; exceeding it is an error.
     pub max_rounds: u64,
-    /// Identifier assignment policy.
-    pub ids: IdAssignment,
     /// Engine selection for every in-process run ([`run`](crate::run),
     /// [`run_with`](crate::run_with), and the phase drivers built on
     /// them). All modes are bit-identical; this only selects the
@@ -221,17 +198,16 @@ impl SimConfig {
             .with_max_rounds(ScalePreset::of(n).max_rounds())
     }
 
-    /// The per-message budget in bits for a network of `n` nodes.
+    /// The per-message budget in bits for a network of `n` nodes:
+    /// `8 · ⌈log₂ n⌉`, but never below 64. The CONGEST model allows
+    /// `O(log n)`; the factor pins the constant (a message in the paper's
+    /// protocols carries up to two identifiers, a color, and a tag), and
+    /// the floor keeps tiny test graphs usable. A message over budget is
+    /// counted in [`Metrics::bandwidth_violations`](crate::Metrics), never
+    /// fatal.
     #[must_use]
     pub fn bandwidth_bits(&self, n: usize) -> u64 {
-        (self.bandwidth_factor * graphs::id_bits(n)).max(self.min_bandwidth_bits)
-    }
-
-    /// Returns `self` with strict bandwidth enforcement enabled.
-    #[must_use]
-    pub fn strict(mut self) -> Self {
-        self.strict_bandwidth = true;
-        self
+        (8 * graphs::id_bits(n)).max(64)
     }
 
     /// Returns `self` with the round cutoff replaced.
@@ -296,13 +272,7 @@ impl Default for SimConfig {
         SimConfig {
             seed: 0xD15C0,
             rng_salt: 0,
-            // Generous constant: single messages in the paper's protocols
-            // carry up to two identifiers, a color, and a tag.
-            bandwidth_factor: 8,
-            min_bandwidth_bits: 64,
-            strict_bandwidth: false,
             max_rounds: 5_000_000,
-            ids: IdAssignment::Permuted,
             runtime: RuntimeMode::Sequential,
             scheduling: Scheduling::ActiveSet,
             faults: None,
@@ -317,13 +287,9 @@ mod tests {
 
     #[test]
     fn bandwidth_budget_scales_with_n() {
-        let c = SimConfig {
-            bandwidth_factor: 4,
-            min_bandwidth_bits: 0,
-            ..SimConfig::default()
-        };
-        assert_eq!(c.bandwidth_bits(1024), 40);
-        assert_eq!(c.bandwidth_bits(1 << 20), 80);
+        let c = SimConfig::default();
+        assert_eq!(c.bandwidth_bits(1024), 80);
+        assert_eq!(c.bandwidth_bits(1 << 20), 160);
     }
 
     #[test]
@@ -334,9 +300,8 @@ mod tests {
 
     #[test]
     fn builder_helpers() {
-        let c = SimConfig::seeded(7).strict().with_max_rounds(10);
+        let c = SimConfig::seeded(7).with_max_rounds(10);
         assert_eq!(c.seed, 7);
-        assert!(c.strict_bandwidth);
         assert_eq!(c.max_rounds, 10);
         assert_eq!(
             SimConfig::default()

@@ -27,8 +27,8 @@
 //!
 //! Bandwidth is charged at *send* time: a dropped message still consumed
 //! its slot on the wire, so [`Metrics::messages`](crate::Metrics) counts
-//! protocol sends regardless of fate and strict-bandwidth violations abort
-//! even if the offending message would have been dropped. Drops are
+//! protocol sends regardless of fate, and an over-budget message counts
+//! as a bandwidth violation even if it is then dropped. Drops are
 //! tallied separately in [`Metrics::faults_dropped`](crate::Metrics), so
 //! with faults disabled every metric is bit-identical to a fault-free
 //! build.

@@ -11,7 +11,7 @@
 //!   second send on the same port;
 //! * **bandwidth accounting in bits** — every [`Message`] reports its size,
 //!   and the engine records the maximum and counts violations of the
-//!   `O(log n)` budget (or aborts, in strict mode);
+//!   `O(log n)` budget (an over-budget message is counted, never fatal);
 //! * **locality** — a node program ([`Protocol`]) sees only its own state,
 //!   its [`NodeCtx`] (ID, neighbor IDs by port, `n`, `∆`), its private RNG
 //!   stream, and the current inbox.
@@ -85,8 +85,7 @@ mod protocol;
 pub mod runtime;
 
 pub use config::{
-    auto_work_estimate, IdAssignment, RuntimeMode, ScalePreset, Scheduling, SimConfig,
-    AUTO_WORK_THRESHOLD,
+    auto_work_estimate, RuntimeMode, ScalePreset, Scheduling, SimConfig, AUTO_WORK_THRESHOLD,
 };
 pub use faults::{FaultConfig, FaultPlane, PER_MILLION};
 pub use message::{BitCost, Message, SmallIds};

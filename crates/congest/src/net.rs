@@ -9,11 +9,12 @@
 //! per-phase `Vec<NodeCtx>` is then allocation-free per node (each context
 //! is a handful of words plus an `Arc` clone).
 //!
-//! The tables depend only on the topology and on the identifier assignment
-//! (`config.seed` and `config.ids`) — **not** on `config.rng_salt` — so a
-//! driver may bump the salt per phase and keep reusing the same tables.
+//! The tables depend only on the topology and on the identifier
+//! permutation, which `config.seed` alone seeds — **not** on
+//! `config.rng_salt` — so a driver may bump the salt per phase and keep
+//! reusing the same tables.
 
-use crate::{IdAssignment, NodeCtx, Port, SimConfig};
+use crate::{NodeCtx, Port, SimConfig};
 use graphs::Graph;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -48,28 +49,19 @@ impl std::fmt::Debug for NetTables {
     }
 }
 
-/// The identifier assignment for a network of `n` nodes under `config` —
-/// the permutation alone, without the adjacency-shaped tables. `O(n)`.
-#[must_use]
-pub(crate) fn ident_assignment(n: usize, config: &SimConfig) -> Vec<u64> {
-    match config.ids {
-        IdAssignment::Sequential => (0..n as u64).collect(),
-        IdAssignment::Permuted => {
-            let mut ids: Vec<u64> = (0..n as u64).collect();
-            let mut r = ChaCha8Rng::seed_from_u64(config.seed.wrapping_mul(0xA24B_AED4_963E_E407));
-            ids.shuffle(&mut r);
-            ids
-        }
-    }
-}
-
 impl NetTables {
-    /// Builds the tables for `graph` under `config`'s identifier policy.
-    /// `O(Σ deg · log deg)` once; every later query is an `O(1)` slice.
+    /// Builds the tables for `graph` under `config`. Identifiers are a
+    /// pseudorandom permutation of `0..n` seeded by `config.seed`, so no
+    /// accidental correlation between topology generation order and
+    /// identifier order survives (Linial-style algorithms are sensitive
+    /// to adversarial ID placement). `O(Σ deg · log deg)` once; every
+    /// later query is an `O(1)` slice.
     #[must_use]
     pub fn build(graph: &Graph, config: &SimConfig) -> Arc<Self> {
         let n = graph.n();
-        let idents = ident_assignment(n, config);
+        let mut idents: Vec<u64> = (0..n as u64).collect();
+        let mut r = ChaCha8Rng::seed_from_u64(config.seed.wrapping_mul(0xA24B_AED4_963E_E407));
+        idents.shuffle(&mut r);
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
         let mut acc = 0usize;

@@ -42,8 +42,7 @@ pub mod kind {
     pub const REJOIN: u8 = 4;
     /// One communication round's batch + control flags (peer ↔ peer).
     pub const ROUND: u8 = 5;
-    /// One collective contribution: a row sync or the round-limit
-    /// watchdog (peer ↔ peer).
+    /// One collective contribution: a row sync (peer ↔ peer).
     pub const REDUCE: u8 = 6;
     /// End-of-phase stats exchange (peer ↔ peer).
     pub const STATS: u8 = 7;

@@ -32,7 +32,7 @@
 //! round** (per [`Protocol::sync_period`](crate::Protocol::sync_period))
 //! the transport writes one `ROUND` frame per peer — carrying all
 //! cross-shard messages plus the shard's `RoundFlags` (sticky-running
-//! count, first strict-bandwidth violation) — and flushes once. It then
+//! count, progress bit) — and flushes once. It then
 //! blocks for exactly one `ROUND` frame from each peer. That exchange
 //! *is* the round barrier: buffered writes are flushed only there, and
 //! no shard enters round `r + 1` before every shard finished round `r`.
@@ -60,11 +60,11 @@
 //! * **Messages / bits** — counted at the sender, exactly as the
 //!   sequential sweep does; end-of-phase `STATS` frames merge per-shard
 //!   metrics into one global record identical in every shard.
-//! * **Errors** — [`SimError::Bandwidth`](crate::SimError::Bandwidth)
-//!   aborts carry the globally first violation (minimum node index in the
-//!   violating round), and round-limit diagnostics sum live votes across
-//!   shards, so every process returns the very error the sequential
-//!   engine would.
+//! * **Errors** — the round limit is the only one: its diagnostics come
+//!   from the merged round flags (live votes summed, progress or-ed
+//!   across shards), so every process returns the very error the
+//!   sequential engine would. An over-budget message is counted, never
+//!   fatal.
 //!
 //! Because the round loop is the shared core, the in-process engines'
 //! capabilities come with it: active-set scheduling

@@ -8,9 +8,9 @@
 //! lives on another shard travel as one [`kind::ROUND`] frame per peer
 //! (flushed once — the round barrier is the flush point), together with
 //! the shard's local `RoundFlags`. Merging the flags reproduces the
-//! sequential engine's global termination count and strict-bandwidth
-//! first-violation exactly; see the [module docs](super) for the full
-//! bit-identity argument.
+//! sequential engine's global termination count and progress watermark
+//! exactly; see the [module docs](super) for the full bit-identity
+//! argument.
 //!
 //! The round loop itself is the shared engine core (see the
 //! [runtime module docs](crate::runtime)); this module contributes only
@@ -26,8 +26,8 @@
 //!
 //! # The plane sequence number
 //!
-//! Every mesh exchange — ROUND barriers *and* collectives
-//! (REDUCE/STATS) — increments one plane-level counter, `seq`, and every
+//! Every mesh exchange — ROUND barriers *and* collectives (REDUCE row
+//! syncs, STATS) — increments one plane-level counter, `seq`, and every
 //! mesh frame carries its `seq` as the first `u64` of its payload. That
 //! single monotone sequence is what makes recovery exact:
 //!
@@ -90,7 +90,7 @@ impl<M: Wire> Wire for RoundEnvelope<M> {
     fn put(&self, buf: &mut Vec<u8>) {
         self.sync.put(buf);
         self.flags.running.put(buf);
-        self.flags.violation.put(buf);
+        self.flags.progressed.put(buf);
         self.msgs.put(buf);
     }
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -98,7 +98,7 @@ impl<M: Wire> Wire for RoundEnvelope<M> {
             sync: u64::take(r)?,
             flags: RoundFlags {
                 running: u64::take(r)?,
-                violation: <Option<(u32, u64)> as Wire>::take(r)?,
+                progressed: bool::take(r)?,
             },
             msgs: Vec::take(r)?,
         })
@@ -404,10 +404,10 @@ impl NetPlane {
     ///
     /// # Errors
     ///
-    /// Exactly the sequential engine's errors — [`SimError::Bandwidth`]
-    /// (the globally first violation, identical in every shard) and
-    /// [`SimError::RoundLimitExceeded`] (with globally summed
-    /// `live_nodes` and the global progress watermark).
+    /// Exactly the sequential engine's error,
+    /// [`SimError::RoundLimitExceeded`], identical in every shard: its
+    /// `live_nodes` and progress watermark come from the merged round
+    /// flags.
     ///
     /// # Panics
     ///
@@ -464,12 +464,11 @@ impl NetPlane {
 }
 
 /// The socket transport: one [`RoundEnvelope`] per peer per
-/// communication round (the flush is the barrier), collectives for the
-/// watchdog. The chaos kill fires at its scheduled sync inside
-/// `exchange`: the engine core exchanges once per communication round
-/// regardless of scheduling mode, which keeps the plane's `seq`
-/// trajectory, and so the kill, identical under `ActiveSet` and
-/// `AlwaysStep`.
+/// communication round (the flush is the barrier). The chaos kill fires
+/// at its scheduled sync inside `exchange`: the engine core exchanges
+/// once per communication round regardless of scheduling mode, which
+/// keeps the plane's `seq` trajectory, and so the kill, identical under
+/// `ActiveSet` and `AlwaysStep`.
 struct MeshTransport<'a, M> {
     plane: &'a mut NetPlane,
     n: usize,
@@ -517,24 +516,6 @@ impl<M: Wire> Transport<M> for MeshTransport<'_, M> {
             }
         }
         merged
-    }
-
-    fn watchdog(&mut self, live: u64, last_progress: u64) -> (u64, u64) {
-        // One REDUCE collective globalizes both diagnostics: live count
-        // by sum, progress watermark by max.
-        let peers = self
-            .plane
-            .collective(kind::REDUCE, &(live, last_progress).to_wire())
-            .unwrap_or_else(|e| panic!("netplane: {e}"));
-        let (mut sum, mut max) = (live, last_progress);
-        for (peer, body) in peers {
-            let (l, p) = <(u64, u64)>::from_wire(&body).unwrap_or_else(|e| {
-                panic!("netplane: malformed watchdog contribution from shard {peer}: {e}")
-            });
-            sum += l;
-            max = max.max(p);
-        }
-        (sum, max)
     }
 }
 
@@ -893,6 +874,38 @@ mod tests {
         }
     }
 
+    /// Stalls with shards that disagree: node `v` broadcasts once at
+    /// round `3·(v mod 5)`, even nodes vote `Done` and odd ones `Running`.
+    /// On `path(9)` over 3 shards the shard-local progress watermarks are
+    /// 6, 12 and 9, and the live votes 1, 2 and 1.
+    struct Watermark;
+
+    impl Protocol for Watermark {
+        type State = ();
+        type Msg = ();
+        fn init(&self, _: &NodeCtx, _: &mut NodeRng) {}
+        fn round(
+            &self,
+            _: &mut (),
+            ctx: &NodeCtx,
+            _: &mut NodeRng,
+            _: &Inbox<()>,
+            out: &mut Outbox<()>,
+        ) -> Status {
+            if ctx.round == 3 * u64::from(ctx.index % 5) {
+                out.broadcast(());
+            }
+            if ctx.index.is_multiple_of(2) {
+                Status::Done
+            } else {
+                Status::Running
+            }
+        }
+        fn sync_period(&self) -> u64 {
+            3
+        }
+    }
+
     #[test]
     fn round_limit_error_is_global_and_identical() {
         let g = gen::path(9);
@@ -912,10 +925,36 @@ mod tests {
             // live_nodes sums across shards to the sequential count.
             assert_eq!(err, seq_err);
         }
+
+        // The diagnostics come from the merged word, not from the shard
+        // that happens to hold the last sender.
+        let cfg = reference_cfg(0).with_max_rounds(40);
+        let seq_err = run(&g, &Watermark, &cfg).unwrap_err();
+        assert_eq!(
+            seq_err,
+            SimError::RoundLimitExceeded {
+                limit: 40,
+                phase: String::new(),
+                live_nodes: 4,
+                last_progress_round: 12,
+            }
+        );
+        for k in [2u32, 3] {
+            let errs = with_mesh(k, |mut plane| {
+                let g = gen::path(9);
+                let cfg = reference_cfg(0).with_max_rounds(40);
+                let net = NetTables::build(&g, &cfg);
+                plane.execute_with(&g, &Watermark, &cfg, &net).unwrap_err()
+            });
+            for err in errs {
+                assert_eq!(err, seq_err, "{k} shards");
+            }
+        }
     }
 
-    /// One oversized message from node 0: exercises the strict-bandwidth
-    /// abort, whose error value must be globally agreed.
+    /// Every node broadcasts one oversized message in round 0: the run
+    /// carries on, and the per-shard violation counts merge to the
+    /// sequential record.
     struct Fat;
 
     #[derive(Debug, Clone)]
@@ -954,18 +993,19 @@ mod tests {
     }
 
     #[test]
-    fn strict_bandwidth_error_is_global_and_identical() {
+    fn over_budget_counts_are_global_and_identical() {
         let g = gen::path(6);
-        let cfg = reference_cfg(0).strict();
-        let seq_err = run(&g, &Fat, &cfg).unwrap_err();
-        let errs = with_mesh(2, move |mut plane| {
+        let seq = run(&g, &Fat, &reference_cfg(0)).unwrap();
+        // 5 edges, so 10 directed sends, each over budget.
+        assert_eq!(seq.metrics.bandwidth_violations, 10);
+        let outs = with_mesh(2, |mut plane| {
             let g = gen::path(6);
-            let cfg = reference_cfg(0).strict();
+            let cfg = reference_cfg(0);
             let net = NetTables::build(&g, &cfg);
-            plane.execute_with(&g, &Fat, &cfg, &net).unwrap_err()
+            plane.execute_with(&g, &Fat, &cfg, &net).unwrap()
         });
-        for err in errs {
-            assert_eq!(err, seq_err);
+        for res in outs {
+            assert_eq!(res.metrics, seq.metrics);
         }
     }
 

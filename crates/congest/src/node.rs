@@ -121,15 +121,6 @@ impl NodeCtx {
     pub fn delta_sq(&self) -> usize {
         self.max_degree * self.max_degree
     }
-
-    /// Port of the neighbor with identifier `ident`, if any. `O(degree)`.
-    #[must_use]
-    pub fn port_of_ident(&self, ident: u64) -> Option<Port> {
-        self.neighbor_idents()
-            .iter()
-            .position(|&x| x == ident)
-            .map(|p| p as Port)
-    }
 }
 
 #[cfg(test)]
@@ -146,13 +137,6 @@ mod tests {
         assert_eq!(c.degree(), 3);
         assert_eq!(c.delta_sq(), 16);
         assert_eq!(c.neighbor_idents(), &[7, 9, 11]);
-    }
-
-    #[test]
-    fn port_lookup() {
-        let c = ctx();
-        assert_eq!(c.port_of_ident(9), Some(1));
-        assert_eq!(c.port_of_ident(8), None);
     }
 
     #[test]

@@ -73,20 +73,6 @@ impl<M> Inbox<M> {
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
-
-    /// The message received on `port`, if any.
-    ///
-    /// At most one message arrives per port per round (the sending
-    /// [`Outbox`] rejects duplicate sends), so the lookup has a unique
-    /// answer.
-    #[must_use]
-    pub fn from_port(&self, port: Port) -> Option<&M> {
-        let i = self.items.partition_point(|&(p, _)| p < port);
-        match self.items.get(i) {
-            Some(&(p, ref m)) if p == port => Some(m),
-            _ => None,
-        }
-    }
 }
 
 impl<'a, M> IntoIterator for &'a Inbox<M> {
@@ -153,21 +139,6 @@ impl<M: Clone> Outbox<M> {
         }
     }
 
-    /// Sends a copy of `msg` on every port not yet used this round.
-    pub fn broadcast_remaining(&mut self, msg: M) {
-        for p in 0..self.degree {
-            if !self.used[p] {
-                self.send(p as Port, msg.clone());
-            }
-        }
-    }
-
-    /// Whether a message has already been staged on `port`.
-    #[must_use]
-    pub fn sent_on(&self, port: Port) -> bool {
-        self.used.get(port as usize).copied().unwrap_or(false)
-    }
-
     /// Number of messages staged this round.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -192,8 +163,6 @@ mod tests {
         inbox.push(0, 10);
         inbox.finalize();
         assert_eq!(inbox.len(), 2);
-        assert_eq!(inbox.from_port(0), Some(&10));
-        assert_eq!(inbox.from_port(1), None);
         let ports: Vec<Port> = inbox.iter().map(|&(p, _)| p).collect();
         assert_eq!(ports, vec![0, 2]);
     }
@@ -202,8 +171,6 @@ mod tests {
     fn outbox_single_send_per_port() {
         let mut out: Outbox<u64> = Outbox::new(3);
         out.send(1, 5);
-        assert!(out.sent_on(1));
-        assert!(!out.sent_on(0));
         assert_eq!(out.len(), 1);
     }
 
@@ -227,16 +194,5 @@ mod tests {
         let mut out: Outbox<u64> = Outbox::new(4);
         out.broadcast(9);
         assert_eq!(out.len(), 4);
-    }
-
-    #[test]
-    fn broadcast_remaining_skips_used() {
-        let mut out: Outbox<u64> = Outbox::new(3);
-        out.send(1, 1);
-        out.broadcast_remaining(2);
-        assert_eq!(out.len(), 3);
-        let mut items: Vec<(Port, u64)> = out.drain().collect();
-        items.sort_unstable();
-        assert_eq!(items, vec![(0, 2), (1, 1), (2, 2)]);
     }
 }

@@ -4,17 +4,16 @@
 //! bounded-bandwidth edges — and this module implements it exactly once.
 //! [`drive`] owns everything the runtimes used to triplicate: active-set
 //! scheduling (the wake frontier, `Wake::At` heap, sticky termination
-//! votes), the drop plane, sync-period batching, strict-bandwidth abort
-//! ordering, metrics accounting, and structured [`SimError`]
-//! construction. [`run_range`] builds the world it runs on. What
-//! *varies* between runtimes — how a shard's staged messages and votes
-//! reach the other shards — is abstracted behind the [`Transport`]
-//! trait.
+//! votes), the drop plane, sync-period batching, metrics accounting, and
+//! structured [`SimError`] construction. [`run_range`] builds the world
+//! it runs on. What *varies* between runtimes — how a shard's staged
+//! messages and votes reach the other shards — is abstracted behind the
+//! [`Transport`] trait.
 //!
 //! # The `Transport` contract
 //!
 //! A transport connects one shard (a contiguous node range
-//! `[start, start + local_n)`) to its peers through three operations:
+//! `[start, start + local_n)`) to its peers through two operations:
 //!
 //! * [`Transport::stage`] — queue one message for a node another shard
 //!   owns. Called only between barriers; a single-shard transport is
@@ -25,12 +24,9 @@
 //!   deliver every inbound `(dest, port, msg)` through the provided
 //!   callback, and (c) return the [`RoundFlags`] merged over **all**
 //!   shards with [`RoundFlags::absorb`]. Every shard must observe the
-//!   identical merged value — the core derives termination and
-//!   strict-bandwidth aborts from it, and shards must take those
+//!   identical merged value — the core derives termination and the
+//!   round-limit diagnostics from it, and shards must take those
 //!   transitions in lockstep.
-//! * [`Transport::watchdog`] — called once, only on the round-limit
-//!   path: globalize the diagnostics (sum of live nodes, max of
-//!   last-progress rounds) for [`SimError::RoundLimitExceeded`].
 //!
 //! Everything else — which nodes step, what they send, which messages
 //! the drop plane loses, what the metrics say — is the core's business
@@ -47,11 +43,15 @@
 //!   round's vote, so a zero count is unanimity. Parking, the parking
 //!   contract on [`Protocol::next_wake`] makes sticky votes exact at such
 //!   rounds.
-//! * **Strict bandwidth.** Each shard reports its first violation in
-//!   node order as `(node, bits)`; min-by-node across shards is the
-//!   message the sequential sweep (which steps in index order) would
-//!   have aborted on. The abort happens *after* the exchange, so every
-//!   shard leaves the barrier protocol cleanly at the same round.
+//! * **Round limit.** [`SimError::RoundLimitExceeded`] reports the last
+//!   merged `running` sum as its live nodes (`n` before the first
+//!   exchange) and the last round whose merged `progressed` was set as
+//!   its progress watermark. Both are exact: votes change and messages
+//!   leave only in communication rounds, and every communication round
+//!   ends in an exchange.
+//!
+//! An over-budget message is counted in [`Metrics`], never fatal, so no
+//! other way to end a run exists.
 
 use super::barrier::SpinBarrier;
 use super::{node_rng, RunResult, SimError};
@@ -70,26 +70,23 @@ use std::sync::{Arc, Mutex};
 /// The control word exchanged at every communication-round barrier.
 ///
 /// Merging is associative and commutative, so transports may combine
-/// contributions in any order: `running` by sum, `violation` by minimum
-/// node index. The default is the merge identity.
+/// contributions in any order: `running` by sum, `progressed` by or. The
+/// default is the merge identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct RoundFlags {
     /// Local nodes whose sticky communication-round vote is still
     /// [`Status::Running`]; the run ends when the merged sum is 0.
     pub running: u64,
-    /// First strict-bandwidth violation this round in local node order,
-    /// as `(node index, message bits)`; `None` outside strict mode.
-    pub violation: Option<(u32, u64)>,
+    /// Whether some local node changed its vote or sent a message this
+    /// round.
+    pub progressed: bool,
 }
 
 impl RoundFlags {
     /// Folds another shard's contribution into this one.
     pub(crate) fn absorb(&mut self, other: &RoundFlags) {
         self.running += other.running;
-        self.violation = match (self.violation, other.violation) {
-            (Some(a), Some(b)) => Some(if a.0 <= b.0 { a } else { b }),
-            (a, b) => a.or(b),
-        };
+        self.progressed |= other.progressed;
     }
 }
 
@@ -105,12 +102,6 @@ pub(crate) trait Transport<M> {
     /// batches, deliver every inbound message through `deliver`, and
     /// return the flags merged over all shards (identical everywhere).
     fn exchange(&mut self, local: RoundFlags, deliver: &mut dyn FnMut(u32, Port, M)) -> RoundFlags;
-
-    /// Globalizes the round-limit diagnostics: returns
-    /// `(sum of live, max of last_progress)` over all shards. Called at
-    /// most once, after the last round, and only when no shard
-    /// terminated or aborted — so every shard calls it together.
-    fn watchdog(&mut self, live: u64, last_progress: u64) -> (u64, u64);
 }
 
 /// The trivial transport of a single shard that owns every node: nothing
@@ -128,9 +119,6 @@ impl<M> Transport<M> for LocalTransport {
         _deliver: &mut dyn FnMut(u32, Port, M),
     ) -> RoundFlags {
         local
-    }
-    fn watchdog(&mut self, live: u64, last_progress: u64) -> (u64, u64) {
-        (live, last_progress)
     }
 }
 
@@ -299,7 +287,9 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
     // every node votes `Done`, under either schedule.
     let mut sticky: Vec<Status> = vec![Status::Running; local_n];
     let mut running: u64 = local_n as u64;
-    let mut last_progress: u64 = 0;
+    // Round-limit diagnostics, read from each merged word.
+    let mut live_nodes = n as u64;
+    let mut last_progress_round = 0;
 
     // Frontier machinery over local indices (untouched when `!active`):
     // `frontier` holds this round's wakes, `next_frontier` the next
@@ -346,7 +336,6 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
             }
         }
         let mut progressed = false;
-        let mut violation: Option<(u32, u64)> = None;
 
         let sweep = if !active {
             Sweep::All
@@ -412,13 +401,7 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
             );
             for (port, msg) in out.drain() {
                 progressed = true;
-                let bits = msg.bits();
-                metrics.record_message(bits, budget);
-                if config.strict_bandwidth && bits > budget && violation.is_none() {
-                    // First violation in local node order; the exchange
-                    // min-merges across shards to the globally first.
-                    violation = Some((v as u32, bits));
-                }
+                metrics.record_message(msg.bits(), budget);
                 if plane
                     .as_ref()
                     .is_some_and(|p| p.drops(round, v as u32, port))
@@ -440,9 +423,6 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
                 }
             }
         }
-        if progressed {
-            last_progress = round;
-        }
         metrics.rounds = round + 1;
 
         if !comm {
@@ -462,38 +442,30 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
         // The barrier: publish, deliver inbound (arrivals wake their
         // destinations — this is where peer shards' wake lists merge
         // into the local frontier), and merge the flags.
-        let merged =
-            transport.exchange(RoundFlags { running, violation }, &mut |dest, port, msg| {
-                let li = dest as usize - start;
-                next[li].push(port, msg);
-                if active {
-                    wake(&mut stamp, &mut next_frontier, li, round + 1);
-                }
-            });
+        let flags = RoundFlags {
+            running,
+            progressed,
+        };
+        let merged = transport.exchange(flags, &mut |dest, port, msg| {
+            let li = dest as usize - start;
+            next[li].push(port, msg);
+            if active {
+                wake(&mut stamp, &mut next_frontier, li, round + 1);
+            }
+        });
         std::mem::swap(&mut cur, &mut next);
         if active {
             std::mem::swap(&mut frontier, &mut next_frontier);
             next_frontier.clear();
         }
-        if let Some((_, bits)) = merged.violation {
-            // Globally-first violating message: lowest node index across
-            // shards this round — the message a single index-ordered
-            // sweep would have aborted at. Post-exchange, so every shard
-            // leaves the barrier protocol cleanly with this same error.
-            return Err(SimError::Bandwidth {
-                round,
-                bits,
-                limit: budget,
-            });
-        }
         if merged.running == 0 {
             return Ok(metrics);
         }
+        live_nodes = merged.running;
+        if merged.progressed {
+            last_progress_round = round;
+        }
     }
-    // Live nodes: still voting Running per their latest (sticky)
-    // communication-round vote.
-    let live = sticky.iter().filter(|&&s| s == Status::Running).count() as u64;
-    let (live_nodes, last_progress_round) = transport.watchdog(live, last_progress);
     Err(SimError::RoundLimitExceeded {
         limit: config.max_rounds,
         phase: config.phase_label.clone(),
@@ -515,9 +487,6 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
 pub(crate) struct SharedFlags {
     /// The [`RoundFlags`] merged so far for each slot.
     merged: [Mutex<RoundFlags>; 3],
-    /// Round-limit diagnostics, written once per shard on that path.
-    live_total: AtomicU64,
-    progress_max: AtomicU64,
 }
 
 /// One staged cross-shard message: destination node index, arrival port,
@@ -641,21 +610,6 @@ impl<M> Transport<M> for MailboxTransport<'_, M> {
         self.sync += 1;
         merged
     }
-
-    fn watchdog(&mut self, live: u64, last_progress: u64) -> (u64, u64) {
-        // Every shard reaches the round limit together (no shard saw a
-        // terminate/abort flag — those are merged, hence unanimous), so
-        // one extra barrier separates all contributions from all reads.
-        self.flags.live_total.fetch_add(live, Ordering::SeqCst);
-        self.flags
-            .progress_max
-            .fetch_max(last_progress, Ordering::SeqCst);
-        self.barrier.wait();
-        (
-            self.flags.live_total.load(Ordering::SeqCst),
-            self.flags.progress_max.load(Ordering::SeqCst),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -663,30 +617,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_flags_merge_is_sum_min() {
+    fn round_flags_merge_is_sum_or() {
         let mut a = RoundFlags {
             running: 3,
-            violation: Some((7, 100)),
+            progressed: false,
         };
         a.absorb(&RoundFlags {
             running: 2,
-            violation: Some((4, 200)),
+            progressed: true,
         });
         assert_eq!(
             a,
             RoundFlags {
                 running: 5,
-                violation: Some((4, 200)),
+                progressed: true,
             }
         );
-        // The default is the identity; ties keep the first violation.
+        // The default is the identity, and a set flag stays set.
         let before = a;
         a.absorb(&RoundFlags::default());
         assert_eq!(a, before);
-        a.absorb(&RoundFlags {
-            violation: Some((4, 999)),
-            ..RoundFlags::default()
+        let mut quiet = RoundFlags::default();
+        quiet.absorb(&RoundFlags {
+            running: 1,
+            progressed: false,
         });
-        assert_eq!(a.violation, Some((4, 200)));
+        assert!(!quiet.progressed);
     }
 }

@@ -4,10 +4,10 @@
 //!
 //! The round loop exists exactly once, in the private `engine` module:
 //! a generic core that owns node stepping, active-set scheduling,
-//! the drop plane, sync-period batching, strict-bandwidth abort
-//! ordering, metrics accounting, and [`SimError`] construction. What an
-//! engine contributes is a `Transport` — how one shard's staged
-//! messages and per-round control flags reach the other shards:
+//! the drop plane, sync-period batching, metrics accounting, and
+//! [`SimError`] construction. What an engine contributes is a
+//! `Transport` — how one shard's staged messages and per-round control
+//! flags reach the other shards:
 //!
 //! * [`RuntimeMode::Sequential`] — the trivial transport: one shard owns
 //!   every node, the barrier is a no-op, local flags are global. This is
@@ -22,22 +22,21 @@
 //!   rejoin, and fault injection (see `netplane/runtime.rs`).
 //!
 //! The `Transport` contract (documented in full on the trait) is small:
-//! *stage* a message for a remote node, *exchange* at the communication
-//! round barrier — publish staged batches plus this shard's
-//! `RoundFlags` (sticky-running sum, first strict-bandwidth violation),
-//! deliver inbound messages, and return the flags merged identically on
-//! every shard — and a *watchdog* that globalizes round-limit
-//! diagnostics. Because termination and abort decisions are both
+//! *stage* a message for a remote node, and *exchange* at the
+//! communication round barrier — publish staged batches plus this
+//! shard's `RoundFlags` (sticky-running sum, progress bit), deliver
+//! inbound messages, and return the flags merged identically on every
+//! shard. Because termination and the round-limit diagnostics are both
 //! functions of the merged flags, every shard takes every transition in
-//! lockstep, and adding a transport can never fork the semantics.
+//! lockstep, and adding a transport can never fork the semantics. An
+//! over-budget message is counted in [`Metrics`], never fatal.
 //!
 //! All engines are bit-identical for the same seed: per-node RNG streams
-//! depend only on `(seed, index)`, inboxes are sorted by port before
-//! delivery, and strict-bandwidth errors are resolved to the lowest
-//! violating node index so the first error in sequential order wins
-//! regardless of thread or process interleaving. The differential
-//! harnesses (`tests/runtime_equivalence.rs`, `tests/net_equivalence.rs`)
-//! assert this equivalence over full coloring pipelines.
+//! depend only on `(seed, index)` and inboxes are sorted by port before
+//! delivery, regardless of thread or process interleaving. The
+//! differential harnesses (`tests/runtime_equivalence.rs`,
+//! `tests/net_equivalence.rs`) assert this equivalence over full
+//! coloring pipelines.
 //!
 //! # Active-set scheduling
 //!
@@ -122,13 +121,15 @@ pub struct RunResult<S> {
     pub metrics: Metrics,
 }
 
-/// Errors aborting a simulation.
+/// Errors aborting a simulation. Running out of rounds is the only one:
+/// an over-budget message is counted in
+/// [`Metrics::bandwidth_violations`](crate::Metrics), never fatal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// The protocol did not terminate within `max_rounds`.
     ///
-    /// The watchdog fields turn a bare livelock cutoff into an actionable
-    /// diagnostic for stalled large-scale runs: which pipeline phase hung,
+    /// The diagnostic fields turn a bare livelock cutoff into an actionable
+    /// report for stalled large-scale runs: which pipeline phase hung,
     /// how many nodes were still working, and whether the run was making
     /// progress at all when the axe fell. "Progress" means some node
     /// changed its termination vote or some message was sent that round;
@@ -149,16 +150,6 @@ pub enum SimError {
         /// (0 if the run never progressed).
         last_progress_round: u64,
     },
-    /// A message exceeded the bandwidth budget while `strict_bandwidth` was
-    /// set.
-    Bandwidth {
-        /// Round in which the violation occurred.
-        round: u64,
-        /// Size of the offending message.
-        bits: u64,
-        /// The budget it exceeded.
-        limit: u64,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -178,12 +169,6 @@ impl fmt::Display for SimError {
                      last progress at round {last_progress_round})"
                 )
             }
-            SimError::Bandwidth { round, bits, limit } => {
-                write!(
-                    f,
-                    "message of {bits} bits exceeded the {limit}-bit budget in round {round}"
-                )
-            }
         }
     }
 }
@@ -196,8 +181,8 @@ impl std::error::Error for SimError {}
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] on round-limit exhaustion, or on bandwidth
-/// violations in strict mode.
+/// Returns [`SimError::RoundLimitExceeded`] when the protocol does not
+/// terminate within `config.max_rounds`.
 ///
 /// # Panics
 ///
@@ -218,8 +203,8 @@ pub fn run<P: Protocol>(
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] on round-limit exhaustion, or on bandwidth
-/// violations in strict mode.
+/// Returns [`SimError::RoundLimitExceeded`] when the protocol does not
+/// terminate within `config.max_rounds`.
 ///
 /// # Panics
 ///
@@ -251,7 +236,7 @@ pub(crate) fn node_rng(seed: u64, index: u32) -> NodeRng {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{IdAssignment, Inbox, NodeCtx, Outbox, Status};
+    use crate::{Inbox, NodeCtx, Outbox, Status};
     use graphs::gen;
     use std::thread::ThreadId;
 
@@ -271,17 +256,6 @@ mod tests {
                 assert_eq!(ctxs[u as usize].ident, nid);
             }
         }
-    }
-
-    #[test]
-    fn sequential_ids_are_indices() {
-        let g = gen::path(4);
-        let cfg = SimConfig {
-            ids: IdAssignment::Sequential,
-            ..SimConfig::default()
-        };
-        let ctxs = NetTables::build(&g, &cfg).contexts();
-        assert!(ctxs.iter().enumerate().all(|(i, c)| c.ident == i as u64));
     }
 
     /// Records the thread that initialised each node.
@@ -367,11 +341,5 @@ mod tests {
             last_progress_round: 0,
         };
         assert!(unnamed.to_string().contains("unnamed"));
-        let b = SimError::Bandwidth {
-            round: 1,
-            bits: 99,
-            limit: 64,
-        };
-        assert!(b.to_string().contains("99"));
     }
 }

@@ -48,12 +48,6 @@ impl ColoringOutcome {
     pub fn palette_bound(&self) -> usize {
         graphs::verify::palette_size(&self.colors)
     }
-
-    /// Whether every node is colored.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        graphs::verify::uncolored_count(&self.colors) == 0
-    }
 }
 
 /// Executes a pipeline of [`Protocol`] phases on one network.
@@ -142,7 +136,7 @@ impl<'g> Driver<'g> {
         P::Msg: Wire,
     {
         let name = name.into();
-        // The phase name doubles as the engine's watchdog label, so a
+        // The phase name doubles as the engine's round-limit label, so a
         // round-limit abort names the pipeline stage that stalled.
         let cfg = self
             .config
@@ -222,7 +216,7 @@ mod tests {
         let out = d.finish(vec![0; 5]);
         assert_eq!(out.phases.len(), 2);
         assert_eq!(out.rounds(), 2);
-        assert!(out.is_complete());
+        assert_eq!(graphs::verify::uncolored_count(&out.colors), 0);
         assert_eq!(out.palette_bound(), 1);
     }
 
@@ -242,6 +236,6 @@ mod tests {
         let g = graphs::gen::path(3);
         let d = Driver::new(&g, SimConfig::seeded(0));
         let out = d.finish(vec![0, crate::UNCOLORED, 1]);
-        assert!(!out.is_complete());
+        assert_eq!(graphs::verify::uncolored_count(&out.colors), 1);
     }
 }

@@ -73,18 +73,6 @@ impl Scope {
         }
     }
 
-    /// The ordinary-coloring scope: one part, distance-1,
-    /// `∆_c = min(∆, n−1)`.
-    #[must_use]
-    pub fn full_d1(g: &graphs::Graph) -> Self {
-        let dc = g.max_degree().min(g.n().saturating_sub(1));
-        Scope {
-            part: vec![0; g.n()],
-            dist: Dist::One,
-            delta_c: dc,
-        }
-    }
-
     /// Whether node `v` participates.
     #[must_use]
     pub fn is_active(&self, v: usize) -> bool {
@@ -145,8 +133,6 @@ mod tests {
         assert_eq!(s2.delta_c, 4);
         assert_eq!(s2.dist, Dist::Two);
         assert!(s2.is_active(0));
-        let s1 = Scope::full_d1(&g);
-        assert_eq!(s1.delta_c, 4);
 
         let big = graphs::gen::gnp_capped(200, 0.05, 6, 1);
         assert_eq!(Scope::full_d2(&big).delta_c, 36);

@@ -23,7 +23,7 @@ use graphs::Graph;
 ///
 /// # Errors
 ///
-/// Propagates simulator errors (round limit, strict-bandwidth violations).
+/// Propagates simulator errors (the round limit).
 pub fn run(g: &Graph, _params: &Params, cfg: &SimConfig) -> Result<ColoringOutcome, SimError> {
     let mut driver = Driver::new(g, cfg.clone());
     let scope = Scope::full_d2(g);

@@ -182,16 +182,6 @@ pub struct DerandSplit {
     fix_slot: Vec<u64>,
     total_slots: u64,
     lambda: f64,
-    threshold: usize,
-}
-
-impl DerandSplit {
-    /// The guarantee threshold this instance was built with (Def. 3.1 binds
-    /// only for `deg_i(v) ≥ threshold`).
-    #[must_use]
-    pub fn guarantee_threshold(&self) -> usize {
-        self.threshold
-    }
 }
 
 impl DerandSplit {
@@ -204,7 +194,6 @@ impl DerandSplit {
         idents: &[u64],
         part: Vec<u32>,
         lambda: f64,
-        threshold: usize,
     ) -> Self {
         let nbr_parts: Vec<Vec<u32>> = (0..g.n() as u32)
             .map(|v| g.neighbors(v).iter().map(|&u| part[u as usize]).collect())
@@ -235,7 +224,6 @@ impl DerandSplit {
             fix_slot,
             total_slots: offset,
             lambda,
-            threshold,
         }
     }
 
@@ -439,8 +427,7 @@ pub fn recursive_split(
             SplitMode::Deterministic => {
                 let decomposition = decomp::oracle::decompose_power(g, 2, None);
                 charged += decomp::oracle::charged_rounds(n, 2);
-                let proto =
-                    DerandSplit::new(g, &decomposition, &idents, part.clone(), lambda, threshold);
+                let proto = DerandSplit::new(g, &decomposition, &idents, part.clone(), lambda);
                 driver.run_phase(format!("derand-split(level={level})"), &proto, |s| s.side)?
             }
         };
@@ -490,7 +477,7 @@ mod tests {
         let part = vec![0u32; g.n()];
         let lambda = 0.45;
         let threshold = 8;
-        let proto = DerandSplit::new(&g, &decomposition, &idents, part.clone(), lambda, threshold);
+        let proto = DerandSplit::new(&g, &decomposition, &idents, part.clone(), lambda);
         let res = congest::run(&g, &proto, &cfg).unwrap();
         let result = SplitResult {
             sides: res.states.iter().map(|s| s.side).collect(),
@@ -519,7 +506,7 @@ mod tests {
         let idents = congest::NetTables::build(&g, &cfg).idents().to_vec();
         let d = decomp::oracle::decompose_power(&g, 2, None);
         let part = vec![0u32; g.n()];
-        let proto = DerandSplit::new(&g, &d, &idents, part.clone(), 0.5, 10);
+        let proto = DerandSplit::new(&g, &d, &idents, part.clone(), 0.5);
         let res = congest::run(&g, &proto, &cfg).unwrap();
         let result = SplitResult {
             sides: res.states.iter().map(|s| s.side).collect(),

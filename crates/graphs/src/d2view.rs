@@ -40,7 +40,6 @@ use crate::{Graph, NodeId};
 pub struct D2View {
     offsets: Vec<usize>,
     flat: Vec<NodeId>,
-    base_max_degree: usize,
     max_d2_degree: usize,
 }
 
@@ -65,7 +64,6 @@ impl D2View {
         D2View {
             offsets,
             flat,
-            base_max_degree: g.max_degree(),
             max_d2_degree: max_d2,
         }
     }
@@ -93,12 +91,6 @@ impl D2View {
     #[must_use]
     pub fn max_d2_degree(&self) -> usize {
         self.max_d2_degree
-    }
-
-    /// Maximum degree `∆` of the *base* graph the view was built from.
-    #[must_use]
-    pub fn base_max_degree(&self) -> usize {
-        self.base_max_degree
     }
 
     /// Whether `u` and `v` are distinct nodes at distance ≤ 2.
@@ -157,7 +149,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(view.base_max_degree(), g.max_degree());
         assert_eq!(
             view.max_d2_degree(),
             (0..g.n() as NodeId)

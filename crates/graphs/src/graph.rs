@@ -209,26 +209,6 @@ impl Graph {
         false
     }
 
-    /// Number of common neighbors of `u` and `v` in `G` (i.e. the number of
-    /// 2-paths between them).
-    #[must_use]
-    pub fn common_neighbors(&self, u: NodeId, v: NodeId) -> usize {
-        let (a, b) = (self.neighbors(u), self.neighbors(v));
-        let (mut i, mut j, mut c) = (0, 0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    c += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        c
-    }
-
     /// Number of common *distance-2* neighbors of `u` and `v` — the quantity
     /// thresholded by the similarity graphs `H_{1-1/k}` of Section 2.3.
     #[must_use]
@@ -307,12 +287,6 @@ impl GraphBuilder {
     #[must_use]
     pub fn contains_edge(&self, u: NodeId, v: NodeId) -> bool {
         self.seen.contains(&(u.min(v), u.max(v)))
-    }
-
-    /// Number of edges recorded so far (before deduplication).
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
     }
 
     /// Finalizes into an immutable CSR [`Graph`].
@@ -477,8 +451,6 @@ mod tests {
     fn common_neighbor_counts() {
         // Two 2-paths between 0 and 3: via 1 and via 2.
         let g = Graph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
-        assert_eq!(g.common_neighbors(0, 3), 2);
-        assert_eq!(g.common_neighbors(0, 1), 0);
         assert_eq!(g.common_d2_neighbors(0, 3), 2); // 1 and 2
     }
 
@@ -496,7 +468,6 @@ mod tests {
         assert!(b.contains_edge(1, 2));
         assert!(b.contains_edge(2, 1));
         assert!(!b.contains_edge(0, 1));
-        assert_eq!(b.edge_count(), 1);
     }
 
     #[test]

@@ -50,18 +50,6 @@ pub fn ceil_log2(x: u64) -> u64 {
     }
 }
 
-/// The iterated logarithm `log* n` (base 2), used when reporting the
-/// `O(∆² + log* n)` bound of Theorem 1.2.
-#[must_use]
-pub fn log_star(mut x: f64) -> u32 {
-    let mut i = 0;
-    while x > 1.0 {
-        x = x.log2();
-        i += 1;
-    }
-    i
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,15 +78,5 @@ mod tests {
         assert_eq!(ceil_log2(3), 2);
         assert_eq!(ceil_log2(8), 3);
         assert_eq!(ceil_log2(9), 4);
-    }
-
-    #[test]
-    fn log_star_known_values() {
-        assert_eq!(log_star(1.0), 0);
-        assert_eq!(log_star(2.0), 1);
-        assert_eq!(log_star(4.0), 2);
-        assert_eq!(log_star(16.0), 3);
-        assert_eq!(log_star(65536.0), 4);
-        assert_eq!(log_star(1e9), 5);
     }
 }

@@ -351,7 +351,8 @@ impl ShardOptions {
 /// Parses the option flags that follow a spec, in any order:
 /// `[--sched <active|always>] [--drops <ppm> <seed>] [--chaos <seed>]
 /// [--rejoin <shard> <ports-csv>]`. `None` on an unknown flag, a
-/// missing or malformed value, or a drop rate above one million ppm.
+/// missing or malformed value, a drop rate above one million ppm, or a
+/// rejoin shard outside its own port list.
 fn parse_options(mut rest: &[String]) -> Option<ShardOptions> {
     let mut opts = ShardOptions::default();
     while let Some(flag) = rest.first() {
@@ -371,12 +372,15 @@ fn parse_options(mut rest: &[String]) -> Option<ShardOptions> {
                 rest = &rest[2..];
             }
             "--rejoin" => {
-                let shard = rest.get(1)?.parse().ok()?;
+                let shard: u32 = rest.get(1)?.parse().ok()?;
                 let ports = rest
                     .get(2)?
                     .split(',')
                     .map(|p| p.parse().ok())
                     .collect::<Option<Vec<u16>>>()?;
+                if shard as usize >= ports.len() {
+                    return None;
+                }
                 opts.rejoin = Some((shard, ports));
                 rest = &rest[3..];
             }
@@ -929,6 +933,10 @@ mod tests {
         assert!(parse_shard_argv(&full_argv(&["--chaos"])).is_none());
         assert!(parse_shard_argv(&full_argv(&["--rejoin", "2"])).is_none());
         assert!(parse_shard_argv(&full_argv(&["--rejoin", "2", "70x1"])).is_none());
+        // The shard must index its own port list.
+        assert!(parse_shard_argv(&full_argv(&["--rejoin", "5", "7001,7002"])).is_none());
+        assert!(parse_shard_argv(&full_argv(&["--rejoin", "2", "7001,7002"])).is_none());
+        assert!(parse_shard_argv(&full_argv(&["--rejoin", "1", "7001,7002"])).is_some());
         assert!(parse_shard_argv(&full_argv(&["--frobnicate"])).is_none());
         assert!(parse_shard_argv(&full_argv(&[])[..4]).is_none());
 

@@ -8,8 +8,9 @@
 //! * Full det/rand pipelines run under message *drops* — both survive
 //!   them by design (conservative trial verdicts, saturating reduce
 //!   counts).
-//! * Round-limit exhaustion checks the watchdog diagnostics (phase,
-//!   live nodes, last progress) are engine-independent.
+//! * Round-limit exhaustion checks the diagnostics (phase, live nodes,
+//!   last progress) are engine-independent, also when the shards
+//!   disagree on them.
 //! * Parked nodes end the run on the round the oracle predicts, under
 //!   both schedules and with round batching.
 //! * The repair-after-churn pipeline is differentially checked end to
@@ -104,10 +105,11 @@ fn pipelines_under_message_drops_are_engine_identical() {
     }
 }
 
-/// Watchdog diagnostics under round-limit exhaustion: a protocol that
-/// goes silent after round 0 stalls, and the structured error — phase
-/// label, live-node count, last progress round — is bit-identical on
-/// every engine.
+/// Diagnostics under round-limit exhaustion: a protocol that goes silent
+/// after round 0 stalls, and the structured error — phase label,
+/// live-node count, last progress round — is bit-identical on every
+/// engine. A second protocol stalls with shards that disagree on both
+/// diagnostics, so the merge across shards is what is checked.
 #[test]
 fn round_limit_diagnostics_are_engine_identical() {
     use congest::{Inbox, NodeCtx, NodeRng, Outbox, Protocol, Status};
@@ -150,7 +152,7 @@ fn round_limit_diagnostics_are_engine_identical() {
     for t in thread_counts() {
         let par_cfg = cfg.clone().with_runtime(RuntimeMode::Parallel(t));
         let err = congest::run(&g, &GoesQuiet, &par_cfg).unwrap_err();
-        assert_eq!(err, seq_err, "t{t}: watchdog diagnostics diverged");
+        assert_eq!(err, seq_err, "t{t}: round-limit diagnostics diverged");
     }
     let auto_err = congest::run(
         &g,
@@ -158,7 +160,59 @@ fn round_limit_diagnostics_are_engine_identical() {
         &cfg.clone().with_runtime(RuntimeMode::Auto(4)),
     )
     .unwrap_err();
-    assert_eq!(auto_err, seq_err, "auto: watchdog diagnostics diverged");
+    assert_eq!(auto_err, seq_err, "auto: round-limit diagnostics diverged");
+
+    /// Node `v` broadcasts once, at round `3·(v mod 5)`; even nodes vote
+    /// `Done` and odd ones `Running`. On `path(9)` the last sender is
+    /// node 4 at round 12, and each shard of a split sees only its own
+    /// senders' rounds.
+    struct Watermark;
+    impl Protocol for Watermark {
+        type State = ();
+        type Msg = u32;
+        fn init(&self, _: &NodeCtx, _: &mut NodeRng) {}
+        fn round(
+            &self,
+            _: &mut (),
+            ctx: &NodeCtx,
+            _: &mut NodeRng,
+            _: &Inbox<u32>,
+            out: &mut Outbox<u32>,
+        ) -> Status {
+            if ctx.round == 3 * u64::from(ctx.index % 5) {
+                out.broadcast(7);
+            }
+            if ctx.index.is_multiple_of(2) {
+                Status::Done
+            } else {
+                Status::Running
+            }
+        }
+        fn sync_period(&self) -> u64 {
+            3
+        }
+    }
+
+    let g = graphs::gen::path(9);
+    let cfg = SimConfig::seeded(2).with_max_rounds(40);
+    let seq_err = congest::run(&g, &Watermark, &cfg).unwrap_err();
+    assert_eq!(
+        seq_err,
+        SimError::RoundLimitExceeded {
+            limit: 40,
+            phase: String::new(),
+            live_nodes: 4,
+            last_progress_round: 12,
+        }
+    );
+    let runtimes = thread_counts()
+        .into_iter()
+        .map(RuntimeMode::Parallel)
+        .chain([RuntimeMode::Auto(4)]);
+    for runtime in runtimes {
+        let err = congest::run(&g, &Watermark, &cfg.clone().with_runtime(runtime)).unwrap_err();
+        assert_eq!(err, seq_err, "{runtime:?}: merged diagnostics diverged");
+    }
 }
 
 /// An attached-but-inert fault plane (all rates zero) must be bit-exact

@@ -208,17 +208,18 @@ fn auto_mode_parallel_resolution_is_bit_identical() {
     }
 }
 
-/// Strict-bandwidth abort: the reported error must be the first violation
-/// in `(round, node)` order — the exact error the sequential runtime
-/// returns — on every runtime and thread count. Violations are staggered
-/// across rounds and nodes so a wrong tie-break is observable.
+/// Over-budget messages are counted, never fatal: every runtime and
+/// thread count runs to the same termination round with the same
+/// violation count and the same bit totals as the sequential runtime.
+/// Violations are staggered across rounds and nodes, so a shard that
+/// dropped or double-counted one would show.
 #[test]
-fn strict_bandwidth_error_ordering_differential() {
+fn over_budget_messages_are_counted_identically() {
     use congest::{Inbox, Message, NodeCtx, NodeRng, Outbox, Protocol, Status};
 
     /// Node `v` sends one oversized message in round `(v * 7) % 5 + 1`,
-    /// with the size encoding `(round, node)` so the *identity* of the
-    /// winning violation is checked, not just its existence.
+    /// with the size encoding `(round, node)` so each violation is
+    /// visible in the bit totals, not just its existence.
     struct Staggered;
     #[derive(Debug, Clone)]
     struct Huge(u64);
@@ -255,29 +256,30 @@ fn strict_bandwidth_error_ordering_differential() {
         if g.m() == 0 {
             continue;
         }
-        let cfg = SimConfig::seeded(9).strict();
-        let seq_err = congest::run(&g, &Staggered, &cfg).unwrap_err();
-        let SimError::Bandwidth { round, .. } = seq_err else {
-            panic!("{name}: expected a bandwidth error, got {seq_err:?}");
-        };
-        assert!(round >= 1, "{name}: violations start at round 1");
+        let cfg = SimConfig::seeded(9);
+        let seq = congest::run(&g, &Staggered, &cfg).expect(&name).metrics;
+        // Every node broadcasts once, and every message is over budget.
+        assert!(seq.bandwidth_violations > 0, "{name}: nothing over budget");
+        assert_eq!(seq.bandwidth_violations, 2 * g.m() as u64, "{name}");
+        assert_eq!(seq.messages, seq.bandwidth_violations, "{name}");
+        assert_eq!(seq.rounds, 9, "{name}: the run stopped early");
         for t in thread_counts() {
             let par_cfg = cfg.clone().with_runtime(RuntimeMode::Parallel(t));
             for repeat in 0..3 {
-                let err = congest::run(&g, &Staggered, &par_cfg).unwrap_err();
+                let par = congest::run(&g, &Staggered, &par_cfg).expect(&name);
                 assert_eq!(
-                    err, seq_err,
-                    "{name}: error diverged with {t} threads (repeat {repeat})"
+                    par.metrics, seq,
+                    "{name}: metrics diverged with {t} threads (repeat {repeat})"
                 );
             }
         }
-        let auto_err = congest::run(
+        let auto = congest::run(
             &g,
             &Staggered,
             &cfg.clone().with_runtime(RuntimeMode::Auto(4)),
         )
-        .unwrap_err();
-        assert_eq!(auto_err, seq_err, "{name}: auto mode error diverged");
+        .expect(&name);
+        assert_eq!(auto.metrics, seq, "{name}: auto mode metrics diverged");
     }
 }
 
