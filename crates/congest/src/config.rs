@@ -97,51 +97,6 @@ impl RuntimeMode {
     }
 }
 
-/// Coarse workload-scale buckets, used to preset simulator knobs for the
-/// benchmark trajectory (the bench registry's `scale/` cells at
-/// `n ∈ {10⁴, 10⁵, 10⁶}`).
-///
-/// The buckets matter because two defaults that are right for unit-test
-/// graphs are wrong at a million nodes: the livelock cutoff
-/// (`max_rounds = 5·10⁶` would let a buggy protocol spin for hours before
-/// erroring — the paper's pipelines finish in `O(log ∆ · log n)` ≪ 10⁵
-/// rounds at any of these scales) and the engine selection (explicitly
-/// sequential is the right default for tiny graphs, size-adaptive
-/// [`RuntimeMode::Auto`] for anything that might amortize a barrier).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScalePreset {
-    /// `n < 10⁴`: unit-test and `harness exp*` territory.
-    Small,
-    /// `10⁴ ≤ n < 10⁶`: the benchmark-trajectory midrange.
-    Large,
-    /// `n ≥ 10⁶`: the scaling regime the O(n+m) generators open.
-    Huge,
-}
-
-impl ScalePreset {
-    /// The bucket a graph of `n` nodes falls into.
-    #[must_use]
-    pub fn of(n: usize) -> Self {
-        match n {
-            0..=9_999 => ScalePreset::Small,
-            10_000..=999_999 => ScalePreset::Large,
-            _ => ScalePreset::Huge,
-        }
-    }
-
-    /// Livelock cutoff for this scale: generous multiples of the polylog
-    /// round counts the paper's algorithms actually need, but small enough
-    /// that a livelocked big run fails in minutes, not hours.
-    #[must_use]
-    pub fn max_rounds(self) -> u64 {
-        match self {
-            ScalePreset::Small => 5_000_000,
-            ScalePreset::Large => 500_000,
-            ScalePreset::Huge => 200_000,
-        }
-    }
-}
-
 /// Configuration for a simulation run.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -187,15 +142,31 @@ impl SimConfig {
     }
 
     /// Scale-aware config: the given seed, size-adaptive runtime (all
-    /// cores when the parallel engine is picked), and the
-    /// [`ScalePreset`]-tuned livelock cutoff for a graph of `n` nodes.
-    /// The constructor the bench registry's `scale/*` cells use (CI runs
-    /// them in its `bench-scale` job).
+    /// cores when the parallel engine is picked), and a livelock cutoff
+    /// bucketed by the node count `n`: 5·10⁶ rounds below 10⁴ nodes
+    /// (unit-test and `harness exp*` territory, the default), 5·10⁵ below
+    /// 10⁶, and 2·10⁵ from 10⁶ on. The constructor the bench registry's
+    /// `scale/*` cells use (CI runs them in its `bench-scale` job).
+    ///
+    /// The buckets matter because two defaults that are right for
+    /// unit-test graphs are wrong at a million nodes. The paper's
+    /// pipelines finish in `O(log ∆ · log n)` ≪ 10⁵ rounds at any of these
+    /// scales, so a cutoff of 5·10⁶ would let a livelocked big run spin
+    /// for hours before erroring; the smaller cutoffs are still generous
+    /// multiples of what the algorithms need, but fail such a run in
+    /// minutes. And explicitly sequential is the right engine for tiny
+    /// graphs, size-adaptive [`RuntimeMode::Auto`] for anything that
+    /// might amortize a barrier.
     #[must_use]
     pub fn at_scale(seed: u64, n: usize) -> Self {
+        let max_rounds = match n {
+            0..=9_999 => 5_000_000,
+            10_000..=999_999 => 500_000,
+            _ => 200_000,
+        };
         SimConfig::seeded(seed)
             .with_runtime(RuntimeMode::Auto(0))
-            .with_max_rounds(ScalePreset::of(n).max_rounds())
+            .with_max_rounds(max_rounds)
     }
 
     /// The per-message budget in bits for a network of `n` nodes:
@@ -332,20 +303,16 @@ mod tests {
 
     #[test]
     fn scale_presets_bucket_and_cap() {
-        assert_eq!(ScalePreset::of(100), ScalePreset::Small);
-        assert_eq!(ScalePreset::of(10_000), ScalePreset::Large);
-        assert_eq!(ScalePreset::of(999_999), ScalePreset::Large);
-        assert_eq!(ScalePreset::of(1_000_000), ScalePreset::Huge);
-        assert!(ScalePreset::Huge.max_rounds() < ScalePreset::Small.max_rounds());
+        let cutoff = |n| SimConfig::at_scale(9, n).max_rounds;
+        assert_eq!(cutoff(9_999), 5_000_000);
+        assert_eq!(cutoff(10_000), 500_000);
+        assert_eq!(cutoff(999_999), 500_000);
+        assert_eq!(cutoff(1_000_000), 200_000);
         let c = SimConfig::at_scale(9, 1_000_000);
         assert_eq!(c.seed, 9);
         assert_eq!(c.runtime, RuntimeMode::Auto(0));
-        assert_eq!(c.max_rounds, ScalePreset::Huge.max_rounds());
         // Small graphs keep the default generous cutoff.
-        assert_eq!(
-            SimConfig::at_scale(9, 500).max_rounds,
-            SimConfig::default().max_rounds
-        );
+        assert_eq!(cutoff(500), SimConfig::default().max_rounds);
     }
 
     #[test]

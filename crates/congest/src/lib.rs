@@ -84,9 +84,7 @@ mod outbox;
 mod protocol;
 pub mod runtime;
 
-pub use config::{
-    auto_work_estimate, RuntimeMode, ScalePreset, Scheduling, SimConfig, AUTO_WORK_THRESHOLD,
-};
+pub use config::{auto_work_estimate, RuntimeMode, Scheduling, SimConfig, AUTO_WORK_THRESHOLD};
 pub use faults::{FaultConfig, FaultPlane, PER_MILLION};
 pub use message::{BitCost, Message, SmallIds};
 pub use metrics::Metrics;

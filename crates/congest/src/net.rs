@@ -1,13 +1,12 @@
 //! Precomputed per-network tables shared by every phase of a run.
 //!
-//! Building a [`NodeCtx`] used to allocate one `Vec<u64>` of neighbor
-//! identifiers per node, and multi-phase drivers rebuilt all of them — plus
-//! the reverse-port table — once per phase. [`NetTables`] hoists that work
-//! out of the per-phase path: one CSR-layout identifier table and one flat
-//! reverse-port table are computed per `(graph, config)` pair, wrapped in an
-//! [`Arc`], and shared by every context of every phase. Constructing the
-//! per-phase `Vec<NodeCtx>` is then allocation-free per node (each context
-//! is a handful of words plus an `Arc` clone).
+//! [`NetTables`] holds what the CONGEST model lets a node know a priori —
+//! its identifier and its neighbors' identifiers by port, plus `n` and
+//! `∆` — together with the flat reverse-port table the engines route by:
+//! one CSR-layout identifier table and one reverse-port table per
+//! `(graph, config)` pair. A node's [`NodeCtx`] is a `Copy` view of its
+//! row that [`NetTables::ctx`] builds for each `init` and each step, so
+//! no engine keeps a per-node context of its own.
 //!
 //! The tables depend only on the topology and on the identifier
 //! permutation, which `config.seed` alone seeds — **not** on
@@ -18,7 +17,6 @@ use crate::{NodeCtx, Port, SimConfig};
 use graphs::Graph;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use std::sync::Arc;
 
 /// Immutable CSR-layout per-network tables: identifier assignment, neighbor
 /// identifiers, and reverse ports, all aligned with the graph's adjacency
@@ -57,7 +55,7 @@ impl NetTables {
     /// to adversarial ID placement). `O(Σ deg · log deg)` once; every
     /// later query is an `O(1)` slice.
     #[must_use]
-    pub fn build(graph: &Graph, config: &SimConfig) -> Arc<Self> {
+    pub fn build(graph: &Graph, config: &SimConfig) -> Self {
         let n = graph.n();
         let mut idents: Vec<u64> = (0..n as u64).collect();
         let mut r = ChaCha8Rng::seed_from_u64(config.seed.wrapping_mul(0xA24B_AED4_963E_E407));
@@ -82,26 +80,14 @@ impl NetTables {
                 );
             }
         }
-        Arc::new(NetTables {
+        NetTables {
             n,
             max_degree: graph.max_degree(),
             offsets,
             idents,
             neighbor_idents,
             reverse_ports,
-        })
-    }
-
-    /// Number of nodes the tables were built for.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Maximum degree `∆` of the network the tables were built for.
-    #[must_use]
-    pub fn max_degree(&self) -> usize {
-        self.max_degree
+        }
     }
 
     /// Whether these tables are plausibly the ones built for `graph`:
@@ -116,12 +102,6 @@ impl NetTables {
         self.n == graph.n() && self.neighbor_idents.len() == 2 * graph.m()
     }
 
-    /// The whole flat neighbor-identifier table; contexts slice their own
-    /// row out of it.
-    pub(crate) fn neighbor_idents_flat(&self) -> &[u64] {
-        &self.neighbor_idents
-    }
-
     /// Identifier of each node, by index.
     #[must_use]
     pub fn idents(&self) -> &[u64] {
@@ -130,6 +110,7 @@ impl NetTables {
 
     /// Identifiers of `v`'s neighbors, by port.
     #[must_use]
+    #[inline]
     pub fn neighbor_idents_of(&self, v: u32) -> &[u64] {
         &self.neighbor_idents[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
@@ -141,41 +122,23 @@ impl NetTables {
         &self.reverse_ports[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
 
-    /// Builds the per-node contexts for one phase. Cheap: each context
-    /// shares these tables through an [`Arc`] instead of owning a neighbor
-    /// list.
+    /// The context of node `v` at round `round`: a view of `v`'s row,
+    /// built by the engines for each `init` (at round 0) and each step.
+    // Inlined into the round loop, which is monomorphized in the crates
+    // that define protocols: as an out-of-line call per step it made a
+    // det-small run on random_regular(10⁵, 8) about 5% slower (perfbench
+    // `det-rr8-seq`, 2-vCPU x86-64 host).
     #[must_use]
-    pub fn contexts(self: &Arc<Self>) -> Vec<NodeCtx> {
-        (0..self.n)
-            .map(|v| {
-                NodeCtx::from_tables(
-                    Arc::clone(self),
-                    v as u32,
-                    self.offsets[v] as u32,
-                    self.offsets[v + 1] as u32,
-                )
-            })
-            .collect()
-    }
-
-    /// Tables for a single free-standing node — the backing store of
-    /// [`NodeCtx::standalone`].
-    #[must_use]
-    pub(crate) fn standalone(
-        ident: u64,
-        n: usize,
-        max_degree: usize,
-        neighbor_idents: Vec<u64>,
-    ) -> Arc<Self> {
-        let degree = neighbor_idents.len();
-        Arc::new(NetTables {
-            n,
-            max_degree,
-            offsets: vec![0, degree],
-            idents: vec![ident],
-            neighbor_idents,
-            reverse_ports: vec![0; degree],
-        })
+    #[inline]
+    pub fn ctx(&self, v: u32, round: u64) -> NodeCtx<'_> {
+        NodeCtx {
+            index: v,
+            ident: self.idents[v as usize],
+            n: self.n,
+            max_degree: self.max_degree,
+            round,
+            neighbor_idents: self.neighbor_idents_of(v),
+        }
     }
 }
 
@@ -189,7 +152,7 @@ mod tests {
         let g = gen::gnp_capped(60, 0.1, 6, 9);
         let cfg = SimConfig::seeded(4);
         let t = NetTables::build(&g, &cfg);
-        assert_eq!(t.n(), g.n());
+        assert_eq!(t.idents().len(), g.n());
         let mut ids = t.idents().to_vec();
         ids.sort_unstable();
         ids.dedup();
@@ -216,13 +179,17 @@ mod tests {
     }
 
     #[test]
-    fn contexts_share_tables() {
+    fn ctx_is_a_view_of_its_row() {
         let g = gen::star(5);
         let t = NetTables::build(&g, &SimConfig::seeded(1));
-        let ctxs = t.contexts();
-        assert_eq!(ctxs.len(), 6);
-        // Strong count: the table Arc plus one clone per context.
-        assert_eq!(Arc::strong_count(&t), 7);
-        assert_eq!(ctxs[0].degree(), 5);
+        let hub = t.ctx(0, 4);
+        assert_eq!((hub.index, hub.round), (0, 4));
+        assert_eq!(hub.ident, t.idents()[0]);
+        assert_eq!((hub.n, hub.max_degree), (6, 5));
+        assert_eq!(hub.degree(), 5);
+        // The neighbor row is borrowed from the tables, not copied.
+        assert!(std::ptr::eq(hub.neighbor_idents(), t.neighbor_idents_of(0)));
+        let leaf = t.ctx(3, 0);
+        assert_eq!(leaf.neighbor_idents(), &[t.idents()[0]]);
     }
 }

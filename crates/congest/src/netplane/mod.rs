@@ -46,14 +46,16 @@
 //!
 //! The sequential engine's observables are reproduced exactly:
 //!
-//! * **States** — every shard rebuilds the full deterministic world
-//!   (identifiers, per-node RNG streams, init states) from the shared
-//!   seed and steps its own nodes in index order with the same inbox
-//!   contents (inboxes sort by arrival port, so delivery interleaving is
-//!   unobservable). Owned rows therefore equal the sequential rows;
-//!   un-owned ("ghost") rows stay at their init values until
-//!   [`NetPlane::sync_rows`] overwrites them with their owners' rows,
-//!   which the pipeline driver does once at the end of every phase.
+//! * **States** — every shard rebuilds the graph and its identifier
+//!   tables from the shared seed, builds the RNG streams and init states
+//!   of its own nodes alone (both depend only on the seed and the global
+//!   index), and steps them in index order with the same inbox contents
+//!   (inboxes sort by arrival port, so delivery interleaving is
+//!   unobservable). Its rows therefore equal the sequential rows, and
+//!   [`NetPlane::execute_with`] returns exactly those;
+//!   [`NetPlane::sync_rows`] assembles every shard's rows into the whole
+//!   vector, which the pipeline driver does once at the end of every
+//!   phase.
 //! * **Rounds** — termination is the same rule, a zero global count of
 //!   sticky-`Running` votes, summed over the per-shard flags at each
 //!   barrier.
@@ -100,8 +102,8 @@
 //!   dies (crash, or a seeded [`chaos`] kill — including mid-frame),
 //!   every survivor notices the dead link at its next mesh read and parks
 //!   at the barrier under [`NetConfig::rejoin_timeout`]. The supervisor
-//!   respawns the shard; the replacement rebuilds the seeded SPMD world
-//!   from scratch, dials every survivor with a `REJOIN`
+//!   respawns the shard; the replacement rebuilds its seeded shard of
+//!   the world from scratch, dials every survivor with a `REJOIN`
 //!   ([`rejoin_mesh`]), and re-executes the run with every mesh read
 //!   satisfied from the survivors' replayed history until it reaches the
 //!   live frontier. Survivors discard the re-sent duplicates by sequence
@@ -133,7 +135,7 @@ pub use membership::{
     connect_mesh, join, Assign, Assignment, Coordinator, Hello, Join, Link, Membership, NetConfig,
     NetError, RecvFailure,
 };
-pub use runtime::{rejoin_mesh, shard_range, NetPlane};
+pub use runtime::{rejoin_mesh, NetPlane};
 pub use wire::{Reader, Wire, WireError};
 
 #[allow(unused_imports)]

@@ -1,16 +1,16 @@
 //! The SPMD net engine: one OS process per shard, bit-identical to the
 //! sequential reference.
 //!
-//! Every shard process rebuilds the *entire* deterministic world — graph,
-//! [`NetTables`], per-node RNG streams, initial states — from the shared
-//! `(graph, seed, config)` and then steps only its contiguous slice of
-//! nodes `[lo, hi)`. Each communication round, messages whose destination
-//! lives on another shard travel as one [`kind::ROUND`] frame per peer
-//! (flushed once — the round barrier is the flush point), together with
-//! the shard's local `RoundFlags`. Merging the flags reproduces the
-//! sequential engine's global termination count and progress watermark
-//! exactly; see the [module docs](super) for the full bit-identity
-//! argument.
+//! Every shard process rebuilds the graph and its [`NetTables`] from the
+//! shared `(graph, seed, config)`, then builds the RNG streams and
+//! initial states of its own contiguous slice of nodes
+//! ([`shard_range`]) and steps only those. Each communication round,
+//! messages whose destination lives on another shard travel as one
+//! [`kind::ROUND`] frame per peer (flushed once — the round barrier is
+//! the flush point), together with the shard's local `RoundFlags`.
+//! Merging the flags reproduces the sequential engine's global
+//! termination count and progress watermark exactly; see the
+//! [module docs](super) for the full bit-identity argument.
 //!
 //! The round loop itself is the shared engine core (see the
 //! [runtime module docs](crate::runtime)); this module contributes only
@@ -52,27 +52,13 @@ use super::frame::{kind, Frame};
 use super::membership::{self, Join, Link, Membership, NetConfig, NetError, RecvFailure};
 use super::wire::{Reader, Wire, WireError};
 use crate::runtime::engine::{self, RoundFlags, Transport};
-use crate::runtime::{RunResult, SimError};
+use crate::runtime::{shard_of, shard_range, RunResult, SimError};
 use crate::{Metrics, NetTables, Protocol, SimConfig};
 use graphs::Graph;
 use std::io::{self, Write as _};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::ops::Range;
 use std::time::{Duration, Instant};
-
-/// The node range shard `s` of `k` owns on an `n`-node graph: contiguous
-/// `⌈n/k⌉`-sized chunks, last one ragged.
-#[must_use]
-pub fn shard_range(n: usize, n_shards: usize, shard: usize) -> (usize, usize) {
-    let chunk = n.div_ceil(n_shards.max(1));
-    let lo = (shard * chunk).min(n);
-    (lo, (lo + chunk).min(n))
-}
-
-/// Which shard owns node `v`.
-fn shard_of(n: usize, n_shards: usize, v: usize) -> usize {
-    v / n.div_ceil(n_shards.max(1))
-}
 
 /// One communication round's traffic to a single peer: the sender's local
 /// `RoundFlags` plus every message destined for that peer's nodes.
@@ -165,7 +151,7 @@ impl NetPlane {
 
     /// The node range this shard owns on an `n`-node graph.
     #[must_use]
-    pub fn local_range(&self, n: usize) -> (usize, usize) {
+    pub fn local_range(&self, n: usize) -> Range<usize> {
         shard_range(n, self.n_shards as usize, self.shard as usize)
     }
 
@@ -330,38 +316,48 @@ impl NetPlane {
         Ok(out)
     }
 
-    /// Makes a per-node vector globally authoritative: each shard
-    /// broadcasts its own rows `[lo, hi)` and overwrites every other range
-    /// with the owning shard's values. The pipeline driver calls this once
-    /// per phase, on the rows it derives from the final states, because
-    /// ghost rows — nodes this shard never stepped — hold stale init-time
-    /// values.
+    /// Assembles a per-node vector of `n` rows from every shard's own
+    /// rows: this shard broadcasts `mine`, the rows of its
+    /// [`local_range`](Self::local_range), receives every peer's rows,
+    /// and returns all `n` in index order — the same vector on every
+    /// shard. The pipeline driver (`d2core::Driver::run_phase`) calls
+    /// this once per phase, on the rows it derives from the states
+    /// [`NetPlane::execute_with`] returned.
     ///
     /// # Panics
     ///
-    /// Panics on unrecoverable transport failure or malformed peer rows.
-    pub fn sync_rows<T: Wire>(&mut self, rows: &mut [T]) {
-        let n = rows.len();
-        let (lo, hi) = self.local_range(n);
+    /// Panics if `mine` is not one row per owned node, on unrecoverable
+    /// transport failure, and on malformed peer rows.
+    pub fn sync_rows<T: Wire>(&mut self, n: usize, mine: Vec<T>) -> Vec<T> {
+        assert_eq!(
+            mine.len(),
+            self.local_range(n).len(),
+            "netplane: sync_rows takes one row per owned node"
+        );
         let mut body = Vec::new();
-        for row in &rows[lo..hi] {
+        for row in &mine {
             row.put(&mut body);
         }
         let peers = self
             .collective(kind::REDUCE, &body)
             .unwrap_or_else(|e| panic!("netplane: {e}"));
+        let mut shards = vec![(self.shard, mine)];
         for (peer, body) in peers {
-            let (plo, phi) = shard_range(n, self.n_shards as usize, peer as usize);
             let mut r = Reader::new(&body);
-            for row in &mut rows[plo..phi] {
-                *row = T::take(&mut r).unwrap_or_else(|e| {
-                    panic!("netplane: malformed row sync from shard {peer}: {e}")
-                });
-            }
+            let theirs = shard_range(n, self.n_shards as usize, peer as usize)
+                .map(|_| {
+                    T::take(&mut r).unwrap_or_else(|e| {
+                        panic!("netplane: malformed row sync from shard {peer}: {e}")
+                    })
+                })
+                .collect();
             r.finish().unwrap_or_else(|e| {
                 panic!("netplane: trailing bytes in row sync from shard {peer}: {e}")
             });
+            shards.push((peer, theirs));
         }
+        shards.sort_by_key(|&(shard, _)| shard);
+        shards.into_iter().flat_map(|(_, rows)| rows).collect()
     }
 
     /// Ships this shard's final result payload to the coordinator as a
@@ -390,17 +386,18 @@ impl NetPlane {
         std::process::abort();
     }
 
-    /// Runs one protocol phase across the mesh, stepping only this
-    /// shard's nodes, and returns a result bit-identical (on all
-    /// observables: states of owned nodes, merged metrics, errors) to the
+    /// Runs one protocol phase across the mesh, building and stepping
+    /// only this shard's nodes, and returns a result bit-identical (on
+    /// all observables: owned states, merged metrics, errors) to the
     /// sequential engine's [`crate::run`] — the round loop *is* the
     /// sequential engine's, driven through the mesh transport, so
     /// [`Scheduling`](crate::Scheduling) and
     /// [`FaultConfig`](crate::FaultConfig) behave identically here.
     ///
-    /// States of nodes this shard does **not** own are left at their
-    /// deterministic init values; callers must [`NetPlane::sync_rows`]
-    /// anything they derive from them.
+    /// The returned states are this shard's own, one per node of
+    /// [`local_range`](Self::local_range), in index order; the metrics
+    /// are global. [`NetPlane::sync_rows`] assembles whole per-node
+    /// vectors from every shard's own rows.
     ///
     /// # Errors
     ///
@@ -420,16 +417,13 @@ impl NetPlane {
         graph: &Graph,
         protocol: &P,
         config: &SimConfig,
-        net: &Arc<NetTables>,
+        net: &NetTables,
     ) -> Result<RunResult<P::State>, SimError>
     where
         P::Msg: Wire,
     {
         let n = graph.n();
-        let (lo, hi) = self.local_range(n);
-        // Full deterministic world: every shard inits all n nodes (so
-        // state/RNG indices line up) and builds the identical drop plane,
-        // then steps only [lo, hi).
+        let range = self.local_range(n);
         let mut transport = MeshTransport {
             n,
             k: self.n_shards as usize,
@@ -439,7 +433,7 @@ impl NetPlane {
         let RunResult {
             states,
             mut metrics,
-        } = engine::run_range(graph, protocol, config, net, lo..hi, &mut transport)?;
+        } = engine::run_range(graph, protocol, config, net, range, &mut transport)?;
         // Merge metrics so every shard returns the identical global
         // record (and driver-level absorption stays engine-agnostic).
         // `Metrics::absorb` folds every field — including any added later
@@ -581,6 +575,8 @@ mod tests {
     use crate::run;
     use crate::{Inbox, Message, NodeCtx, NodeRng, Outbox, Scheduling, Status, Wake};
     use graphs::gen;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
     use std::thread;
 
     /// Runs `f` once per shard on a fresh `k`-way localhost mesh (threads
@@ -619,22 +615,6 @@ mod tests {
         F: Fn(NetPlane) -> R + Send + Sync + 'static,
     {
         with_mesh_cfg(k, NetConfig::default(), f)
-    }
-
-    #[test]
-    fn shard_ranges_partition() {
-        for (n, k) in [(10, 2), (10, 3), (7, 4), (1, 4), (100, 1)] {
-            let mut covered = 0;
-            for s in 0..k {
-                let (lo, hi) = shard_range(n, k, s);
-                assert_eq!(lo, covered);
-                covered = hi;
-                for v in lo..hi {
-                    assert_eq!(shard_of(n, k, v), s);
-                }
-            }
-            assert_eq!(covered, n);
-        }
     }
 
     /// Max-ident flood: every round's traffic crosses shard boundaries.
@@ -686,12 +666,12 @@ mod tests {
                 let range = plane.local_range(g.n());
                 (range, plane.execute_with(&g, &Flood, &cfg, &net).unwrap())
             });
-            for ((lo, hi), res) in outs {
+            for (range, res) in outs {
                 // Metrics are globally merged: identical in every shard
                 // and equal to the sequential record.
                 assert_eq!(res.metrics, seq.metrics);
-                // Owned states match the reference row-for-row.
-                assert_eq!(res.states[lo..hi], seq.states[lo..hi]);
+                // The shard's own states match the reference row-for-row.
+                assert_eq!(res.states, seq.states[range]);
             }
         }
     }
@@ -763,12 +743,56 @@ mod tests {
                     plane.execute_with(&g, &Staggered, &cfg, &net).unwrap(),
                 )
             });
-            for ((lo, hi), res) in outs {
+            for (range, res) in outs {
                 // Full metrics equality — including `stepped_nodes`,
                 // which only matches if every shard's frontier walked
                 // the same schedule as the sequential engine's.
                 assert_eq!(res.metrics, seq_active.metrics);
-                assert_eq!(res.states[lo..hi], seq_active.states[lo..hi]);
+                assert_eq!(res.states, seq_active.states[range]);
+            }
+        }
+    }
+
+    /// Counts its `init` calls and otherwise floods like [`Flood`].
+    #[derive(Default)]
+    struct CountInits(AtomicUsize);
+
+    impl Protocol for CountInits {
+        type State = (u64, bool);
+        type Msg = u64;
+        fn init(&self, ctx: &NodeCtx, rng: &mut NodeRng) -> (u64, bool) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Flood.init(ctx, rng)
+        }
+        fn round(
+            &self,
+            st: &mut (u64, bool),
+            ctx: &NodeCtx,
+            rng: &mut NodeRng,
+            inbox: &Inbox<u64>,
+            out: &mut Outbox<u64>,
+        ) -> Status {
+            Flood.round(st, ctx, rng, inbox, out)
+        }
+    }
+
+    /// A shard builds the world of its own range and nothing else: it
+    /// initialises exactly its own nodes and returns exactly their states.
+    #[test]
+    fn shards_build_only_their_own_nodes() {
+        for k in [2u32, 3] {
+            let outs = with_mesh(k, |mut plane| {
+                let g = gen::gnp_capped(40, 0.15, 6, 7);
+                let cfg = reference_cfg(3);
+                let protocol = CountInits::default();
+                let net = NetTables::build(&g, &cfg);
+                let res = plane.execute_with(&g, &protocol, &cfg, &net).unwrap();
+                let size = plane.local_range(g.n()).len();
+                (size, protocol.0.into_inner(), res.states.len())
+            });
+            for (size, inits, states) in outs {
+                assert_eq!(inits, size, "{k} shards: init calls");
+                assert_eq!(states, size, "{k} shards: returned states");
             }
         }
     }
@@ -794,9 +818,9 @@ mod tests {
             let range = plane.local_range(g.n());
             (range, plane.execute_with(&g, &Flood, &cfg, &net).unwrap())
         });
-        for ((lo, hi), res) in outs {
+        for (range, res) in outs {
             assert_eq!(res.metrics, seq.metrics);
-            assert_eq!(res.states[lo..hi], seq.states[lo..hi]);
+            assert_eq!(res.states, seq.states[range]);
         }
     }
 
@@ -849,9 +873,9 @@ mod tests {
             let range = plane.local_range(g.n());
             (range, plane.execute_with(&g, &Pulse, &cfg, &net).unwrap())
         });
-        for ((lo, hi), res) in outs {
+        for (range, res) in outs {
             assert_eq!(res.metrics, seq.metrics);
-            assert_eq!(res.states[lo..hi], seq.states[lo..hi]);
+            assert_eq!(res.states, seq.states[range]);
         }
     }
 
@@ -1034,18 +1058,9 @@ mod tests {
         let outs = with_mesh(3, |mut plane| {
             // Every shard hears each peer's body, in peer order.
             let bodies = plane.collective(kind::REDUCE, &[plane.shard as u8]);
-            // Row sync: each shard authoritatively owns 2 of 6 rows.
-            let (lo, hi) = plane.local_range(6);
-            let mut rows: Vec<u64> = (0..6)
-                .map(|v| {
-                    if (lo..hi).contains(&v) {
-                        100 + v as u64
-                    } else {
-                        999 // stale ghost row
-                    }
-                })
-                .collect();
-            plane.sync_rows(&mut rows);
+            // Row sync: each shard hands in only the 2 of 6 rows it owns.
+            let mine = plane.local_range(6).map(|v| 100 + v as u64).collect();
+            let rows = plane.sync_rows(6, mine);
             (plane.shard, bodies.unwrap(), rows)
         });
         for (me, bodies, rows) in outs {

@@ -140,8 +140,10 @@ impl<'a> Reader<'a> {
 /// A value with a binary wire encoding.
 ///
 /// The netplane requires `P::Msg: Wire` to ship a protocol's messages
-/// between shard processes; protocol states never cross the wire (every
-/// shard rebuilds all states deterministically from the shared seed).
+/// between shard processes. Protocol states never cross the wire (each
+/// shard builds its own nodes' states from the shared seed); only the
+/// per-node rows a driver derives from them do, once per phase
+/// ([`NetPlane::sync_rows`](super::NetPlane::sync_rows)).
 pub trait Wire: Sized {
     /// Appends the encoding of `self` to `buf`.
     fn put(&self, buf: &mut Vec<u8>);

@@ -1,9 +1,6 @@
 //! Per-node context: what a CONGEST node is allowed to know.
 
-use crate::net::NetTables;
 use rand_chacha::ChaCha8Rng;
-use std::fmt;
-use std::sync::Arc;
 
 /// Port number: index into a node's incident-edge list. CONGEST nodes
 /// address messages by port, not by global name.
@@ -20,12 +17,12 @@ pub type NodeRng = ChaCha8Rng;
 /// parameters `n` and `∆` that the paper's algorithms assume
 /// ("We assume ∆ is known to the nodes", §2.6).
 ///
-/// Contexts do not own their neighbor lists: the neighbor-identifier rows
-/// live in a shared CSR [`NetTables`] built once per `(graph, config)`,
-/// so cloning a context (or rebuilding all of them for a new driver phase)
-/// allocates nothing per node.
-#[derive(Clone)]
-pub struct NodeCtx {
+/// A context is a `Copy` view of one row of the per-network
+/// [`NetTables`](crate::NetTables): the engines build one with
+/// [`NetTables::ctx`](crate::NetTables::ctx) for each `init` and each
+/// step, so no per-node context outlives the call it is passed to.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeCtx<'a> {
     /// Simulator index in `0..n`. Used to index per-node inputs/outputs in
     /// drivers; protocols must break symmetry with [`NodeCtx::ident`], never
     /// with `index` (identifiers are the model-sanctioned names).
@@ -38,82 +35,21 @@ pub struct NodeCtx {
     pub max_degree: usize,
     /// Current round number (0-based), maintained by the engine.
     pub round: u64,
-    /// Shared per-network tables holding this node's neighbor-identifier
-    /// row.
-    net: Arc<NetTables>,
-    /// Row bounds of this node in the flat tables.
-    row_start: u32,
-    row_end: u32,
+    /// This node's row of the tables' neighbor-identifier column.
+    pub(crate) neighbor_idents: &'a [u64],
 }
 
-impl fmt::Debug for NodeCtx {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NodeCtx")
-            .field("index", &self.index)
-            .field("ident", &self.ident)
-            .field("n", &self.n)
-            .field("max_degree", &self.max_degree)
-            .field("round", &self.round)
-            .field("neighbor_idents", &self.neighbor_idents())
-            .finish()
-    }
-}
-
-impl NodeCtx {
-    /// Context backed by a row of shared [`NetTables`].
-    pub(crate) fn from_tables(
-        net: Arc<NetTables>,
-        index: u32,
-        row_start: u32,
-        row_end: u32,
-    ) -> Self {
-        NodeCtx {
-            index,
-            ident: net.idents()[index as usize],
-            n: net.n(),
-            max_degree: net.max_degree(),
-            round: 0,
-            net,
-            row_start,
-            row_end,
-        }
-    }
-
-    /// A free-standing context with an explicit neighbor list, detached from
-    /// any simulation — for unit-testing protocol logic that only needs a
-    /// `NodeCtx` value.
+impl<'a> NodeCtx<'a> {
+    /// Identifier of the neighbor on each port (`degree` entries).
     #[must_use]
-    pub fn standalone(
-        index: u32,
-        ident: u64,
-        n: usize,
-        max_degree: usize,
-        neighbor_idents: Vec<u64>,
-    ) -> Self {
-        let degree = neighbor_idents.len() as u32;
-        NodeCtx {
-            index,
-            ident,
-            n,
-            max_degree,
-            round: 0,
-            net: NetTables::standalone(ident, n, max_degree, neighbor_idents),
-            row_start: 0,
-            row_end: degree,
-        }
-    }
-
-    /// Identifier of the neighbor on each port (`degree` entries), a slice
-    /// of the shared CSR identifier table.
-    #[must_use]
-    pub fn neighbor_idents(&self) -> &[u64] {
-        &self.net.neighbor_idents_flat()[self.row_start as usize..self.row_end as usize]
+    pub fn neighbor_idents(&self) -> &'a [u64] {
+        self.neighbor_idents
     }
 
     /// Degree of this node.
     #[must_use]
     pub fn degree(&self) -> usize {
-        (self.row_end - self.row_start) as usize
+        self.neighbor_idents.len()
     }
 
     /// `∆²`, the palette bound parameter of the paper (max degree of `G²`).
@@ -125,23 +61,28 @@ impl NodeCtx {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{NetTables, SimConfig};
+    use graphs::gen;
 
-    fn ctx() -> NodeCtx {
-        NodeCtx::standalone(3, 42, 10, 4, vec![7, 9, 11])
+    /// The hub of a 3-leaf star, whose leaves are nodes 1, 2 and 3.
+    fn hub_tables() -> NetTables {
+        NetTables::build(&gen::star(3), &SimConfig::seeded(3))
     }
 
     #[test]
     fn degree_and_delta_sq() {
-        let c = ctx();
+        let t = hub_tables();
+        let c = t.ctx(0, 0);
         assert_eq!(c.degree(), 3);
-        assert_eq!(c.delta_sq(), 16);
-        assert_eq!(c.neighbor_idents(), &[7, 9, 11]);
+        assert_eq!(c.delta_sq(), 9);
+        assert_eq!(c.neighbor_idents(), &t.idents()[1..]);
     }
 
     #[test]
     fn debug_shows_neighbors_not_tables() {
-        let s = format!("{:?}", ctx());
-        assert!(s.contains("neighbor_idents: [7, 9, 11]"), "{s}");
+        let t = hub_tables();
+        let s = format!("{:?}", t.ctx(0, 0));
+        let row = format!("neighbor_idents: {:?}", &t.idents()[1..]);
+        assert!(s.contains(&row), "{s}");
     }
 }

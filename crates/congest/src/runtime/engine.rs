@@ -2,18 +2,21 @@
 //!
 //! The CONGEST model is a single abstraction — synchronous rounds,
 //! bounded-bandwidth edges — and this module implements it exactly once.
-//! [`drive`] owns everything the runtimes used to triplicate: active-set
-//! scheduling (the wake frontier, `Wake::At` heap, sticky termination
-//! votes), the drop plane, sync-period batching, metrics accounting, and
-//! structured [`SimError`] construction. [`run_range`] builds the world
-//! it runs on. What *varies* between runtimes — how a shard's staged
+//! [`run_range`] owns everything the runtimes used to triplicate:
+//! active-set scheduling (the wake frontier, `Wake::At` heap, sticky
+//! termination votes), the drop plane, sync-period batching, metrics
+//! accounting, and structured [`SimError`] construction. It builds the
+//! RNG streams and initial states of the one node range it steps, and
+//! nothing else: every engine's world is the union of its shards'
+//! ranges. What *varies* between runtimes — how a shard's staged
 //! messages and votes reach the other shards — is abstracted behind the
 //! [`Transport`] trait.
 //!
 //! # The `Transport` contract
 //!
-//! A transport connects one shard (a contiguous node range
-//! `[start, start + local_n)`) to its peers through two operations:
+//! A transport connects one shard (the contiguous node range
+//! [`super::shard_range`] assigns it) to its peers through two
+//! operations:
 //!
 //! * [`Transport::stage`] — queue one message for a node another shard
 //!   owns. Called only between barriers; a single-shard transport is
@@ -54,18 +57,18 @@
 //! other way to end a run exists.
 
 use super::barrier::SpinBarrier;
-use super::{node_rng, RunResult, SimError};
+use super::{node_rng, shard_of, RunResult, SimError};
 use crate::faults::FaultPlane;
 use crate::{
-    Inbox, Message, Metrics, NetTables, NodeCtx, NodeRng, Outbox, Port, Protocol, Scheduling,
-    SimConfig, Status, Wake,
+    Inbox, Message, Metrics, NetTables, NodeRng, Outbox, Port, Protocol, Scheduling, SimConfig,
+    Status, Wake,
 };
 use graphs::Graph;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// The control word exchanged at every communication-round barrier.
 ///
@@ -122,79 +125,6 @@ impl<M> Transport<M> for LocalTransport {
     }
 }
 
-/// One shard's slice of the deterministic world, indexed so that local
-/// node `i` is global node `start + i`. The caller builds (and keeps) the
-/// slices — [`run_range`] passes sub-slices of full-length vectors.
-pub(crate) struct ShardWorld<'a, P: Protocol> {
-    /// Global index of local node 0.
-    pub start: usize,
-    /// Contexts of the owned nodes (global `index`/`ident` preserved).
-    pub ctxs: &'a mut [NodeCtx],
-    /// States of the owned nodes.
-    pub states: &'a mut [P::State],
-    /// RNG streams of the owned nodes.
-    pub rngs: &'a mut [NodeRng],
-}
-
-/// Derives the per-node `(rng, state)` world for the contexts of one
-/// shard, where `ctxs[i]` is global node `start + i`. RNG streams depend
-/// only on `(seed, global index)`, so shards of any partition build the
-/// same world rows.
-pub(crate) fn init_nodes<P: Protocol>(
-    protocol: &P,
-    config: &SimConfig,
-    ctxs: &[NodeCtx],
-    start: usize,
-) -> (Vec<NodeRng>, Vec<P::State>) {
-    let mut rngs: Vec<NodeRng> = (0..ctxs.len())
-        .map(|i| node_rng(config.rng_seed(), (start + i) as u32))
-        .collect();
-    let states = ctxs
-        .iter()
-        .zip(rngs.iter_mut())
-        .map(|(c, r)| protocol.init(c, r))
-        .collect();
-    (rngs, states)
-}
-
-/// Builds the whole deterministic world — contexts, RNG streams, initial
-/// states — and drives the nodes in `range` through
-/// `transport`. States outside `range` stay at their init values. The
-/// sequential engine passes `0..n`; a netplane shard passes its own
-/// slice.
-///
-/// # Panics
-///
-/// Panics if `net` was not built for `graph` (node or edge count
-/// mismatch — proceeding would mis-route messages and return silently
-/// wrong results), and on the protocol bugs [`drive`] rejects.
-pub(crate) fn run_range<P: Protocol, T: Transport<P::Msg>>(
-    graph: &Graph,
-    protocol: &P,
-    config: &SimConfig,
-    net: &Arc<NetTables>,
-    range: Range<usize>,
-    transport: &mut T,
-) -> Result<RunResult<P::State>, SimError> {
-    assert!(net.matches(graph), "NetTables built for a different graph");
-    let mut ctxs = net.contexts();
-    let (mut rngs, mut states) = init_nodes(protocol, config, &ctxs, 0);
-    let metrics = drive(
-        graph,
-        protocol,
-        config,
-        net,
-        ShardWorld {
-            start: range.start,
-            ctxs: &mut ctxs[range.clone()],
-            states: &mut states[range.clone()],
-            rngs: &mut rngs[range],
-        },
-        transport,
-    )?;
-    Ok(RunResult { states, metrics })
-}
-
 /// How one round's step set is traversed under active-set scheduling.
 enum Sweep {
     /// Step every local node (the always-step reference).
@@ -217,39 +147,52 @@ fn wake(stamp: &mut [u64], queue: &mut Vec<u32>, i: usize, t: u64) {
     }
 }
 
-/// Runs `protocol` on this shard's slice of `graph` to global
-/// termination, synchronizing through `transport` once per communication
-/// round. Builds the run's drop plane from `config.faults` — a pure
-/// function of `(config, salt)`, so every shard holds the identical
-/// trace. Returns the shard's **local** metrics (`rounds` set to the
-/// global count, `bandwidth_bits` to the budget); the caller merges
-/// across shards. Errors are constructed from globally-merged flags, so
-/// every shard returns the identical [`SimError`]. An empty graph has no
-/// round 0 to terminate at: it returns zero-round metrics at once.
+/// Builds the RNG streams and initial states of the nodes in `range`
+/// and runs them to global termination, synchronizing through
+/// `transport` once per communication round. Returns the states of
+/// `range` alone (`states[i]` is global node `range.start + i`) and the
+/// shard's **local** metrics (`rounds` set to the global count,
+/// `bandwidth_bits` to the budget); the caller merges across shards. The
+/// sequential engine passes `0..n`; each parallel worker and each
+/// netplane shard passes its own slice ([`super::shard_range`]).
+///
+/// RNG streams depend only on `(seed, global index)` and contexts are
+/// views of `net`, so shards of any partition build the same rows. The
+/// run's drop plane is a pure function of `(config, salt)`, so every
+/// shard holds the identical trace. Errors are constructed from
+/// globally-merged flags, so every shard returns the identical
+/// [`SimError`]. An empty graph has no round 0 to terminate at: it
+/// returns zero-round metrics at once.
 ///
 /// # Panics
 ///
-/// Panics if the protocol stages a message in a round its declared
-/// [`Protocol::sync_period`] marks silent — a protocol bug, like a
-/// duplicate send on a port.
+/// Panics if `net` was not built for `graph` (node or edge count
+/// mismatch — proceeding would mis-route messages and return silently
+/// wrong results), and if the protocol stages a message in a round its
+/// declared [`Protocol::sync_period`] marks silent — a protocol bug, like
+/// a duplicate send on a port.
 #[allow(clippy::too_many_lines)]
-pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
+pub(crate) fn run_range<P: Protocol, T: Transport<P::Msg>>(
     graph: &Graph,
     protocol: &P,
     config: &SimConfig,
     net: &NetTables,
-    world: ShardWorld<'_, P>,
+    range: Range<usize>,
     transport: &mut T,
-) -> Result<Metrics, SimError> {
+) -> Result<RunResult<P::State>, SimError> {
+    assert!(net.matches(graph), "NetTables built for a different graph");
     let n = graph.n();
-    let ShardWorld {
-        start,
-        ctxs,
-        states,
-        rngs,
-    } = world;
-    let local_n = ctxs.len();
-    let local = start..start + local_n;
+    let start = range.start;
+    let local_n = range.len();
+    let mut rngs: Vec<NodeRng> = range
+        .clone()
+        .map(|v| node_rng(config.rng_seed(), v as u32))
+        .collect();
+    let mut states: Vec<P::State> = range
+        .clone()
+        .zip(rngs.iter_mut())
+        .map(|(v, rng)| protocol.init(&net.ctx(v as u32, 0), rng))
+        .collect();
     let period = protocol.sync_period().max(1);
     // A protocol declaring `sync_period` `p` may pack `p` rounds' worth
     // of per-edge bandwidth into each communication-round message.
@@ -259,7 +202,7 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
         ..Metrics::default()
     };
     if n == 0 {
-        return Ok(metrics);
+        return Ok(RunResult { states, metrics });
     }
     let plane = config
         .faults
@@ -365,11 +308,11 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
                 }
             };
             let v = start + i;
-            ctxs[i].round = round;
+            let ctx = net.ctx(v as u32, round);
             cur[i].finalize();
-            out.reset(graph.degree(v as u32));
+            out.reset(ctx.degree());
             metrics.stepped_nodes += 1;
-            let status = protocol.round(&mut states[i], &ctxs[i], &mut rngs[i], &cur[i], &mut out);
+            let status = protocol.round(&mut states[i], &ctx, &mut rngs[i], &cur[i], &mut out);
             cur[i].clear();
             if comm && status != sticky[i] {
                 match status {
@@ -380,7 +323,7 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
                 progressed = true;
             }
             if active {
-                match protocol.next_wake(&states[i], &ctxs[i], status) {
+                match protocol.next_wake(&states[i], &ctx, status) {
                     // Re-parking to the pending target keeps its entry.
                     Wake::At(t) if t > round + 1 => {
                         if heap_round[i] != t {
@@ -411,7 +354,7 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
                 }
                 let dest = graph.neighbors(v as u32)[port as usize] as usize;
                 let arrival = net.reverse_ports_of(v as u32)[port as usize];
-                if local.contains(&dest) {
+                if range.contains(&dest) {
                     let li = dest - start;
                     next[li].push(arrival, msg);
                     if active {
@@ -459,7 +402,7 @@ pub(crate) fn drive<P: Protocol, T: Transport<P::Msg>>(
             next_frontier.clear();
         }
         if merged.running == 0 {
-            return Ok(metrics);
+            return Ok(RunResult { states, metrics });
         }
         live_nodes = merged.running;
         if merged.progressed {
@@ -522,7 +465,8 @@ impl<M> MailCell<M> {
 pub(crate) struct MailboxTransport<'a, M> {
     shard: usize,
     threads: usize,
-    chunk: usize,
+    /// Node count: with `threads`, fixes which shard owns a destination.
+    n: usize,
     /// Completed synchronizations; drives the cell parity and slot
     /// rotation. Equals the round number while `sync_period == 1`.
     sync: u64,
@@ -538,7 +482,7 @@ impl<'a, M> MailboxTransport<'a, M> {
     pub(crate) fn new(
         shard: usize,
         threads: usize,
-        chunk: usize,
+        n: usize,
         mailboxes: &'a [Vec<MailCell<M>>],
         barrier: &'a SpinBarrier,
         flags: &'a SharedFlags,
@@ -546,7 +490,7 @@ impl<'a, M> MailboxTransport<'a, M> {
         MailboxTransport {
             shard,
             threads,
-            chunk,
+            n,
             sync: 0,
             out_bufs: (0..threads).map(|_| Vec::new()).collect(),
             mailboxes,
@@ -558,7 +502,7 @@ impl<'a, M> MailboxTransport<'a, M> {
 
 impl<M> Transport<M> for MailboxTransport<'_, M> {
     fn stage(&mut self, dest: u32, port: Port, msg: M) {
-        let ds = (dest as usize / self.chunk).min(self.threads - 1);
+        let ds = shard_of(self.n, self.threads, dest as usize);
         debug_assert_ne!(ds, self.shard, "local delivery routed through stage");
         self.out_bufs[ds].push((dest, port, msg));
     }

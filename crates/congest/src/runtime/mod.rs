@@ -93,12 +93,21 @@
 //! the transport synchronizes) only at those communication rounds,
 //! cutting barrier traffic by `p×` while remaining bit-identical.
 //!
-//! # Per-network tables
+//! # Per-network tables and shard-local worlds
 //!
-//! Context construction is backed by [`NetTables`], a
-//! CSR-layout identifier/reverse-port table built once per
-//! `(graph, config)`. Multi-phase drivers build the tables once and pass
-//! them to [`run_with`]; [`run`] builds them on the fly.
+//! What a node knows a priori lives in [`NetTables`], a CSR-layout
+//! identifier/reverse-port table built once per `(graph, config)`; a
+//! node's [`NodeCtx`](crate::NodeCtx) is a view of its row built for each
+//! `init` and each step. Multi-phase drivers build the tables once and
+//! pass them to [`run_with`]; [`run`] builds them on the fly.
+//!
+//! Everything else is shard-local: every engine runs the shared core on
+//! the node ranges [`shard_range`] assigns, and each shard builds the RNG
+//! streams and initial states of its own range and returns only those
+//! states. The sequential engine is the one shard `0..n`; the parallel
+//! engine concatenates its workers' states in shard order; a netplane
+//! shard hands its own rows to
+//! [`NetPlane::sync_rows`](crate::netplane::NetPlane::sync_rows).
 
 mod barrier;
 pub(crate) mod engine;
@@ -110,12 +119,14 @@ use graphs::Graph;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
-use std::sync::Arc;
+use std::ops::Range;
 
 /// Result of a completed run: final per-node states plus metrics.
 #[derive(Debug)]
 pub struct RunResult<S> {
-    /// Final protocol state of each node, indexed by node index.
+    /// Final protocol state of each node the run stepped, in index
+    /// order: all `n` from [`run`] and [`run_with`], the shard's own
+    /// range from [`NetPlane::execute_with`](crate::netplane::NetPlane::execute_with).
     pub states: Vec<S>,
     /// Aggregated measurements.
     pub metrics: Metrics,
@@ -215,12 +226,28 @@ pub fn run_with<P: Protocol>(
     graph: &Graph,
     protocol: &P,
     config: &SimConfig,
-    net: &Arc<NetTables>,
+    net: &NetTables,
 ) -> Result<RunResult<P::State>, SimError> {
     match config.runtime.resolve(graph) {
         RuntimeMode::Parallel(t) => parallel::execute(t, graph, protocol, config, net),
         _ => sequential::execute(graph, protocol, config, net),
     }
+}
+
+/// The node range shard `shard` of `n_shards` owns on an `n`-node graph:
+/// contiguous `⌈n/k⌉`-sized chunks, the last one ragged (trailing shards
+/// may be empty). The one ownership rule of both sharded transports, the
+/// parallel mailbox and the netplane.
+#[must_use]
+pub fn shard_range(n: usize, n_shards: usize, shard: usize) -> Range<usize> {
+    let chunk = n.div_ceil(n_shards.max(1));
+    let lo = (shard * chunk).min(n);
+    lo..(lo + chunk).min(n)
+}
+
+/// Which shard of `n_shards` owns node `v` under [`shard_range`].
+pub(crate) fn shard_of(n: usize, n_shards: usize, v: usize) -> usize {
+    v / n.div_ceil(n_shards.max(1))
 }
 
 /// Derives the private RNG stream of node `index` for run seed `seed`.
@@ -243,18 +270,34 @@ mod tests {
     #[test]
     fn contexts_have_unique_idents_and_correct_ports() {
         let g = gen::cycle(6);
-        let cfg = SimConfig::default();
-        let ctxs = NetTables::build(&g, &cfg).contexts();
-        let mut ids: Vec<u64> = ctxs.iter().map(|c| c.ident).collect();
+        let net = NetTables::build(&g, &SimConfig::default());
+        let mut ids: Vec<u64> = (0..6).map(|v| net.ctx(v, 0).ident).collect();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 6, "identifiers must be unique");
-        for (v, c) in ctxs.iter().enumerate() {
+        for v in 0..6 {
+            let c = net.ctx(v, 0);
             assert_eq!(c.degree(), 2);
             for (p, &nid) in c.neighbor_idents().iter().enumerate() {
-                let u = g.neighbors(v as u32)[p];
-                assert_eq!(ctxs[u as usize].ident, nid);
+                let u = g.neighbors(v)[p];
+                assert_eq!(net.ctx(u, 0).ident, nid);
             }
+        }
+    }
+
+    #[test]
+    fn shard_ranges_partition() {
+        for (n, k) in [(10, 2), (10, 3), (7, 4), (1, 4), (100, 1)] {
+            let mut covered = 0;
+            for s in 0..k {
+                let range = shard_range(n, k, s);
+                assert_eq!(range.start, covered);
+                covered = range.end;
+                for v in range {
+                    assert_eq!(shard_of(n, k, v), s);
+                }
+            }
+            assert_eq!(covered, n);
         }
     }
 

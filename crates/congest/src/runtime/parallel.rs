@@ -1,11 +1,15 @@
 //! Single-barrier batched-transport parallel engine, selected by
 //! [`RuntimeMode::Parallel`](crate::RuntimeMode::Parallel).
 //!
-//! Nodes are sharded over worker threads; each worker runs the shared
-//! round-loop core (see the [module docs](super)) over its shard through
-//! the in-process mailbox transport (`engine::MailboxTransport`) this
-//! module's docs specify. Within a round, each worker steps its own
-//! nodes; messages crossing shard boundaries are accumulated in
+//! Nodes are sharded over worker threads by [`super::shard_range`]; each
+//! worker runs the shared round-loop core (see the [module docs](super))
+//! over its shard through the in-process mailbox transport
+//! (`engine::MailboxTransport`) this module's docs specify. A worker
+//! builds the RNG streams and initial states of its own shard alone and
+//! returns its final states and local metrics through its join handle;
+//! the engine concatenates the states in shard order and merges the
+//! metrics. Within a round, each worker steps its own nodes; messages
+//! crossing shard boundaries are accumulated in
 //! per-(source-shard → destination-shard) batch buffers exchanged
 //! wholesale at a round barrier — zero per-message channel sends or
 //! allocations on the cross-shard path.
@@ -82,22 +86,22 @@
 //! the differential harness and the transport property tests).
 
 use super::barrier::SpinBarrier;
-use super::engine::{self, MailCell, MailboxTransport, ShardWorld, SharedFlags};
-use super::{RunResult, SimError};
-use crate::{Metrics, NetTables, NodeCtx, Protocol, SimConfig};
+use super::engine::{self, MailCell, MailboxTransport, SharedFlags};
+use super::{shard_range, RunResult, SimError};
+use crate::{Metrics, NetTables, Protocol, SimConfig};
 use graphs::Graph;
-use std::sync::{Arc, Mutex};
 
 /// Runs `protocol` on `threads` worker threads (0 = available
-/// parallelism), each stepping one contiguous shard of the nodes.
+/// parallelism), each building and stepping one contiguous shard of the
+/// nodes ([`shard_range`]) and handing back that shard's states and local
+/// metrics through its join handle.
 pub(super) fn execute<P: Protocol>(
     threads: usize,
     graph: &Graph,
     protocol: &P,
     config: &SimConfig,
-    net: &Arc<NetTables>,
+    net: &NetTables,
 ) -> Result<RunResult<P::State>, SimError> {
-    assert!(net.matches(graph), "NetTables built for a different graph");
     let n = graph.n();
     let threads = if threads == 0 {
         std::thread::available_parallelism().map_or(4, usize::from)
@@ -105,9 +109,6 @@ pub(super) fn execute<P: Protocol>(
         threads
     };
     let t = threads.min(n).max(1);
-    let chunk = n.div_ceil(t).max(1);
-
-    let mut ctxs = net.contexts();
 
     // The t×t transport matrix: `mailboxes[src][dst]` carries batches
     // from shard `src` to shard `dst`, parity-double-buffered per sync
@@ -119,85 +120,50 @@ pub(super) fn execute<P: Protocol>(
     let barrier = SpinBarrier::new(t);
     let flags = SharedFlags::default();
 
-    // The core derives the round-limit error from the barrier-merged
-    // flags, so all shards return the identical error.
-    let first_error: Mutex<Option<SimError>> = Mutex::new(None);
-    let global_metrics: Mutex<Metrics> = Mutex::new(Metrics::default());
-    let out_states: Mutex<Vec<(usize, Vec<P::State>)>> = Mutex::new(Vec::new());
-
-    // Disjoint mutable context slices, one per shard.
-    let mut ctx_chunks: Vec<&mut [NodeCtx]> = ctxs.chunks_mut(chunk).collect();
-    while ctx_chunks.len() < t {
-        ctx_chunks.push(&mut []);
-    }
-
-    std::thread::scope(|scope| {
-        for (shard, ctx_slice) in ctx_chunks.into_iter().enumerate() {
-            let start = shard * chunk;
-            let mailboxes = &mailboxes;
-            let barrier = &barrier;
-            let flags = &flags;
-            let first_error = &first_error;
-            let global_metrics = &global_metrics;
-            let out_states = &out_states;
-            let net = &net;
-            scope.spawn(move || {
-                // Poison the barrier if this worker unwinds (protocol
-                // bug) so peers panic instead of spinning forever.
-                let _poison = barrier.poison_guard();
-                let (mut rngs, mut states) = engine::init_nodes(protocol, config, ctx_slice, start);
-                let mut transport =
-                    MailboxTransport::new(shard, t, chunk, mailboxes, barrier, flags);
-                match engine::drive(
-                    graph,
-                    protocol,
-                    config,
-                    net,
-                    ShardWorld {
-                        start,
-                        ctxs: ctx_slice,
-                        states: &mut states,
-                        rngs: &mut rngs,
-                    },
-                    &mut transport,
-                ) {
-                    Ok(mut metrics) => {
-                        // Only shard 0 reports the round count
-                        // (identical everywhere).
-                        if shard != 0 {
-                            metrics.rounds = 0;
-                        }
-                        global_metrics
-                            .lock()
-                            .expect("no poisoned lock")
-                            .absorb(&metrics);
-                        out_states
-                            .lock()
-                            .expect("no poisoned lock")
-                            .push((start, states));
-                    }
-                    Err(e) => {
-                        // Every shard computes the identical error from
-                        // the merged flags: keep the first, and hold the
-                        // others to it.
-                        let mut g = first_error.lock().expect("no poisoned lock");
-                        match &*g {
-                            Some(first) => assert_eq!(*first, e, "shards disagree on the error"),
-                            None => *g = Some(e),
-                        }
-                    }
-                }
-            });
-        }
+    let results: Vec<Result<RunResult<P::State>, SimError>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..t)
+            .map(|shard| {
+                let (mailboxes, barrier, flags) = (&mailboxes, &barrier, &flags);
+                scope.spawn(move || {
+                    // Poison the barrier if this worker unwinds (protocol
+                    // bug) so peers panic instead of spinning forever.
+                    let _poison = barrier.poison_guard();
+                    let mut transport =
+                        MailboxTransport::new(shard, t, n, mailboxes, barrier, flags);
+                    let range = shard_range(n, t, shard);
+                    engine::run_range(graph, protocol, config, net, range, &mut transport)
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
 
-    if let Some(err) = first_error.into_inner().expect("no poisoned lock") {
-        return Err(err);
+    // Every shard derives termination and the round-limit error from the
+    // same merged flags: either all succeed or all return one error.
+    if let Some(err) = results.iter().find_map(|r| r.as_ref().err()) {
+        assert!(
+            results.iter().all(|r| r.as_ref().err() == Some(err)),
+            "shards disagree on the outcome"
+        );
+        return Err(err.clone());
     }
-    let mut shards = out_states.into_inner().expect("no poisoned lock");
-    shards.sort_by_key(|&(s, _)| s);
-    let states: Vec<P::State> = shards.into_iter().flat_map(|(_, v)| v).collect();
-    let metrics = global_metrics.into_inner().expect("no poisoned lock");
+    let mut states = Vec::with_capacity(n);
+    let mut metrics = Metrics::default();
+    for (shard, result) in results.into_iter().enumerate() {
+        let RunResult {
+            states: mine,
+            metrics: mut local,
+        } = result?;
+        // Only shard 0 reports the round count (identical everywhere).
+        if shard != 0 {
+            local.rounds = 0;
+        }
+        metrics.absorb(&local);
+        states.extend(mine);
+    }
     Ok(RunResult { states, metrics })
 }
 

@@ -11,14 +11,14 @@ use super::engine::{self, LocalTransport};
 use super::{RunResult, SimError};
 use crate::{NetTables, Protocol, SimConfig};
 use graphs::Graph;
-use std::sync::Arc;
 
-/// Runs `protocol` over every node of `graph` on the calling thread.
+/// Runs `protocol` over every node of `graph` on the calling thread: the
+/// one shard `0..n`.
 pub(super) fn execute<P: Protocol>(
     graph: &Graph,
     protocol: &P,
     config: &SimConfig,
-    net: &Arc<NetTables>,
+    net: &NetTables,
 ) -> Result<RunResult<P::State>, SimError> {
     engine::run_range(
         graph,

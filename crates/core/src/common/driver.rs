@@ -9,7 +9,6 @@
 use congest::netplane::{NetPlane, Wire};
 use congest::{Metrics, NetTables, Protocol, RunResult, SimConfig, SimError};
 use graphs::Graph;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Metrics of one named pipeline phase.
@@ -56,14 +55,14 @@ impl ColoringOutcome {
 /// while node identifiers stay fixed across the whole pipeline.
 ///
 /// The driver builds the per-network [`NetTables`] (CSR neighbor-identifier
-/// and reverse-port tables) **once** at construction and shares them across
-/// every phase — multi-phase pipelines no longer pay a per-phase context
-/// rebuild with one `Vec` per node.
+/// and reverse-port tables) **once** at construction and hands them to
+/// every phase, whose engines build each node's context as a view of its
+/// row.
 #[derive(Debug)]
 pub struct Driver<'g> {
     graph: &'g Graph,
     config: SimConfig,
-    net: Arc<NetTables>,
+    net: NetTables,
     /// The socket mesh phases run over; `None` runs them in-process.
     mesh: Option<&'g mut NetPlane>,
     phase_counter: u64,
@@ -90,8 +89,8 @@ impl<'g> Driver<'g> {
     }
 
     /// Runs every phase over `plane`'s socket mesh, bit-identically to
-    /// the sequential engine: each shard steps only its own nodes, and
-    /// [`Driver::run_phase`] fills in the other shards' rows.
+    /// the sequential engine: each shard builds and steps only its own
+    /// nodes, and [`Driver::run_phase`] assembles every shard's rows.
     #[must_use]
     pub fn on_mesh(mut self, plane: &'g mut NetPlane) -> Self {
         self.mesh = Some(plane);
@@ -118,10 +117,10 @@ impl<'g> Driver<'g> {
     }
 
     /// Runs one phase to completion and returns one row per node: `row`
-    /// applied to the node's final state. On a mesh each shard steps only
-    /// its own nodes, so the other shards' rows are filled in from their
-    /// owners before returning; every shard gets the rows the sequential
-    /// engine would return.
+    /// applied to the node's final state. On a mesh each shard gets back
+    /// only its own nodes' states, so their rows are assembled with every
+    /// other shard's ([`NetPlane::sync_rows`]) before returning; every
+    /// shard gets the rows the sequential engine would return.
     ///
     /// # Errors
     ///
@@ -156,11 +155,11 @@ impl<'g> Driver<'g> {
             metrics,
             wall_ms,
         });
-        let mut rows: Vec<T> = states.into_iter().map(row).collect();
-        if let Some(plane) = self.mesh.as_deref_mut() {
-            plane.sync_rows(&mut rows);
-        }
-        Ok(rows)
+        let rows: Vec<T> = states.into_iter().map(row).collect();
+        Ok(match self.mesh.as_deref_mut() {
+            Some(plane) => plane.sync_rows(self.graph.n(), rows),
+            None => rows,
+        })
     }
 
     /// Metrics accumulated so far.

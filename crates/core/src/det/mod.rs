@@ -84,14 +84,7 @@ impl Scope {
     /// neighbors; the driver precomputes the table they would hold.
     #[must_use]
     pub fn nbr_parts(&self, g: &graphs::Graph) -> NbrParts {
-        let mut offsets = Vec::with_capacity(g.n() + 1);
-        offsets.push(0u32);
-        let mut flat = Vec::with_capacity(2 * g.m());
-        for v in 0..g.n() as u32 {
-            flat.extend(g.neighbors(v).iter().map(|&u| self.part[u as usize]));
-            offsets.push(flat.len() as u32);
-        }
-        NbrParts { offsets, flat }
+        NbrParts::new(g, &self.part)
     }
 
     /// Whether every node is in the same part — the common unscoped case
@@ -114,6 +107,20 @@ pub struct NbrParts {
 }
 
 impl NbrParts {
+    /// The table of `g` under the partition `part` (one entry per node):
+    /// row `v` holds `part[u]` for each neighbor `u` of `v`, by port.
+    #[must_use]
+    pub fn new(g: &graphs::Graph, part: &[u32]) -> Self {
+        let mut offsets = Vec::with_capacity(g.n() + 1);
+        offsets.push(0u32);
+        let mut flat = Vec::with_capacity(2 * g.m());
+        for v in 0..g.n() as u32 {
+            flat.extend(g.neighbors(v).iter().map(|&u| part[u as usize]));
+            offsets.push(flat.len() as u32);
+        }
+        NbrParts { offsets, flat }
+    }
+
     /// The parts of `v`'s neighbors, by port.
     #[must_use]
     pub fn row(&self, v: usize) -> &[u32] {

@@ -24,6 +24,7 @@
 //! decomposition black box \[28\] → [`decomp::oracle`] with its round cost
 //! charged analytically.
 
+use super::NbrParts;
 use crate::{Driver, Params};
 use congest::netplane::{Reader, Wire, WireError};
 use congest::{
@@ -175,7 +176,7 @@ pub struct DerandState {
 /// The derandomized splitting protocol (Theorem 3.2).
 #[derive(Debug)]
 pub struct DerandSplit {
-    nbr_parts: Vec<Vec<u32>>,
+    nbr_parts: NbrParts,
     /// Round at which each node fixes its coin (3-round slots; `round =
     /// 3·slot`), precomputed from the decomposition: same-color clusters
     /// in parallel, ident order within a cluster.
@@ -192,12 +193,10 @@ impl DerandSplit {
         g: &Graph,
         decomposition: &decomp::Decomposition,
         idents: &[u64],
-        part: Vec<u32>,
+        part: &[u32],
         lambda: f64,
     ) -> Self {
-        let nbr_parts: Vec<Vec<u32>> = (0..g.n() as u32)
-            .map(|v| g.neighbors(v).iter().map(|&u| part[u as usize]).collect())
-            .collect();
+        let nbr_parts = NbrParts::new(g, part);
         // Schedule: iterate decomposition colors; all clusters of a color
         // run concurrently; members of a cluster go in ident order.
         let members = decomposition.members();
@@ -218,7 +217,6 @@ impl DerandSplit {
             }
             offset += longest;
         }
-        let _ = part;
         DerandSplit {
             nbr_parts,
             fix_slot,
@@ -240,9 +238,9 @@ impl Protocol for DerandSplit {
 
     fn init(&self, ctx: &NodeCtx, _rng: &mut NodeRng) -> DerandState {
         let v = ctx.index as usize;
-        // One tracker per part with ≥ threshold neighbors of that part.
+        // One tracker per part with ≥ 2 neighbors of that part.
         let mut counts: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
-        for &p in &self.nbr_parts[v] {
+        for &p in self.nbr_parts.row(v) {
             *counts.entry(p).or_insert(0) += 1;
         }
         let mut trackers: Vec<(u32, TailEstimator, u64, u64)> = counts
@@ -272,7 +270,7 @@ impl Protocol for DerandSplit {
         // next slot's sub-round 0: fold them in whenever they appear.
         for &(p, ref m) in inbox.iter() {
             if let SplitMsg::Side(s) = *m {
-                let fixer_part = self.nbr_parts[v][p as usize];
+                let fixer_part = self.nbr_parts.row(v)[p as usize];
                 for t in &mut st.trackers {
                     if t.0 == fixer_part {
                         t.2 += 1;
@@ -297,7 +295,7 @@ impl Protocol for DerandSplit {
                 // for the fixer's part.
                 for &(p, ref m) in inbox.iter() {
                     if let SplitMsg::Turn = m {
-                        let fixer_part = self.nbr_parts[v][p as usize];
+                        let fixer_part = self.nbr_parts.row(v)[p as usize];
                         let (mut if_red, mut if_blue) = (0.0, 0.0);
                         for &(tp, est, fixed, red) in &st.trackers {
                             if tp == fixer_part {
@@ -427,7 +425,7 @@ pub fn recursive_split(
             SplitMode::Deterministic => {
                 let decomposition = decomp::oracle::decompose_power(g, 2, None);
                 charged += decomp::oracle::charged_rounds(n, 2);
-                let proto = DerandSplit::new(g, &decomposition, &idents, part.clone(), lambda);
+                let proto = DerandSplit::new(g, &decomposition, &idents, &part, lambda);
                 driver.run_phase(format!("derand-split(level={level})"), &proto, |s| s.side)?
             }
         };
@@ -477,7 +475,7 @@ mod tests {
         let part = vec![0u32; g.n()];
         let lambda = 0.45;
         let threshold = 8;
-        let proto = DerandSplit::new(&g, &decomposition, &idents, part.clone(), lambda);
+        let proto = DerandSplit::new(&g, &decomposition, &idents, &part, lambda);
         let res = congest::run(&g, &proto, &cfg).unwrap();
         let result = SplitResult {
             sides: res.states.iter().map(|s| s.side).collect(),
@@ -506,7 +504,7 @@ mod tests {
         let idents = congest::NetTables::build(&g, &cfg).idents().to_vec();
         let d = decomp::oracle::decompose_power(&g, 2, None);
         let part = vec![0u32; g.n()];
-        let proto = DerandSplit::new(&g, &d, &idents, part.clone(), 0.5);
+        let proto = DerandSplit::new(&g, &d, &idents, &part, 0.5);
         let res = congest::run(&g, &proto, &cfg).unwrap();
         let result = SplitResult {
             sides: res.states.iter().map(|s| s.side).collect(),

@@ -5,7 +5,8 @@
 //! [`Driver::on_mesh`] driver. Every shard must end with the sequential
 //! run's result.
 
-use congest::netplane::{membership, shard_range, Coordinator, NetConfig, NetPlane};
+use congest::netplane::{membership, Coordinator, NetConfig, NetPlane};
+use congest::runtime::shard_range;
 use congest::{Inbox, Metrics, NodeCtx, NodeRng, Outbox, Protocol, SimConfig, Status};
 use d2core::det::splitting::{recursive_split, SplitMode};
 use d2core::det::{small, Scope};
@@ -164,8 +165,7 @@ fn mesh_phases_step_each_range_on_its_owner() {
     });
     assert_eq!(shards[0], shards[1], "the shards got back different rows");
     let stepper = |owner| {
-        let (lo, hi) = shard_range(g.n(), 2, owner);
-        let rows = &shards[0][lo..hi];
+        let rows = &shards[0][shard_range(g.n(), 2, owner)];
         assert!(
             rows.iter().all(|&h| h == rows[0]),
             "shard {owner}: two steppers"

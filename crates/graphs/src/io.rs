@@ -105,11 +105,13 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Graph, ParseError> {
     Ok(b.build()?)
 }
 
-/// Parses DIMACS `p edge n m` format (1-based `e u v` lines).
+/// Parses DIMACS `p edge n m` format (1-based `e u v` lines, one `p`
+/// line before them).
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on malformed lines or structural problems.
+/// Returns [`ParseError`] on malformed lines (a repeated `p` line
+/// included) or structural problems.
 pub fn read_dimacs<R: BufRead>(reader: R) -> Result<Graph, ParseError> {
     let mut builder: Option<GraphBuilder> = None;
     for (i, line) in reader.lines().enumerate() {
@@ -119,6 +121,14 @@ pub fn read_dimacs<R: BufRead>(reader: R) -> Result<Graph, ParseError> {
         match it.next() {
             None | Some("c") => {}
             Some("p") => {
+                if builder.is_some() {
+                    // A second header would silently discard every edge
+                    // read so far.
+                    return Err(ParseError::Malformed {
+                        line: i + 1,
+                        reason: "repeated p-line".into(),
+                    });
+                }
                 let _fmt = it.next();
                 let n: u64 = it.next().and_then(|s| s.parse().ok()).ok_or_else(|| {
                     ParseError::Malformed {
@@ -239,6 +249,16 @@ mod tests {
     fn dimacs_rejects_edge_before_header() {
         let err = read_dimacs(std::io::Cursor::new("e 1 2\n")).unwrap_err();
         assert!(err.to_string().contains("before p-line"));
+    }
+
+    #[test]
+    fn dimacs_rejects_a_repeated_header() {
+        let text = "p edge 5 4\ne 1 2\ne 2 3\ne 3 4\ne 4 5\np edge 3 0\n";
+        let err = read_dimacs(std::io::Cursor::new(text)).unwrap_err();
+        assert!(
+            matches!(&err, ParseError::Malformed { line: 6, reason } if reason.contains("repeated p-line")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -21,10 +21,10 @@
 //!     RESULT → agree
 //! ```
 //!
-//! Every shard rebuilds the identical world from the spec — graphs are
-//! generated, never shipped — so the only bytes on the wire are round
-//! messages, barrier flags, the row syncs that end each phase, and each
-//! shard's final coloring.
+//! Every shard rebuilds the identical graph from the spec — graphs are
+//! generated, never shipped — and builds the states of its own nodes, so
+//! the only bytes on the wire are round messages, barrier flags, the row
+//! syncs that end each phase, and each shard's final coloring.
 //!
 //! # Supervision
 //!
@@ -38,8 +38,8 @@
 //! at once and names the shard. Under a seeded chaos schedule
 //! ([`congest::netplane::chaos`], [`run_supervised`]) one shard is killed
 //! mid-phase; the loop respawns that victim once with `--rejoin`, and
-//! the replacement rebuilds the seeded world, is replayed the survivors'
-//! whole history up to the live frontier, and finishes the run — with
+//! the replacement rebuilds its seeded shard of the world, is replayed
+//! the survivors' whole history up to the live frontier, and finishes the run — with
 //! the coloring and merged metrics still bit-identical to the sequential
 //! reference.
 
