@@ -17,12 +17,12 @@
 //! # Deadlines
 //!
 //! Every blocking call on this path — the coordinator's accepts, the
-//! shards' dials, every handshake read — runs under a [`NetConfig`]
-//! deadline. Dials retry with bounded exponential backoff
-//! ([`NetConfig::retry_backoff`] doubling per attempt, at most
-//! [`NetConfig::max_retries`] retries); a peer that never shows up
-//! surfaces as a structured [`NetError`] instead of hanging a CI job
-//! until its `timeout-minutes` cap.
+//! shards' dials, every handshake read — runs under a deadline. Accepts
+//! and reads wait at most [`NetConfig::read_timeout`]. Dials follow one
+//! fixed policy: at most 6 attempts of up to 5 s each, with a 25 ms
+//! backoff that doubles per retry. A peer that never shows up surfaces
+//! as a structured [`NetError`] instead of hanging a CI job until its
+//! `timeout-minutes` cap.
 //!
 //! # Reconnect
 //!
@@ -38,7 +38,7 @@
 //! have seen without the restart.
 
 use super::frame::{kind, read_frame, write_frame, Frame, FrameError};
-use super::wire::{Reader, Wire, WireError};
+use super::wire::Wire;
 use std::fmt;
 use std::io::{self, BufWriter, Write as _};
 use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -46,21 +46,14 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Deadlines and retry policy for every blocking call on the netplane:
-/// dials, accepts, handshake reads, and mesh barrier reads.
+/// Deadlines for the blocking calls on the netplane that wait on a peer:
+/// accepts, handshake reads, mesh barrier reads, and a survivor's wait
+/// for a rejoin. Dials follow one fixed policy (see `dial_retry`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetConfig {
-    /// Per-attempt TCP connect budget.
-    pub dial_timeout: Duration,
     /// Budget for one inbound frame (mesh barrier reads, handshake
     /// reads) and for an accept phase as a whole.
     pub read_timeout: Duration,
-    /// Base backoff between dial attempts; doubles per retry, capped at
-    /// one second.
-    pub retry_backoff: Duration,
-    /// Retries after the first dial attempt (so `max_retries + 1` dials
-    /// total) before [`NetError::DialTimeout`].
-    pub max_retries: u32,
     /// How long a survivor parks at a barrier waiting for a dead peer's
     /// replacement to dial back in. `None` disables recovery: a lost
     /// link is a structured [`NetError::PeerLost`]. `Some` also makes
@@ -71,10 +64,7 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            dial_timeout: Duration::from_secs(5),
             read_timeout: Duration::from_secs(30),
-            retry_backoff: Duration::from_millis(25),
-            max_retries: 5,
             rejoin_timeout: None,
         }
     }
@@ -91,7 +81,6 @@ impl NetConfig {
         NetConfig {
             read_timeout: Duration::from_secs(60),
             rejoin_timeout: Some(Duration::from_secs(60)),
-            ..NetConfig::default()
         }
     }
 
@@ -99,15 +88,6 @@ impl NetConfig {
     #[must_use]
     pub fn with_read_timeout(mut self, t: Duration) -> Self {
         self.read_timeout = t;
-        self
-    }
-
-    /// Returns the config with the dial retry policy replaced.
-    #[must_use]
-    pub fn with_dial(mut self, timeout: Duration, backoff: Duration, retries: u32) -> Self {
-        self.dial_timeout = timeout;
-        self.retry_backoff = backoff;
-        self.max_retries = retries;
         self
     }
 
@@ -127,7 +107,7 @@ pub enum NetError {
     DialTimeout {
         /// The address that never answered.
         addr: SocketAddr,
-        /// Connect attempts made (`1 + max_retries`).
+        /// Connect attempts made (`dial_retry` makes 6).
         attempts: u32,
         /// The last attempt's error.
         cause: String,
@@ -219,13 +199,24 @@ impl From<io::Error> for NetError {
 }
 
 /// Dials `addr` with a per-attempt timeout and bounded exponential
-/// backoff between attempts.
-pub(super) fn dial_retry(addr: SocketAddr, config: &NetConfig) -> Result<TcpStream, NetError> {
-    let attempts = config.max_retries + 1;
-    let mut backoff = config.retry_backoff;
+/// backoff between attempts: at most `MAX_RETRIES + 1` = 6 connects of
+/// up to 5 s each, sleeping 25 ms after the first failure and doubling
+/// the sleep after each further one (775 ms of backoff in all), before
+/// [`NetError::DialTimeout`].
+pub(super) fn dial_retry(addr: SocketAddr) -> Result<TcpStream, NetError> {
+    /// Per-attempt TCP connect budget.
+    const DIAL_TIMEOUT: Duration = Duration::from_secs(5);
+    /// Sleep after the first failed attempt; doubles per retry, capped
+    /// at one second.
+    const RETRY_BACKOFF: Duration = Duration::from_millis(25);
+    /// Retries after the first attempt.
+    const MAX_RETRIES: u32 = 5;
+
+    let attempts = MAX_RETRIES + 1;
+    let mut backoff = RETRY_BACKOFF;
     let mut last = String::new();
     for attempt in 0..attempts {
-        match TcpStream::connect_timeout(&addr, config.dial_timeout) {
+        match TcpStream::connect_timeout(&addr, DIAL_TIMEOUT) {
             Ok(stream) => {
                 stream.set_nodelay(true)?;
                 return Ok(stream);
@@ -299,16 +290,7 @@ pub struct Hello {
     pub listen_port: u16,
 }
 
-impl Wire for Hello {
-    fn put(&self, buf: &mut Vec<u8>) {
-        self.listen_port.put(buf);
-    }
-    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Hello {
-            listen_port: u16::take(r)?,
-        })
-    }
-}
+crate::wire_struct!(Hello { listen_port });
 
 /// Coordinator → shard: your index, the world size, and where everyone
 /// listens.
@@ -322,20 +304,11 @@ pub struct Assign {
     pub peers: Vec<(u32, u16)>,
 }
 
-impl Wire for Assign {
-    fn put(&self, buf: &mut Vec<u8>) {
-        self.shard.put(buf);
-        self.n_shards.put(buf);
-        self.peers.put(buf);
-    }
-    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Assign {
-            shard: u32::take(r)?,
-            n_shards: u32::take(r)?,
-            peers: Vec::take(r)?,
-        })
-    }
-}
+crate::wire_struct!(Assign {
+    shard,
+    n_shards,
+    peers
+});
 
 /// First frame on a freshly dialed mesh connection: who is calling. A
 /// [`kind::JOIN`] frame carries it when the mesh forms, a
@@ -346,16 +319,7 @@ pub struct Join {
     pub from: u32,
 }
 
-impl Wire for Join {
-    fn put(&self, buf: &mut Vec<u8>) {
-        self.from.put(buf);
-    }
-    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Join {
-            from: u32::take(r)?,
-        })
-    }
-}
+crate::wire_struct!(Join { from });
 
 /// Why [`Link::recv_deadline`] came back without a frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -671,7 +635,7 @@ pub struct Membership {
 pub fn join(coordinator: SocketAddr, config: &NetConfig) -> Result<Membership, NetError> {
     let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).map_err(NetError::from)?;
     let listen_port = listener.local_addr().map_err(NetError::from)?.port();
-    let mut control = dial_retry(coordinator, config)?;
+    let mut control = dial_retry(coordinator)?;
     write_frame(&mut control, kind::HELLO, &Hello { listen_port }.to_wire())?;
     control.flush().map_err(NetError::from)?;
     let assign: Assign = expect_payload(&mut control, kind::ASSIGN, config.read_timeout)?;
@@ -700,7 +664,7 @@ pub fn connect_mesh(membership: &Membership, config: &NetConfig) -> Result<Vec<L
         if peer >= me {
             continue;
         }
-        let mut stream = dial_retry(SocketAddr::from((Ipv4Addr::LOCALHOST, port)), config)?;
+        let mut stream = dial_retry(SocketAddr::from((Ipv4Addr::LOCALHOST, port)))?;
         write_frame(&mut stream, kind::JOIN, &Join { from: me }.to_wire())?;
         stream.flush().map_err(NetError::from)?;
         links[peer as usize] = Some(Link::new(peer, stream, retain)?);
@@ -854,8 +818,9 @@ mod tests {
         survivor.join().unwrap();
     }
 
-    /// A dial to a dead port fails with a structured error after the
-    /// configured number of attempts — bounded, not hanging.
+    /// A dial to a dead port fails with a structured error after six
+    /// attempts — bounded (the backoff sleeps add up to 775 ms), not
+    /// hanging.
     #[test]
     fn dial_retry_is_bounded_and_structured() {
         // Bind-then-drop to get a port nothing listens on.
@@ -863,15 +828,13 @@ mod tests {
             let l = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
             l.local_addr().unwrap().port()
         };
-        let config =
-            NetConfig::default().with_dial(Duration::from_millis(200), Duration::from_millis(1), 2);
         let addr = SocketAddr::from((Ipv4Addr::LOCALHOST, port));
-        match dial_retry(addr, &config) {
+        match dial_retry(addr) {
             Err(NetError::DialTimeout {
                 addr: a, attempts, ..
             }) => {
                 assert_eq!(a, addr);
-                assert_eq!(attempts, 3);
+                assert_eq!(attempts, 6);
             }
             other => panic!("expected DialTimeout, got {other:?}"),
         }

@@ -19,8 +19,11 @@
 //! Payloads are encoded by the hand-rolled [`Wire`] codec ([`wire`]):
 //! fixed-width little-endian integers, one-byte bools/tags, `f64` as
 //! IEEE-754 bits, length-prefixed sequences, and [`SmallIds`] batches by
-//! contents. There are no external serialization dependencies. Decoding
-//! is total — malformed bytes produce structured [`WireError`] /
+//! contents. Message enums and handshake structs are declared with
+//! [`wire_enum!`](crate::wire_enum) and [`wire_struct!`](crate::wire_struct),
+//! so each type's tag table and field order are written once, and they
+//! are its wire format. There are no external serialization dependencies.
+//! Decoding is total — malformed bytes produce structured [`WireError`] /
 //! [`FrameError`] values, never panics.
 //!
 //! # Barrier / flush contract

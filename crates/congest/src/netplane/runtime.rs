@@ -537,7 +537,7 @@ pub fn rejoin_mesh(
     config: NetConfig,
 ) -> Result<NetPlane, NetError> {
     let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).map_err(NetError::from)?;
-    let control = membership::dial_retry(coordinator, &config)?;
+    let control = membership::dial_retry(coordinator)?;
     let n_shards = peer_ports.len() as u32;
     let peers: Vec<(u32, u16)> = peer_ports
         .iter()
@@ -549,8 +549,7 @@ pub fn rejoin_mesh(
         if peer == shard {
             continue;
         }
-        let mut stream =
-            membership::dial_retry(SocketAddr::from((Ipv4Addr::LOCALHOST, port)), &config)?;
+        let mut stream = membership::dial_retry(SocketAddr::from((Ipv4Addr::LOCALHOST, port)))?;
         super::frame::write_frame(&mut stream, kind::REJOIN, &Join { from: shard }.to_wire())?;
         stream.flush().map_err(NetError::from)?;
         links.push(Link::new(peer, stream, config.rejoin_timeout.is_some())?);

@@ -14,8 +14,21 @@
 //!   prefix followed by the elements; a [`SmallIds`] batch re-enters the
 //!   inline representation on decode whenever it fits, so representation
 //!   is (as everywhere else) unobservable;
-//! * enums (implemented by protocol crates for their `Msg` types) are a
-//!   one-byte variant tag followed by the variant's fields.
+//! * enums are a one-byte variant tag followed by the variant's fields;
+//!   structs are their fields in declaration order.
+//!
+//! Enums and structs are *declared* once with [`wire_enum!`](crate::wire_enum)
+//! or [`wire_struct!`](crate::wire_struct), which emit `put` and `take`
+//! from one tag table and field list: the declaration is the wire format,
+//! a missing variant or field does not compile, and a repeated tag is an
+//! `unreachable_patterns` warning. Every protocol message enum, the
+//! membership handshake structs and [`Metrics`] are declared so. Still
+//! hand-written: the primitives and generic containers below, the
+//! netplane's `RoundEnvelope<M>` (generic over its payload, and it
+//! flattens the engine's `RoundFlags`), and `SimilarityKnowledge` (its
+//! decoder checks `k` against its flag matrices' lengths). A message's
+//! bandwidth cost, `Message::bits`, is the model's accounting, not its
+//! encoding, and stays per type.
 //!
 //! Decoding is *total*: every byte sequence either decodes or returns a
 //! [`WireError`] naming what went wrong. The netplane property tests
@@ -192,6 +205,93 @@ macro_rules! wire_le_int {
 
 wire_le_int!(u8, u16, u32, u64);
 
+/// Declares the [`Wire`](crate::netplane::Wire) codec of an enum: each
+/// variant is its tag byte, then its fields in the listed order.
+///
+/// Tuple fields are named by the declaration (any names will do) and
+/// named fields by their own names. `put` and `take` are both generated
+/// from the one list, so the tags cannot drift apart; an unknown tag
+/// decodes to [`WireError::BadTag`](crate::netplane::WireError::BadTag)
+/// naming the type.
+///
+/// ```
+/// use congest::netplane::{Wire, WireError};
+/// use congest::wire_enum;
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Msg {
+///     Ping,
+///     Color(u32),
+///     Move { from: u32, to: u32 },
+/// }
+/// wire_enum!(Msg { 0 => Ping, 1 => Color(c), 2 => Move { from, to } });
+///
+/// let m = Msg::Move { from: 3, to: 4 };
+/// assert_eq!(m.to_wire(), [2, 3, 0, 0, 0, 4, 0, 0, 0]);
+/// assert_eq!(Msg::from_wire(&m.to_wire()), Ok(m));
+/// assert_eq!(Msg::Ping.to_wire(), [0]);
+/// assert_eq!(
+///     Msg::from_wire(&[9]),
+///     Err(WireError::BadTag { what: "Msg", tag: 9 })
+/// );
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    ($T:ident {
+        $($tag:literal => $V:ident $(($($a:ident),*))? $({ $($f:ident),* })?),* $(,)?
+    }) => {
+        impl $crate::netplane::Wire for $T {
+            fn put(&self, buf: &mut ::std::vec::Vec<u8>) {
+                match self {
+                    $($T::$V $(($($a),*))? $({ $($f),* })? => {
+                        buf.push($tag);
+                        $($($crate::netplane::Wire::put($a, buf);)*)?
+                        $($($crate::netplane::Wire::put($f, buf);)*)?
+                    })*
+                }
+            }
+
+            fn take(
+                r: &mut $crate::netplane::Reader<'_>,
+            ) -> ::std::result::Result<Self, $crate::netplane::WireError> {
+                match <u8 as $crate::netplane::Wire>::take(r)? {
+                    $($tag => {
+                        $($(let $a = $crate::netplane::Wire::take(r)?;)*)?
+                        $($(let $f = $crate::netplane::Wire::take(r)?;)*)?
+                        Ok($T::$V $(($($a),*))? $({ $($f),* })?)
+                    })*
+                    tag => Err($crate::netplane::WireError::BadTag {
+                        what: ::std::stringify!($T),
+                        tag,
+                    }),
+                }
+            }
+        }
+    };
+}
+
+/// Declares the [`Wire`](crate::netplane::Wire) codec of a struct: its
+/// fields in the listed order, which must name every field, as in
+/// `wire_struct!(Join { from })`.
+#[macro_export]
+macro_rules! wire_struct {
+    ($T:ident { $($f:ident),* $(,)? }) => {
+        impl $crate::netplane::Wire for $T {
+            fn put(&self, buf: &mut ::std::vec::Vec<u8>) {
+                let $T { $($f),* } = self;
+                $($crate::netplane::Wire::put($f, buf);)*
+            }
+
+            fn take(
+                r: &mut $crate::netplane::Reader<'_>,
+            ) -> ::std::result::Result<Self, $crate::netplane::WireError> {
+                $(let $f = $crate::netplane::Wire::take(r)?;)*
+                Ok($T { $($f),* })
+            }
+        }
+    };
+}
+
 impl Wire for bool {
     fn put(&self, buf: &mut Vec<u8>) {
         buf.push(u8::from(*self));
@@ -333,44 +433,35 @@ impl<T: Wire + Copy + Default, const N: usize> Wire for SmallIds<T, N> {
     }
 }
 
-/// [`Metrics`] cross the wire at phase end so every shard can hold the
-/// identical *global* metrics record.
-impl Wire for Metrics {
-    fn put(&self, buf: &mut Vec<u8>) {
-        for v in [
-            self.rounds,
-            self.messages,
-            self.total_bits,
-            self.max_message_bits,
-            self.bandwidth_bits,
-            self.bandwidth_violations,
-            self.faults_dropped,
-            self.stepped_nodes,
-        ] {
-            v.put(buf);
-        }
-    }
-    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Metrics {
-            rounds: u64::take(r)?,
-            messages: u64::take(r)?,
-            total_bits: u64::take(r)?,
-            max_message_bits: u64::take(r)?,
-            bandwidth_bits: u64::take(r)?,
-            bandwidth_violations: u64::take(r)?,
-            faults_dropped: u64::take(r)?,
-            stepped_nodes: u64::take(r)?,
-        })
-    }
-}
+// `Metrics` cross the wire at phase end so every shard can hold the
+// identical *global* metrics record.
+wire_struct!(Metrics {
+    rounds,
+    messages,
+    total_bits,
+    max_message_bits,
+    bandwidth_bits,
+    bandwidth_violations,
+    faults_dropped,
+    stepped_nodes,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
+    /// Round trip, and every proper prefix is an error, not a shorter
+    /// value. Returns the encoding.
+    fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: T) -> Vec<u8> {
         let bytes = v.to_wire();
         assert_eq!(T::from_wire(&bytes).unwrap(), v, "roundtrip of {v:?}");
+        for cut in 0..bytes.len() {
+            assert!(
+                T::from_wire(&bytes[..cut]).is_err(),
+                "{v:?} decoded from a {cut}-byte truncation"
+            );
+        }
+        bytes
     }
 
     #[test]
@@ -433,6 +524,76 @@ mod tests {
             stepped_nodes: 8,
         };
         roundtrip(m);
+    }
+
+    /// Exercises every variant shape of `wire_enum!`. Fields and tuple
+    /// bindings named `r`, `buf` and `tag` reuse the macros' own binding
+    /// names, so this also pins their hygiene.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Shapes {
+        Unit,
+        One(u32),
+        Two(u64, bool),
+        Named { r: u16, buf: Vec<u8>, tag: u8 },
+    }
+    crate::wire_enum!(Shapes {
+        3 => Unit,
+        5 => One(tag),
+        7 => Two(r, buf),
+        9 => Named { r, buf, tag },
+    });
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Fields {
+        r: u32,
+        buf: Option<Shapes>,
+    }
+    crate::wire_struct!(Fields { r, buf });
+
+    #[test]
+    fn declared_codecs_follow_their_declarations() {
+        let shapes = [
+            (3, Shapes::Unit),
+            (5, Shapes::One(0xDEAD_BEEF)),
+            (7, Shapes::Two(u64::MAX, true)),
+            (
+                9,
+                Shapes::Named {
+                    r: 0x0102,
+                    buf: vec![7, 8],
+                    tag: 0xFF,
+                },
+            ),
+        ];
+        for (tag, v) in &shapes {
+            assert_eq!(roundtrip(v.clone())[0], *tag, "{v:?} leads with its tag");
+        }
+        assert_eq!(
+            Shapes::Named {
+                r: 0x0102,
+                buf: vec![7],
+                tag: 0xAB
+            }
+            .to_wire(),
+            [9, 0x02, 0x01, 1, 0, 0, 0, 7, 0xAB],
+            "fields follow the tag in declaration order"
+        );
+        for bad in [0, 4, 10, 0xFF] {
+            assert_eq!(
+                Shapes::from_wire(&[bad]),
+                Err(WireError::BadTag {
+                    what: "Shapes",
+                    tag: bad
+                })
+            );
+        }
+
+        let fields = Fields {
+            r: 0x0A0B_0C0D,
+            buf: Some(shapes[2].1.clone()),
+        };
+        assert_eq!(roundtrip(fields)[..5], [0x0D, 0x0C, 0x0B, 0x0A, 1]);
+        roundtrip(Fields { r: 0, buf: None });
     }
 
     #[test]

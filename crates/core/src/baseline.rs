@@ -13,7 +13,7 @@
 
 use crate::rand::trials::RandomTrials;
 use crate::{ColoringOutcome, Driver, TrialCore, TrialMsg};
-use congest::netplane::{Reader, Wire, WireError};
+use congest::wire_enum;
 use congest::{
     BitCost, Inbox, Message, NodeCtx, NodeRng, Outbox, Port, Protocol, SimConfig, SimError, Status,
 };
@@ -56,33 +56,10 @@ impl Message for RelayMsg {
     }
 }
 
-impl Wire for RelayMsg {
-    fn put(&self, buf: &mut Vec<u8>) {
-        match self {
-            RelayMsg::Trial(t) => {
-                buf.push(0);
-                t.put(buf);
-            }
-            RelayMsg::Fwd(c) => {
-                buf.push(1);
-                c.put(buf);
-            }
-        }
-    }
-
-    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::take(r)? {
-            0 => RelayMsg::Trial(TrialMsg::take(r)?),
-            1 => RelayMsg::Fwd(u32::take(r)?),
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "RelayMsg",
-                    tag,
-                })
-            }
-        })
-    }
-}
+wire_enum!(RelayMsg {
+    0 => Trial(t),
+    1 => Fwd(c),
+});
 
 /// The naive-relay baseline protocol: each super-round is one simulated
 /// `G²` round (a trial from the exactly known free palette) followed by a

@@ -25,7 +25,7 @@
 //! (Theorem B.4) are built on this core.
 
 use crate::common::UNCOLORED;
-use congest::netplane::{Reader, Wire, WireError};
+use congest::wire_enum;
 use congest::{BitCost, Message, Port};
 
 /// Messages of the trial handshake.
@@ -50,37 +50,11 @@ impl Message for TrialMsg {
     }
 }
 
-impl Wire for TrialMsg {
-    fn put(&self, buf: &mut Vec<u8>) {
-        match self {
-            TrialMsg::Try(c) => {
-                buf.push(0);
-                c.put(buf);
-            }
-            TrialMsg::Announce(c) => {
-                buf.push(1);
-                c.put(buf);
-            }
-            TrialMsg::Verdict(ok) => {
-                buf.push(2);
-                ok.put(buf);
-            }
-        }
-    }
-    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::take(r)? {
-            0 => TrialMsg::Try(u32::take(r)?),
-            1 => TrialMsg::Announce(u32::take(r)?),
-            2 => TrialMsg::Verdict(bool::take(r)?),
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "TrialMsg",
-                    tag,
-                })
-            }
-        })
-    }
-}
+wire_enum!(TrialMsg {
+    0 => Try(c),
+    1 => Announce(c),
+    2 => Verdict(ok),
+});
 
 /// Result of one trial cycle for one node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

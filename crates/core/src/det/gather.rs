@@ -16,7 +16,7 @@
 //! of Theorems 3.4/1.3 congestion-free (Lemma 3.5).
 
 use super::Dist;
-use congest::netplane::{Reader, Wire, WireError};
+use congest::wire_enum;
 use congest::{BitCost, Message, Port, SmallIds};
 
 /// Inline-first color batch: relayed color batches are bounded by the
@@ -63,51 +63,12 @@ impl Message for DetMsg {
     }
 }
 
-impl Wire for DetMsg {
-    fn put(&self, buf: &mut Vec<u8>) {
-        match self {
-            DetMsg::Own(c) => {
-                buf.push(0);
-                c.put(buf);
-            }
-            DetMsg::Batch(v) => {
-                buf.push(1);
-                v.put(buf);
-            }
-            DetMsg::Recolor { old, new } => {
-                buf.push(2);
-                old.put(buf);
-                new.put(buf);
-            }
-            DetMsg::Fwd { old, new } => {
-                buf.push(3);
-                old.put(buf);
-                new.put(buf);
-            }
-        }
-    }
-
-    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::take(r)? {
-            0 => DetMsg::Own(u32::take(r)?),
-            1 => DetMsg::Batch(ColorBatch::take(r)?),
-            2 => DetMsg::Recolor {
-                old: u32::take(r)?,
-                new: u32::take(r)?,
-            },
-            3 => DetMsg::Fwd {
-                old: u32::take(r)?,
-                new: u32::take(r)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "DetMsg",
-                    tag,
-                })
-            }
-        })
-    }
-}
+wire_enum!(DetMsg {
+    0 => Own(c),
+    1 => Batch(v),
+    2 => Recolor { old, new },
+    3 => Fwd { old, new },
+});
 
 /// One in-progress 2-hop (or 1-hop) color gather at a single node.
 #[derive(Debug, Clone)]

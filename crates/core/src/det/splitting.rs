@@ -26,7 +26,7 @@
 
 use super::NbrParts;
 use crate::{Driver, Params};
-use congest::netplane::{Reader, Wire, WireError};
+use congest::wire_enum;
 use congest::{
     BitCost, Inbox, Message, NodeCtx, NodeRng, Outbox, Port, Protocol, SimError, Status,
 };
@@ -128,36 +128,11 @@ impl Message for SplitMsg {
     }
 }
 
-impl Wire for SplitMsg {
-    fn put(&self, buf: &mut Vec<u8>) {
-        match self {
-            SplitMsg::Turn => buf.push(0),
-            SplitMsg::Cond(red, blue) => {
-                buf.push(1);
-                red.put(buf);
-                blue.put(buf);
-            }
-            SplitMsg::Side(side) => {
-                buf.push(2);
-                side.put(buf);
-            }
-        }
-    }
-
-    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::take(r)? {
-            0 => SplitMsg::Turn,
-            1 => SplitMsg::Cond(f64::take(r)?, f64::take(r)?),
-            2 => SplitMsg::Side(bool::take(r)?),
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "SplitMsg",
-                    tag,
-                })
-            }
-        })
-    }
-}
+wire_enum!(SplitMsg {
+    0 => Turn,
+    1 => Cond(red, blue),
+    2 => Side(side),
+});
 
 /// Per-node state of the derandomized splitting.
 #[derive(Debug, Clone)]

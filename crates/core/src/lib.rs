@@ -49,4 +49,4 @@ pub use common::driver::{ColoringOutcome, Driver, PhaseReport};
 pub use common::trial::{TrialCore, TrialMsg, TrialOutcome};
 pub use common::UNCOLORED;
 pub use params::Params;
-pub use repair::{find_damage, repair, RepairOutcome, RepairTrials};
+pub use repair::{find_damage, repair, RepairOutcome};

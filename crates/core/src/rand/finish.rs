@@ -19,7 +19,7 @@ use crate::common::trial::next_resolve;
 #[cfg(test)]
 use crate::UNCOLORED;
 use crate::{TrialCore, TrialMsg};
-use congest::netplane::{Reader, Wire, WireError};
+use congest::wire_enum;
 use congest::{BitCost, Inbox, Message, NodeCtx, NodeRng, Outbox, Port, Protocol, Status, Wake};
 use rand::prelude::*;
 
@@ -41,33 +41,10 @@ impl Message for FinMsg {
     }
 }
 
-impl Wire for FinMsg {
-    fn put(&self, buf: &mut Vec<u8>) {
-        match self {
-            FinMsg::Trial(t) => {
-                buf.push(0);
-                t.put(buf);
-            }
-            FinMsg::Fwd(c) => {
-                buf.push(1);
-                c.put(buf);
-            }
-        }
-    }
-
-    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::take(r)? {
-            0 => FinMsg::Trial(TrialMsg::take(r)?),
-            1 => FinMsg::Fwd(u32::take(r)?),
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "FinMsg",
-                    tag,
-                })
-            }
-        })
-    }
-}
+wire_enum!(FinMsg {
+    0 => Trial(t),
+    1 => Fwd(c),
+});
 
 /// The `FinishColoring` protocol.
 #[derive(Debug)]

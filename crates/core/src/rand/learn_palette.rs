@@ -28,7 +28,7 @@
 
 use super::similarity::SimilarityKnowledge;
 use crate::{Params, UNCOLORED};
-use congest::netplane::{Reader, Wire, WireError};
+use congest::wire_enum;
 use congest::{
     BitCost, Inbox, Message, NodeCtx, NodeRng, Outbox, Port, Protocol, SmallIds, Status, Wake,
 };
@@ -157,118 +157,24 @@ impl Message for LpMsg {
     }
 }
 
-impl Wire for LpMsg {
-    fn put(&self, buf: &mut Vec<u8>) {
-        match self {
-            LpMsg::Live => buf.push(0),
-            LpMsg::LiveList(ids) => {
-                buf.push(1);
-                ids.put(buf);
-            }
-            LpMsg::LiveEnd => buf.push(2),
-            LpMsg::Assign { i } => {
-                buf.push(3);
-                i.put(buf);
-            }
-            LpMsg::Inform { v, i } => {
-                buf.push(4);
-                v.put(buf);
-                i.put(buf);
-            }
-            LpMsg::Inform2 { v, i } => {
-                buf.push(5);
-                v.put(buf);
-                i.put(buf);
-            }
-            LpMsg::Gossip { v, color } => {
-                buf.push(6);
-                v.put(buf);
-                color.put(buf);
-            }
-            LpMsg::Gossip2 { v, color } => {
-                buf.push(7);
-                v.put(buf);
-                color.put(buf);
-            }
-            LpMsg::ToHandler { v, i, color } => {
-                buf.push(8);
-                v.put(buf);
-                i.put(buf);
-                color.put(buf);
-            }
-            LpMsg::ToHandler2 { v, i, color } => {
-                buf.push(9);
-                v.put(buf);
-                i.put(buf);
-                color.put(buf);
-            }
-            LpMsg::Report { i, missing } => {
-                buf.push(10);
-                i.put(buf);
-                missing.put(buf);
-            }
-            LpMsg::ReportEnd { i } => {
-                buf.push(11);
-                i.put(buf);
-            }
-            LpMsg::TQuery(cs) => {
-                buf.push(12);
-                cs.put(buf);
-            }
-            LpMsg::TQueryEnd => buf.push(13),
-            LpMsg::TReply(cs) => {
-                buf.push(14);
-                cs.put(buf);
-            }
-            LpMsg::TReplyEnd => buf.push(15),
-        }
-    }
-
-    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::take(r)? {
-            0 => LpMsg::Live,
-            1 => LpMsg::LiveList(IdBatch::take(r)?),
-            2 => LpMsg::LiveEnd,
-            3 => LpMsg::Assign { i: u32::take(r)? },
-            4 => LpMsg::Inform {
-                v: u64::take(r)?,
-                i: u32::take(r)?,
-            },
-            5 => LpMsg::Inform2 {
-                v: u64::take(r)?,
-                i: u32::take(r)?,
-            },
-            6 => LpMsg::Gossip {
-                v: u64::take(r)?,
-                color: u32::take(r)?,
-            },
-            7 => LpMsg::Gossip2 {
-                v: u64::take(r)?,
-                color: u32::take(r)?,
-            },
-            8 => LpMsg::ToHandler {
-                v: u64::take(r)?,
-                i: u32::take(r)?,
-                color: u32::take(r)?,
-            },
-            9 => LpMsg::ToHandler2 {
-                v: u64::take(r)?,
-                i: u32::take(r)?,
-                color: u32::take(r)?,
-            },
-            10 => LpMsg::Report {
-                i: u32::take(r)?,
-                missing: ColorBatch::take(r)?,
-            },
-            11 => LpMsg::ReportEnd { i: u32::take(r)? },
-            12 => LpMsg::TQuery(ColorBatch::take(r)?),
-            13 => LpMsg::TQueryEnd,
-            14 => LpMsg::TReply(ColorBatch::take(r)?),
-            15 => LpMsg::TReplyEnd,
-            tag => return Err(WireError::BadTag { what: "LpMsg", tag }),
-        })
-    }
-}
+wire_enum!(LpMsg {
+    0 => Live,
+    1 => LiveList(ids),
+    2 => LiveEnd,
+    3 => Assign { i },
+    4 => Inform { v, i },
+    5 => Inform2 { v, i },
+    6 => Gossip { v, color },
+    7 => Gossip2 { v, color },
+    8 => ToHandler { v, i, color },
+    9 => ToHandler2 { v, i, color },
+    10 => Report { i, missing },
+    11 => ReportEnd { i },
+    12 => TQuery(cs),
+    13 => TQueryEnd,
+    14 => TReply(cs),
+    15 => TReplyEnd,
+});
 
 /// The `LearnPalette` protocol.
 #[derive(Debug)]

@@ -27,7 +27,7 @@
 use super::sampling::{RelayTarget, SampMsg, SamplerCore, SlotRoute};
 use super::similarity::SimilarityKnowledge;
 use crate::{Params, TrialCore, TrialMsg, UNCOLORED};
-use congest::netplane::{Reader, Wire, WireError};
+use congest::wire_enum;
 use congest::{BitCost, Inbox, Message, NodeCtx, NodeRng, Outbox, Port, Protocol, Status, Wake};
 use rand::prelude::*;
 
@@ -111,98 +111,21 @@ impl Message for ReduceMsg {
     }
 }
 
-impl Wire for ReduceMsg {
-    fn put(&self, buf: &mut Vec<u8>) {
-        match self {
-            ReduceMsg::Samp(s) => {
-                buf.push(0);
-                s.put(buf);
-            }
-            ReduceMsg::StartQuery => buf.push(1),
-            ReduceMsg::Query { v } => {
-                buf.push(2);
-                v.put(buf);
-            }
-            ReduceMsg::Probe { v, color } => {
-                buf.push(3);
-                v.put(buf);
-                color.put(buf);
-            }
-            ReduceMsg::ProbeAck { adj_v, color_used } => {
-                buf.push(4);
-                adj_v.put(buf);
-                color_used.put(buf);
-            }
-            ReduceMsg::ForwardQuery { v, slot } => {
-                buf.push(5);
-                v.put(buf);
-                slot.put(buf);
-            }
-            ReduceMsg::RelayQuery { v } => {
-                buf.push(6);
-                v.put(buf);
-            }
-            ReduceMsg::CheckD2 { v } => {
-                buf.push(7);
-                v.put(buf);
-            }
-            ReduceMsg::AdjAck(yes) => {
-                buf.push(8);
-                yes.put(buf);
-            }
-            ReduceMsg::Proposal(c) => {
-                buf.push(9);
-                c.put(buf);
-            }
-            ReduceMsg::ColorOffer(c) => {
-                buf.push(10);
-                c.put(buf);
-            }
-            ReduceMsg::Trial(t) => {
-                buf.push(11);
-                t.put(buf);
-            }
-            ReduceMsg::Both(a, b) => {
-                buf.push(12);
-                a.put(buf);
-                b.put(buf);
-            }
-        }
-    }
-
-    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::take(r)? {
-            0 => ReduceMsg::Samp(SampMsg::take(r)?),
-            1 => ReduceMsg::StartQuery,
-            2 => ReduceMsg::Query { v: u64::take(r)? },
-            3 => ReduceMsg::Probe {
-                v: u64::take(r)?,
-                color: u32::take(r)?,
-            },
-            4 => ReduceMsg::ProbeAck {
-                adj_v: bool::take(r)?,
-                color_used: bool::take(r)?,
-            },
-            5 => ReduceMsg::ForwardQuery {
-                v: u64::take(r)?,
-                slot: u32::take(r)?,
-            },
-            6 => ReduceMsg::RelayQuery { v: u64::take(r)? },
-            7 => ReduceMsg::CheckD2 { v: u64::take(r)? },
-            8 => ReduceMsg::AdjAck(bool::take(r)?),
-            9 => ReduceMsg::Proposal(u32::take(r)?),
-            10 => ReduceMsg::ColorOffer(u32::take(r)?),
-            11 => ReduceMsg::Trial(TrialMsg::take(r)?),
-            12 => ReduceMsg::Both(Box::new(ReduceMsg::take(r)?), Box::new(ReduceMsg::take(r)?)),
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "ReduceMsg",
-                    tag,
-                })
-            }
-        })
-    }
-}
+wire_enum!(ReduceMsg {
+    0 => Samp(s),
+    1 => StartQuery,
+    2 => Query { v },
+    3 => Probe { v, color },
+    4 => ProbeAck { adj_v, color_used },
+    5 => ForwardQuery { v, slot },
+    6 => RelayQuery { v },
+    7 => CheckD2 { v },
+    8 => AdjAck(yes),
+    9 => Proposal(c),
+    10 => ColorOffer(c),
+    11 => Trial(t),
+    12 => Both(a, b),
+});
 
 /// Per-phase role bookkeeping (cleared at sub-round 0).
 #[derive(Debug, Clone, Default)]

@@ -36,7 +36,7 @@
 //! is untouched; the dead broadcasts simply never happen.
 
 use super::similarity::SimilarityKnowledge;
-use congest::netplane::{Reader, Wire, WireError};
+use congest::wire_enum;
 use congest::{BitCost, Message, NodeCtx, NodeRng, Port};
 use rand::Rng;
 use std::collections::HashMap;
@@ -78,45 +78,11 @@ impl Message for SampMsg {
     }
 }
 
-impl Wire for SampMsg {
-    fn put(&self, buf: &mut Vec<u8>) {
-        match self {
-            SampMsg::Slot { slot, r, b } => {
-                buf.push(0);
-                slot.put(buf);
-                r.put(buf);
-                b.put(buf);
-            }
-            SampMsg::MinReply { slot, value } => {
-                buf.push(1);
-                slot.put(buf);
-                value.put(buf);
-            }
-            SampMsg::Demand => buf.push(2),
-        }
-    }
-
-    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::take(r)? {
-            0 => SampMsg::Slot {
-                slot: u32::take(r)?,
-                r: u64::take(r)?,
-                b: u64::take(r)?,
-            },
-            1 => SampMsg::MinReply {
-                slot: u32::take(r)?,
-                value: u64::take(r)?,
-            },
-            2 => SampMsg::Demand,
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "SampMsg",
-                    tag,
-                })
-            }
-        })
-    }
-}
+wire_enum!(SampMsg {
+    0 => Slot { slot, r, b },
+    1 => MinReply { slot, value },
+    2 => Demand,
+});
 
 /// Where a resolved sample slot leads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

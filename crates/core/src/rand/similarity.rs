@@ -62,6 +62,7 @@
 //! in the test tree).
 
 use congest::netplane::{Reader, Wire, WireError};
+use congest::wire_enum;
 use congest::{
     BitCost, Inbox, Message, NodeCtx, NodeRng, Outbox, Port, Protocol, SmallIds, Status,
 };
@@ -222,32 +223,11 @@ impl Message for SimMsg {
     }
 }
 
-impl Wire for SimMsg {
-    fn put(&self, buf: &mut Vec<u8>) {
-        match self {
-            SimMsg::InS => buf.push(0),
-            SimMsg::Batch(ids) => {
-                buf.push(1);
-                ids.put(buf);
-            }
-            SimMsg::End => buf.push(2),
-        }
-    }
-
-    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::take(r)? {
-            0 => SimMsg::InS,
-            1 => SimMsg::Batch(IdBatch::take(r)?),
-            2 => SimMsg::End,
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "SimMsg",
-                    tag,
-                })
-            }
-        })
-    }
-}
+wire_enum!(SimMsg {
+    0 => InS,
+    1 => Batch(ids),
+    2 => End,
+});
 
 /// Crossed between shards when the similarity phase returns its rows
 /// ([`Driver::run_phase`](crate::Driver::run_phase)); the flag words are

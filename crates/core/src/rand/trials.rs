@@ -5,14 +5,20 @@
 //! `∆²+1` this seeds the slack that `Reduce` exploits (Prop. 2.5 / Obs. 1);
 //! with palette `(1+ε)∆²` and `run_to_completion`, it *is* the simple
 //! oversampled algorithm of §2.1 that finishes in `O(log_{1/ε} n)` cycles
-//! — our baseline E6.
+//! — our baseline E6. With [`RandomTrials::locally_free`], a live node
+//! draws only from the colors its immediate neighborhood leaves free:
+//! that is the churn repair of [`mod@crate::repair`].
 
 use crate::common::trial::next_resolve;
 use crate::{TrialCore, TrialMsg};
 use congest::{Inbox, NodeCtx, NodeRng, Outbox, Protocol, Status, Wake};
 use rand::Rng;
 
-/// The random-trials protocol.
+/// The random-trials protocol: a fixed cycle budget
+/// ([`RandomTrials::new`]) or until every node is colored
+/// ([`RandomTrials::to_completion`]), optionally resumed from earlier
+/// colors ([`RandomTrials::resuming`]) and drawing from locally free
+/// colors ([`RandomTrials::locally_free`]).
 #[derive(Debug)]
 pub struct RandomTrials {
     /// Palette size (colors `0..palette`).
@@ -24,6 +30,9 @@ pub struct RandomTrials {
     /// Per-node starting colors (`None` = all live). Used when resuming
     /// after earlier phases.
     pub init: Option<Vec<(u32, Vec<u32>)>>,
+    /// Draw from the palette colors not used by the node itself or any
+    /// immediate neighbor, instead of from the whole palette.
+    pub locally_free: bool,
 }
 
 impl RandomTrials {
@@ -35,6 +44,7 @@ impl RandomTrials {
             cycles,
             run_to_completion: false,
             init: None,
+            locally_free: false,
         }
     }
 
@@ -46,6 +56,7 @@ impl RandomTrials {
             cycles: u64::MAX,
             run_to_completion: true,
             init: None,
+            locally_free: false,
         }
     }
 
@@ -53,6 +64,17 @@ impl RandomTrials {
     #[must_use]
     pub fn resuming(mut self, knowledge: Vec<(u32, Vec<u32>)>) -> Self {
         self.init = Some(knowledge);
+        self
+    }
+
+    /// Draws each try from the node's locally free colors, which
+    /// concentrates the trials on colors that can actually stick. The
+    /// palette must be at least the maximum distance-2 degree plus one:
+    /// with fewer colors a node may see no free color (a panic) or the
+    /// trials may never terminate.
+    #[must_use]
+    pub fn locally_free(mut self) -> Self {
+        self.locally_free = true;
         self
     }
 }
@@ -92,10 +114,18 @@ impl Protocol for RandomTrials {
         match ctx.round % 3 {
             0 => {
                 let in_budget = self.run_to_completion || cycle < self.cycles;
-                let try_color = if st.trial.is_live() && in_budget {
-                    Some(rng.gen_range(0..self.palette))
-                } else {
+                let try_color = if !st.trial.is_live() || !in_budget {
                     None
+                } else if self.locally_free {
+                    let free = st.trial.locally_free_colors(self.palette);
+                    assert!(
+                        !free.is_empty(),
+                        "repair palette too small: node {} sees no free color",
+                        ctx.index
+                    );
+                    Some(free[rng.gen_range(0..free.len())])
+                } else {
+                    Some(rng.gen_range(0..self.palette))
                 };
                 st.trial
                     .begin_cycle(ctx.degree(), try_color, |p, m| out.send(p, m));

@@ -14,11 +14,13 @@
 //!    prebuilt [`D2View`]) for color collisions — both endpoints of every
 //!    collision are marked damaged.
 //! 2. [`repair`] strips the damaged nodes to [`UNCOLORED`] and runs
-//!    [`RepairTrials`]: the verified trial handshake where each live node
-//!    samples uniformly from its *locally free* colors (palette colors
-//!    unused by itself and its immediate neighbors) instead of the whole
-//!    palette. Colored nodes never try — they only answer verdicts — so
-//!    message traffic stays confined to the damaged region and its direct
+//!    to-completion [`RandomTrials`] resumed from the surviving colors,
+//!    with [`RandomTrials::locally_free`]: the verified trial handshake
+//!    where each live node samples uniformly from its *locally free*
+//!    colors (palette colors unused by itself and its immediate
+//!    neighbors) instead of the whole palette. Colored nodes keep their
+//!    colors and never try — they only answer verdicts — so message
+//!    traffic stays confined to the damaged region and its direct
 //!    neighbors rather than re-flooding the network, which is what makes
 //!    repair an order of magnitude cheaper than recoloring from scratch
 //!    (asserted by the PR6 churn benchmark).
@@ -30,14 +32,11 @@
 //! already large enough. Repair itself runs fault-free — it *is* the
 //! recovery path — so any fault plane on the config is stripped.
 
-use crate::common::trial::next_resolve;
 use crate::common::UNCOLORED;
-use crate::{Driver, TrialCore, TrialMsg};
-use congest::{
-    Inbox, Metrics, NodeCtx, NodeRng, Outbox, Protocol, SimConfig, SimError, Status, Wake,
-};
+use crate::rand::trials::RandomTrials;
+use crate::Driver;
+use congest::{Metrics, SimConfig, SimError};
 use graphs::{verify, D2View, Graph, NodeId};
-use rand::Rng;
 
 /// Nodes whose color conflicts with a distance-2 neighbor, restricted to
 /// the 1-hop ball around `touched` (the endpoints a churn batch actually
@@ -81,96 +80,6 @@ pub fn find_damage(graph: &Graph, d2: &D2View, colors: &[u32], touched: &[NodeId
     damaged.sort_unstable();
     damaged.dedup();
     damaged
-}
-
-/// Color trials restricted to locally free colors — the repair protocol.
-///
-/// Identical round structure to [`crate::rand::trials::RandomTrials`] in
-/// to-completion mode, but each live node samples from the palette colors
-/// not used by itself or any immediate neighbor, which concentrates the
-/// trials on colors that can actually stick. Nodes resuming with a color
-/// keep it forever and only answer verdicts.
-#[derive(Debug)]
-pub struct RepairTrials {
-    /// Palette size (colors `0..palette`). Must be at least the maximum
-    /// distance-2 degree plus one or the trials may never terminate.
-    pub palette: u32,
-    /// Per-node `(color, neighbor colors)` starting knowledge; damaged
-    /// nodes carry [`UNCOLORED`].
-    pub init: Vec<(u32, Vec<u32>)>,
-}
-
-/// Per-node repair state.
-#[derive(Debug, Clone)]
-pub struct RepairState {
-    /// The trial machinery (holds color + neighbor colors).
-    pub trial: TrialCore,
-}
-
-impl Protocol for RepairTrials {
-    type State = RepairState;
-    type Msg = TrialMsg;
-
-    fn init(&self, ctx: &NodeCtx, _rng: &mut NodeRng) -> RepairState {
-        let (c, nbr) = self.init[ctx.index as usize].clone();
-        RepairState {
-            trial: TrialCore::resume(c, nbr),
-        }
-    }
-
-    fn round(
-        &self,
-        st: &mut RepairState,
-        ctx: &NodeCtx,
-        rng: &mut NodeRng,
-        inbox: &Inbox<TrialMsg>,
-        out: &mut Outbox<TrialMsg>,
-    ) -> Status {
-        let received = inbox.as_slice();
-        match ctx.round % 3 {
-            0 => {
-                let try_color = if st.trial.is_live() {
-                    let free = st.trial.locally_free_colors(self.palette);
-                    assert!(
-                        !free.is_empty(),
-                        "repair palette too small: node {} sees no free color",
-                        ctx.index
-                    );
-                    Some(free[rng.gen_range(0..free.len())])
-                } else {
-                    None
-                };
-                st.trial
-                    .begin_cycle(ctx.degree(), try_color, |p, m| out.send(p, m));
-            }
-            1 => st.trial.verdict_round(received, |p, m| out.send(p, m)),
-            _ => {
-                let _ = st.trial.resolve(ctx.degree(), received);
-            }
-        }
-        // Same stopping rule as RandomTrials: only at the resolve
-        // sub-round, colored, with the adoption announcement flushed.
-        if ctx.round % 3 == 2 && !st.trial.has_pending_announce() && !st.trial.is_live() {
-            Status::Done
-        } else {
-            Status::Running
-        }
-    }
-
-    fn next_wake(&self, st: &RepairState, ctx: &NodeCtx, status: Status) -> Wake {
-        // Same schedule as to-completion `RandomTrials`: colored, flushed
-        // nodes only answer verdicts (message-triggered); a colored node
-        // still voting `Running` parks to the next resolve sub-round,
-        // where it votes `Done`. This is what confines repair *stepping*
-        // to the damaged region, matching its confined message traffic.
-        if status == Status::Done {
-            return Wake::Message;
-        }
-        if st.trial.is_live() || st.trial.has_pending_announce() {
-            return Wake::Next;
-        }
-        Wake::At(next_resolve(ctx.round))
-    }
 }
 
 /// Result of one [`repair`] call.
@@ -256,7 +165,9 @@ pub fn repair(
         .collect();
 
     let mut driver = Driver::new(graph, config.clone().without_faults());
-    let proto = RepairTrials { palette, init };
+    let proto = RandomTrials::to_completion(palette)
+        .resuming(init)
+        .locally_free();
     let repaired = driver.run_phase("repair", &proto, |s| s.trial.color())?;
     let palette_after = verify::palette_size(&repaired);
     Ok(RepairOutcome {

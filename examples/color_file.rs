@@ -8,12 +8,15 @@
 //! DIMACS (`p edge …`, detected by extension `.col`). `algo` is one of
 //! `improved` (default), `basic`, `det`, `oversampled`, `naive`; `seed`
 //! defaults to 42. Prints `node color` lines to stdout and a summary to
-//! stderr. A malformed seed or a fourth argument is an error (exit 1).
+//! stderr. A malformed input line, a malformed seed or a fourth argument
+//! is an error: its message (e.g. `line 2: bad node id "x"`) goes to
+//! stderr and the exit code is 1.
 //!
 //! With no arguments, runs on a built-in demo graph.
 
 use d2color::prelude::*;
 use std::io::BufReader;
+use std::process::ExitCode;
 
 const USAGE: &str = "usage: color_file <edges.txt> [algo] [seed]";
 
@@ -28,7 +31,17 @@ fn load(path: &str) -> Result<Graph, Box<dyn std::error::Error>> {
     Ok(g)
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().collect();
     if args.len() > 4 {
         return Err(USAGE.into());

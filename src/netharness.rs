@@ -44,10 +44,9 @@
 //! reference.
 
 use congest::netplane::{
-    self, chaos, kind, membership, read_frame, Coordinator, NetConfig, NetError, NetPlane, Reader,
-    Wire, WireError,
+    self, chaos, kind, membership, read_frame, Coordinator, NetConfig, NetError, NetPlane, Wire,
 };
-use congest::{FaultConfig, Metrics, Scheduling, SimConfig, PER_MILLION};
+use congest::{wire_struct, FaultConfig, Metrics, Scheduling, SimConfig, PER_MILLION};
 use d2core::det::{small, Scope};
 use d2core::rand::driver::{self as rand_driver, Variant};
 use d2core::{ColoringOutcome, Driver, Params};
@@ -463,21 +462,11 @@ struct ShardResult {
     colors: Vec<u32>,
 }
 
-impl Wire for ShardResult {
-    fn put(&self, buf: &mut Vec<u8>) {
-        self.shard.put(buf);
-        self.metrics.put(buf);
-        self.colors.put(buf);
-    }
-
-    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ShardResult {
-            shard: u32::take(r)?,
-            metrics: Metrics::take(r)?,
-            colors: Vec::<u32>::take(r)?,
-        })
-    }
-}
+wire_struct!(ShardResult {
+    shard,
+    metrics,
+    colors
+});
 
 /// A distributed run that every shard agreed on: the full coloring plus
 /// the (globally merged) metrics.
