@@ -888,7 +888,7 @@ fn churn_batch(g: &Graph, rng: &mut SplitMix, events: usize) -> EdgeBatch {
 }
 
 /// ~1% seeded Poisson edge churn in [`CHURN_BATCHES`] batches, each
-/// applied as one CSR rebuild and repaired in its 2-hop neighborhood.
+/// applied as one CSR splice and repaired in its 2-hop neighborhood.
 fn churn_repair(g: &Graph, colors: &[u32], cfg: &SimConfig) -> Record {
     let mean = g.m() as f64 * CHURN_FRACTION / CHURN_BATCHES as f64;
     let mut rng = SplitMix(SEED ^ 0x5DEE_CE66_D0C6_51AB);

@@ -8,6 +8,17 @@
 //! row that [`NetTables::ctx`] builds for each `init` and each step, so
 //! no engine keeps a per-node context of its own.
 //!
+//! The tables may simulate a part of the network:
+//! [`NetTables::induced`] builds them over the subgraph a set of nodes
+//! induces, and every simulated node keeps its network identity — its
+//! identifier, the network's `n` and `∆`, the RNG stream of its network
+//! index and the network's per-edge budget. A protocol whose traffic
+//! never leaves that set then runs there exactly as in the whole network
+//! when no message is dropped: seeded drops (`config.faults`) are keyed
+//! by the sender's simulated index and port, so on induced tables they
+//! fall on other messages. [`NetTables::build`] is the case where the set
+//! is every node.
+//!
 //! The tables depend only on the topology and on the identifier
 //! permutation, which `config.seed` alone seeds — **not** on
 //! `config.rng_salt` — so a driver may bump the salt per phase and keep
@@ -19,16 +30,21 @@ use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
 /// Immutable CSR-layout per-network tables: identifier assignment, neighbor
-/// identifiers, and reverse ports, all aligned with the graph's adjacency
-/// rows.
+/// identifiers, and reverse ports, all aligned with the simulated graph's
+/// adjacency rows.
 pub struct NetTables {
+    /// Nodes in the network: every context's `n`, and the `n` the
+    /// per-edge budget is computed from.
     n: usize,
+    /// Maximum degree of the network.
     max_degree: usize,
-    /// Row offsets, length `n + 1`; row `v` of the flat tables is
+    /// Row offsets, length `rows + 1`; row `v` of the flat tables is
     /// `offsets[v]..offsets[v + 1]`, mirroring `graph.neighbors(v)`.
     offsets: Vec<usize>,
-    /// Identifier of each node, by index.
+    /// Identifier of each simulated node, by index.
     idents: Vec<u64>,
+    /// Network index of each simulated node: the key of its RNG stream.
+    globals: Vec<u32>,
     /// Flat neighbor-identifier table: entry for `(v, p)` is the identifier
     /// of `graph.neighbors(v)[p]`.
     neighbor_idents: Vec<u64>,
@@ -41,10 +57,20 @@ impl std::fmt::Debug for NetTables {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetTables")
             .field("n", &self.n)
+            .field("rows", &self.idents.len())
             .field("max_degree", &self.max_degree)
             .field("directed_edges", &self.neighbor_idents.len())
             .finish()
     }
+}
+
+/// The identifier of every network node: a pseudorandom permutation of
+/// `0..n` seeded by `config.seed`.
+fn identifiers(n: usize, config: &SimConfig) -> Vec<u64> {
+    let mut idents: Vec<u64> = (0..n as u64).collect();
+    let mut r = ChaCha8Rng::seed_from_u64(config.seed.wrapping_mul(0xA24B_AED4_963E_E407));
+    idents.shuffle(&mut r);
+    idents
 }
 
 impl NetTables {
@@ -52,60 +78,104 @@ impl NetTables {
     /// pseudorandom permutation of `0..n` seeded by `config.seed`, so no
     /// accidental correlation between topology generation order and
     /// identifier order survives (Linial-style algorithms are sensitive
-    /// to adversarial ID placement). `O(Σ deg · log deg)` once; every
-    /// later query is an `O(1)` slice.
+    /// to adversarial ID placement). `O(n + m)` once; every later query
+    /// is an `O(1)` slice.
     #[must_use]
     pub fn build(graph: &Graph, config: &SimConfig) -> Self {
         let n = graph.n();
-        let mut idents: Vec<u64> = (0..n as u64).collect();
-        let mut r = ChaCha8Rng::seed_from_u64(config.seed.wrapping_mul(0xA24B_AED4_963E_E407));
-        idents.shuffle(&mut r);
-        let mut offsets = Vec::with_capacity(n + 1);
+        NetTables::fill(
+            graph,
+            graph,
+            identifiers(n, config),
+            (0..n as u32).collect(),
+        )
+    }
+
+    /// The subgraph of `graph` induced by `nodes` (sorted, distinct
+    /// network indices), relabelled monotonically so `nodes[i]` is
+    /// simulated node `i` and its in-set ports keep their order
+    /// ([`Graph::induced`]), with tables in which every simulated node
+    /// keeps its network identity: its identifier and its neighbors'
+    /// under `config`, the network's `n` and `∆` in its [`NodeCtx`], the
+    /// RNG stream of its network index, and the network's per-edge
+    /// budget. Over every node this is [`NetTables::build`]. Seeded
+    /// drops are keyed by simulated index and port, so a run with
+    /// `config.faults` drops other messages here than on the whole
+    /// network.
+    /// `O(n + Σ_{v ∈ nodes} deg(v) · log |nodes|)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` is not strictly increasing or names a node
+    /// outside `0..n`.
+    #[must_use]
+    pub fn induced(graph: &Graph, config: &SimConfig, nodes: &[u32]) -> (Graph, Self) {
+        let sub = graph.induced(nodes);
+        let all = identifiers(graph.n(), config);
+        let idents = nodes.iter().map(|&v| all[v as usize]).collect();
+        let net = NetTables::fill(graph, &sub, idents, nodes.to_vec());
+        (sub, net)
+    }
+
+    /// The one row fill: the flat tables of `sim`, whose node `v` is
+    /// network node `globals[v]` with identifier `idents[v]`, in one
+    /// linear pass. Rows are sorted and visited in index order, so when
+    /// `v` reaches its neighbor `u`, `u` has been reached by exactly its
+    /// neighbors below `v`: `v`'s port on `u` is that count.
+    fn fill(network: &Graph, sim: &Graph, idents: Vec<u64>, globals: Vec<u32>) -> Self {
+        let rows = sim.n();
+        let mut offsets = Vec::with_capacity(rows + 1);
         offsets.push(0usize);
-        let mut acc = 0usize;
-        for v in 0..n {
-            acc += graph.degree(v as u32);
-            offsets.push(acc);
-        }
-        let mut neighbor_idents = Vec::with_capacity(acc);
-        let mut reverse_ports = Vec::with_capacity(acc);
-        for v in 0..n as u32 {
-            for &u in graph.neighbors(v) {
+        let mut neighbor_idents = Vec::with_capacity(2 * sim.m());
+        let mut reverse_ports = Vec::with_capacity(2 * sim.m());
+        let mut reached: Vec<Port> = vec![0; rows];
+        for v in 0..rows as u32 {
+            for &u in sim.neighbors(v) {
                 neighbor_idents.push(idents[u as usize]);
-                reverse_ports.push(
-                    graph
-                        .port_of(u, v)
-                        .expect("undirected graph: reverse edge exists")
-                        as Port,
-                );
+                reverse_ports.push(reached[u as usize]);
+                reached[u as usize] += 1;
             }
+            offsets.push(neighbor_idents.len());
         }
         NetTables {
-            n,
-            max_degree: graph.max_degree(),
+            n: network.n(),
+            max_degree: network.max_degree(),
             offsets,
             idents,
+            globals,
             neighbor_idents,
             reverse_ports,
         }
     }
 
     /// Whether these tables are plausibly the ones built for `graph`:
-    /// node count and directed-edge count must agree. `O(1)`. Used by the
-    /// engines to reject a (graph, tables) mix-up hard — a mismatch would
-    /// otherwise mis-route messages and complete with silently wrong
-    /// results. (Two different topologies with identical n and m are not
-    /// distinguishable at this price; the engines' port lookups stay
-    /// in-bounds regardless because both tables are adjacency-shaped.)
+    /// simulated node count and directed-edge count must agree. `O(1)`.
+    /// Used by the engines to reject a (graph, tables) mix-up hard — a
+    /// mismatch would otherwise mis-route messages and complete with
+    /// silently wrong results. (Two different topologies with identical
+    /// n and m are not distinguishable at this price; the engines' port
+    /// lookups stay in-bounds regardless because both tables are
+    /// adjacency-shaped.)
     #[must_use]
     pub fn matches(&self, graph: &Graph) -> bool {
-        self.n == graph.n() && self.neighbor_idents.len() == 2 * graph.m()
+        self.idents.len() == graph.n() && self.neighbor_idents.len() == 2 * graph.m()
     }
 
-    /// Identifier of each node, by index.
+    /// Identifier of each simulated node, by index.
     #[must_use]
     pub fn idents(&self) -> &[u64] {
         &self.idents
+    }
+
+    /// Number of nodes in the network, which induced tables simulate
+    /// only part of.
+    pub(crate) fn network_n(&self) -> usize {
+        self.n
+    }
+
+    /// Network index of simulated node `v`.
+    pub(crate) fn global_index(&self, v: u32) -> u32 {
+        self.globals[v as usize]
     }
 
     /// Identifiers of `v`'s neighbors, by port.
@@ -145,6 +215,7 @@ impl NetTables {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Inbox, NodeRng, Outbox, Protocol, RuntimeMode, Status};
     use graphs::gen;
 
     #[test]
@@ -191,5 +262,96 @@ mod tests {
         assert!(std::ptr::eq(hub.neighbor_idents(), t.neighbor_idents_of(0)));
         let leaf = t.ctx(3, 0);
         assert_eq!(leaf.neighbor_idents(), &[t.idents()[0]]);
+    }
+
+    #[test]
+    fn induced_over_every_node_is_build() {
+        let g = gen::gnp_capped(80, 0.08, 7, 3);
+        let cfg = SimConfig::seeded(5);
+        let all: Vec<u32> = (0..g.n() as u32).collect();
+        let (sub, t) = NetTables::induced(&g, &cfg, &all);
+        let b = NetTables::build(&g, &cfg);
+        assert_eq!(sub, g);
+        assert_eq!(t.idents(), b.idents());
+        for v in 0..g.n() as u32 {
+            assert_eq!(t.neighbor_idents_of(v), b.neighbor_idents_of(v));
+            assert_eq!(t.reverse_ports_of(v), b.reverse_ports_of(v));
+            assert_eq!(t.global_index(v), v);
+        }
+        assert_eq!(t.network_n(), b.network_n());
+    }
+
+    #[test]
+    fn induced_rows_keep_their_network_identity() {
+        let g = gen::gnp_capped(70, 0.1, 6, 8);
+        let cfg = SimConfig::seeded(2);
+        let whole = NetTables::build(&g, &cfg);
+        let nodes: Vec<u32> = (0..g.n() as u32).filter(|v| v % 3 != 1).collect();
+        let (sub, t) = NetTables::induced(&g, &cfg, &nodes);
+        assert!(t.matches(&sub) && !t.matches(&g));
+        for (i, &v) in nodes.iter().enumerate() {
+            let c = t.ctx(i as u32, 0);
+            assert_eq!((c.index, c.ident), (i as u32, whole.idents()[v as usize]));
+            assert_eq!((c.n, c.max_degree), (g.n(), g.max_degree()));
+            // In-set neighbors in network port order, reverse ports
+            // pointing back at this row.
+            let kept: Vec<u64> = g
+                .neighbors(v)
+                .iter()
+                .filter(|u| nodes.binary_search(u).is_ok())
+                .map(|&u| whole.idents()[u as usize])
+                .collect();
+            assert_eq!(c.neighbor_idents(), kept.as_slice());
+            for (p, &u) in sub.neighbors(i as u32).iter().enumerate() {
+                let back = t.reverse_ports_of(i as u32)[p] as usize;
+                assert_eq!(sub.neighbors(u)[back], i as u32);
+            }
+        }
+    }
+
+    /// Records, at init, what a node knows of itself and its first RNG
+    /// draw.
+    struct FirstDraw;
+
+    impl Protocol for FirstDraw {
+        type State = (u64, usize, usize, u64);
+        type Msg = ();
+        fn init(&self, ctx: &NodeCtx, rng: &mut NodeRng) -> Self::State {
+            (ctx.ident, ctx.n, ctx.max_degree, rng.next_u64())
+        }
+        fn round(
+            &self,
+            _: &mut Self::State,
+            _: &NodeCtx,
+            _: &mut NodeRng,
+            _: &Inbox<()>,
+            _: &mut Outbox<()>,
+        ) -> Status {
+            Status::Done
+        }
+    }
+
+    #[test]
+    fn induced_runs_draw_the_network_streams() {
+        // 600 nodes budget 80 bits a message, the 150 simulated ones
+        // alone would budget 64.
+        let g = gen::gnp_capped(600, 0.01, 6, 4);
+        let nodes: Vec<u32> = (0..g.n() as u32).filter(|v| v % 4 == 0).collect();
+        assert_ne!(
+            SimConfig::seeded(6).bandwidth_bits(g.n()),
+            SimConfig::seeded(6).bandwidth_bits(nodes.len())
+        );
+        for runtime in [RuntimeMode::Sequential, RuntimeMode::Parallel(2)] {
+            let cfg = SimConfig::seeded(6).with_runtime(runtime).with_salt(3);
+            let whole = crate::run(&g, &FirstDraw, &cfg).unwrap();
+            let (sub, t) = NetTables::induced(&g, &cfg, &nodes);
+            let part = crate::run_with(&sub, &FirstDraw, &cfg, &t).unwrap();
+            assert_eq!(part.states.len(), nodes.len());
+            for (i, &v) in nodes.iter().enumerate() {
+                assert_eq!(part.states[i], whole.states[v as usize], "{runtime:?}");
+            }
+            // The budget is the network's, not the region's.
+            assert_eq!(part.metrics.bandwidth_bits, whole.metrics.bandwidth_bits);
+        }
     }
 }

@@ -23,13 +23,16 @@ pub type NodeRng = ChaCha8Rng;
 /// step, so no per-node context outlives the call it is passed to.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeCtx<'a> {
-    /// Simulator index in `0..n`. Used to index per-node inputs/outputs in
-    /// drivers; protocols must break symmetry with [`NodeCtx::ident`], never
-    /// with `index` (identifiers are the model-sanctioned names).
+    /// Index in the simulated graph — the network itself, or the part
+    /// of it that [`NetTables::induced`](crate::NetTables::induced)
+    /// tables simulate. Used to index per-node inputs/outputs in drivers;
+    /// protocols must break symmetry with [`NodeCtx::ident`], never with
+    /// `index` (identifiers are the model-sanctioned names).
     pub index: u32,
     /// The node's unique `O(log n)`-bit identifier.
     pub ident: u64,
-    /// Number of nodes in the network.
+    /// Number of nodes in the network, also where only part of it is
+    /// simulated.
     pub n: usize,
     /// Maximum degree `∆` of the network.
     pub max_degree: usize,

@@ -156,8 +156,9 @@ fn wake(stamp: &mut [u64], queue: &mut Vec<u32>, i: usize, t: u64) {
 /// sequential engine passes `0..n`; each parallel worker and each
 /// netplane shard passes its own slice ([`super::shard_range`]).
 ///
-/// RNG streams depend only on `(seed, global index)` and contexts are
-/// views of `net`, so shards of any partition build the same rows. The
+/// RNG streams depend only on the seed and each node's network index
+/// (which [`NetTables::induced`] tables keep), and contexts are views of
+/// `net`, so shards of any partition build the same rows. The
 /// run's drop plane is a pure function of `(config, salt)`, so every
 /// shard holds the identical trace. Errors are constructed from
 /// globally-merged flags, so every shard returns the identical
@@ -186,7 +187,7 @@ pub(crate) fn run_range<P: Protocol, T: Transport<P::Msg>>(
     let local_n = range.len();
     let mut rngs: Vec<NodeRng> = range
         .clone()
-        .map(|v| node_rng(config.rng_seed(), v as u32))
+        .map(|v| node_rng(config.rng_seed(), net.global_index(v as u32)))
         .collect();
     let mut states: Vec<P::State> = range
         .clone()
@@ -195,8 +196,11 @@ pub(crate) fn run_range<P: Protocol, T: Transport<P::Msg>>(
         .collect();
     let period = protocol.sync_period().max(1);
     // A protocol declaring `sync_period` `p` may pack `p` rounds' worth
-    // of per-edge bandwidth into each communication-round message.
-    let budget = config.bandwidth_bits(n).saturating_mul(period);
+    // of per-edge bandwidth into each communication-round message. The
+    // budget is the network's, also where `net` simulates a part of it.
+    let budget = config
+        .bandwidth_bits(net.network_n())
+        .saturating_mul(period);
     let mut metrics = Metrics {
         bandwidth_bits: budget,
         ..Metrics::default()

@@ -54,10 +54,10 @@ impl ColoringOutcome {
 /// Each phase gets a fresh RNG salt (so randomized phases draw fresh coins)
 /// while node identifiers stay fixed across the whole pipeline.
 ///
-/// The driver builds the per-network [`NetTables`] (CSR neighbor-identifier
-/// and reverse-port tables) **once** at construction and hands them to
-/// every phase, whose engines build each node's context as a view of its
-/// row.
+/// The driver holds the per-network [`NetTables`] (CSR neighbor-identifier
+/// and reverse-port tables), built **once** at construction, and hands
+/// them to every phase, whose engines build each node's context as a view
+/// of its row.
 #[derive(Debug)]
 pub struct Driver<'g> {
     graph: &'g Graph,
@@ -77,6 +77,14 @@ impl<'g> Driver<'g> {
     #[must_use]
     pub fn new(graph: &'g Graph, config: SimConfig) -> Self {
         let net = NetTables::build(graph, &config);
+        Driver::with_tables(graph, config, net)
+    }
+
+    /// New driver on prebuilt tables for `graph` — e.g. the
+    /// [`NetTables::induced`] tables of a region of a larger network,
+    /// whose nodes keep their network identity in every phase.
+    #[must_use]
+    pub fn with_tables(graph: &'g Graph, config: SimConfig, net: NetTables) -> Self {
         Driver {
             graph,
             config,

@@ -102,7 +102,10 @@ impl TrialCore {
     }
 
     /// Resumes with colors carried over from a previous protocol phase
-    /// (everyone in part 0).
+    /// (everyone in part 0). `nbr_colors` holds one entry per port; any
+    /// entries past the degree are neighbors the run does not simulate:
+    /// verdicts and [`TrialCore::locally_free_colors`] read them, and no
+    /// port updates them.
     #[must_use]
     pub fn resume(color: u32, nbr_colors: Vec<u32>) -> Self {
         TrialCore::scoped(0, Vec::new(), color, nbr_colors)
@@ -168,7 +171,8 @@ impl TrialCore {
         self.color == UNCOLORED
     }
 
-    /// The neighbor-color table (by port).
+    /// The neighbor-color table: by port, then one entry per unsimulated
+    /// neighbor (see [`TrialCore::resume`]).
     #[must_use]
     pub fn nbr_colors(&self) -> &[u32] {
         &self.nbr_colors
@@ -389,6 +393,20 @@ mod tests {
         let mut out2 = Vec::new();
         core.verdict_round(&[(1, TrialMsg::Try(8))], |p, m| out2.push((p, m)));
         assert_eq!(out2, vec![(1, TrialMsg::Verdict(true))]);
+    }
+
+    #[test]
+    fn verdict_reads_unsimulated_neighbors() {
+        // Degree 1: port 0, plus one unsimulated neighbor colored 7.
+        let mut core = TrialCore::resume(3, vec![UNCOLORED, 7]);
+        let mut out = Vec::new();
+        core.verdict_round(&[(0, TrialMsg::Try(7))], |p, m| out.push((p, m)));
+        core.verdict_round(&[(0, TrialMsg::Try(5))], |p, m| out.push((p, m)));
+        assert_eq!(
+            out,
+            vec![(0, TrialMsg::Verdict(false)), (0, TrialMsg::Verdict(true))]
+        );
+        assert_eq!(core.locally_free_colors(9), vec![0, 1, 2, 4, 5, 6, 8]);
     }
 
     #[test]

@@ -23,7 +23,32 @@
 //!    traffic stays confined to the damaged region and its direct
 //!    neighbors rather than re-flooding the network, which is what makes
 //!    repair an order of magnitude cheaper than recoloring from scratch
-//!    (asserted by the PR6 churn benchmark).
+//!    (the bench registry's rule `repair <= fresh/10 at >= 0.9% churn` on
+//!    `scale/det-small/rr8-1e5/churn`).
+//!
+//! # Only the region is simulated
+//!
+//! The nodes that try are the damaged ones and any node the input left
+//! uncolored; call them `L`. [`repair`] simulates the region
+//! `R = L ∪ N(L)` alone: the subgraph `R` induces, on
+//! [`NetTables::induced`] tables in which every node keeps its network
+//! identifier, `n`, `∆`, RNG stream and per-edge budget. A region node's
+//! neighbor-color table holds its in-region neighbors' colors by port,
+//! followed by its out-of-region neighbors' colors: its verdicts and its
+//! locally free colors read them, and no port updates them (none of
+//! those neighbors ever announces).
+//!
+//! This is bit-exact with simulating every node. There, only nodes of
+//! `L` try, and all their neighbors lie in `R`; verdicts go back on the
+//! ports the tries came in on, and only adopters (nodes of `L`)
+//! announce. So a node outside `R` neither sends nor receives. It is
+//! colored, so it votes `Done` from round 2, the first resolve round, on —
+//! before round 5, the earliest a node of `L` can terminate (it adopts
+//! at round 2 at the soonest, announces at round 3 and votes `Done` at
+//! round 5). Colors, rounds, messages, bits, the budget and its
+//! violations are therefore the whole-network run's; only the stepped
+//! nodes fall, from every node to the region's. (A round-limit error
+//! counts live nodes in the region.)
 //!
 //! The repair palette is `max(palette before, max d2-degree + 1)`: the
 //! second term guarantees every damaged node always has a color free in
@@ -35,7 +60,7 @@
 use crate::common::UNCOLORED;
 use crate::rand::trials::RandomTrials;
 use crate::Driver;
-use congest::{Metrics, SimConfig, SimError};
+use congest::{Metrics, NetTables, SimConfig, SimError};
 use graphs::{verify, D2View, Graph, NodeId};
 
 /// Nodes whose color conflicts with a distance-2 neighbor, restricted to
@@ -113,7 +138,9 @@ impl RepairOutcome {
 ///
 /// `graph` and `d2` describe the post-churn topology, `colors` is the
 /// pre-churn coloring, and `touched` is the changed-endpoint set from
-/// [`graphs::churn::apply_batch`]. Runs fault-free regardless of
+/// [`graphs::churn::apply_batch`]. When anything is damaged, every node
+/// the input left uncolored is colored too. Simulates only the nodes
+/// that try and their neighbors, and runs fault-free regardless of
 /// `config.faults` (see the module docs).
 ///
 /// # Errors
@@ -144,31 +171,48 @@ pub fn repair(
             metrics: Metrics::default(),
         });
     }
-    let mut is_damaged = vec![false; graph.n()];
-    for &v in &damaged {
-        is_damaged[v as usize] = true;
+    // The nodes that try: the damaged ones and any the input left
+    // uncolored. The region is them and their neighbors (module docs).
+    let mut live = damaged.clone();
+    live.extend((0..graph.n() as NodeId).filter(|&v| colors[v as usize] == UNCOLORED));
+    live.sort_unstable();
+    live.dedup();
+    let mut region = live.clone();
+    for &v in &live {
+        region.extend_from_slice(graph.neighbors(v));
     }
-    let masked = |v: NodeId| {
-        if is_damaged[v as usize] {
+    region.sort_unstable();
+    region.dedup();
+    let in_region = |u: &&NodeId| region.binary_search(u).is_ok();
+    let masked = |&v: &NodeId| {
+        if live.binary_search(&v).is_ok() {
             UNCOLORED
         } else {
             colors[v as usize]
         }
     };
-    let init: Vec<(u32, Vec<u32>)> = (0..graph.n() as NodeId)
+    // In-region neighbors by port, then the rest.
+    let init: Vec<(u32, Vec<u32>)> = region
+        .iter()
         .map(|v| {
-            (
-                masked(v),
-                graph.neighbors(v).iter().map(|&u| masked(u)).collect(),
-            )
+            let nbrs = graph.neighbors(*v).iter();
+            let outside = nbrs.clone().filter(|u| !in_region(u));
+            let known = nbrs.filter(in_region).chain(outside).map(masked);
+            (masked(v), known.collect())
         })
         .collect();
 
-    let mut driver = Driver::new(graph, config.clone().without_faults());
+    let config = config.clone().without_faults();
+    let (sub, net) = NetTables::induced(graph, &config, &region);
+    let mut driver = Driver::with_tables(&sub, config, net);
     let proto = RandomTrials::to_completion(palette)
         .resuming(init)
         .locally_free();
-    let repaired = driver.run_phase("repair", &proto, |s| s.trial.color())?;
+    let recolored = driver.run_phase("repair", &proto, |s| s.trial.color())?;
+    let mut repaired = colors.to_vec();
+    for (&v, c) in region.iter().zip(recolored) {
+        repaired[v as usize] = c;
+    }
     let palette_after = verify::palette_size(&repaired);
     Ok(RepairOutcome {
         colors: repaired,

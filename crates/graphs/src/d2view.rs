@@ -44,21 +44,41 @@ pub struct D2View {
 }
 
 impl D2View {
-    /// Builds the view with a single `O(Σ_v deg²(v))` pass over `g`.
+    /// Builds the view with a single `O(Σ_v deg²(v))` pass over `g`: row
+    /// `v` is gathered (each neighbor and its row) right after row
+    /// `v - 1`, then sorted and deduplicated in place, as
+    /// [`Graph::d2_neighbors_into`] builds one row.
+    ///
+    /// The buffer is sized once, to the view's estimated length. Rows
+    /// gather `Σ_u deg(u)·(deg(u) + 1)` entries in all and keep from
+    /// nearly all of them (locally tree-like graphs) down to about one in
+    /// `∆` (unions of cliques), so the share they keep is measured on at
+    /// most 64 evenly spaced rows; the buffer grows only past the
+    /// estimate.
     #[must_use]
     pub fn build(g: &Graph) -> Self {
         let n = g.n();
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
-        // Lower bound: every edge contributes its endpoints to each other's
-        // rows; the true total is Σ deg², unknown until rows are deduped.
-        let mut flat: Vec<NodeId> = Vec::with_capacity(2 * g.m());
-        let mut scratch: Vec<NodeId> = Vec::new();
+        let gathered: usize = (0..n as NodeId)
+            .map(|u| g.degree(u) * (g.degree(u) + 1))
+            .sum();
+        let mut flat: Vec<NodeId> = Vec::new();
+        let (mut sample_gathered, mut sample_kept) = (0usize, 0usize);
+        for v in (0..n as NodeId).step_by(n / 64 + 1) {
+            sample_gathered +=
+                g.degree(v) + g.neighbors(v).iter().map(|&u| g.degree(u)).sum::<usize>();
+            sample_kept += g.d2_row_append(v, &mut flat);
+            flat.clear();
+        }
+        let estimate =
+            (gathered as f64 * sample_kept as f64 / sample_gathered.max(1) as f64) as usize;
+        // A sixteenth of slack keeps sampling noise from doubling the
+        // buffer at the last rows.
+        flat.reserve_exact(estimate + estimate / 16);
         let mut max_d2 = 0usize;
         for v in 0..n as NodeId {
-            g.d2_neighbors_into(v, &mut scratch);
-            max_d2 = max_d2.max(scratch.len());
-            flat.extend_from_slice(&scratch);
+            max_d2 = max_d2.max(g.d2_row_append(v, &mut flat));
             offsets.push(flat.len());
         }
         D2View {
@@ -196,6 +216,21 @@ mod tests {
         let sq = D2View::build(&g).to_square();
         assert!(sq.has_edge(3, 5));
         assert!(!sq.has_edge(1, 3));
+    }
+
+    #[test]
+    fn buffer_is_sized_to_the_view() {
+        // Rows of 40 disjoint K_12 gather 12·13 entries and keep 11;
+        // rows of a random 8-regular graph keep nearly all of their 72.
+        let cliques = gen::disjoint_union(&vec![gen::clique(12); 40]);
+        for g in [cliques, gen::random_regular(3000, 8, 5)] {
+            let view = D2View::build(&g);
+            let (len, cap) = (view.flat.len(), view.flat.capacity());
+            assert!(
+                len <= cap && cap <= len + len / 8,
+                "len {len}, capacity {cap}"
+            );
+        }
     }
 
     #[test]

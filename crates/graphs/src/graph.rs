@@ -100,8 +100,9 @@ impl Graph {
     /// Assembles a graph directly from CSR parts: `offsets` of length
     /// `n + 1` and sorted, duplicate-free adjacency rows in `flat`.
     ///
-    /// Crate-internal: used by [`GraphBuilder::build`] and by
-    /// [`D2View::to_square`](crate::D2View::to_square), which both
+    /// Crate-internal: used by [`GraphBuilder::build`],
+    /// [`Graph::induced`], [`apply_batch`](crate::apply_batch) and
+    /// [`D2View::to_square`](crate::D2View::to_square), which all
     /// guarantee the invariants (sorted rows, symmetric adjacency, no
     /// self-loops).
     pub(crate) fn from_csr_parts(offsets: Vec<usize>, flat: Vec<NodeId>) -> Self {
@@ -134,6 +135,35 @@ impl Graph {
     #[must_use]
     pub fn port_of(&self, u: NodeId, v: NodeId) -> Option<usize> {
         self.neighbors(u).binary_search(&v).ok()
+    }
+
+    /// The subgraph induced by `nodes`, relabelled monotonically:
+    /// `nodes[i]` becomes node `i`, so each row keeps the order of its
+    /// original row restricted to `nodes`.
+    /// `O(Σ_{v ∈ nodes} deg(v) · log |nodes|)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` is not strictly increasing or names a node
+    /// outside `0..n`.
+    #[must_use]
+    pub fn induced(&self, nodes: &[NodeId]) -> Graph {
+        assert!(
+            nodes.windows(2).all(|w| w[0] < w[1]),
+            "induced nodes must be sorted and distinct"
+        );
+        let mut offsets = Vec::with_capacity(nodes.len() + 1);
+        offsets.push(0);
+        let mut adj = Vec::new();
+        for &v in nodes {
+            adj.extend(
+                self.neighbors(v)
+                    .iter()
+                    .filter_map(|u| nodes.binary_search(u).ok().map(|i| i as NodeId)),
+            );
+            offsets.push(adj.len());
+        }
+        Graph::from_csr_parts(offsets, adj)
     }
 
     /// Iterator over all undirected edges `(u, v)` with `u < v`.
@@ -176,15 +206,32 @@ impl Graph {
     /// for callers that cannot afford a full [`D2View`](crate::D2View).
     pub fn d2_neighbors_into(&self, v: NodeId, out: &mut Vec<NodeId>) {
         out.clear();
+        self.d2_row_append(v, out);
+    }
+
+    /// Appends the sorted distance-≤2 neighborhood of `v` (excluding `v`)
+    /// to `out`, leaving its earlier entries alone: each neighbor and its
+    /// row are gathered at the tail, then sorted and deduplicated in
+    /// place. The one row builder behind [`Graph::d2_neighbors_into`] and
+    /// [`D2View::build`](crate::D2View::build); returns the row's length.
+    pub(crate) fn d2_row_append(&self, v: NodeId, out: &mut Vec<NodeId>) -> usize {
+        let start = out.len();
         for &u in self.neighbors(v) {
             out.push(u);
             out.extend_from_slice(self.neighbors(u));
         }
-        out.sort_unstable();
-        out.dedup();
-        if let Ok(i) = out.binary_search(&v) {
-            out.remove(i);
+        let row = &mut out[start..];
+        row.sort_unstable();
+        let mut len = 0;
+        for i in 0..row.len() {
+            let x = row[i];
+            if x != v && (len == 0 || row[len - 1] != x) {
+                row[len] = x;
+                len += 1;
+            }
         }
+        out.truncate(start + len);
+        len
     }
 
     /// Whether `u` and `v` are at distance ≤ 2 (and distinct).
@@ -459,6 +506,19 @@ mod tests {
         let g = path4();
         let edges: Vec<_> = g.edges().collect();
         assert_eq!(edges, vec![(0, 1), (1, 2), (2, 3)]);
+    }
+
+    #[test]
+    fn induced_subgraph_relabels_monotonically() {
+        // Path 0-1-2-3 plus the chord {0, 2}; keep {0, 2, 3}.
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (0, 2)]).unwrap();
+        let sub = g.induced(&[0, 2, 3]);
+        assert_eq!(sub.n(), 3);
+        assert_eq!(sub.neighbors(0), &[1]);
+        assert_eq!(sub.neighbors(1), &[0, 2]);
+        assert_eq!(sub.neighbors(2), &[1]);
+        assert_eq!(g.induced(&[0, 1, 2, 3]), g);
+        assert_eq!(g.induced(&[1]).m(), 0);
     }
 
     #[test]
