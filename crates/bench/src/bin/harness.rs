@@ -264,15 +264,15 @@ fn exp11() {
         let cfg = SimConfig::seeded(111);
         let scope = d2core::det::Scope::full_d2(&g);
         let budget = cfg.bandwidth_bits(g.n());
-        let lin = d2core::det::linial::Linial::new(&g, scope.clone(), None, g.n() as u64, budget);
+        let lin = d2core::det::linial::Linial::new(&scope, None, g.n() as u64, budget);
         let k1 = lin.output_k(g.n() as u64);
         let st = congest::run(&g, &lin, &cfg).expect("linial").states;
         let psi: Vec<u32> = st.iter().map(|s| s.color_u32()).collect();
-        let li = d2core::det::loc_iter::LocIter::new(&g, scope.clone(), psi, k1);
+        let li = d2core::det::loc_iter::LocIter::new(&scope, psi, k1);
         let k2 = li.q;
         let st = congest::run(&g, &li, &cfg).expect("loc-iter").states;
         let cols: Vec<u32> = st.iter().map(|s| s.color()).collect();
-        let rc = d2core::det::reduce_colors::ReduceColors::new(&g, scope.clone(), cols, k2, budget);
+        let rc = d2core::det::reduce_colors::ReduceColors::new(&scope, cols, k2, budget);
         let k3 = rc.target;
         let _ = congest::run(&g, &rc, &cfg).expect("reduce");
         println!("| {name} | {} | {k1} | {k2} | {k3} |", g.n());

@@ -973,7 +973,8 @@ mod tests {
         let light = SMALL_GRAPHS
             .iter()
             .filter(|(_, t, _)| {
-                congest::auto_work_estimate(&t.build()) < congest::AUTO_WORK_THRESHOLD
+                let net = congest::NetTables::build(&t.build(), &SimConfig::default());
+                congest::auto_work_estimate(&net) < congest::AUTO_WORK_THRESHOLD
             })
             .count();
         assert!(

@@ -1,7 +1,7 @@
 //! Simulation configuration.
 
 use crate::faults::FaultConfig;
-use graphs::Graph;
+use crate::NetTables;
 
 /// Which engine executes a run. Both engines are bit-identical for the same
 /// seed, so this only trades wall-clock; see [`RuntimeMode::resolve`].
@@ -56,21 +56,21 @@ pub enum Scheduling {
 /// times.
 pub const AUTO_WORK_THRESHOLD: u64 = 12_000;
 
-/// The per-round work estimate steering [`RuntimeMode::Auto`]: one unit per
-/// node stepped plus one per directed edge (the upper bound on messages
-/// handled per round).
+/// The per-round work estimate steering [`RuntimeMode::Auto`] on the
+/// network `net` simulates: one unit per node stepped plus one per
+/// directed edge (the upper bound on messages handled per round).
 #[must_use]
-pub fn auto_work_estimate(graph: &Graph) -> u64 {
-    graph.n() as u64 + 2 * graph.m() as u64
+pub fn auto_work_estimate(net: &NetTables) -> u64 {
+    (net.rows() + net.directed_edges()) as u64
 }
 
 impl RuntimeMode {
-    /// Resolves `Auto` against a concrete graph and this host's available
-    /// parallelism, returning either `Sequential` or `Parallel`.
+    /// Resolves `Auto` against a concrete network and this host's
+    /// available parallelism, returning either `Sequential` or `Parallel`.
     #[must_use]
-    pub fn resolve(self, graph: &Graph) -> RuntimeMode {
+    pub fn resolve(self, net: &NetTables) -> RuntimeMode {
         self.resolve_for(
-            graph,
+            net,
             std::thread::available_parallelism().map_or(1, usize::from),
         )
     }
@@ -83,10 +83,10 @@ impl RuntimeMode {
     /// per-round work clears [`AUTO_WORK_THRESHOLD`], so the barrier is
     /// amortized.
     #[must_use]
-    pub fn resolve_for(self, graph: &Graph, cores: usize) -> RuntimeMode {
+    pub fn resolve_for(self, net: &NetTables, cores: usize) -> RuntimeMode {
         match self {
             RuntimeMode::Auto(threads) => {
-                if cores > 1 && auto_work_estimate(graph) >= AUTO_WORK_THRESHOLD {
+                if cores > 1 && auto_work_estimate(net) >= AUTO_WORK_THRESHOLD {
                     RuntimeMode::Parallel(threads)
                 } else {
                     RuntimeMode::Sequential
@@ -317,13 +317,14 @@ mod tests {
 
     #[test]
     fn auto_resolution_follows_work_estimate_and_cores() {
-        let small = graphs::gen::cycle(16);
+        let cfg = SimConfig::default();
+        let small = NetTables::build(&graphs::gen::cycle(16), &cfg);
         assert!(auto_work_estimate(&small) < AUTO_WORK_THRESHOLD);
         assert_eq!(
             RuntimeMode::Auto(4).resolve_for(&small, 8),
             RuntimeMode::Sequential
         );
-        let big = graphs::gen::random_regular(4000, 8, 1);
+        let big = NetTables::build(&graphs::gen::random_regular(4000, 8, 1), &cfg);
         assert!(auto_work_estimate(&big) >= AUTO_WORK_THRESHOLD);
         assert_eq!(
             RuntimeMode::Auto(4).resolve_for(&big, 8),

@@ -73,14 +73,20 @@ impl FaultConfig {
     }
 }
 
-/// SplitMix64 finalizer: the avalanche permutation both the per-node RNG
-/// derivation and the fault plane use to decorrelate structured inputs.
+/// SplitMix64's mixing steps: the avalanche permutation the per-node RNG
+/// derivation (`runtime::node_rng`), the fault plane and the netplane
+/// chaos plane use to decorrelate structured inputs.
 #[inline]
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+pub(crate) fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The SplitMix64 finalizer: a golden-ratio step, then [`mix64`].
+#[inline]
+pub(crate) fn splitmix(z: u64) -> u64 {
+    mix64(z.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 /// The drop schedule of one run: a salted seed and a threshold, so

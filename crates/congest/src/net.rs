@@ -1,23 +1,26 @@
-//! Precomputed per-network tables shared by every phase of a run.
+//! The simulated network: the per-network tables every phase of a run
+//! shares.
 //!
 //! [`NetTables`] holds what the CONGEST model lets a node know a priori —
 //! its identifier and its neighbors' identifiers by port, plus `n` and
-//! `∆` — together with the flat reverse-port table the engines route by:
-//! one CSR-layout identifier table and one reverse-port table per
-//! `(graph, config)` pair. A node's [`NodeCtx`] is a `Copy` view of its
+//! `∆` — together with the route of every port: the destination's
+//! simulated index and the port the message arrives on there. Identifiers
+//! and that port pairing are the whole network a run needs, so the
+//! engines step, route, size inboxes and count nodes from the tables
+//! alone and take no graph. A node's [`NodeCtx`] is a `Copy` view of its
 //! row that [`NetTables::ctx`] builds for each `init` and each step, so
 //! no engine keeps a per-node context of its own.
 //!
 //! The tables may simulate a part of the network:
-//! [`NetTables::induced`] builds them over the subgraph a set of nodes
-//! induces, and every simulated node keeps its network identity — its
-//! identifier, the network's `n` and `∆`, the RNG stream of its network
-//! index and the network's per-edge budget. A protocol whose traffic
-//! never leaves that set then runs there exactly as in the whole network
-//! when no message is dropped: seeded drops (`config.faults`) are keyed
-//! by the sender's simulated index and port, so on induced tables they
-//! fall on other messages. [`NetTables::build`] is the case where the set
-//! is every node.
+//! [`NetTables::induced`] builds them over the nodes a sorted index set
+//! names, straight from the network graph, and every simulated node keeps
+//! its network identity — its identifier, the network's `n` and `∆`, the
+//! RNG stream of its network index and the network's per-edge budget. A
+//! protocol whose traffic never leaves that set then runs there exactly as
+//! in the whole network when no message is dropped: seeded drops
+//! (`config.faults`) are keyed by the sender's simulated index and port,
+//! so on induced tables they fall on other messages. [`NetTables::build`]
+//! is the case where the set is every node.
 //!
 //! The tables depend only on the topology and on the identifier
 //! permutation, which `config.seed` alone seeds — **not** on
@@ -29,9 +32,9 @@ use graphs::Graph;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
-/// Immutable CSR-layout per-network tables: identifier assignment, neighbor
-/// identifiers, and reverse ports, all aligned with the simulated graph's
-/// adjacency rows.
+/// Immutable CSR-layout per-network tables: identifier assignment, and per
+/// port the neighbor's identifier and the message route, one row per
+/// simulated node.
 pub struct NetTables {
     /// Nodes in the network: every context's `n`, and the `n` the
     /// per-edge budget is computed from.
@@ -39,18 +42,19 @@ pub struct NetTables {
     /// Maximum degree of the network.
     max_degree: usize,
     /// Row offsets, length `rows + 1`; row `v` of the flat tables is
-    /// `offsets[v]..offsets[v + 1]`, mirroring `graph.neighbors(v)`.
+    /// `offsets[v]..offsets[v + 1]`, one entry per port of `v`.
     offsets: Vec<usize>,
     /// Identifier of each simulated node, by index.
     idents: Vec<u64>,
     /// Network index of each simulated node: the key of its RNG stream.
     globals: Vec<u32>,
     /// Flat neighbor-identifier table: entry for `(v, p)` is the identifier
-    /// of `graph.neighbors(v)[p]`.
+    /// of the neighbor on `v`'s port `p`.
     neighbor_idents: Vec<u64>,
-    /// Flat reverse-port table: entry for `(v, p)` is the port of `v` on
-    /// `graph.neighbors(v)[p]` — where a message sent by `v` on `p` arrives.
-    reverse_ports: Vec<Port>,
+    /// Flat route table: entry for `(v, p)` is `(dest, arrival)`, the
+    /// simulated index of the neighbor on `v`'s port `p` and the port of
+    /// `v` on that neighbor — where a message sent by `v` on `p` arrives.
+    routes: Vec<(u32, Port)>,
 }
 
 impl std::fmt::Debug for NetTables {
@@ -59,7 +63,7 @@ impl std::fmt::Debug for NetTables {
             .field("n", &self.n)
             .field("rows", &self.idents.len())
             .field("max_degree", &self.max_degree)
-            .field("directed_edges", &self.neighbor_idents.len())
+            .field("directed_edges", &self.routes.len())
             .finish()
     }
 }
@@ -83,25 +87,19 @@ impl NetTables {
     #[must_use]
     pub fn build(graph: &Graph, config: &SimConfig) -> Self {
         let n = graph.n();
-        NetTables::fill(
-            graph,
-            graph,
-            identifiers(n, config),
-            (0..n as u32).collect(),
-        )
+        NetTables::fill(graph, identifiers(n, config), (0..n as u32).collect(), Some)
     }
 
-    /// The subgraph of `graph` induced by `nodes` (sorted, distinct
-    /// network indices), relabelled monotonically so `nodes[i]` is
-    /// simulated node `i` and its in-set ports keep their order
-    /// ([`Graph::induced`]), with tables in which every simulated node
-    /// keeps its network identity: its identifier and its neighbors'
-    /// under `config`, the network's `n` and `∆` in its [`NodeCtx`], the
-    /// RNG stream of its network index, and the network's per-edge
-    /// budget. Over every node this is [`NetTables::build`]. Seeded
-    /// drops are keyed by simulated index and port, so a run with
-    /// `config.faults` drops other messages here than on the whole
-    /// network.
+    /// The tables of the part of `graph` that `nodes` (sorted, distinct
+    /// network indices) induce: `nodes[i]` is simulated node `i`, whose
+    /// ports are its in-set neighbors in network port order, each routed
+    /// to that neighbor's position in `nodes`. Every simulated node keeps
+    /// its network identity: its identifier and its neighbors' under
+    /// `config`, the network's `n` and `∆` in its [`NodeCtx`], the RNG
+    /// stream of its network index, and the network's per-edge budget.
+    /// Over every node this is [`NetTables::build`]. Seeded drops are
+    /// keyed by simulated index and port, so a run with `config.faults`
+    /// drops other messages here than on the whole network.
     /// `O(n + Σ_{v ∈ nodes} deg(v) · log |nodes|)`.
     ///
     /// # Panics
@@ -109,62 +107,74 @@ impl NetTables {
     /// Panics if `nodes` is not strictly increasing or names a node
     /// outside `0..n`.
     #[must_use]
-    pub fn induced(graph: &Graph, config: &SimConfig, nodes: &[u32]) -> (Graph, Self) {
-        let sub = graph.induced(nodes);
+    pub fn induced(graph: &Graph, config: &SimConfig, nodes: &[u32]) -> Self {
+        assert!(
+            nodes.windows(2).all(|w| w[0] < w[1]),
+            "induced nodes must be sorted and distinct"
+        );
         let all = identifiers(graph.n(), config);
         let idents = nodes.iter().map(|&v| all[v as usize]).collect();
-        let net = NetTables::fill(graph, &sub, idents, nodes.to_vec());
-        (sub, net)
+        NetTables::fill(graph, idents, nodes.to_vec(), |u| {
+            nodes.binary_search(&u).ok().map(|i| i as u32)
+        })
     }
 
-    /// The one row fill: the flat tables of `sim`, whose node `v` is
-    /// network node `globals[v]` with identifier `idents[v]`, in one
-    /// linear pass. Rows are sorted and visited in index order, so when
-    /// `v` reaches its neighbor `u`, `u` has been reached by exactly its
-    /// neighbors below `v`: `v`'s port on `u` is that count.
-    fn fill(network: &Graph, sim: &Graph, idents: Vec<u64>, globals: Vec<u32>) -> Self {
-        let rows = sim.n();
+    /// The one row fill: simulated node `v` is network node `globals[v]`
+    /// with identifier `idents[v]`, and `local` maps a network index to
+    /// its simulated index (`None` outside the simulated set, whose ports
+    /// are left out). One linear pass: `local` is monotone, so rows stay
+    /// sorted and are visited in index order, and when `v` reaches its
+    /// neighbor `u`, `u` has been reached by exactly its neighbors below
+    /// `v`: `v`'s port on `u` is that count.
+    fn fill(
+        graph: &Graph,
+        idents: Vec<u64>,
+        globals: Vec<u32>,
+        local: impl Fn(u32) -> Option<u32>,
+    ) -> Self {
+        let rows = globals.len();
+        let ports: usize = globals.iter().map(|&v| graph.degree(v)).sum();
         let mut offsets = Vec::with_capacity(rows + 1);
         offsets.push(0usize);
-        let mut neighbor_idents = Vec::with_capacity(2 * sim.m());
-        let mut reverse_ports = Vec::with_capacity(2 * sim.m());
+        let mut neighbor_idents = Vec::with_capacity(ports);
+        let mut routes = Vec::with_capacity(ports);
         let mut reached: Vec<Port> = vec![0; rows];
-        for v in 0..rows as u32 {
-            for &u in sim.neighbors(v) {
-                neighbor_idents.push(idents[u as usize]);
-                reverse_ports.push(reached[u as usize]);
-                reached[u as usize] += 1;
+        for &v in &globals {
+            for &u in graph.neighbors(v) {
+                if let Some(dest) = local(u) {
+                    neighbor_idents.push(idents[dest as usize]);
+                    routes.push((dest, reached[dest as usize]));
+                    reached[dest as usize] += 1;
+                }
             }
-            offsets.push(neighbor_idents.len());
+            offsets.push(routes.len());
         }
         NetTables {
-            n: network.n(),
-            max_degree: network.max_degree(),
+            n: graph.n(),
+            max_degree: graph.max_degree(),
             offsets,
             idents,
             globals,
             neighbor_idents,
-            reverse_ports,
+            routes,
         }
-    }
-
-    /// Whether these tables are plausibly the ones built for `graph`:
-    /// simulated node count and directed-edge count must agree. `O(1)`.
-    /// Used by the engines to reject a (graph, tables) mix-up hard — a
-    /// mismatch would otherwise mis-route messages and complete with
-    /// silently wrong results. (Two different topologies with identical
-    /// n and m are not distinguishable at this price; the engines' port
-    /// lookups stay in-bounds regardless because both tables are
-    /// adjacency-shaped.)
-    #[must_use]
-    pub fn matches(&self, graph: &Graph) -> bool {
-        self.idents.len() == graph.n() && self.neighbor_idents.len() == 2 * graph.m()
     }
 
     /// Identifier of each simulated node, by index.
     #[must_use]
     pub fn idents(&self) -> &[u64] {
         &self.idents
+    }
+
+    /// Number of simulated nodes: the network's `n` for
+    /// [`NetTables::build`], `nodes.len()` for [`NetTables::induced`].
+    pub(crate) fn rows(&self) -> usize {
+        self.idents.len()
+    }
+
+    /// Number of simulated directed edges: the sum of the rows' degrees.
+    pub(crate) fn directed_edges(&self) -> usize {
+        self.routes.len()
     }
 
     /// Number of nodes in the network, which induced tables simulate
@@ -185,11 +195,13 @@ impl NetTables {
         &self.neighbor_idents[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
 
-    /// For each port `p` of `v`, the arrival port at the other endpoint:
-    /// `reverse_ports_of(v)[p]` is the port of `v` on `neighbors(v)[p]`.
-    #[must_use]
-    pub fn reverse_ports_of(&self, v: u32) -> &[Port] {
-        &self.reverse_ports[self.offsets[v as usize]..self.offsets[v as usize + 1]]
+    /// The route of each port of `v`: `routes_of(v)[p]` is
+    /// `(dest, arrival)`, the simulated index of the neighbor on port `p`
+    /// and the port of `v` on `dest`, where a message `v` sends on `p`
+    /// arrives.
+    #[inline]
+    pub(crate) fn routes_of(&self, v: u32) -> &[(u32, Port)] {
+        &self.routes[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
 
     /// The context of node `v` at round `round`: a view of `v`'s row,
@@ -233,8 +245,9 @@ mod tests {
             assert_eq!(row.len(), g.degree(v));
             for (p, &u) in g.neighbors(v).iter().enumerate() {
                 assert_eq!(row[p], t.idents()[u as usize]);
-                let back = t.reverse_ports_of(v)[p] as usize;
-                assert_eq!(g.neighbors(u)[back], v);
+                let (dest, back) = t.routes_of(v)[p];
+                assert_eq!(dest, u);
+                assert_eq!(g.neighbors(u)[back as usize], v);
             }
         }
     }
@@ -269,13 +282,12 @@ mod tests {
         let g = gen::gnp_capped(80, 0.08, 7, 3);
         let cfg = SimConfig::seeded(5);
         let all: Vec<u32> = (0..g.n() as u32).collect();
-        let (sub, t) = NetTables::induced(&g, &cfg, &all);
+        let t = NetTables::induced(&g, &cfg, &all);
         let b = NetTables::build(&g, &cfg);
-        assert_eq!(sub, g);
         assert_eq!(t.idents(), b.idents());
         for v in 0..g.n() as u32 {
             assert_eq!(t.neighbor_idents_of(v), b.neighbor_idents_of(v));
-            assert_eq!(t.reverse_ports_of(v), b.reverse_ports_of(v));
+            assert_eq!(t.routes_of(v), b.routes_of(v));
             assert_eq!(t.global_index(v), v);
         }
         assert_eq!(t.network_n(), b.network_n());
@@ -287,26 +299,30 @@ mod tests {
         let cfg = SimConfig::seeded(2);
         let whole = NetTables::build(&g, &cfg);
         let nodes: Vec<u32> = (0..g.n() as u32).filter(|v| v % 3 != 1).collect();
-        let (sub, t) = NetTables::induced(&g, &cfg, &nodes);
-        assert!(t.matches(&sub) && !t.matches(&g));
+        let t = NetTables::induced(&g, &cfg, &nodes);
+        assert_eq!(t.rows(), nodes.len());
         for (i, &v) in nodes.iter().enumerate() {
             let c = t.ctx(i as u32, 0);
             assert_eq!((c.index, c.ident), (i as u32, whole.idents()[v as usize]));
             assert_eq!((c.n, c.max_degree), (g.n(), g.max_degree()));
-            // In-set neighbors in network port order, reverse ports
-            // pointing back at this row.
-            let kept: Vec<u64> = g
+            // In-set neighbors in network port order, routed to their
+            // positions in `nodes`, arrival ports pointing back at this
+            // row.
+            let kept: Vec<u32> = g
                 .neighbors(v)
                 .iter()
-                .filter(|u| nodes.binary_search(u).is_ok())
-                .map(|&u| whole.idents()[u as usize])
+                .filter_map(|u| nodes.binary_search(u).ok().map(|j| j as u32))
                 .collect();
-            assert_eq!(c.neighbor_idents(), kept.as_slice());
-            for (p, &u) in sub.neighbors(i as u32).iter().enumerate() {
-                let back = t.reverse_ports_of(i as u32)[p] as usize;
-                assert_eq!(sub.neighbors(u)[back], i as u32);
+            let ids: Vec<u64> = kept.iter().map(|&j| t.idents()[j as usize]).collect();
+            assert_eq!(c.neighbor_idents(), ids.as_slice());
+            for (p, &(dest, back)) in t.routes_of(i as u32).iter().enumerate() {
+                assert_eq!(dest, kept[p]);
+                assert_eq!(t.routes_of(dest)[back as usize], (i as u32, p as Port));
             }
         }
+        // A node with no in-set neighbor keeps an empty row.
+        let lone = NetTables::induced(&g, &cfg, &[nodes[0]]);
+        assert_eq!((lone.rows(), lone.directed_edges()), (1, 0));
     }
 
     /// Records, at init, what a node knows of itself and its first RNG
@@ -344,8 +360,8 @@ mod tests {
         for runtime in [RuntimeMode::Sequential, RuntimeMode::Parallel(2)] {
             let cfg = SimConfig::seeded(6).with_runtime(runtime).with_salt(3);
             let whole = crate::run(&g, &FirstDraw, &cfg).unwrap();
-            let (sub, t) = NetTables::induced(&g, &cfg, &nodes);
-            let part = crate::run_with(&sub, &FirstDraw, &cfg, &t).unwrap();
+            let t = NetTables::induced(&g, &cfg, &nodes);
+            let part = crate::run_with(&FirstDraw, &cfg, &t).unwrap();
             assert_eq!(part.states.len(), nodes.len());
             for (i, &v) in nodes.iter().enumerate() {
                 assert_eq!(part.states[i], whole.states[v as usize], "{runtime:?}");

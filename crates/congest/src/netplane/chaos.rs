@@ -30,21 +30,8 @@
 //! claim `tests/net_chaos.rs` and the bench registry's `net/*chaos*`
 //! cells check.
 
+use crate::faults::{splitmix, PER_MILLION};
 use std::time::Duration;
-
-/// The number of "per-million" probability units in a certainty.
-/// (Mirrors [`crate::faults::PER_MILLION`].)
-pub const PER_MILLION: u32 = 1_000_000;
-
-/// SplitMix64 finalizer — same avalanche permutation as the fault plane,
-/// so chaos schedules decorrelate structured coordinates identically.
-#[inline]
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The seeded kill event: which shard dies, and when.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -49,10 +49,11 @@
 //!
 //! The sequential engine's observables are reproduced exactly:
 //!
-//! * **States** — every shard rebuilds the graph and its identifier
-//!   tables from the shared seed, builds the RNG streams and init states
-//!   of its own nodes alone (both depend only on the seed and the global
-//!   index), and steps them in index order with the same inbox contents
+//! * **States** — every shard rebuilds the network's [`NetTables`](crate::NetTables)
+//!   (identifiers and route rows) from the shared graph and seed, builds
+//!   the RNG streams and init states of its own nodes alone (both depend
+//!   only on the seed and the global index), routes by the tables alone,
+//!   and steps its nodes in index order with the same inbox contents
 //!   (inboxes sort by arrival port, so delivery interleaving is
 //!   unobservable). Its rows therefore equal the sequential rows, and
 //!   [`NetPlane::execute_with`] returns exactly those;

@@ -1,10 +1,10 @@
 //! The SPMD net engine: one OS process per shard, bit-identical to the
 //! sequential reference.
 //!
-//! Every shard process rebuilds the graph and its [`NetTables`] from the
+//! Every shard process rebuilds the network's [`NetTables`] from the
 //! shared `(graph, seed, config)`, then builds the RNG streams and
 //! initial states of its own contiguous slice of nodes
-//! ([`shard_range`]) and steps only those. Each communication round,
+//! ([`shard_range`]) and steps only those, routing by the tables alone. Each communication round,
 //! messages whose destination lives on another shard travel as one
 //! [`kind::ROUND`] frame per peer (flushed once — the round barrier is
 //! the flush point), together with the shard's local `RoundFlags`.
@@ -54,7 +54,6 @@ use super::wire::{Reader, Wire, WireError};
 use crate::runtime::engine::{self, RoundFlags, Transport};
 use crate::runtime::{shard_of, shard_range, RunResult, SimError};
 use crate::{Metrics, NetTables, Protocol, SimConfig};
-use graphs::Graph;
 use std::io::{self, Write as _};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
@@ -386,10 +385,12 @@ impl NetPlane {
         std::process::abort();
     }
 
-    /// Runs one protocol phase across the mesh, building and stepping
-    /// only this shard's nodes, and returns a result bit-identical (on
-    /// all observables: owned states, merged metrics, errors) to the
-    /// sequential engine's [`crate::run`] — the round loop *is* the
+    /// Runs one protocol phase across the mesh on the network `net`
+    /// describes (the tables are the whole network; no graph is passed),
+    /// building and stepping only this shard's nodes, and returns a result
+    /// bit-identical (on all observables: owned states, merged metrics,
+    /// errors) to the sequential engine's [`crate::run_with`] on the same
+    /// tables — the round loop *is* the
     /// sequential engine's, driven through the mesh transport, so
     /// [`Scheduling`](crate::Scheduling) and
     /// [`FaultConfig`](crate::FaultConfig) behave identically here.
@@ -409,12 +410,10 @@ impl NetPlane {
     /// # Panics
     ///
     /// Panics on unrecoverable transport failures (structured
-    /// [`NetError`] in the message), on `net` built for another graph,
-    /// and on the same protocol bugs the sequential engine rejects
-    /// (silent-round sends).
+    /// [`NetError`] in the message) and on the same protocol bugs the
+    /// sequential engine rejects (silent-round sends).
     pub fn execute_with<P: Protocol>(
         &mut self,
-        graph: &Graph,
         protocol: &P,
         config: &SimConfig,
         net: &NetTables,
@@ -422,7 +421,7 @@ impl NetPlane {
     where
         P::Msg: Wire,
     {
-        let n = graph.n();
+        let n = net.rows();
         let range = self.local_range(n);
         let mut transport = MeshTransport {
             n,
@@ -433,7 +432,7 @@ impl NetPlane {
         let RunResult {
             states,
             mut metrics,
-        } = engine::run_range(graph, protocol, config, net, range, &mut transport)?;
+        } = engine::run_range(protocol, config, net, range, &mut transport)?;
         // Merge metrics so every shard returns the identical global
         // record (and driver-level absorption stays engine-agnostic).
         // `Metrics::absorb` folds every field — including any added later
@@ -663,7 +662,7 @@ mod tests {
                 let cfg = reference_cfg(3);
                 let net = NetTables::build(&g, &cfg);
                 let range = plane.local_range(g.n());
-                (range, plane.execute_with(&g, &Flood, &cfg, &net).unwrap())
+                (range, plane.execute_with(&Flood, &cfg, &net).unwrap())
             });
             for (range, res) in outs {
                 // Metrics are globally merged: identical in every shard
@@ -737,10 +736,7 @@ mod tests {
                 let cfg = SimConfig::seeded(3);
                 let net = NetTables::build(&g, &cfg);
                 let range = plane.local_range(g.n());
-                (
-                    range,
-                    plane.execute_with(&g, &Staggered, &cfg, &net).unwrap(),
-                )
+                (range, plane.execute_with(&Staggered, &cfg, &net).unwrap())
             });
             for (range, res) in outs {
                 // Full metrics equality — including `stepped_nodes`,
@@ -785,7 +781,7 @@ mod tests {
                 let cfg = reference_cfg(3);
                 let protocol = CountInits::default();
                 let net = NetTables::build(&g, &cfg);
-                let res = plane.execute_with(&g, &protocol, &cfg, &net).unwrap();
+                let res = plane.execute_with(&protocol, &cfg, &net).unwrap();
                 let size = plane.local_range(g.n()).len();
                 (size, protocol.0.into_inner(), res.states.len())
             });
@@ -815,7 +811,7 @@ mod tests {
             let cfg = reference_cfg(3).with_faults(faults());
             let net = NetTables::build(&g, &cfg);
             let range = plane.local_range(g.n());
-            (range, plane.execute_with(&g, &Flood, &cfg, &net).unwrap())
+            (range, plane.execute_with(&Flood, &cfg, &net).unwrap())
         });
         for (range, res) in outs {
             assert_eq!(res.metrics, seq.metrics);
@@ -870,7 +866,7 @@ mod tests {
             let cfg = reference_cfg(2);
             let net = NetTables::build(&g, &cfg);
             let range = plane.local_range(g.n());
-            (range, plane.execute_with(&g, &Pulse, &cfg, &net).unwrap())
+            (range, plane.execute_with(&Pulse, &cfg, &net).unwrap())
         });
         for (range, res) in outs {
             assert_eq!(res.metrics, seq.metrics);
@@ -942,7 +938,7 @@ mod tests {
                 .with_max_rounds(10)
                 .with_phase_label("forever");
             let net = NetTables::build(&g, &cfg);
-            plane.execute_with(&g, &Forever, &cfg, &net).unwrap_err()
+            plane.execute_with(&Forever, &cfg, &net).unwrap_err()
         });
         for err in errs {
             // live_nodes sums across shards to the sequential count.
@@ -967,7 +963,7 @@ mod tests {
                 let g = gen::path(9);
                 let cfg = reference_cfg(0).with_max_rounds(40);
                 let net = NetTables::build(&g, &cfg);
-                plane.execute_with(&g, &Watermark, &cfg, &net).unwrap_err()
+                plane.execute_with(&Watermark, &cfg, &net).unwrap_err()
             });
             for err in errs {
                 assert_eq!(err, seq_err, "{k} shards");
@@ -1025,7 +1021,7 @@ mod tests {
             let g = gen::path(6);
             let cfg = reference_cfg(0);
             let net = NetTables::build(&g, &cfg);
-            plane.execute_with(&g, &Fat, &cfg, &net).unwrap()
+            plane.execute_with(&Fat, &cfg, &net).unwrap()
         });
         for res in outs {
             assert_eq!(res.metrics, seq.metrics);
@@ -1040,7 +1036,7 @@ mod tests {
             let g = gen::empty(0);
             let cfg = SimConfig::seeded(1);
             let net = NetTables::build(&g, &cfg);
-            plane.execute_with(&g, &Flood, &cfg, &net).unwrap()
+            plane.execute_with(&Flood, &cfg, &net).unwrap()
         });
         for res in outs {
             assert!(res.states.is_empty());

@@ -23,7 +23,7 @@ pub type NodeRng = ChaCha8Rng;
 /// step, so no per-node context outlives the call it is passed to.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeCtx<'a> {
-    /// Index in the simulated graph — the network itself, or the part
+    /// Index in the simulated network — the whole network, or the part
     /// of it that [`NetTables::induced`](crate::NetTables::induced)
     /// tables simulate. Used to index per-node inputs/outputs in drivers;
     /// protocols must break symmetry with [`NodeCtx::ident`], never with

@@ -5,12 +5,13 @@
 //! [`run_range`] owns everything the runtimes used to triplicate:
 //! active-set scheduling (the wake frontier, `Wake::At` heap, sticky
 //! termination votes), the drop plane, sync-period batching, metrics
-//! accounting, and structured [`SimError`] construction. It builds the
-//! RNG streams and initial states of the one node range it steps, and
-//! nothing else: every engine's world is the union of its shards'
-//! ranges. What *varies* between runtimes — how a shard's staged
-//! messages and votes reach the other shards — is abstracted behind the
-//! [`Transport`] trait.
+//! accounting, and structured [`SimError`] construction. Its network is
+//! a [`NetTables`] alone — every message goes where its port's route row
+//! says — and it takes no graph. It builds the RNG streams and initial
+//! states of the one node range it steps, and nothing else: every
+//! engine's world is the union of its shards' ranges. What *varies*
+//! between runtimes — how a shard's staged messages and votes reach the
+//! other shards — is abstracted behind the [`Transport`] trait.
 //!
 //! # The `Transport` contract
 //!
@@ -63,7 +64,6 @@ use crate::{
     Inbox, Message, Metrics, NetTables, NodeRng, Outbox, Port, Protocol, Scheduling, SimConfig,
     Status, Wake,
 };
-use graphs::Graph;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
@@ -156,33 +156,31 @@ fn wake(stamp: &mut [u64], queue: &mut Vec<u32>, i: usize, t: u64) {
 /// sequential engine passes `0..n`; each parallel worker and each
 /// netplane shard passes its own slice ([`super::shard_range`]).
 ///
-/// RNG streams depend only on the seed and each node's network index
-/// (which [`NetTables::induced`] tables keep), and contexts are views of
-/// `net`, so shards of any partition build the same rows. The
-/// run's drop plane is a pure function of `(config, salt)`, so every
-/// shard holds the identical trace. Errors are constructed from
-/// globally-merged flags, so every shard returns the identical
-/// [`SimError`]. An empty graph has no round 0 to terminate at: it
-/// returns zero-round metrics at once.
+/// The tables are the whole network the loop reads: each message goes
+/// where its port's route row says ([`NetTables::routes_of`]), inboxes
+/// are sized by the rows, and `n` is the tables' row count. RNG streams
+/// depend only on the seed and each node's network index (which
+/// [`NetTables::induced`] tables keep), and contexts are views of `net`,
+/// so shards of any partition build the same rows. The run's drop plane
+/// is a pure function of `(config, salt)`, so every shard holds the
+/// identical trace. Errors are constructed from globally-merged flags,
+/// so every shard returns the identical [`SimError`]. An empty network
+/// has no round 0 to terminate at: it returns zero-round metrics at once.
 ///
 /// # Panics
 ///
-/// Panics if `net` was not built for `graph` (node or edge count
-/// mismatch — proceeding would mis-route messages and return silently
-/// wrong results), and if the protocol stages a message in a round its
-/// declared [`Protocol::sync_period`] marks silent — a protocol bug, like
-/// a duplicate send on a port.
+/// Panics if the protocol stages a message in a round its declared
+/// [`Protocol::sync_period`] marks silent — a protocol bug, like a
+/// duplicate send on a port.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn run_range<P: Protocol, T: Transport<P::Msg>>(
-    graph: &Graph,
     protocol: &P,
     config: &SimConfig,
     net: &NetTables,
     range: Range<usize>,
     transport: &mut T,
 ) -> Result<RunResult<P::State>, SimError> {
-    assert!(net.matches(graph), "NetTables built for a different graph");
-    let n = graph.n();
+    let n = net.rows();
     let start = range.start;
     let local_n = range.len();
     let mut rngs: Vec<NodeRng> = range
@@ -217,7 +215,7 @@ pub(crate) fn run_range<P: Protocol, T: Transport<P::Msg>>(
     // the steady state allocation-free.
     let inboxes = || -> Vec<Inbox<P::Msg>> {
         (0..local_n)
-            .map(|i| Inbox::with_capacity(graph.degree((start + i) as u32)))
+            .map(|i| Inbox::with_capacity(net.routes_of((start + i) as u32).len()))
             .collect()
     };
     let mut cur = inboxes();
@@ -346,6 +344,7 @@ pub(crate) fn run_range<P: Protocol, T: Transport<P::Msg>>(
                 comm || out.is_empty(),
                 "protocol declared sync_period {period} but node {v} sent in silent round {round}"
             );
+            let routes = net.routes_of(v as u32);
             for (port, msg) in out.drain() {
                 progressed = true;
                 metrics.record_message(msg.bits(), budget);
@@ -356,8 +355,8 @@ pub(crate) fn run_range<P: Protocol, T: Transport<P::Msg>>(
                     metrics.faults_dropped += 1;
                     continue;
                 }
-                let dest = graph.neighbors(v as u32)[port as usize] as usize;
-                let arrival = net.reverse_ports_of(v as u32)[port as usize];
+                let (dest, arrival) = routes[port as usize];
+                let dest = dest as usize;
                 if range.contains(&dest) {
                     let li = dest - start;
                     next[li].push(arrival, msg);

@@ -95,11 +95,15 @@
 //!
 //! # Per-network tables and shard-local worlds
 //!
-//! What a node knows a priori lives in [`NetTables`], a CSR-layout
-//! identifier/reverse-port table built once per `(graph, config)`; a
-//! node's [`NodeCtx`](crate::NodeCtx) is a view of its row built for each
-//! `init` and each step. Multi-phase drivers build the tables once and
-//! pass them to [`run_with`]; [`run`] builds them on the fly.
+//! The simulated network is a [`NetTables`], built once per
+//! `(graph, config)`: what a node knows a priori (its identifier, its
+//! neighbors' identifiers by port) and, per port, the route a message
+//! takes (destination index, arrival port). A node's
+//! [`NodeCtx`](crate::NodeCtx) is a view of its row built for each `init`
+//! and each step, and the engines route, size inboxes and count nodes
+//! from the same rows, so no engine takes a graph. Multi-phase drivers
+//! build the tables once and pass them to [`run_with`]; [`run`] builds
+//! them from a graph on the fly.
 //!
 //! Everything else is shard-local: every engine runs the shared core on
 //! the node ranges [`shard_range`] assigns, and each shard builds the RNG
@@ -187,8 +191,8 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Runs `protocol` on `graph` to unanimous [`Status::Done`](crate::Status)
-/// on the engine `config.runtime` selects, building the [`NetTables`] on
-/// the fly.
+/// on the engine `config.runtime` selects, building the graph's
+/// [`NetTables`] on the fly.
 ///
 /// # Errors
 ///
@@ -205,12 +209,15 @@ pub fn run<P: Protocol>(
     protocol: &P,
     config: &SimConfig,
 ) -> Result<RunResult<P::State>, SimError> {
-    run_with(graph, protocol, config, &NetTables::build(graph, config))
+    run_with(protocol, config, &NetTables::build(graph, config))
 }
 
-/// [`run`] with prebuilt [`NetTables`], resolving [`RuntimeMode::Auto`]
-/// against the graph. This is the entry point multi-phase drivers use:
-/// the tables are built once per driver and shared across all phases.
+/// Runs `protocol` on the network `net` describes — a whole graph's
+/// [`NetTables::build`] tables or a part's [`NetTables::induced`] ones —
+/// resolving [`RuntimeMode::Auto`] against the tables. This is the entry
+/// point multi-phase drivers use: the tables are built once per driver
+/// and shared across all phases. The tables are the whole network, so no
+/// graph is passed beside them.
 ///
 /// # Errors
 ///
@@ -219,18 +226,15 @@ pub fn run<P: Protocol>(
 ///
 /// # Panics
 ///
-/// Panics if `net` was not built for `graph` (node or edge count
-/// mismatch — proceeding would mis-route messages and return silently
-/// wrong results), and on the protocol bugs [`run`] rejects.
+/// Panics on the protocol bugs [`run`] rejects.
 pub fn run_with<P: Protocol>(
-    graph: &Graph,
     protocol: &P,
     config: &SimConfig,
     net: &NetTables,
 ) -> Result<RunResult<P::State>, SimError> {
-    match config.runtime.resolve(graph) {
-        RuntimeMode::Parallel(t) => parallel::execute(t, graph, protocol, config, net),
-        _ => sequential::execute(graph, protocol, config, net),
+    match config.runtime.resolve(net) {
+        RuntimeMode::Parallel(t) => parallel::execute(t, protocol, config, net),
+        _ => sequential::execute(protocol, config, net),
     }
 }
 
@@ -253,11 +257,8 @@ pub(crate) fn shard_of(n: usize, n_shards: usize, v: usize) -> usize {
 /// Derives the private RNG stream of node `index` for run seed `seed`.
 pub(crate) fn node_rng(seed: u64, index: u32) -> NodeRng {
     // SplitMix64 mixing decorrelates adjacent node indices.
-    let mut z = seed ^ (u64::from(index).wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    ChaCha8Rng::seed_from_u64(z)
+    let z = seed ^ (u64::from(index).wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    ChaCha8Rng::seed_from_u64(crate::faults::mix64(z))
 }
 
 #[cfg(test)]
@@ -331,7 +332,7 @@ mod tests {
             let net = NetTables::build(&g, &cfg);
             for res in [
                 run(&g, &InitThread, &cfg).unwrap(),
-                run_with(&g, &InitThread, &cfg, &net).unwrap(),
+                run_with(&InitThread, &cfg, &net).unwrap(),
             ] {
                 let off_thread = res.states.iter().filter(|&&id| id != me).count();
                 match runtime {
@@ -347,9 +348,10 @@ mod tests {
         let g = gen::gnp_capped(40, 0.2, 8, 1);
         let net = NetTables::build(&g, &SimConfig::default());
         for u in 0..g.n() as u32 {
-            for (p, &v) in g.neighbors(u).iter().enumerate() {
-                let back = net.reverse_ports_of(u)[p] as usize;
-                assert_eq!(g.neighbors(v)[back], u);
+            for (p, &(v, back)) in net.routes_of(u).iter().enumerate() {
+                assert_eq!(v, g.neighbors(u)[p]);
+                assert_eq!(g.neighbors(v)[back as usize], u);
+                assert_eq!(net.routes_of(v)[back as usize], (u, p as u32));
             }
         }
     }

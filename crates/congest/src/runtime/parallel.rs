@@ -89,7 +89,6 @@ use super::barrier::SpinBarrier;
 use super::engine::{self, MailCell, MailboxTransport, SharedFlags};
 use super::{shard_range, RunResult, SimError};
 use crate::{Metrics, NetTables, Protocol, SimConfig};
-use graphs::Graph;
 
 /// Runs `protocol` on `threads` worker threads (0 = available
 /// parallelism), each building and stepping one contiguous shard of the
@@ -97,12 +96,11 @@ use graphs::Graph;
 /// metrics through its join handle.
 pub(super) fn execute<P: Protocol>(
     threads: usize,
-    graph: &Graph,
     protocol: &P,
     config: &SimConfig,
     net: &NetTables,
 ) -> Result<RunResult<P::State>, SimError> {
-    let n = graph.n();
+    let n = net.rows();
     let threads = if threads == 0 {
         std::thread::available_parallelism().map_or(4, usize::from)
     } else {
@@ -131,7 +129,7 @@ pub(super) fn execute<P: Protocol>(
                     let mut transport =
                         MailboxTransport::new(shard, t, n, mailboxes, barrier, flags);
                     let range = shard_range(n, t, shard);
-                    engine::run_range(graph, protocol, config, net, range, &mut transport)
+                    engine::run_range(protocol, config, net, range, &mut transport)
                 })
             })
             .collect();

@@ -10,24 +10,15 @@
 use super::engine::{self, LocalTransport};
 use super::{RunResult, SimError};
 use crate::{NetTables, Protocol, SimConfig};
-use graphs::Graph;
 
-/// Runs `protocol` over every node of `graph` on the calling thread: the
+/// Runs `protocol` over every node of `net` on the calling thread: the
 /// one shard `0..n`.
 pub(super) fn execute<P: Protocol>(
-    graph: &Graph,
     protocol: &P,
     config: &SimConfig,
     net: &NetTables,
 ) -> Result<RunResult<P::State>, SimError> {
-    engine::run_range(
-        graph,
-        protocol,
-        config,
-        net,
-        0..graph.n(),
-        &mut LocalTransport,
-    )
+    engine::run_range(protocol, config, net, 0..net.rows(), &mut LocalTransport)
 }
 
 #[cfg(test)]
@@ -400,7 +391,7 @@ mod tests {
 
     #[test]
     fn reparking_wakes_exactly_once_per_pending_target() {
-        let g = Graph::from_edges(8, &[(0, 1), (2, 3), (4, 5), (6, 7)]).unwrap();
+        let g = graphs::Graph::from_edges(8, &[(0, 1), (2, 3), (4, 5), (6, 7)]).unwrap();
         let active = run(&g, &Repark, &SimConfig::default()).unwrap();
         let reference = run(
             &g,

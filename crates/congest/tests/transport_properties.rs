@@ -256,14 +256,14 @@ fn run_with_dispatches_identically_over_shared_tables() {
     };
     let base = SimConfig::seeded(21);
     let net = congest::NetTables::build(&g, &base);
-    let seq = congest::run_with(&g, &proto, &base, &net).expect("seq");
+    let seq = congest::run_with(&proto, &base, &net).expect("seq");
     for runtime in [
         RuntimeMode::Parallel(2),
         RuntimeMode::Parallel(5),
         RuntimeMode::Auto(4),
     ] {
         let cfg = base.clone().with_runtime(runtime);
-        let res = congest::run_with(&g, &proto, &cfg, &net).expect("run");
+        let res = congest::run_with(&proto, &cfg, &net).expect("run");
         assert_eq!(seq.states, res.states, "{runtime:?}");
         assert_eq!(seq.metrics, res.metrics, "{runtime:?}");
     }

@@ -55,9 +55,10 @@ impl ColoringOutcome {
 /// while node identifiers stay fixed across the whole pipeline.
 ///
 /// The driver holds the per-network [`NetTables`] (CSR neighbor-identifier
-/// and reverse-port tables), built **once** at construction, and hands
-/// them to every phase, whose engines build each node's context as a view
-/// of its row.
+/// and route tables), built **once** at construction from the graph, and
+/// hands them to every phase: the engines route, step and build each
+/// node's context from the tables alone. The graph stays with the driver
+/// for the pipelines' own centralized set-up ([`Driver::graph`]).
 #[derive(Debug)]
 pub struct Driver<'g> {
     graph: &'g Graph,
@@ -76,19 +77,10 @@ impl<'g> Driver<'g> {
     /// [`RuntimeMode::Auto`](congest::RuntimeMode::Auto)'s per-run choice.
     #[must_use]
     pub fn new(graph: &'g Graph, config: SimConfig) -> Self {
-        let net = NetTables::build(graph, &config);
-        Driver::with_tables(graph, config, net)
-    }
-
-    /// New driver on prebuilt tables for `graph` — e.g. the
-    /// [`NetTables::induced`] tables of a region of a larger network,
-    /// whose nodes keep their network identity in every phase.
-    #[must_use]
-    pub fn with_tables(graph: &'g Graph, config: SimConfig, net: NetTables) -> Self {
         Driver {
             graph,
+            net: NetTables::build(graph, &config),
             config,
-            net,
             mesh: None,
             phase_counter: 0,
             metrics: Metrics::default(),
@@ -153,8 +145,8 @@ impl<'g> Driver<'g> {
         self.phase_counter += 1;
         let t0 = Instant::now();
         let RunResult { states, metrics } = match self.mesh.as_deref_mut() {
-            Some(plane) => plane.execute_with(self.graph, protocol, &cfg, &self.net)?,
-            None => congest::run_with(self.graph, protocol, &cfg, &self.net)?,
+            Some(plane) => plane.execute_with(protocol, &cfg, &self.net)?,
+            None => congest::run_with(protocol, &cfg, &self.net)?,
         };
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         self.metrics.absorb(&metrics);

@@ -49,16 +49,12 @@ pub fn run(
     let measured = splitting::max_part_degree(g, &split.part);
     let delta_h = measured.min(g.max_degree()).max(1);
 
-    let scope = Scope {
-        part: split.part.clone(),
-        dist: Dist::One,
-        delta_c: delta_h,
-    };
+    let scope = Scope::new(g, split.part, Dist::One, delta_h);
     let local = small::pipeline(&mut driver, &scope)?;
     let stride = delta_h as u32 + 1;
     let colors: Vec<u32> = local
         .iter()
-        .zip(&split.part)
+        .zip(&scope.part)
         .map(|(&c, &p)| p * stride + c)
         .collect();
     let report = GColoringReport {

@@ -20,7 +20,6 @@
 
 use super::{gather::DetMsg, GatherCore, Scope};
 use congest::{Inbox, NodeCtx, NodeRng, Outbox, Protocol, Status};
-use graphs::Graph;
 
 /// Parameters of one Linial iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,31 +160,22 @@ fn reduce_color(color: u64, plan: &IterPlan, conflicts: &[u32]) -> u64 {
 /// The Linial protocol. Initial colors default to node identifiers
 /// (`K₀ = n`); Theorem 3.4's recursion passes explicit colorings instead.
 #[derive(Debug)]
-pub struct Linial {
-    scope: Scope,
-    nbr_parts: super::NbrParts,
+pub struct Linial<'s> {
+    scope: &'s Scope,
     init_colors: Option<Vec<u64>>,
     plans: Vec<IterPlan>,
     budget: u64,
 }
 
-impl Linial {
+impl<'s> Linial<'s> {
     /// Builds the protocol for `scope` starting from `k0` colors.
     ///
     /// `init_colors` of `None` uses node identifiers (requires `k0 ≥ n`).
     #[must_use]
-    pub fn new(
-        g: &Graph,
-        scope: Scope,
-        init_colors: Option<Vec<u64>>,
-        k0: u64,
-        budget: u64,
-    ) -> Self {
-        let nbr_parts = scope.nbr_parts(g);
+    pub fn new(scope: &'s Scope, init_colors: Option<Vec<u64>>, k0: u64, budget: u64) -> Self {
         let plans = schedule(k0, scope.delta_c as u64);
         Linial {
             scope,
-            nbr_parts,
             init_colors,
             plans,
             budget,
@@ -219,7 +209,7 @@ pub struct LinialState {
     gather: Option<GatherCore>,
 }
 
-impl Protocol for Linial {
+impl Protocol for Linial<'_> {
     type State = LinialState;
     type Msg = DetMsg;
 
@@ -259,7 +249,7 @@ impl Protocol for Linial {
             let complete = gather.step(
                 my_color,
                 my_part,
-                self.nbr_parts.row(v),
+                self.scope.nbr_parts.row(v),
                 received,
                 |p, m| out.send(p, m),
             );
@@ -505,7 +495,7 @@ mod tests {
         let scope = Scope::full_d2(&g);
         let cfg = SimConfig::seeded(7);
         let budget = cfg.bandwidth_bits(g.n());
-        let proto = Linial::new(&g, scope, None, g.n() as u64, budget);
+        let proto = Linial::new(&scope, None, g.n() as u64, budget);
         let k_final = proto.output_k(g.n() as u64);
         let res = congest::run(&g, &proto, &cfg).unwrap();
         let colors: Vec<u32> = res.states.iter().map(|s| s.color_u32()).collect();
@@ -522,14 +512,10 @@ mod tests {
     fn linial_part_scoped_d1() {
         let g = graphs::gen::cycle(10);
         let part: Vec<u32> = (0..10).map(|i| (i % 2) as u32).collect();
-        let scope = Scope {
-            part: part.clone(),
-            dist: Dist::One,
-            delta_c: 2,
-        };
+        let scope = Scope::new(&g, part, Dist::One, 2);
         let cfg = SimConfig::seeded(1);
         let budget = cfg.bandwidth_bits(g.n());
-        let proto = Linial::new(&g, scope, None, 10, budget);
+        let proto = Linial::new(&scope, None, 10, budget);
         let res = congest::run(&g, &proto, &cfg).unwrap();
         let colors: Vec<u32> = res.states.iter().map(|s| s.color_u32()).collect();
         // Within a part (which here is an independent set at distance 2 on
@@ -546,7 +532,7 @@ mod tests {
         let scope = Scope::full_d2(&g);
         let cfg = SimConfig::seeded(1);
         // k0 tiny: nothing to do.
-        let proto = Linial::new(&g, scope, Some(vec![0, 1, 2, 3]), 4, 64);
+        let proto = Linial::new(&scope, Some(vec![0, 1, 2, 3]), 4, 64);
         let res = congest::run(&g, &proto, &cfg).unwrap();
         assert_eq!(res.metrics.rounds, 1);
     }

@@ -20,7 +20,6 @@ use super::{Scope, NO_PART};
 use crate::common::next_prime;
 use crate::{TrialCore, TrialMsg, UNCOLORED};
 use congest::{Inbox, NodeCtx, NodeRng, Outbox, Protocol, Status, Wake};
-use graphs::Graph;
 
 /// Chooses the phase count / output palette: the smallest prime `q` with
 /// `q > 4∆_c` and `q² ≥ k_in`.
@@ -36,31 +35,21 @@ pub fn choose_q(k_in: u64, delta_c: u64) -> u64 {
 
 /// The locally-iterative protocol.
 #[derive(Debug)]
-pub struct LocIter {
-    scope: Scope,
-    nbr_parts: super::NbrParts,
-    uniform: bool,
+pub struct LocIter<'s> {
+    scope: &'s Scope,
     /// Input coloring `ψ` (proper on the conflict graph, values < `q²`).
     psi: Vec<u32>,
     /// Prime field size = number of scheduled phases = output palette.
     pub q: u64,
 }
 
-impl LocIter {
+impl<'s> LocIter<'s> {
     /// Builds the protocol. `psi` must be a proper conflict-coloring with
     /// values `< choose_q(k_in, ∆_c)²`.
     #[must_use]
-    pub fn new(g: &Graph, scope: Scope, psi: Vec<u32>, k_in: u64) -> Self {
+    pub fn new(scope: &'s Scope, psi: Vec<u32>, k_in: u64) -> Self {
         let q = choose_q(k_in, scope.delta_c as u64);
-        let nbr_parts = scope.nbr_parts(g);
-        let uniform = scope.is_uniform();
-        LocIter {
-            scope,
-            nbr_parts,
-            uniform,
-            psi,
-            q,
-        }
+        LocIter { scope, psi, q }
     }
 
     fn candidate(&self, psi: u32, phase: u64) -> u32 {
@@ -87,7 +76,7 @@ impl LocIterState {
     }
 }
 
-impl Protocol for LocIter {
+impl Protocol for LocIter<'_> {
     type State = LocIterState;
     type Msg = TrialMsg;
 
@@ -95,10 +84,10 @@ impl Protocol for LocIter {
         let v = ctx.index as usize;
         // Uniform scopes compress the per-node part table away (empty =
         // "all neighbors in my part"; see `TrialCore::scoped`).
-        let parts = if self.uniform {
+        let parts = if self.scope.uniform {
             Vec::new()
         } else {
-            self.nbr_parts.row(v).to_vec()
+            self.scope.nbr_parts.row(v).to_vec()
         };
         let mut trial = TrialCore::scoped(
             self.scope.part[v],
@@ -196,7 +185,7 @@ mod tests {
     fn candidates_follow_polynomial() {
         let g = graphs::gen::path(2);
         let scope = Scope::full_d2(&g);
-        let li = LocIter::new(&g, scope, vec![0, 1], 4);
+        let li = LocIter::new(&scope, vec![0, 1], 4);
         let q = li.q;
         // psi = a*q + b.
         let psi = (2 * q + 3) as u32;
@@ -210,7 +199,7 @@ mod tests {
         let g = graphs::gen::gnp_capped(80, 0.07, 4, 9);
         let scope = Scope::full_d2(&g);
         let psi: Vec<u32> = (0..g.n() as u32).collect();
-        let proto = LocIter::new(&g, scope, psi, g.n() as u64);
+        let proto = LocIter::new(&scope, psi, g.n() as u64);
         let q = proto.q;
         let res = congest::run(&g, &proto, &SimConfig::seeded(2)).unwrap();
         let colors: Vec<u32> = res.states.iter().map(|s| s.color()).collect();
@@ -231,7 +220,7 @@ mod tests {
         let g = graphs::gen::star(12);
         let scope = Scope::full_d2(&g);
         let psi: Vec<u32> = (0..g.n() as u32).collect();
-        let proto = LocIter::new(&g, scope, psi, g.n() as u64);
+        let proto = LocIter::new(&scope, psi, g.n() as u64);
         let res = congest::run(&g, &proto, &SimConfig::seeded(4)).unwrap();
         let colors: Vec<u32> = res.states.iter().map(|s| s.color()).collect();
         assert!(graphs::verify::is_valid_d2_coloring(&g, &colors));
@@ -243,13 +232,9 @@ mod tests {
     fn loc_iter_part_scoped() {
         let g = graphs::gen::cycle(12);
         let part: Vec<u32> = (0..12).map(|i| (i % 3 == 0) as u32).collect();
-        let scope = Scope {
-            part: part.clone(),
-            dist: Dist::One,
-            delta_c: 2,
-        };
+        let scope = Scope::new(&g, part.clone(), Dist::One, 2);
         let psi: Vec<u32> = (0..12).collect();
-        let proto = LocIter::new(&g, scope, psi, 12);
+        let proto = LocIter::new(&scope, psi, 12);
         let res = congest::run(&g, &proto, &SimConfig::seeded(5)).unwrap();
         let colors: Vec<u32> = res.states.iter().map(|s| s.color()).collect();
         // Adjacent same-part nodes must differ.

@@ -43,21 +43,46 @@ pub enum Dist {
     Two,
 }
 
-/// A scoped coloring problem over the network.
-#[derive(Debug, Clone)]
+/// A scoped coloring problem over the network, with the tables its three
+/// pipeline stages read, built once by [`Scope::new`] and borrowed by
+/// every stage.
+#[derive(Debug)]
 pub struct Scope {
     /// Part of each node (`NO_PART` = inactive; such nodes only relay).
-    pub part: Vec<u32>,
+    part: Vec<u32>,
     /// Conflict distance.
-    pub dist: Dist,
+    dist: Dist,
     /// Upper bound on the number of same-part conflict neighbors of any
     /// active node (`∆²` for the full d2 problem). Drives palette sizes
     /// and the polynomial parameters of Linial / the locally-iterative
     /// stage.
-    pub delta_c: usize,
+    delta_c: usize,
+    /// Per-node neighbor-part rows (port-indexed), derivable because part
+    /// assignment protocols always end by announcing the part to
+    /// immediate neighbors; the scope precomputes the table they would
+    /// hold.
+    nbr_parts: NbrParts,
+    /// Whether every node is in the same part — the common unscoped case
+    /// (e.g. [`Scope::full_d2`]), where per-node part tables degenerate to
+    /// a constant and [`crate::TrialCore`] can skip its per-node copy.
+    uniform: bool,
 }
 
 impl Scope {
+    /// The scope of `part` (one entry per node of `g`, `NO_PART` for
+    /// relay-only nodes) with conflict distance `dist` and conflict-degree
+    /// bound `delta_c`. Builds the neighbor-part table once. `O(n + m)`.
+    #[must_use]
+    pub fn new(g: &graphs::Graph, part: Vec<u32>, dist: Dist, delta_c: usize) -> Self {
+        Scope {
+            nbr_parts: NbrParts::new(g, &part),
+            uniform: part.windows(2).all(|w| w[0] == w[1]),
+            part,
+            dist,
+            delta_c,
+        }
+    }
+
     /// The trivial scope: every node active, one part, distance-2
     /// conflicts, `∆_c = min(∆², n−1)` (both are valid global bounds on
     /// the d2-degree; nodes know `n` and `∆`, so taking the min is free
@@ -66,33 +91,13 @@ impl Scope {
     pub fn full_d2(g: &graphs::Graph) -> Self {
         let d = g.max_degree();
         let dc = (d * d).min(g.n().saturating_sub(1));
-        Scope {
-            part: vec![0; g.n()],
-            dist: Dist::Two,
-            delta_c: dc,
-        }
+        Scope::new(g, vec![0; g.n()], Dist::Two, dc)
     }
 
     /// Whether node `v` participates.
     #[must_use]
     pub fn is_active(&self, v: usize) -> bool {
         self.part[v] != NO_PART
-    }
-
-    /// Per-node neighbor-part tables (port-indexed), derivable because part
-    /// assignment protocols always end by announcing the part to immediate
-    /// neighbors; the driver precomputes the table they would hold.
-    #[must_use]
-    pub fn nbr_parts(&self, g: &graphs::Graph) -> NbrParts {
-        NbrParts::new(g, &self.part)
-    }
-
-    /// Whether every node is in the same part — the common unscoped case
-    /// (e.g. [`Scope::full_d2`]), where per-node part tables degenerate to
-    /// a constant and [`crate::TrialCore`] can skip its per-node copy.
-    #[must_use]
-    pub fn is_uniform(&self) -> bool {
-        self.part.windows(2).all(|w| w[0] == w[1])
     }
 }
 
@@ -148,13 +153,10 @@ mod tests {
     #[test]
     fn nbr_parts_follow_ports() {
         let g = graphs::gen::path(3);
-        let scope = Scope {
-            part: vec![5, NO_PART, 7],
-            dist: Dist::One,
-            delta_c: 2,
-        };
-        let np = scope.nbr_parts(&g);
-        assert_eq!(np.row(1), &[5, 7]);
+        let scope = Scope::new(&g, vec![5, NO_PART, 7], Dist::One, 2);
+        assert_eq!(scope.nbr_parts.row(1), &[5, 7]);
         assert!(!scope.is_active(1));
+        assert!(!scope.uniform);
+        assert!(Scope::full_d2(&g).uniform);
     }
 }

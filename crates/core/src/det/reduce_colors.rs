@@ -21,13 +21,11 @@
 
 use super::{gather::DetMsg, Dist, GatherCore, Scope};
 use congest::{Inbox, NodeCtx, NodeRng, Outbox, Port, Protocol, Status, Wake};
-use graphs::Graph;
 
 /// The color-reduction protocol.
 #[derive(Debug)]
-pub struct ReduceColors {
-    scope: Scope,
-    nbr_parts: super::NbrParts,
+pub struct ReduceColors<'s> {
+    scope: &'s Scope,
     init_colors: Vec<u32>,
     /// Input palette size.
     pub k_in: u64,
@@ -36,16 +34,14 @@ pub struct ReduceColors {
     budget: u64,
 }
 
-impl ReduceColors {
+impl<'s> ReduceColors<'s> {
     /// Builds the protocol; `init_colors` must be proper on the conflict
     /// graph with values `< k_in`.
     #[must_use]
-    pub fn new(g: &Graph, scope: Scope, init_colors: Vec<u32>, k_in: u64, budget: u64) -> Self {
+    pub fn new(scope: &'s Scope, init_colors: Vec<u32>, k_in: u64, budget: u64) -> Self {
         let target = scope.delta_c as u64 + 1;
-        let nbr_parts = scope.nbr_parts(g);
         ReduceColors {
             scope,
-            nbr_parts,
             init_colors,
             k_in,
             target,
@@ -98,7 +94,7 @@ impl ReduceState {
     }
 }
 
-impl Protocol for ReduceColors {
+impl Protocol for ReduceColors<'_> {
     type State = ReduceState;
     type Msg = DetMsg;
 
@@ -143,7 +139,7 @@ impl Protocol for ReduceColors {
             let complete = gather.step(
                 my_color,
                 my_part,
-                self.nbr_parts.row(v),
+                self.scope.nbr_parts.row(v),
                 received,
                 |p, m| {
                     out.send(p, m);
@@ -191,14 +187,14 @@ impl Protocol for ReduceColors {
             st.fwd_sent.fill(false);
             for &(p, ref m) in received {
                 if let DetMsg::Recolor { old, new } = *m {
-                    let sender_part = self.nbr_parts.row(v)[p as usize];
+                    let sender_part = self.scope.nbr_parts.row(v)[p as usize];
                     if sender_part == my_part {
                         st.bump(old, new);
                     }
                     if self.scope.dist == Dist::Two {
                         for q in 0..ctx.degree() as Port {
                             if q != p
-                                && self.nbr_parts.row(v)[q as usize] == sender_part
+                                && self.scope.nbr_parts.row(v)[q as usize] == sender_part
                                 && !st.fwd_sent[q as usize]
                             {
                                 st.fwd_sent[q as usize] = true;
@@ -251,7 +247,7 @@ mod tests {
         let scope = Scope::full_d2(g);
         let cfg = SimConfig::seeded(11);
         let budget = cfg.bandwidth_bits(g.n());
-        let proto = ReduceColors::new(g, scope, init, k_in, budget);
+        let proto = ReduceColors::new(&scope, init, k_in, budget);
         let res = congest::run(g, &proto, &cfg).unwrap();
         (res.states.iter().map(|s| s.color).collect(), res.metrics)
     }

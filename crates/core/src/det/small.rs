@@ -57,7 +57,7 @@ pub fn pipeline(driver: &mut Driver<'_>, scope: &Scope) -> Result<Vec<u32>, SimE
     // the identifiers are already within the locally-iterative range and
     // the nodes use them directly (they know them for free), fetched
     // through a Linial instance with an empty schedule.
-    let lin = linial::Linial::new(g, scope.clone(), None, k0, budget);
+    let lin = linial::Linial::new(scope, None, k0, budget);
     let k_after = lin.output_k(k0);
     let name = if k_after < k0 {
         "linial"
@@ -67,12 +67,12 @@ pub fn pipeline(driver: &mut Driver<'_>, scope: &Scope) -> Result<Vec<u32>, SimE
     let psi = driver.run_phase(name, &lin, |s| s.color_u32())?;
 
     // Stage 2: locally-iterative to q = O(∆_c) colors.
-    let li = loc_iter::LocIter::new(g, scope.clone(), psi, k_after);
+    let li = loc_iter::LocIter::new(scope, psi, k_after);
     let q = li.q;
     let colors = driver.run_phase(format!("loc-iter(q={q})"), &li, |s| s.color())?;
 
     // Stage 3: reduce q → ∆_c + 1.
-    let rc = reduce_colors::ReduceColors::new(g, scope.clone(), colors, q, budget);
+    let rc = reduce_colors::ReduceColors::new(scope, colors, q, budget);
     let name = format!("color-reduce({q}->{})", scope.delta_c + 1);
     let mut out = driver.run_phase(name, &rc, |s| s.color)?;
     for (v, c) in out.iter_mut().enumerate() {

@@ -74,16 +74,12 @@ pub fn run(
     let view = D2View::build(g);
     let delta_c = max_part_d2_degree(&view, &split.part).max(1);
 
-    let scope = Scope {
-        part: split.part.clone(),
-        dist: Dist::Two,
-        delta_c,
-    };
+    let scope = Scope::new(g, split.part, Dist::Two, delta_c);
     let local = small::pipeline(&mut driver, &scope)?;
     let stride = delta_c as u32 + 1;
     let colors: Vec<u32> = local
         .iter()
-        .zip(&split.part)
+        .zip(&scope.part)
         .map(|(&c, &p)| p * stride + c)
         .collect();
     let d = g.max_degree();

@@ -364,27 +364,6 @@ impl Protocol for Reduce {
         let v_idx = ctx.index as usize;
         let sim = &self.sim[v_idx];
         let degree = ctx.degree();
-        let samp_window = SamplerCore::rounds(self.rho);
-        // Settled fast path: a colored node with an empty inbox, nothing
-        // pending, and the sampling window behind it has no role to play
-        // this round — every helper/relay duty is triggered by arrivals.
-        // Vacuous phases (no live nodes anywhere near) then cost a few
-        // comparisons per node instead of the full sub-round machinery,
-        // and the node's RNG stream is untouched (the full path draws no
-        // coins for settled nodes either).
-        if inbox.is_empty()
-            && ctx.round >= samp_window
-            && !st.trial.is_live()
-            && !st.trial.has_pending_announce()
-            && st.flow.is_empty()
-        {
-            let phases_end = samp_window + u64::from(self.rho) * Self::PERIOD;
-            return if ctx.round > phases_end {
-                Status::Done
-            } else {
-                Status::Running
-            };
-        }
         unpack_into(inbox, &mut st.inbox_buf);
         // Trial announcements fold in whenever they arrive.
         st.tries_buf.clear();
@@ -701,9 +680,12 @@ impl Protocol for Reduce {
             return Wake::Message;
         }
         let samp_window = SamplerCore::rounds(self.rho);
-        // Park exactly the settled fast-path set (minus the empty-inbox
-        // condition, which parking subsumes): for those nodes an unwoken
-        // round and a stepped round are literally the same no-op. Every
+        // Park settled nodes: colored, nothing to announce, no flow, the
+        // sampling window behind them. For those, a round without
+        // arrivals sends nothing and draws no coin — `is_live` gates
+        // activation and the trial coin, and no arrival means no choice
+        // is drawn — so skipping it is exact; the always-step reference
+        // runs it, and the differential harnesses compare the two. Every
         // helper/relay duty is message-triggered, and the first possible
         // `Done` vote — everyone's — is the round after the tail flush.
         if ctx.round >= samp_window

@@ -410,7 +410,7 @@ mod tests {
                 SlotRoute::Via(p) => {
                     // Peek the relay's table (test-side only).
                     let relay = g.neighbors(0)[p as usize];
-                    let back = g.port_of(relay, 0).unwrap() as Port;
+                    let back = g.neighbors(relay).binary_search(&0).unwrap() as Port;
                     match res.states[relay as usize].sampler.relay_target(back, s) {
                         Some(RelayTarget::Port(q)) => {
                             counts[g.neighbors(relay)[q as usize] as usize] += 1;

@@ -30,13 +30,15 @@
 //!
 //! The nodes that try are the damaged ones and any node the input left
 //! uncolored; call them `L`. [`repair`] simulates the region
-//! `R = L ∪ N(L)` alone: the subgraph `R` induces, on
-//! [`NetTables::induced`] tables in which every node keeps its network
-//! identifier, `n`, `∆`, RNG stream and per-edge budget. A region node's
-//! neighbor-color table holds its in-region neighbors' colors by port,
-//! followed by its out-of-region neighbors' colors: its verdicts and its
-//! locally free colors read them, and no port updates them (none of
-//! those neighbors ever announces).
+//! `R = L ∪ N(L)` alone: it runs its one phase with [`congest::run_with`]
+//! on the [`NetTables::induced`] tables of `R`, whose ports are the
+//! edges inside `R` and in which every node keeps its network
+//! identifier, `n`, `∆`, RNG stream and per-edge budget, under the config
+//! a pipeline driver gives its first phase (salt 0, label `"repair"`). A
+//! region node's neighbor-color table holds its in-region neighbors'
+//! colors by port, followed by its out-of-region neighbors' colors: its
+//! verdicts and its locally free colors read them, and no port updates
+//! them (none of those neighbors ever announces).
 //!
 //! This is bit-exact with simulating every node. There, only nodes of
 //! `L` try, and all their neighbors lie in `R`; verdicts go back on the
@@ -59,8 +61,7 @@
 
 use crate::common::UNCOLORED;
 use crate::rand::trials::RandomTrials;
-use crate::Driver;
-use congest::{Metrics, NetTables, SimConfig, SimError};
+use congest::{Metrics, NetTables, RunResult, SimConfig, SimError};
 use graphs::{verify, D2View, Graph, NodeId};
 
 /// Nodes whose color conflicts with a distance-2 neighbor, restricted to
@@ -202,16 +203,21 @@ pub fn repair(
         })
         .collect();
 
-    let config = config.clone().without_faults();
-    let (sub, net) = NetTables::induced(graph, &config, &region);
-    let mut driver = Driver::with_tables(&sub, config, net);
+    // One phase, configured as a pipeline driver configures its first:
+    // salt 0, labelled for round-limit diagnostics.
+    let config = config
+        .clone()
+        .without_faults()
+        .with_salt(0)
+        .with_phase_label("repair");
+    let net = NetTables::induced(graph, &config, &region);
     let proto = RandomTrials::to_completion(palette)
         .resuming(init)
         .locally_free();
-    let recolored = driver.run_phase("repair", &proto, |s| s.trial.color())?;
+    let RunResult { states, metrics } = congest::run_with(&proto, &config, &net)?;
     let mut repaired = colors.to_vec();
-    for (&v, c) in region.iter().zip(recolored) {
-        repaired[v as usize] = c;
+    for (&v, s) in region.iter().zip(states) {
+        repaired[v as usize] = s.trial.color();
     }
     let palette_after = verify::palette_size(&repaired);
     Ok(RepairOutcome {
@@ -220,7 +226,7 @@ pub fn repair(
         palette,
         palette_before,
         palette_after,
-        metrics: driver.metrics().clone(),
+        metrics,
     })
 }
 

@@ -101,7 +101,7 @@ impl Graph {
     /// `n + 1` and sorted, duplicate-free adjacency rows in `flat`.
     ///
     /// Crate-internal: used by [`GraphBuilder::build`],
-    /// [`Graph::induced`], [`apply_batch`](crate::apply_batch) and
+    /// [`apply_batch`](crate::apply_batch) and
     /// [`D2View::to_square`](crate::D2View::to_square), which all
     /// guarantee the invariants (sorted rows, symmetric adjacency, no
     /// self-loops).
@@ -126,44 +126,6 @@ impl Graph {
     #[must_use]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         self.neighbors(u).binary_search(&v).is_ok()
-    }
-
-    /// The port of `v` on `u`'s interface list, if adjacent.
-    ///
-    /// CONGEST nodes address messages by port; the simulator uses this to
-    /// translate between the two endpoints of an edge.
-    #[must_use]
-    pub fn port_of(&self, u: NodeId, v: NodeId) -> Option<usize> {
-        self.neighbors(u).binary_search(&v).ok()
-    }
-
-    /// The subgraph induced by `nodes`, relabelled monotonically:
-    /// `nodes[i]` becomes node `i`, so each row keeps the order of its
-    /// original row restricted to `nodes`.
-    /// `O(Σ_{v ∈ nodes} deg(v) · log |nodes|)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is not strictly increasing or names a node
-    /// outside `0..n`.
-    #[must_use]
-    pub fn induced(&self, nodes: &[NodeId]) -> Graph {
-        assert!(
-            nodes.windows(2).all(|w| w[0] < w[1]),
-            "induced nodes must be sorted and distinct"
-        );
-        let mut offsets = Vec::with_capacity(nodes.len() + 1);
-        offsets.push(0);
-        let mut adj = Vec::new();
-        for &v in nodes {
-            adj.extend(
-                self.neighbors(v)
-                    .iter()
-                    .filter_map(|u| nodes.binary_search(u).ok().map(|i| i as NodeId)),
-            );
-            offsets.push(adj.len());
-        }
-        Graph::from_csr_parts(offsets, adj)
     }
 
     /// Iterator over all undirected edges `(u, v)` with `u < v`.
@@ -476,15 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn ports_are_consistent() {
-        let g = path4();
-        assert_eq!(g.port_of(1, 0), Some(0));
-        assert_eq!(g.port_of(1, 2), Some(1));
-        assert_eq!(g.port_of(1, 3), None);
-        assert_eq!(g.neighbors(1)[g.port_of(1, 2).unwrap()], 2);
-    }
-
-    #[test]
     fn d2_neighborhood_of_path() {
         let g = path4();
         assert_eq!(g.d2_neighbors(0), vec![1, 2]);
@@ -506,19 +459,6 @@ mod tests {
         let g = path4();
         let edges: Vec<_> = g.edges().collect();
         assert_eq!(edges, vec![(0, 1), (1, 2), (2, 3)]);
-    }
-
-    #[test]
-    fn induced_subgraph_relabels_monotonically() {
-        // Path 0-1-2-3 plus the chord {0, 2}; keep {0, 2, 3}.
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (0, 2)]).unwrap();
-        let sub = g.induced(&[0, 2, 3]);
-        assert_eq!(sub.n(), 3);
-        assert_eq!(sub.neighbors(0), &[1]);
-        assert_eq!(sub.neighbors(1), &[0, 2]);
-        assert_eq!(sub.neighbors(2), &[1]);
-        assert_eq!(g.induced(&[0, 1, 2, 3]), g);
-        assert_eq!(g.induced(&[1]).m(), 0);
     }
 
     #[test]

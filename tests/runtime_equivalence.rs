@@ -113,25 +113,45 @@ fn differential_sweep_det_and_rand_pipelines() {
 /// `stepped_nodes` (the one metric the refactor exists to shrink) may
 /// only go down. Sequential and parallel active-set runs are both held
 /// against the sequential always-step reference.
+///
+/// The families finish in the initial trials, so one more input leaves
+/// live nodes for the Reduce cascade: one trial cycle per `ln n` on a
+/// random-regular graph dense enough (degree 20 on 60 nodes) for its
+/// similarity graphs to carry Reduce's queries. Its parked nodes are the
+/// ones the reference steps through whole sub-rounds.
 #[test]
 fn active_set_matches_always_step_reference() {
     use congest::Scheduling;
-    let params = Params::practical();
-    for (name, g) in families(13) {
+    let stressed = Params {
+        c0_initial_rounds: 1.0,
+        ..Params::practical()
+    };
+    let mut inputs: Vec<(String, Graph, Params)> = families(13)
+        .into_iter()
+        .map(|(name, g)| (name, g, Params::practical()))
+        .collect();
+    let rr20 = graphs::gen::random_regular(60, 20, 13);
+    inputs.push(("rr20-c0=1".into(), rr20, stressed));
+    let mut reduced = false;
+    for (name, g, params) in &inputs {
         let ref_cfg = SimConfig::seeded(13).with_scheduling(Scheduling::AlwaysStep);
         let act_cfg = SimConfig::seeded(13);
-        let det_ref = d2core::det::small::run(&g, &params, &ref_cfg).expect("det ref");
-        let rand_ref = d2core::rand::driver::improved(&g, &params, &ref_cfg).expect("rand ref");
+        let det_ref = d2core::det::small::run(g, params, &ref_cfg).expect("det ref");
+        let rand_ref = d2core::rand::driver::improved(g, params, &ref_cfg).expect("rand ref");
+        reduced |= rand_ref
+            .phases
+            .iter()
+            .any(|p| p.name.starts_with("reduce("));
         let mut cells = vec![
             (
                 "det/seq",
                 det_ref.clone(),
-                d2core::det::small::run(&g, &params, &act_cfg).expect("det act"),
+                d2core::det::small::run(g, params, &act_cfg).expect("det act"),
             ),
             (
                 "rand/seq",
                 rand_ref.clone(),
-                d2core::rand::driver::improved(&g, &params, &act_cfg).expect("rand act"),
+                d2core::rand::driver::improved(g, params, &act_cfg).expect("rand act"),
             ),
         ];
         for t in thread_counts() {
@@ -139,12 +159,12 @@ fn active_set_matches_always_step_reference() {
             cells.push((
                 "det/par",
                 det_ref.clone(),
-                d2core::det::small::run(&g, &params, &cfg).expect("det act par"),
+                d2core::det::small::run(g, params, &cfg).expect("det act par"),
             ));
             cells.push((
                 "rand/par",
                 rand_ref.clone(),
-                d2core::rand::driver::improved(&g, &params, &cfg).expect("rand act par"),
+                d2core::rand::driver::improved(g, params, &cfg).expect("rand act par"),
             ));
         }
         for (label, reference, active) in &cells {
@@ -169,6 +189,7 @@ fn active_set_matches_always_step_reference() {
             );
         }
     }
+    assert!(reduced, "no input reached a reduce phase");
 }
 
 /// A network large enough for auto mode to resolve to the *parallel*
@@ -180,13 +201,14 @@ fn active_set_matches_always_step_reference() {
 #[test]
 fn auto_mode_parallel_resolution_is_bit_identical() {
     let g = graphs::gen::random_regular(2600, 6, 5);
+    let net = congest::NetTables::build(&g, &SimConfig::seeded(8));
     assert_eq!(
-        RuntimeMode::Auto(4).resolve_for(&g, 8),
+        RuntimeMode::Auto(4).resolve_for(&net, 8),
         RuntimeMode::Parallel(4),
         "workload must be heavy enough to trigger the parallel engine"
     );
     assert_eq!(
-        RuntimeMode::Auto(4).resolve_for(&g, 1),
+        RuntimeMode::Auto(4).resolve_for(&net, 1),
         RuntimeMode::Sequential,
         "a single-core host must stay sequential"
     );
