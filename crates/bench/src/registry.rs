@@ -16,11 +16,14 @@
 //! and fails on any drift of an exact field from the recording, on a
 //! recorded cell the run did not produce, and on any failed predicate.
 //! `--write BENCH.json` re-records the selected cells once their
-//! predicates pass. The groups are `small/` (in-process runs at
-//! n ≤ 3000: runtime and drop-plane identity), `scale/` (n = 10⁴ … 10⁶
-//! builds and colorings, churn repair) and `net/` (multi-process netplane
-//! runs and chaos recovery). Timing is `perfbench`'s job: measured fields
-//! exist here only for the predicates that bound them.
+//! predicates pass. The groups are `exp/` (the paper's experiments at
+//! n ≤ 2000: one cell per sweep point, and predicates holding palettes
+//! to their theorems and round slopes to their theorems' shapes),
+//! `small/` (in-process runs at n ≤ 3000: runtime and drop-plane
+//! identity), `scale/` (n = 10⁴ … 10⁶ builds and colorings, churn
+//! repair) and `net/` (multi-process netplane runs and chaos recovery).
+//! Timing is `perfbench`'s job: measured fields exist here only for the
+//! predicates that bound them.
 
 mod cells;
 
@@ -563,6 +566,34 @@ mod tests {
         assert_eq!(got.len(), 1, "{got:?}");
         assert!(
             got[0].starts_with(&format!("1e6 build under 10 s [{id}]")),
+            "{got:?}"
+        );
+    }
+
+    #[test]
+    fn experiment_predicates_fail_by_name() {
+        let mut fresh = recording();
+        fresh.retain(|id, _| glob_match("exp/*", id));
+        // Theorem 1.2's rounds growing linearly in n, and its staged
+        // palette rising after Linial.
+        for (_, r) in fresh
+            .iter_mut()
+            .filter(|(id, _)| id.starts_with("exp/e3b/"))
+        {
+            let n = r.num("n").expect("n") as u64;
+            r.exact.insert("rounds".into(), Exact::Int(n));
+        }
+        let e11 = "exp/e11/det-stages/gnp-n1000-cap5";
+        let r = fresh.get_mut(e11).expect("cell");
+        r.exact.insert("k_loc_iter".into(), Exact::Int(1200));
+        let got = gate(&registry(), "exp/*", &fresh, &recording(), false).failures;
+        assert_eq!(got.len(), 2, "{got:?}");
+        assert!(
+            got[0].starts_with("T1.2 rounds flat in n [exp/e3b/"),
+            "{got:?}"
+        );
+        assert!(
+            got[1].starts_with(&format!("T1.2 stages never raise k [{e11}]")),
             "{got:?}"
         );
     }

@@ -1,6 +1,8 @@
 //! The cell list and its predicates. The comment above each group names
 //! the archived `BENCH_PR*.json` recordings its cells reproduce.
 
+mod exp;
+
 use super::{Record, Registry};
 use crate::{alloc, Algo};
 use congest::{FaultConfig, Metrics, RuntimeMode, Scheduling, SimConfig};
@@ -9,7 +11,7 @@ use d2core::{ColoringOutcome, Params};
 use graphs::{D2View, EdgeBatch, Graph, NodeId};
 use std::time::Instant;
 
-/// Seed of every workload and simulator config.
+/// Seed of every workload and simulator config outside `exp/`.
 const SEED: u64 = 42;
 /// Fault seed of the in-process drop-plane cells.
 const FAULT_SEED: u64 = 11;
@@ -79,6 +81,16 @@ impl Topology {
         }
     }
 
+    /// The workload part of a cell id.
+    fn label(self) -> String {
+        match self {
+            Topology::Gnp(n, _, cap, _) => format!("gnp-n{n}-cap{cap}"),
+            Topology::Regular(n, d, _) => format!("regular-n{n}-d{d}"),
+            Topology::Grid(side) => format!("grid-{side}x{side}"),
+            Topology::Torus(side) => format!("torus-{side}x{side}"),
+        }
+    }
+
     /// The family's degree cap.
     fn cap(self) -> usize {
         match self {
@@ -94,6 +106,9 @@ impl Topology {
 struct Coloring {
     algo: Algo,
     topo: Topology,
+    /// The simulator seed: [`SEED`], except in the `exp/` cells, which
+    /// keep their experiment's.
+    seed: u64,
     runtime: RuntimeMode,
     /// `c₀ = 1`: the initial trials leave live stragglers, so the
     /// similarity exchange, Reduce, LearnPalette and FinishColoring all
@@ -113,6 +128,7 @@ impl Coloring {
         Coloring {
             algo,
             topo,
+            seed: SEED,
             runtime: RuntimeMode::Sequential,
             stressed: false,
             scale: false,
@@ -130,9 +146,9 @@ impl Coloring {
 
     fn config(&self, n: usize) -> SimConfig {
         let cfg = if self.scale {
-            SimConfig::at_scale(SEED, n)
+            SimConfig::at_scale(self.seed, n)
         } else {
-            SimConfig::seeded(SEED)
+            SimConfig::seeded(self.seed)
         };
         cfg.with_runtime(self.runtime)
     }
@@ -352,18 +368,11 @@ fn peak_rss_mb() -> f64 {
         .map_or(0.0, |kb| kb / 1024.0)
 }
 
-fn token(algo: Algo) -> &'static str {
-    match algo {
-        Algo::DetSmall => "det-small",
-        Algo::RandImproved => "rand-improved",
-        other => other.name(),
-    }
-}
-
 /// Every registered cell and predicate, in run order.
 #[must_use]
 pub fn registry() -> Registry {
     let mut reg = Registry::default();
+    exp::experiments(&mut reg);
     small(&mut reg);
     scale(&mut reg);
     net(&mut reg);
@@ -437,19 +446,19 @@ impl Registry {
 /// runtime's work threshold; the first three (flagged) are also
 /// BENCH_PR1's, whose sequential and parallel-4 walls are the recorded
 /// baseline of the parallel-overhead rule.
-const SMALL_GRAPHS: [(&str, Topology, bool); 5] = [
-    ("regular-n400-d8", Topology::Regular(400, 8, 1), true),
-    ("gnp-n600-cap10", Topology::Gnp(600, 0.02, 10, 2), true),
-    ("torus-20x20", Topology::Torus(20), true),
-    ("regular-n2000-d8", Topology::Regular(2000, 8, 3), false),
-    ("gnp-n3000-cap12", Topology::Gnp(3000, 0.004, 12, 4), false),
+const SMALL_GRAPHS: [(Topology, bool); 5] = [
+    (Topology::Regular(400, 8, 1), true),
+    (Topology::Gnp(600, 0.02, 10, 2), true),
+    (Topology::Torus(20), true),
+    (Topology::Regular(2000, 8, 3), false),
+    (Topology::Gnp(3000, 0.004, 12, 4), false),
 ];
 
 /// `small/`: n ≤ 3000, `SimConfig::seeded(42)`.
 fn small(reg: &mut Registry) {
-    for (label, topo, overhead) in SMALL_GRAPHS {
+    for (topo, overhead) in SMALL_GRAPHS {
         for algo in [Algo::RandImproved, Algo::DetSmall] {
-            let prefix = format!("small/{}/{label}", token(algo));
+            let prefix = format!("small/{}/{}", algo.name(), topo.label());
             let ids = reg.runtimes(&prefix, Coloring::small(algo, topo));
             if overhead {
                 reg.rule("parallel overhead", &[&ids[0], &ids[1]], parallel_overhead);
@@ -460,7 +469,7 @@ fn small(reg: &mut Registry) {
     // parallel-4, per pipeline and rate.
     for algo in [Algo::DetSmall, Algo::RandImproved] {
         for ppm in [1_000u32, 10_000, 50_000] {
-            let id = format!("small/{}/gnp-n2000-cap8/drops-{ppm}ppm", token(algo));
+            let id = format!("small/{}/gnp-n2000-cap8/drops-{ppm}ppm", algo.name());
             reg.cell(&id, move |_| drop_plane(algo, ppm));
             reg.flags(&id, &["identical"]);
             reg.rule("drops fired", &[&id], drops_fired);
@@ -972,7 +981,7 @@ mod tests {
     fn small_graphs_straddle_the_auto_threshold() {
         let light = SMALL_GRAPHS
             .iter()
-            .filter(|(_, t, _)| {
+            .filter(|(t, _)| {
                 let net = congest::NetTables::build(&t.build(), &SimConfig::default());
                 congest::auto_work_estimate(&net) < congest::AUTO_WORK_THRESHOLD
             })

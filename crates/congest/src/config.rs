@@ -144,7 +144,8 @@ impl SimConfig {
     /// Scale-aware config: the given seed, size-adaptive runtime (all
     /// cores when the parallel engine is picked), and a livelock cutoff
     /// bucketed by the node count `n`: 5·10⁶ rounds below 10⁴ nodes
-    /// (unit-test and `harness exp*` territory, the default), 5·10⁵ below
+    /// (unit tests and the registry's `small/` and `exp/` cells, the
+    /// default), 5·10⁵ below
     /// 10⁶, and 2·10⁵ from 10⁶ on. The constructor the bench registry's
     /// `scale/*` cells use (CI runs them in its `bench-scale` job).
     ///

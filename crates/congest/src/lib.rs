@@ -24,10 +24,11 @@
 //! per communication round (no per-message sends or allocations; see the
 //! [`runtime`] module docs for the epoch-counter protocol). Both produce
 //! bit-identical results for the same seed, which is asserted by tests
-//! (experiment E12), and [`RuntimeMode::Auto`] picks between them per run
-//! from a calibrated work estimate. Protocols that communicate only every
-//! `p`-th round can declare it ([`Protocol::sync_period`]) to batch `p`
-//! simulator rounds per synchronization.
+//! and the bench registry's `exp/e12/*` cells, and [`RuntimeMode::Auto`]
+//! picks between them per run from a calibrated work estimate. Protocols
+//! that communicate only every `p`-th round can declare it
+//! ([`Protocol::sync_period`]) to batch `p` simulator rounds per
+//! synchronization.
 //!
 //! Robustness experiments run against a deterministic fault plane
 //! ([`faults`]): seeded per-(round, edge) message drops injected

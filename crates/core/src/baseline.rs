@@ -1,4 +1,5 @@
-//! Baselines the paper argues against (experiment E6).
+//! Baselines the paper argues against (the bench registry's `exp/e6/*`
+//! cells).
 //!
 //! * [`oversampled`] — the simple algorithm sketched in §2.1: with a
 //!   `(1+ε)∆²` palette, "try a uniform random color" alone succeeds in
@@ -8,8 +9,6 @@
 //!   `G²` by brute-force relaying: every node tracks the *exact* colors in
 //!   its 2-neighborhood, paying `Θ(∆)` relay rounds per simulated `G²`
 //!   round — the `Ω(∆)` overhead the introduction rules out.
-//! * [`greedy_central`] — centralized greedy on `G²`; the color-count
-//!   reference point.
 
 use crate::rand::trials::RandomTrials;
 use crate::{ColoringOutcome, Driver, TrialCore, TrialMsg};
@@ -210,12 +209,6 @@ pub fn naive_relay(g: &Graph, cfg: &SimConfig) -> Result<ColoringOutcome, SimErr
     Ok(driver.finish(colors))
 }
 
-/// Centralized greedy on `G²` (reference point for color counts).
-#[must_use]
-pub fn greedy_central(g: &Graph) -> (Vec<u32>, usize) {
-    graphs::square::greedy_square_coloring(g)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,16 +241,5 @@ mod tests {
             assert!(verify::is_valid_d2_coloring(&g, &out.colors));
             assert_eq!(verify::num_colors(&out.colors), g.n());
         }
-    }
-
-    #[test]
-    fn relay_state_free_color_tracking() {
-        // The `used` multiset must never go negative or miss adoptions —
-        // covered end-to-end by validity above; here check the greedy
-        // reference for comparison.
-        let g = gen::grid(5, 5);
-        let (colors, k) = greedy_central(&g);
-        assert!(verify::is_valid_d2_coloring(&g, &colors));
-        assert!(k <= g.max_degree() * g.max_degree() + 1);
     }
 }

@@ -4,7 +4,7 @@
 //! similarity graphs", "repeat `c₀ log n` times", "Reduce(2τ, τ)", …).
 //! [`Driver`] runs each sub-protocol to completion on the same network,
 //! carries node-local knowledge forward, accumulates metrics, and records a
-//! per-phase breakdown for the experiment harness.
+//! per-phase breakdown (perfbench's per-phase spans).
 
 use congest::netplane::{NetPlane, Wire};
 use congest::{Metrics, NetTables, Protocol, RunResult, SimConfig, SimError};
@@ -73,7 +73,7 @@ pub struct Driver<'g> {
 
 impl<'g> Driver<'g> {
     /// New driver. The engine is selected by `config.runtime` — all modes
-    /// are bit-identical (see experiment E12), including
+    /// are bit-identical (see `tests/runtime_equivalence.rs`), including
     /// [`RuntimeMode::Auto`](congest::RuntimeMode::Auto)'s per-run choice.
     #[must_use]
     pub fn new(graph: &'g Graph, config: SimConfig) -> Self {

@@ -157,26 +157,22 @@ fn reduce_color(color: u64, plan: &IterPlan, conflicts: &[u32]) -> u64 {
     unreachable!("q > ∆_c · d guarantees a good evaluation point")
 }
 
-/// The Linial protocol. Initial colors default to node identifiers
-/// (`K₀ = n`); Theorem 3.4's recursion passes explicit colorings instead.
+/// The Linial protocol, starting from node identifiers (`K₀ = n`).
 #[derive(Debug)]
 pub struct Linial<'s> {
     scope: &'s Scope,
-    init_colors: Option<Vec<u64>>,
     plans: Vec<IterPlan>,
     budget: u64,
 }
 
 impl<'s> Linial<'s> {
-    /// Builds the protocol for `scope` starting from `k0` colors.
-    ///
-    /// `init_colors` of `None` uses node identifiers (requires `k0 ≥ n`).
+    /// Builds the protocol for `scope` starting from the `k0 ≥ n` colors
+    /// the node identifiers form.
     #[must_use]
-    pub fn new(scope: &'s Scope, init_colors: Option<Vec<u64>>, k0: u64, budget: u64) -> Self {
+    pub fn new(scope: &'s Scope, k0: u64, budget: u64) -> Self {
         let plans = schedule(k0, scope.delta_c as u64);
         Linial {
             scope,
-            init_colors,
             plans,
             budget,
         }
@@ -214,12 +210,8 @@ impl Protocol for Linial<'_> {
     type Msg = DetMsg;
 
     fn init(&self, ctx: &NodeCtx, _rng: &mut NodeRng) -> LinialState {
-        let color = match &self.init_colors {
-            Some(v) => v[ctx.index as usize],
-            None => ctx.ident,
-        };
         LinialState {
-            color,
+            color: ctx.ident,
             iter: 0,
             gather: None,
         }
@@ -495,7 +487,7 @@ mod tests {
         let scope = Scope::full_d2(&g);
         let cfg = SimConfig::seeded(7);
         let budget = cfg.bandwidth_bits(g.n());
-        let proto = Linial::new(&scope, None, g.n() as u64, budget);
+        let proto = Linial::new(&scope, g.n() as u64, budget);
         let k_final = proto.output_k(g.n() as u64);
         let res = congest::run(&g, &proto, &cfg).unwrap();
         let colors: Vec<u32> = res.states.iter().map(|s| s.color_u32()).collect();
@@ -515,7 +507,7 @@ mod tests {
         let scope = Scope::new(&g, part, Dist::One, 2);
         let cfg = SimConfig::seeded(1);
         let budget = cfg.bandwidth_bits(g.n());
-        let proto = Linial::new(&scope, None, 10, budget);
+        let proto = Linial::new(&scope, 10, budget);
         let res = congest::run(&g, &proto, &cfg).unwrap();
         let colors: Vec<u32> = res.states.iter().map(|s| s.color_u32()).collect();
         // Within a part (which here is an independent set at distance 2 on
@@ -531,8 +523,8 @@ mod tests {
         let g = graphs::gen::path(4);
         let scope = Scope::full_d2(&g);
         let cfg = SimConfig::seeded(1);
-        // k0 tiny: nothing to do.
-        let proto = Linial::new(&scope, Some(vec![0, 1, 2, 3]), 4, 64);
+        // k0 tiny: the identifiers already are a 4-coloring.
+        let proto = Linial::new(&scope, 4, 64);
         let res = congest::run(&g, &proto, &cfg).unwrap();
         assert_eq!(res.metrics.rounds, 1);
     }

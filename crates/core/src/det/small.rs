@@ -57,7 +57,7 @@ pub fn pipeline(driver: &mut Driver<'_>, scope: &Scope) -> Result<Vec<u32>, SimE
     // the identifiers are already within the locally-iterative range and
     // the nodes use them directly (they know them for free), fetched
     // through a Linial instance with an empty schedule.
-    let lin = linial::Linial::new(scope, None, k0, budget);
+    let lin = linial::Linial::new(scope, k0, budget);
     let k_after = lin.output_k(k0);
     let name = if k_after < k0 {
         "linial"

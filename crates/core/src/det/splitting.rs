@@ -340,7 +340,8 @@ pub enum SplitMode {
 ///
 /// `force_levels` overrides the paper's choice of `h` (which only exceeds
 /// 0 once `∆ ≫ ε⁻² log³ n`; experiments at laptop scale force a level
-/// count to exercise the machinery — `harness exp7` forces 1–3 levels).
+/// count to exercise the machinery — the bench registry's `exp/e7/*`
+/// cells force 1–3 levels).
 ///
 /// # Errors
 ///

@@ -12,7 +12,8 @@
 //!   still `Θ(1/φ)` per 2-path, `ρ` still scales as `(φ/τ)² log n`), but
 //!   with constants that let progress happen at `n ≤ 10⁵`.
 //!
-//! The `harness exp*` experiments run [`Params::practical`].
+//! Every bench registry cell runs [`Params::practical`]; the stressed
+//! `scale/` cells lower `c₀` to 1.
 
 /// Algorithm constants. See module docs.
 #[derive(Debug, Clone, PartialEq)]

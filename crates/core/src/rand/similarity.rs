@@ -723,28 +723,19 @@ fn id_batch_capacity(budget: u64, n: usize) -> usize {
 
 /// Exact construction: exchange full d2-neighborhoods (used when
 /// `∆² = O(log n)`, as the paper prescribes, and as the ground truth in
-/// Theorem 2.2 tests).
+/// Theorem 2.2 tests). The `H` and `Ĥ` thresholds are the paper's 2/3
+/// and 5/6 of `∆²`.
 #[derive(Debug)]
 pub struct ExactSimilarity {
-    /// `H` threshold as a fraction of `∆²` (paper: 2/3).
-    pub h_frac: f64,
-    /// `Ĥ` threshold as a fraction of `∆²` (paper: 5/6).
-    pub hhat_frac: f64,
     budget: u64,
     period: u64,
 }
 
 impl ExactSimilarity {
-    /// Standard thresholds (2/3, 5/6) with the given bandwidth budget and
-    /// the classic every-round schedule.
+    /// The given bandwidth budget and the classic every-round schedule.
     #[must_use]
     pub fn new(budget: u64) -> Self {
-        ExactSimilarity {
-            h_frac: 2.0 / 3.0,
-            hhat_frac: 5.0 / 6.0,
-            budget,
-            period: 1,
-        }
+        ExactSimilarity { budget, period: 1 }
     }
 
     /// Declares a [`Protocol::sync_period`] of `p`: the pipelined list
@@ -825,7 +816,7 @@ impl Protocol for ExactSimilarity {
                     // dense graphs n−1 < ∆² and the paper's ∆²-relative
                     // thresholds would mark nothing similar.
                     let dsq = (ctx.delta_sq().min(ctx.n.saturating_sub(1)) as f64).max(1.0);
-                    st.compute_flags(self.h_frac * dsq, self.hhat_frac * dsq);
+                    st.compute_flags(2.0 / 3.0 * dsq, 5.0 / 6.0 * dsq);
                     st.stage = Stage::Finished;
                     return Status::Done;
                 }

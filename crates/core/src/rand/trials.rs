@@ -5,9 +5,10 @@
 //! `∆²+1` this seeds the slack that `Reduce` exploits (Prop. 2.5 / Obs. 1);
 //! with palette `(1+ε)∆²` and `run_to_completion`, it *is* the simple
 //! oversampled algorithm of §2.1 that finishes in `O(log_{1/ε} n)` cycles
-//! — our baseline E6. With [`RandomTrials::locally_free`], a live node
-//! draws only from the colors its immediate neighborhood leaves free:
-//! that is the churn repair of [`mod@crate::repair`].
+//! — [`crate::baseline::oversampled`]. With
+//! [`RandomTrials::locally_free`], a live node draws only from the colors
+//! its immediate neighborhood leaves free: that is the churn repair of
+//! [`mod@crate::repair`].
 
 use crate::common::trial::next_resolve;
 use crate::{TrialCore, TrialMsg};

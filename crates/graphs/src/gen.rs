@@ -1,8 +1,8 @@
 //! Workload generators.
 //!
 //! Each generator is deterministic in its `seed` argument (ChaCha8 stream),
-//! so every experiment table `harness exp*` prints is reproducible
-//! bit-for-bit.
+//! so every bench registry cell (`harness bench`, the `exp/` experiments
+//! included) reproduces its recorded fields bit-for-bit.
 //!
 //! The families mirror the paper's motivation: wireless interference graphs
 //! (unit-disk), task/resource bipartite graphs (strong hypergraph coloring),

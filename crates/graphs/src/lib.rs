@@ -4,7 +4,7 @@
 //! This crate is the *workload substrate*: it provides the network
 //! topologies on which the CONGEST algorithms run, plus centralized
 //! utilities (square graphs, coloring verification) that are used **only**
-//! by tests, the verifier, and the experiment harness — never by the
+//! by tests, the verifier, and the bench registry — never by the
 //! distributed algorithms themselves.
 //!
 //! # Quick example

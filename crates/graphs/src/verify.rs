@@ -1,8 +1,8 @@
 //! Centralized verification of colorings.
 //!
 //! Every algorithm run in this repository ends with a pass through these
-//! checks; the experiment harness refuses to report numbers for runs that
-//! fail them.
+//! checks; a bench registry cell records the verdict as its `valid` flag,
+//! and the gate fails any cell whose flag is false.
 
 use crate::{D2View, Graph, NodeId};
 

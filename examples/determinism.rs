@@ -46,7 +46,8 @@ fn main() -> Result<(), SimError> {
     assert_ne!(r1.colors, r3.colors);
     println!("theorem 1.1: seed-reproducible ({} rounds)", r1.rounds());
 
-    // Runtime equivalence on a raw protocol phase (experiment E12).
+    // Runtime equivalence on a raw protocol phase (as in the bench
+    // registry's `exp/e12/*` cells).
     let proto = d2core::rand::trials::RandomTrials::new(g.max_degree() as u32 * 4, 10);
     let seq = congest::run(&g, &proto, &cfg)?;
     let par_cfg = cfg.clone().with_runtime(congest::RuntimeMode::Parallel(4));

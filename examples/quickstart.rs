@@ -51,7 +51,7 @@ fn main() -> Result<(), SimError> {
     let out = d2core::baseline::naive_relay(&g, &cfg)?;
     report("baseline naive relay", &g, &out);
 
-    let (_, k) = d2core::baseline::greedy_central(&g);
+    let (_, k) = graphs::square::greedy_square_coloring(&g);
     println!(
         "{:<22} colors {k:>5}  (centralized reference)",
         "greedy central"

@@ -2,8 +2,8 @@
 //!
 //! A full reproduction of *Distance-2 Coloring in the CONGEST Model*
 //! (Halldórsson, Kuhn, Maus; PODC 2020): a bit-accurate CONGEST simulator,
-//! the paper's randomized and deterministic algorithms, baselines, and an
-//! experiment harness regenerating every complexity claim.
+//! the paper's randomized and deterministic algorithms, baselines, and a
+//! bench registry that reruns and gates every complexity claim.
 //!
 //! This crate is a facade re-exporting the workspace members:
 //!

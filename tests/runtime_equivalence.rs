@@ -1,6 +1,7 @@
-//! The differential runtime harness (grown out of experiment E12): the
-//! sequential reference, the single-barrier parallel runtime at several
-//! shard counts, and the auto-selecting mode must be **observationally
+//! The differential runtime harness (grown out of the `exp/e12/*`
+//! runtime-equivalence experiment): the sequential reference, the
+//! single-barrier parallel runtime at several shard counts, and the
+//! auto-selecting mode must be **observationally
 //! identical** — bit-identical final colorings, rounds, message counts and
 //! bit totals, and identical error values — across a seeded sweep of graph
 //! families and both full coloring pipelines (deterministic Theorem 1.2
