@@ -165,7 +165,8 @@ impl Coloring {
         } else {
             Params::practical()
         };
-        let reset = reset_peak_rss();
+        // Only the scale tier records peak RSS.
+        let reset = self.scale && reset_peak_rss();
         let allocs = alloc::snapshot().0;
         let t1 = Instant::now();
         let out = self
@@ -175,7 +176,7 @@ impl Coloring {
         assert_compliant(self.algo.name(), &out.metrics);
         let wall_ms = ms(t1);
         let allocs = alloc::snapshot().0 - allocs;
-        let rss = peak_rss_mb();
+        let rss = reset.then(peak_rss_mb);
         let mut r = Record::default()
             .int("n", graph.n() as u64)
             .int("delta", graph.max_degree() as u64)
@@ -186,7 +187,7 @@ impl Coloring {
             .measure("wall_ms", wall_ms);
         if self.scale {
             r = r.int("m", graph.m() as u64).measure("build_ms", build_ms);
-            if reset {
+            if let Some(rss) = rss {
                 r = r.measure("peak_rss_mb", rss);
             }
         }

@@ -100,7 +100,7 @@ impl NetTables {
     /// Over every node this is [`NetTables::build`]. Seeded drops are
     /// keyed by simulated index and port, so a run with `config.faults`
     /// drops other messages here than on the whole network.
-    /// `O(n + Σ_{v ∈ nodes} deg(v) · log |nodes|)`.
+    /// `O(n + Σ_{v ∈ nodes} deg(v))`.
     ///
     /// # Panics
     ///
@@ -114,8 +114,13 @@ impl NetTables {
         );
         let all = identifiers(graph.n(), config);
         let idents = nodes.iter().map(|&v| all[v as usize]).collect();
+        // Simulated index of every network node, `u32::MAX` outside `nodes`.
+        let mut local = vec![u32::MAX; graph.n()];
+        for (i, &v) in nodes.iter().enumerate() {
+            local[v as usize] = i as u32;
+        }
         NetTables::fill(graph, idents, nodes.to_vec(), |u| {
-            nodes.binary_search(&u).ok().map(|i| i as u32)
+            Some(local[u as usize]).filter(|&i| i != u32::MAX)
         })
     }
 

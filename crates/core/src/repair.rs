@@ -184,22 +184,28 @@ pub fn repair(
     }
     region.sort_unstable();
     region.dedup();
-    let in_region = |u: &&NodeId| region.binary_search(u).is_ok();
-    let masked = |&v: &NodeId| {
-        if live.binary_search(&v).is_ok() {
-            UNCOLORED
-        } else {
-            colors[v as usize]
-        }
-    };
-    // In-region neighbors by port, then the rest.
+    // Each node's position in the region (`u32::MAX` outside it), and the
+    // colors the region starts from, with the nodes that try masked.
+    let mut index = vec![u32::MAX; graph.n()];
+    for (i, &v) in region.iter().enumerate() {
+        index[v as usize] = i as u32;
+    }
+    let mut start: Vec<u32> = region.iter().map(|&v| colors[v as usize]).collect();
+    for &v in &live {
+        start[index[v as usize] as usize] = UNCOLORED;
+    }
+    // In-region neighbors by port, then the rest, none of which tries.
     let init: Vec<(u32, Vec<u32>)> = region
         .iter()
-        .map(|v| {
-            let nbrs = graph.neighbors(*v).iter();
-            let outside = nbrs.clone().filter(|u| !in_region(u));
-            let known = nbrs.filter(in_region).chain(outside).map(masked);
-            (masked(v), known.collect())
+        .zip(&start)
+        .map(|(&v, &own)| {
+            let nbrs = graph.neighbors(v);
+            let mut known = Vec::with_capacity(nbrs.len());
+            let at = nbrs.iter().map(|&u| index[u as usize]);
+            known.extend(at.filter(|&i| i != u32::MAX).map(|i| start[i as usize]));
+            let outside = nbrs.iter().filter(|&&u| index[u as usize] == u32::MAX);
+            known.extend(outside.map(|&u| colors[u as usize]));
+            (own, known)
         })
         .collect();
 
