@@ -93,8 +93,10 @@ impl NetTables {
     /// The tables of the part of `graph` that `nodes` (sorted, distinct
     /// network indices) induce: `nodes[i]` is simulated node `i`, whose
     /// ports are its in-set neighbors in network port order, each routed
-    /// to that neighbor's position in `nodes`. Every simulated node keeps
-    /// its network identity: its identifier and its neighbors' under
+    /// to that neighbor's position in `nodes`. `index` is the caller's
+    /// column of those positions: `index[v]` is `v`'s position in `nodes`,
+    /// `u32::MAX` for every network node outside it. Every simulated node
+    /// keeps its network identity: its identifier and its neighbors' under
     /// `config`, the network's `n` and `∆` in its [`NodeCtx`], the RNG
     /// stream of its network index, and the network's per-edge budget.
     /// Over every node this is [`NetTables::build`]. Seeded drops are
@@ -105,22 +107,26 @@ impl NetTables {
     /// # Panics
     ///
     /// Panics if `nodes` is not strictly increasing or names a node
-    /// outside `0..n`.
+    /// outside `0..n`, and in debug builds if `index` is not the positions
+    /// of `nodes`.
     #[must_use]
-    pub fn induced(graph: &Graph, config: &SimConfig, nodes: &[u32]) -> Self {
+    pub fn induced(graph: &Graph, config: &SimConfig, nodes: &[u32], index: &[u32]) -> Self {
         assert!(
             nodes.windows(2).all(|w| w[0] < w[1]),
             "induced nodes must be sorted and distinct"
         );
+        debug_assert!(
+            nodes
+                .iter()
+                .enumerate()
+                .all(|(i, &v)| index[v as usize] == i as u32)
+                && index.iter().filter(|&&i| i != u32::MAX).count() == nodes.len(),
+            "index must hold the positions of nodes, u32::MAX elsewhere"
+        );
         let all = identifiers(graph.n(), config);
         let idents = nodes.iter().map(|&v| all[v as usize]).collect();
-        // Simulated index of every network node, `u32::MAX` outside `nodes`.
-        let mut local = vec![u32::MAX; graph.n()];
-        for (i, &v) in nodes.iter().enumerate() {
-            local[v as usize] = i as u32;
-        }
         NetTables::fill(graph, idents, nodes.to_vec(), |u| {
-            Some(local[u as usize]).filter(|&i| i != u32::MAX)
+            Some(index[u as usize]).filter(|&i| i != u32::MAX)
         })
     }
 
@@ -235,6 +241,15 @@ mod tests {
     use crate::{Inbox, NodeRng, Outbox, Protocol, RuntimeMode, Status};
     use graphs::gen;
 
+    /// [`NetTables::induced`] on `nodes`, with their index column.
+    fn induced(g: &Graph, cfg: &SimConfig, nodes: &[u32]) -> NetTables {
+        let mut index = vec![u32::MAX; g.n()];
+        for (i, &v) in nodes.iter().enumerate() {
+            index[v as usize] = i as u32;
+        }
+        NetTables::induced(g, cfg, nodes, &index)
+    }
+
     #[test]
     fn tables_mirror_graph_adjacency() {
         let g = gen::gnp_capped(60, 0.1, 6, 9);
@@ -287,7 +302,7 @@ mod tests {
         let g = gen::gnp_capped(80, 0.08, 7, 3);
         let cfg = SimConfig::seeded(5);
         let all: Vec<u32> = (0..g.n() as u32).collect();
-        let t = NetTables::induced(&g, &cfg, &all);
+        let t = induced(&g, &cfg, &all);
         let b = NetTables::build(&g, &cfg);
         assert_eq!(t.idents(), b.idents());
         for v in 0..g.n() as u32 {
@@ -304,7 +319,7 @@ mod tests {
         let cfg = SimConfig::seeded(2);
         let whole = NetTables::build(&g, &cfg);
         let nodes: Vec<u32> = (0..g.n() as u32).filter(|v| v % 3 != 1).collect();
-        let t = NetTables::induced(&g, &cfg, &nodes);
+        let t = induced(&g, &cfg, &nodes);
         assert_eq!(t.rows(), nodes.len());
         for (i, &v) in nodes.iter().enumerate() {
             let c = t.ctx(i as u32, 0);
@@ -326,7 +341,7 @@ mod tests {
             }
         }
         // A node with no in-set neighbor keeps an empty row.
-        let lone = NetTables::induced(&g, &cfg, &[nodes[0]]);
+        let lone = induced(&g, &cfg, &[nodes[0]]);
         assert_eq!((lone.rows(), lone.directed_edges()), (1, 0));
     }
 
@@ -365,7 +380,7 @@ mod tests {
         for runtime in [RuntimeMode::Sequential, RuntimeMode::Parallel(2)] {
             let cfg = SimConfig::seeded(6).with_runtime(runtime).with_salt(3);
             let whole = crate::run(&g, &FirstDraw, &cfg).unwrap();
-            let t = NetTables::induced(&g, &cfg, &nodes);
+            let t = induced(&g, &cfg, &nodes);
             let part = crate::run_with(&FirstDraw, &cfg, &t).unwrap();
             assert_eq!(part.states.len(), nodes.len());
             for (i, &v) in nodes.iter().enumerate() {

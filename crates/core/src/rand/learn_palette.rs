@@ -26,7 +26,7 @@
 //! assignment/report routing collapses to one hop, and the exactness
 //! guarantee is untouched (it rests on step 7 alone).
 
-use super::similarity::SimilarityKnowledge;
+use super::similarity::{id_batch_capacity, IdBatch, SimilarityKnowledge};
 use crate::{Params, UNCOLORED};
 use congest::wire_enum;
 use congest::{
@@ -34,10 +34,6 @@ use congest::{
 };
 use rand::prelude::*;
 use std::collections::HashMap;
-
-/// Inline-first identifier batch for the live-list relay (see
-/// [`crate::rand::similarity::IdBatch`] for the capacity argument).
-pub type IdBatch = SmallIds<u64, 32>;
 
 /// Inline-first color batch for reports, queries, and replies.
 pub type ColorBatch = SmallIds<u32, 32>;
@@ -214,8 +210,7 @@ impl LearnPalette {
         // slots); the batch capacity reflects the aggregated per-message
         // budget `p·B`, so the list phases keep the same simulator-round
         // footprint while moving p x fewer messages.
-        let batch = ((budget.saturating_mul(period).saturating_sub(16)) / graphs::id_bits(n).max(1))
-            .max(1) as usize;
+        let batch = id_batch_capacity(budget.saturating_mul(period), n);
         let w_live = (delta as u64).div_ceil(batch as u64) + 3;
         let w_assign = u64::from(z_blocks) + 1;
         let w_inform =
@@ -839,6 +834,22 @@ mod tests {
             let b = LpMsg::LiveList(SmallIds::Spilled(ids.clone()));
             assert_eq!(a, b);
             assert_eq!(a.bits(), b.bits(), "LiveList len {len}");
+        }
+    }
+
+    /// At the practical sync period 4 and n ≤ 128, `(p·B − 16) / ⌈log₂ n⌉`
+    /// exceeds the inline cap (34 at n = 100): the live-list batch is
+    /// clamped to it, so a relay never spills to the heap.
+    #[test]
+    fn live_list_batch_stays_inline_at_small_n() {
+        let params = Params::practical();
+        assert_eq!(params.list_sync_period, 4);
+        for n in [2, 16, 100, 128] {
+            let budget = SimConfig::seeded(1).bandwidth_bits(n);
+            let sim = std::sync::Arc::new(Vec::new());
+            let lp = LearnPalette::new(&params, &gen::path(n), 4, budget, Vec::new(), sim);
+            let cap = crate::rand::similarity::ID_BATCH_INLINE_CAP;
+            assert_eq!(lp.batch, cap, "n = {n}");
         }
     }
 

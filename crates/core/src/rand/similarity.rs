@@ -77,7 +77,8 @@ pub const ID_BATCH_INLINE_CAP: usize = 32;
 /// `B = max(8⌈log₂ n⌉, 64)` — at most 31 for every benchmark scale at
 /// `p ≤ 4`, and the capacity computation clamps degenerate configurations
 /// (tiny id widths under a large aggregated budget) to the inline cap,
-/// so the pipelined exchange never allocates per message.
+/// so neither the pipelined exchange nor `LearnPalette`'s live-list relay
+/// allocates per message.
 pub type IdBatch = SmallIds<u64, ID_BATCH_INLINE_CAP>;
 
 /// Pairwise similarity flags at one node, over the `k = degree + 1`
@@ -716,7 +717,7 @@ fn sorted_dedup(mut v: Vec<u64>) -> Vec<u64> {
 /// [`IdBatch`] inline cap: a larger value would silently spill
 /// `SmallIds` to the heap and break the zero-allocation round invariant
 /// (reachable with tiny `⌈log₂ n⌉` under an aggregated `p·B` budget).
-fn id_batch_capacity(budget: u64, n: usize) -> usize {
+pub(crate) fn id_batch_capacity(budget: u64, n: usize) -> usize {
     let cap = ((budget.saturating_sub(16)) / graphs::id_bits(n).max(1)).max(1) as usize;
     cap.min(ID_BATCH_INLINE_CAP)
 }

@@ -184,8 +184,9 @@ pub fn repair(
     }
     region.sort_unstable();
     region.dedup();
-    // Each node's position in the region (`u32::MAX` outside it), and the
-    // colors the region starts from, with the nodes that try masked.
+    // Each node's position in the region (`u32::MAX` outside it), which
+    // the tables read too, and the colors the region starts from, with the
+    // nodes that try masked.
     let mut index = vec![u32::MAX; graph.n()];
     for (i, &v) in region.iter().enumerate() {
         index[v as usize] = i as u32;
@@ -216,7 +217,7 @@ pub fn repair(
         .without_faults()
         .with_salt(0)
         .with_phase_label("repair");
-    let net = NetTables::induced(graph, &config, &region);
+    let net = NetTables::induced(graph, &config, &region, &index);
     let proto = RandomTrials::to_completion(palette)
         .resuming(init)
         .locally_free();

@@ -3,7 +3,7 @@
 //! endpoints.
 //!
 //! The CSR representation is deliberately immutable — every consumer
-//! (simulator port tables, `D2View`, squares) assumes frozen offsets — so
+//! (simulator port tables, `D2View`) assumes frozen offsets — so
 //! churn is modeled as a **batch splice**: the rows of untouched nodes
 //! are copied as they are, and each touched row is merged with its
 //! sorted insert list and filtered by its delete list. A batch of `b`

@@ -579,7 +579,8 @@ mod tests {
         assert_eq!(clique(6).m(), 15);
         let s = star(8);
         assert_eq!(s.max_degree(), 8);
-        assert_eq!(s.d2_degree(1), 8); // a leaf sees hub + 7 other leaves
+        // A leaf sees the hub and the 7 other leaves.
+        assert_eq!(crate::D2View::build(&s).d2_neighbors(1).len(), 8);
         let d = double_star(5);
         assert_eq!(d.n(), 12);
         assert_eq!(d.degree(0), 6);
@@ -659,7 +660,7 @@ mod tests {
         // Same-side pairs are d2-neighbors; its square is a clique.
         assert!(g.are_d2_neighbors(0, 1));
         assert!(g.are_d2_neighbors(3, 7));
-        assert_eq!(g.d2_degree(0), 7);
+        assert_eq!(crate::D2View::build(&g).d2_neighbors(0).len(), 7);
     }
 
     #[test]

@@ -100,11 +100,9 @@ impl Graph {
     /// Assembles a graph directly from CSR parts: `offsets` of length
     /// `n + 1` and sorted, duplicate-free adjacency rows in `flat`.
     ///
-    /// Crate-internal: used by [`GraphBuilder::build`],
-    /// [`apply_batch`](crate::apply_batch) and
-    /// [`D2View::to_square`](crate::D2View::to_square), which all
-    /// guarantee the invariants (sorted rows, symmetric adjacency, no
-    /// self-loops).
+    /// Crate-internal: used by [`GraphBuilder::build`] and
+    /// [`apply_batch`](crate::apply_batch), which both guarantee the
+    /// invariants (sorted rows, symmetric adjacency, no self-loops).
     pub(crate) fn from_csr_parts(offsets: Vec<usize>, flat: Vec<NodeId>) -> Self {
         debug_assert!(!offsets.is_empty());
         debug_assert_eq!(*offsets.last().expect("nonempty"), flat.len());
@@ -139,43 +137,11 @@ impl Graph {
         })
     }
 
-    /// Number of nodes at distance exactly 1 or 2 from `v` (its degree in
-    /// `G²`). Centralized helper used by the verifier and by experiments.
-    #[must_use]
-    pub fn d2_degree(&self, v: NodeId) -> usize {
-        self.d2_neighbors(v).len()
-    }
-
-    /// Sorted distance-≤2 neighborhood of `v`, excluding `v` itself.
-    ///
-    /// Centralized (oracle) computation: the distributed algorithms are not
-    /// permitted to call this — that is the whole difficulty of the paper.
-    ///
-    /// Allocates a fresh `Vec` per call. For repeated queries build a
-    /// [`D2View`](crate::D2View) once (`O(Σ deg²)`, then allocation-free
-    /// slices); for one-off queries under memory pressure reuse a scratch
-    /// buffer via [`Graph::d2_neighbors_into`].
-    #[must_use]
-    pub fn d2_neighbors(&self, v: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.degree(v) * 4);
-        self.d2_neighbors_into(v, &mut out);
-        out
-    }
-
-    /// Scratch-buffer variant of [`Graph::d2_neighbors`]: clears `out` and
-    /// fills it with the sorted distance-≤2 neighborhood of `v` (excluding
-    /// `v`), reusing the buffer's capacity. The allocation-free fallback
-    /// for callers that cannot afford a full [`D2View`](crate::D2View).
-    pub fn d2_neighbors_into(&self, v: NodeId, out: &mut Vec<NodeId>) {
-        out.clear();
-        self.d2_row_append(v, out);
-    }
-
     /// Appends the sorted distance-≤2 neighborhood of `v` (excluding `v`)
     /// to `out`, leaving its earlier entries alone: each neighbor and its
     /// row are gathered at the tail, then sorted and deduplicated in
-    /// place. The one row builder behind [`Graph::d2_neighbors_into`] and
-    /// [`D2View::build`](crate::D2View::build); returns the row's length.
+    /// place. The row builder of [`D2View::build`](crate::D2View::build);
+    /// returns the row's length.
     pub(crate) fn d2_row_append(&self, v: NodeId, out: &mut Vec<NodeId>) -> usize {
         let start = out.len();
         for &u in self.neighbors(v) {
@@ -196,7 +162,10 @@ impl Graph {
         len
     }
 
-    /// Whether `u` and `v` are at distance ≤ 2 (and distinct).
+    /// Whether `u` and `v` are at distance ≤ 2 (and distinct): an edge
+    /// test, then a merge of the two neighbor lists. It shares no code with
+    /// the rows of a [`D2View`](crate::D2View), which the tests check
+    /// against it.
     #[must_use]
     pub fn are_d2_neighbors(&self, u: NodeId, v: NodeId) -> bool {
         if u == v {
@@ -216,27 +185,6 @@ impl Graph {
             }
         }
         false
-    }
-
-    /// Number of common *distance-2* neighbors of `u` and `v` — the quantity
-    /// thresholded by the similarity graphs `H_{1-1/k}` of Section 2.3.
-    #[must_use]
-    pub fn common_d2_neighbors(&self, u: NodeId, v: NodeId) -> usize {
-        let a = self.d2_neighbors(u);
-        let b = self.d2_neighbors(v);
-        let (mut i, mut j, mut c) = (0, 0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    c += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        c
     }
 
     /// Whether the graph is connected (true for `n ≤ 1`).
@@ -440,8 +388,9 @@ mod tests {
     #[test]
     fn d2_neighborhood_of_path() {
         let g = path4();
-        assert_eq!(g.d2_neighbors(0), vec![1, 2]);
-        assert_eq!(g.d2_neighbors(1), vec![0, 2, 3]);
+        let view = crate::D2View::build(&g);
+        assert_eq!(view.d2_neighbors(0), &[1, 2]);
+        assert_eq!(view.d2_neighbors(1), &[0, 2, 3]);
         assert!(g.are_d2_neighbors(0, 2));
         assert!(!g.are_d2_neighbors(0, 3));
         assert!(!g.are_d2_neighbors(2, 2));
@@ -451,7 +400,7 @@ mod tests {
     fn common_neighbor_counts() {
         // Two 2-paths between 0 and 3: via 1 and via 2.
         let g = Graph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
-        assert_eq!(g.common_d2_neighbors(0, 3), 2); // 1 and 2
+        assert_eq!(crate::D2View::build(&g).common_d2(0, 3), 2); // 1 and 2
     }
 
     #[test]
@@ -503,17 +452,6 @@ mod tests {
             GraphBuilder::from_edge_stream(3, [(0, 7)]).unwrap_err(),
             GraphError::EndpointOutOfRange { u: 0, v: 7, n: 3 }
         );
-    }
-
-    #[test]
-    fn d2_neighbors_into_reuses_buffer() {
-        let g = path4();
-        let mut buf = Vec::new();
-        g.d2_neighbors_into(1, &mut buf);
-        assert_eq!(buf, vec![0, 2, 3]);
-        g.d2_neighbors_into(0, &mut buf);
-        assert_eq!(buf, vec![1, 2]);
-        assert_eq!(buf, g.d2_neighbors(0));
     }
 
     #[test]

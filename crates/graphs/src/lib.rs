@@ -3,9 +3,10 @@
 //!
 //! This crate is the *workload substrate*: it provides the network
 //! topologies on which the CONGEST algorithms run, plus centralized
-//! utilities (square graphs, coloring verification) that are used **only**
-//! by tests, the verifier, and the bench registry — never by the
-//! distributed algorithms themselves.
+//! utilities (the distance-2 view [`D2View`], the greedy reference
+//! coloring, coloring verification) that are used **only** by tests, the
+//! verifier, churn repair's damage scan, and the bench registry — never
+//! by the distributed algorithms themselves.
 //!
 //! # Quick example
 //!

@@ -1,27 +1,10 @@
-//! Centralized computation of the square graph `G²` and related oracles.
+//! The centralized greedy coloring of `G²`, read from a [`D2View`].
 //!
-//! These are verification/experiment tools. The distributed algorithms never
-//! see `G²` explicitly — the paper's entire point is that building it is too
+//! A verification and experiment tool. The distributed algorithms never
+//! see `G²` — the paper's entire point is that building it is too
 //! expensive in CONGEST.
 
 use crate::{D2View, Graph, NodeId};
-
-/// Computes the square graph `G²`: same vertex set, an edge wherever
-/// `dist_G(u, v) ≤ 2`.
-///
-/// One [`D2View`] construction plus a CSR copy — the view's rows *are* the
-/// square graph's adjacency. Callers that already hold a view should use
-/// [`D2View::to_square`] directly.
-#[must_use]
-pub fn square(g: &Graph) -> Graph {
-    D2View::build(g).to_square()
-}
-
-/// Maximum degree of `G²` without materializing it.
-#[must_use]
-pub fn square_max_degree(g: &Graph) -> usize {
-    D2View::build(g).max_d2_degree()
-}
 
 /// Greedy sequential coloring of `G²` — the centralized reference the
 /// paper's `∆² + 1` bound generalizes. Returns the coloring and the number
@@ -60,31 +43,6 @@ pub fn greedy_square_coloring(g: &Graph) -> (Vec<u32>, usize) {
 mod tests {
     use super::*;
     use crate::gen;
-
-    #[test]
-    fn square_of_path_adds_distance2_edges() {
-        let g = gen::path(5);
-        let sq = square(&g);
-        assert!(sq.has_edge(0, 2));
-        assert!(sq.has_edge(1, 3));
-        assert!(!sq.has_edge(0, 3));
-        assert_eq!(sq.m(), 4 + 3);
-    }
-
-    #[test]
-    fn square_of_star_is_clique() {
-        let g = gen::star(6);
-        let sq = square(&g);
-        assert_eq!(sq.m(), 7 * 6 / 2);
-        assert_eq!(square_max_degree(&g), 6);
-    }
-
-    #[test]
-    fn square_degree_bounded_by_delta_squared() {
-        let g = gen::gnp_capped(120, 0.1, 8, 11);
-        let d = g.max_degree();
-        assert!(square_max_degree(&g) <= d * d);
-    }
 
     #[test]
     fn greedy_is_valid_and_within_bound() {
