@@ -107,21 +107,26 @@ impl NetTables {
     /// # Panics
     ///
     /// Panics if `nodes` is not strictly increasing or names a node
-    /// outside `0..n`, and in debug builds if `index` is not the positions
-    /// of `nodes`.
+    /// outside `0..n`, or if `index` is not `n` long or gives a node of
+    /// `nodes` another position (an `O(|nodes|)` check); in debug builds
+    /// also if `index` gives a position to a node outside `nodes`.
     #[must_use]
     pub fn induced(graph: &Graph, config: &SimConfig, nodes: &[u32], index: &[u32]) -> Self {
         assert!(
             nodes.windows(2).all(|w| w[0] < w[1]),
             "induced nodes must be sorted and distinct"
         );
+        assert!(
+            index.len() == graph.n()
+                && nodes
+                    .iter()
+                    .enumerate()
+                    .all(|(i, &v)| index[v as usize] == i as u32),
+            "index must hold the position of every node of nodes"
+        );
         debug_assert!(
-            nodes
-                .iter()
-                .enumerate()
-                .all(|(i, &v)| index[v as usize] == i as u32)
-                && index.iter().filter(|&&i| i != u32::MAX).count() == nodes.len(),
-            "index must hold the positions of nodes, u32::MAX elsewhere"
+            index.iter().filter(|&&i| i != u32::MAX).count() == nodes.len(),
+            "index must be u32::MAX outside nodes"
         );
         let all = identifiers(graph.n(), config);
         let idents = nodes.iter().map(|&v| all[v as usize]).collect();
@@ -343,6 +348,16 @@ mod tests {
         // A node with no in-set neighbor keeps an empty row.
         let lone = induced(&g, &cfg, &[nodes[0]]);
         assert_eq!((lone.rows(), lone.directed_edges()), (1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "index must hold the position")]
+    fn induced_rejects_a_stale_index() {
+        let g = gen::cycle(8);
+        let mut index = vec![u32::MAX; g.n()];
+        index[2] = 0;
+        index[5] = 0;
+        let _ = NetTables::induced(&g, &SimConfig::seeded(1), &[2, 5], &index);
     }
 
     /// Records, at init, what a node knows of itself and its first RNG

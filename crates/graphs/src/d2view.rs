@@ -86,17 +86,17 @@ impl D2View {
     /// every `k`.
     ///
     /// **Segments.** Each range appends its rows straight into its own
-    /// segment, whose buffer is reserved once to the range's share of the
-    /// view's estimated length, plus a sixteenth. Rows gather
-    /// `Σ_u deg(u)·(deg(u) + 1)` entries in all and keep from nearly all
-    /// of them (locally tree-like graphs) down to about one in `∆`
-    /// (unions of cliques), so the share they keep is measured on at most
-    /// 64 evenly spaced rows, and a range's part of the estimate is its
-    /// part of the charged work. A range whose rows keep more than that
-    /// (they keep a larger share than the sample, or gather more than
-    /// they are charged, like the leaves of a hub) grows its buffer as a
-    /// `Vec` grows. Nothing is filled before the rows are written, and
-    /// nothing is moved after.
+    /// segment. Its buffer is reserved once, before the first row, to the
+    /// entries its rows gather (`deg(v) + Σ_{u ∈ N(v)} deg(u)` for row
+    /// `v`) times the share of gathered entries that rows keep, plus a
+    /// sixteenth. Rows keep from nearly all they gather (locally
+    /// tree-like graphs) down to about one in `∆` (unions of cliques), so
+    /// that share is measured on at most 64 evenly spaced rows. A range
+    /// whose rows keep a larger share than the sample grows its buffer as
+    /// a `Vec` grows, and a buffer that ends more than an eighth above its
+    /// rows (they kept a smaller share, or it grew) is shrunk to fit, so
+    /// no segment holds more than an eighth above its rows. Nothing is
+    /// filled before the rows are written.
     #[must_use]
     pub fn build(g: &Graph) -> Self {
         let gathered: usize = (0..g.n() as NodeId).map(|v| row_work(g, v)).sum();
@@ -114,13 +114,14 @@ impl D2View {
     ///
     /// Panics if `workers` is 0.
     pub(crate) fn build_split(g: &Graph, workers: usize) -> Self {
-        let mut ranges = plan(g, workers).into_iter();
-        let (rows, reserve) = ranges.next_back().expect("a view needs a worker");
+        let (ranges, kept_share) = plan(g, workers);
+        let mut ranges = ranges.into_iter();
+        let rows = ranges.next_back().expect("a view needs a worker");
         let (segments, longest): (Vec<Segment>, Vec<usize>) = std::thread::scope(|s| {
             let handles: Vec<_> = ranges
-                .map(|(rows, reserve)| s.spawn(move || Segment::build(g, rows, reserve)))
+                .map(|rows| s.spawn(move || Segment::build(g, rows, kept_share)))
                 .collect();
-            let last = Segment::build(g, rows, reserve);
+            let last = Segment::build(g, rows, kept_share);
             handles
                 .into_iter()
                 .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
@@ -180,15 +181,22 @@ impl D2View {
 
 impl Segment {
     /// Builds `rows` into a segment whose buffer is reserved for
-    /// `reserve` entries; also returns its longest row.
-    fn build(g: &Graph, rows: Range<usize>, reserve: usize) -> (Self, usize) {
+    /// `kept_share` of the entries they gather, plus a sixteenth, and
+    /// shrunk to fit if it ends more than an eighth above them; also
+    /// returns its longest row.
+    fn build(g: &Graph, rows: Range<usize>, kept_share: f64) -> (Self, usize) {
+        let gathered: usize = rows.clone().map(|v| row_gather(g, v as NodeId)).sum();
+        let estimate = (gathered as f64 * kept_share) as usize;
         let mut offsets = Vec::with_capacity(rows.len() + 1);
         offsets.push(0);
-        let mut flat = Vec::with_capacity(reserve);
+        let mut flat = Vec::with_capacity(estimate + estimate / 16);
         let mut longest = 0;
         for v in rows.clone() {
             longest = longest.max(g.d2_row_append(v as NodeId, &mut flat));
             offsets.push(flat.len());
+        }
+        if flat.capacity() > flat.len() + flat.len() / 8 {
+            flat.shrink_to_fit();
         }
         let segment = Segment {
             first: rows.start,
@@ -199,49 +207,52 @@ impl Segment {
     }
 }
 
-/// Entries row `v`'s range is charged for: `deg(v)·(deg(v) + 1)`, whose
-/// sum over all rows is what the rows gather.
+/// Entries row `v`'s range is charged for in the cuts:
+/// `deg(v)·(deg(v) + 1)`, whose sum over all rows is what the rows
+/// gather.
 fn row_work(g: &Graph, v: NodeId) -> usize {
     g.degree(v) * (g.degree(v) + 1)
 }
 
-/// The rows of each of the `workers` ranges of [`D2View::build`] and the
-/// entries its segment reserves: its share of the estimated length, plus
-/// a sixteenth to keep sampling noise from growing the buffer.
+/// Entries row `v` gathers before its sort and dedup: each neighbor and
+/// that neighbor's row.
+fn row_gather(g: &Graph, v: NodeId) -> usize {
+    g.degree(v) + g.neighbors(v).iter().map(|&u| g.degree(u)).sum::<usize>()
+}
+
+/// The rows of each of the `workers` ranges of [`D2View::build`], cut at
+/// about equal charged work, and the share of the entries they gather
+/// that rows keep, measured on at most 64 evenly spaced rows.
 ///
 /// # Panics
 ///
 /// Panics if `workers` is 0.
-fn plan(g: &Graph, workers: usize) -> Vec<(Range<usize>, usize)> {
+fn plan(g: &Graph, workers: usize) -> (Vec<Range<usize>>, f64) {
     assert!(workers > 0, "a view needs a worker");
     let n = g.n();
-    let gathered: usize = (0..n as NodeId).map(|v| row_work(g, v)).sum();
     let mut row = Vec::new();
     let (mut sample_gathered, mut sample_kept) = (0usize, 0usize);
     for v in (0..n as NodeId).step_by(n / 64 + 1) {
-        sample_gathered += g.degree(v) + g.neighbors(v).iter().map(|&u| g.degree(u)).sum::<usize>();
+        sample_gathered += row_gather(g, v);
         sample_kept += g.d2_row_append(v, &mut row);
         row.clear();
     }
     let kept_share = sample_kept as f64 / sample_gathered.max(1) as f64;
 
-    // Range `i` is rows `cuts[i].0..cuts[i + 1].0`, and the rows before
-    // it gather `cuts[i].1` entries.
+    // Range `i` is rows `cuts[i]..cuts[i + 1]`: it starts at the first
+    // row before which the rows are charged `i / workers` of the work.
+    let charged: usize = (0..n as NodeId).map(|v| row_work(g, v)).sum();
     let mut cuts = Vec::with_capacity(workers + 1);
     let mut before = 0usize;
     for v in 0..n {
-        while cuts.len() < workers && before * workers >= gathered * cuts.len() {
-            cuts.push((v, before));
+        while cuts.len() < workers && before * workers >= charged * cuts.len() {
+            cuts.push(v);
         }
         before += row_work(g, v as NodeId);
     }
-    cuts.resize(workers + 1, (n, gathered));
-    cuts.windows(2)
-        .map(|w| {
-            let share = ((w[1].1 - w[0].1) as f64 * kept_share) as usize;
-            (w[0].0..w[1].0, share + share / 16)
-        })
-        .collect()
+    cuts.resize(workers + 1, n);
+    let ranges = cuts.windows(2).map(|w| w[0]..w[1]).collect();
+    (ranges, kept_share)
 }
 
 #[cfg(test)]
@@ -260,38 +271,44 @@ mod tests {
     }
 
     /// Builds `g` on 1, 2, 3, 4 and 7 workers and checks each build's
-    /// rows, `n` and `max_d2_degree` against the reference; returns how
-    /// many segments of each build kept more entries than they reserved.
-    fn check_split_builds(g: &Graph) -> Vec<usize> {
+    /// rows, `n` and `max_d2_degree` against the reference, and that its
+    /// segments' buffers hold at most an eighth more than their rows.
+    fn check_split_builds(g: &Graph) {
         let want = reference_rows(g);
         let longest = want.iter().map(Vec::len).max().unwrap_or(0);
-        [1, 2, 3, 4, 7]
-            .map(|k| {
-                let view = D2View::build_split(g, k);
-                assert_eq!(view.n(), g.n(), "{k} workers");
-                for (v, row) in want.iter().enumerate() {
-                    let got = view.d2_neighbors(v as NodeId);
-                    assert_eq!(got, row.as_slice(), "row {v}, {k} workers");
-                }
-                assert_eq!(view.max_d2_degree(), longest, "{k} workers");
-                let plan = plan(g, k);
-                assert_eq!(plan.len(), view.segments.len());
-                plan.iter()
-                    .zip(&view.segments)
-                    .filter(|((_, reserve), s)| s.flat.len() > *reserve)
-                    .count()
-            })
-            .to_vec()
+        for k in [1, 2, 3, 4, 7] {
+            let view = D2View::build_split(g, k);
+            assert_eq!(view.n(), g.n(), "{k} workers");
+            for (v, row) in want.iter().enumerate() {
+                let got = view.d2_neighbors(v as NodeId);
+                assert_eq!(got, row.as_slice(), "row {v}, {k} workers");
+            }
+            assert_eq!(view.max_d2_degree(), longest, "{k} workers");
+            let len: usize = view.segments.iter().map(|s| s.flat.len()).sum();
+            let cap: usize = view.segments.iter().map(|s| s.flat.capacity()).sum();
+            assert!(
+                cap <= len + len / 8,
+                "{k} workers: len {len}, capacity {cap}"
+            );
+        }
     }
 
     #[test]
     fn split_builds_match_the_reference() {
         // Rows of 40 disjoint K_12 gather 12·13 entries and keep 11; rows
         // of a random 8-regular graph keep nearly all of their 72. The
-        // star's hub carries nearly all of the work, and the short path
-        // has fewer rows than most worker counts.
+        // star's hub carries nearly all of the charged work, and its
+        // leaves gather nearly all of the entries. The short path has
+        // fewer rows than most worker counts. On half cliques, half
+        // random-regular, in either order, the sampled share is right for
+        // the whole graph but not for either half: with two or more
+        // workers, the range of the random-regular rows outgrows its
+        // buffer and the range of the cliques keeps far less than it
+        // reserved, so both are shrunk to fit.
         let disconnected =
             Graph::from_edges(12, &[(0, 1), (1, 2), (4, 5), (7, 8), (8, 9), (9, 7)]).unwrap();
+        let cliques = gen::disjoint_union(&vec![gen::clique(12); 125]);
+        let regular = gen::random_regular(1500, 8, 5);
         for g in [
             gen::empty(0),
             gen::empty(5),
@@ -305,23 +322,10 @@ mod tests {
             gen::gnp_capped(60, 0.1, 6, 3),
             gen::disjoint_union(&vec![gen::clique(12); 40]),
             gen::random_regular(3000, 8, 5),
+            gen::disjoint_union(&[cliques.clone(), regular.clone()]),
+            gen::disjoint_union(&[regular, cliques]),
         ] {
             check_split_builds(&g);
-        }
-    }
-
-    #[test]
-    fn split_builds_grow_segments_the_estimate_shorts() {
-        // Half cliques, half random-regular: the sampled share is right
-        // for the whole graph but not for either half, so with two or
-        // more workers the range holding the random-regular rows keeps
-        // more than it reserved, in either order.
-        let cliques = gen::disjoint_union(&vec![gen::clique(12); 125]);
-        let regular = gen::random_regular(1500, 8, 5);
-        for parts in [[&cliques, &regular], [&regular, &cliques]] {
-            let g = gen::disjoint_union(&parts.map(Graph::clone));
-            let outgrown = check_split_builds(&g);
-            assert!(outgrown[1..].iter().all(|&c| c > 0), "{outgrown:?}");
         }
     }
 
